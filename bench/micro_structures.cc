@@ -545,10 +545,11 @@ BENCHMARK(BM_SimulatorWarmStart)->Unit(benchmark::kMillisecond);
 
 /** Fixed per-cell overhead: construct + run + collect of one tiny
  *  sampled grid cell through the parallel engine, the unit of work a
- *  sweep pays per cell beyond the measured instructions. The sampled
- *  region is deliberately small so construction, stats registration
- *  and metric collection dominate — the constant term this row
- *  tracks. */
+ *  sweep pays per cell beyond the measured instructions. Every cell
+ *  builds a fresh simulator, so this is what each paper cell pays. The
+ *  sampled region is deliberately small so construction, stats
+ *  registration and metric collection dominate — the constant term
+ *  this row tracks. */
 void
 BM_GridCellOverhead(benchmark::State &state)
 {
@@ -558,8 +559,9 @@ BM_GridCellOverhead(benchmark::State &state)
     config.core.fetch.wrongPath = WrongPathMode::Stall;
     config.sampling.enable = true;
     config.sampling.periodInsts = 2000;
-    // Warm the worker's simulator pool so the measured iterations see
-    // the steady state a long sweep sees: reinit, not construction.
+    // One warm-up cell fills what a process pays once (interned
+    // symbols, the stat-name memo, verified schemas), as a sweep's
+    // first cell does; every measured iteration is a fresh cell.
     {
         std::vector<GridCell> cells{{"swim", config}};
         runGrid(cells, 1);
@@ -573,10 +575,12 @@ BM_GridCellOverhead(benchmark::State &state)
         allocs += g.count();
         ++iters;
     }
-    // Heap traffic per pooled cell (construction, run and collection;
+    // Heap traffic per fresh cell (construction, run and collection;
     // excludes the cell vector built outside the guard). Tracked by the
-    // perf trajectory next to the time — a reinit-path regression shows
-    // up here before it is big enough to move wall time.
+    // perf trajectory next to the time — a construction-path
+    // regression shows up here before it is big enough to move wall
+    // time. HotLoopAlloc.FreshGridCellAllocationCountIsPinned pins the
+    // same count.
     state.counters["allocs_per_cell"] =
         iters ? static_cast<double>(allocs) / static_cast<double>(iters)
               : 0.0;

@@ -5,6 +5,7 @@
 #include <iomanip>
 #include <mutex>
 #include <shared_mutex>
+#include <typeinfo>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -84,22 +85,122 @@ SymbolTable::size() const
     return im.texts.size();
 }
 
-SymId
-StatBase::internName(std::size_t slot, std::string_view suffix) const
+namespace
 {
-    std::string full;
-    full.reserve(visitPrefix.size() + 1 + statName.size() + suffix.size());
-    if (!visitPrefix.empty()) {
-        full += visitPrefix;
-        full += '.';
+
+/** One memoised name list: the interned full names of a stat's
+ *  sub-values under one prefix. Immutable once published. */
+struct NameEntry
+{
+    std::string prefix;
+    std::string name;
+    const std::type_info *type;
+    std::uint64_t shape;
+    std::vector<SymId> syms;
+};
+
+/** Lookup key; the views point into the caller's strings or, once
+ *  stored, into the entry's own. */
+struct NameKey
+{
+    std::string_view prefix;
+    std::string_view name;
+    const std::type_info *type;
+    std::uint64_t shape;
+
+    bool
+    operator==(const NameKey &o) const
+    {
+        return prefix == o.prefix && name == o.name && *type == *o.type &&
+               shape == o.shape;
     }
-    full += statName;
-    full += suffix;
-    const SymId id = SymbolTable::global().intern(full);
-    if (slot >= symCache.size())
-        symCache.resize(slot + 1, 0);
-    symCache[slot] = id;
-    return id;
+};
+
+struct NameKeyHash
+{
+    std::size_t
+    operator()(const NameKey &k) const
+    {
+        std::size_t h = std::hash<std::string_view>()(k.prefix);
+        h = h * 31 + std::hash<std::string_view>()(k.name);
+        h = h * 31 + k.type->hash_code();
+        return h * 31 + static_cast<std::size_t>(k.shape);
+    }
+};
+
+/**
+ * The process-global name memo behind StatBase::bindNames. Locked like
+ * SymbolTable (shared on the read path): grid cells bind their stats
+ * from worker threads concurrently. A deque never moves settled
+ * entries, so the keys' views and the pointers handed out stay valid
+ * as the memo grows; nothing is ever removed.
+ */
+struct NameMemo
+{
+    std::shared_mutex mtx;
+    std::deque<NameEntry> entries;
+    std::unordered_map<NameKey, const NameEntry *, NameKeyHash> index;
+
+    static NameMemo &
+    global()
+    {
+        static NameMemo memo;
+        return memo;
+    }
+
+    const NameEntry *
+    find(const NameKey &key)
+    {
+        std::shared_lock<std::shared_mutex> lock(mtx);
+        auto it = index.find(key);
+        return it == index.end() ? nullptr : it->second;
+    }
+
+    /** Publish @p syms under @p key; a racing thread that published
+     *  first wins (both composed the same names). */
+    const NameEntry &
+    insert(const NameKey &key, std::vector<SymId> syms)
+    {
+        std::unique_lock<std::shared_mutex> lock(mtx);
+        auto it = index.find(key);
+        if (it != index.end())
+            return *it->second;
+        entries.push_back({std::string(key.prefix), std::string(key.name),
+                           key.type, key.shape, std::move(syms)});
+        const NameEntry &e = entries.back();
+        index.emplace(NameKey{e.prefix, e.name, e.type, e.shape}, &e);
+        return e;
+    }
+};
+
+} // namespace
+
+void
+StatBase::bindNames(std::string_view prefix) const
+{
+    const NameKey key{prefix, statName, &typeid(*this), shapeKey()};
+    NameMemo &memo = NameMemo::global();
+    const NameEntry *entry = memo.find(key);
+    if (!entry) {
+        std::vector<std::string> suffixes;
+        nameSuffixes(suffixes);
+        std::vector<SymId> ids;
+        ids.reserve(suffixes.size());
+        std::string full;
+        for (const std::string &suffix : suffixes) {
+            full.clear();
+            if (!prefix.empty()) {
+                full += prefix;
+                full += '.';
+            }
+            full += statName;
+            full += suffix;
+            ids.push_back(SymbolTable::global().intern(full));
+        }
+        entry = &memo.insert(key, std::move(ids));
+    }
+    boundPrefix = entry->prefix;
+    syms = entry->syms.data();
 }
 
 void
@@ -186,10 +287,17 @@ SampleEstimator::visit(StatVisitor &v) const
         "95% confidence half-width of the interval mean");
     static const SymId intervalsDesc =
         SymbolTable::global().intern("measured sampling intervals");
-    v.visitReal(nameSym(0, ".mean"), descSym(), mean());
-    v.visitReal(nameSym(1, ".stderr"), stderrDesc, standardError());
-    v.visitReal(nameSym(2, ".ci95"), ci95Desc, ci95());
-    v.visitUInt(nameSym(3, ".intervals"), intervalsDesc, n);
+    const SymId *nm = names();
+    v.visitReal(nm[0], descSym(), mean());
+    v.visitReal(nm[1], stderrDesc, standardError());
+    v.visitReal(nm[2], ci95Desc, ci95());
+    v.visitUInt(nm[3], intervalsDesc, n);
+}
+
+void
+SampleEstimator::nameSuffixes(std::vector<std::string> &out) const
+{
+    out.insert(out.end(), {".mean", ".stderr", ".ci95", ".intervals"});
 }
 
 Distribution::Distribution(std::string name, std::string desc,
@@ -263,24 +371,31 @@ Distribution::print(std::ostream &os) const
 void
 Distribution::visit(StatVisitor &v) const
 {
+    const SymId *nm = names();
     const SymId d = descSym();
-    v.visitReal(nameSym(0, ".mean"), d, mean());
-    v.visitReal(nameSym(1, ".stddev"), d, stddev());
-    v.visitUInt(nameSym(2, ".samples"), d, n);
-    v.visitUInt(nameSym(3, ".min"), d, minSeen);
-    v.visitUInt(nameSym(4, ".max"), d, maxSeen);
-    v.visitUInt(nameSym(5, ".underflows"), d, under);
-    v.visitUInt(nameSym(6, ".overflows"), d, over);
+    v.visitReal(nm[0], d, mean());
+    v.visitReal(nm[1], d, stddev());
+    v.visitUInt(nm[2], d, n);
+    v.visitUInt(nm[3], d, minSeen);
+    v.visitUInt(nm[4], d, maxSeen);
+    v.visitUInt(nm[5], d, under);
+    v.visitUInt(nm[6], d, over);
     // The bucket geometry travels with the data so consumers (figure
     // renderers, plotters) never re-derive the origin or width by hand.
-    v.visitUInt(nameSym(7, ".range_min"), d, lo);
-    v.visitUInt(nameSym(8, ".bucket_size"), d, bsize);
-    for (std::size_t i = 0; i < buckets.size(); ++i) {
-        SymId nm = cachedNameSym(9 + i);
-        if (nm == 0)
-            nm = nameSym(9 + i, ".hist[" + std::to_string(i) + "]");
-        v.visitUInt(nm, d, buckets[i]);
-    }
+    v.visitUInt(nm[7], d, lo);
+    v.visitUInt(nm[8], d, bsize);
+    for (std::size_t i = 0; i < buckets.size(); ++i)
+        v.visitUInt(nm[9 + i], d, buckets[i]);
+}
+
+void
+Distribution::nameSuffixes(std::vector<std::string> &out) const
+{
+    out.insert(out.end(),
+               {".mean", ".stddev", ".samples", ".min", ".max",
+                ".underflows", ".overflows", ".range_min", ".bucket_size"});
+    for (std::size_t i = 0; i < buckets.size(); ++i)
+        out.push_back(".hist[" + std::to_string(i) + "]");
 }
 
 Counter2D::Counter2D(std::string name, std::string desc,
@@ -345,24 +460,44 @@ Counter2D::print(std::ostream &os) const
 void
 Counter2D::visit(StatVisitor &v) const
 {
+    const SymId *nm = names();
     const SymId d = descSym();
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-        for (std::size_t c = 0; c < cols.size(); ++c) {
-            const std::size_t slot = r * cols.size() + c;
-            SymId nm = cachedNameSym(slot);
-            if (nm == 0)
-                nm = nameSym(slot, "." + rows[r] + "." + cols[c]);
-            v.visitUInt(nm, d, count(r, c));
-        }
-    }
+    for (std::size_t i = 0; i < counts.size(); ++i)
+        v.visitUInt(nm[i], d, counts[i]);
+}
+
+void
+Counter2D::nameSuffixes(std::vector<std::string> &out) const
+{
+    for (const std::string &row : rows)
+        for (const std::string &col : cols)
+            out.push_back("." + row + "." + col);
+}
+
+std::uint64_t
+Counter2D::shapeKey() const
+{
+    // FNV-1a over the labels, each terminated by a separator byte that
+    // no label contains, and the row/column boundary marked apart.
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](const std::string &label, unsigned char end) {
+        for (const char ch : label)
+            h = (h ^ static_cast<unsigned char>(ch)) * 0x100000001b3ull;
+        h = (h ^ end) * 0x100000001b3ull;
+    };
+    for (const std::string &row : rows)
+        mix(row, 0x1f);
+    for (const std::string &col : cols)
+        mix(col, 0x1e);
+    return h;
 }
 
 void
 StatGroup::visit(StatVisitor &v) const
 {
-    // Each stat composes its full names under the group prefix and
-    // caches the interned symbols; steady-state walks are a string-free
-    // pass over cached ids.
+    // Each stat binds its full names under the group prefix (composed
+    // once per process, see bindNames); steady-state walks are a
+    // string-free pass over the bound ids.
     for (const auto *s : statList) {
         s->setVisitPrefix(groupName);
         s->visit(v);

@@ -12,8 +12,11 @@
  * Names are *interned*: every dotted stat name ("rob.occupancy.mean")
  * and description is entered once into the process-global SymbolTable
  * and carried as a SymId (u32) through the StatVisitor interface, so a
- * steady-state tree walk moves integers, not strings. Text is resolved
- * only at serialization boundaries (CSV/JSON writers, reports).
+ * steady-state tree walk moves integers, not strings. The composed
+ * names of each stat are memoised process-wide too, so even a freshly
+ * constructed core's first walk builds no strings once any core of
+ * the same shape has been walked. Text is resolved only at
+ * serialization boundaries (CSV/JSON writers, reports).
  */
 
 #ifndef VPR_COMMON_STATS_HH
@@ -109,41 +112,43 @@ class StatBase
      * Select the dotted prefix under which the next visit() composes
      * its names ("<prefix>.<name><suffix>"; empty = unprefixed).
      * Called by StatGroup::visit before every walk; a no-op string
-     * compare when unchanged, so the cached name symbols survive
-     * across walks and steady-state visits intern nothing.
+     * compare when unchanged, so steady-state visits intern nothing.
      */
     void
     setVisitPrefix(std::string_view prefix) const
     {
-        if (prefix != visitPrefix) {
-            visitPrefix.assign(prefix);
-            symCache.clear();
-        }
+        if (!syms || prefix != boundPrefix)
+            bindNames(prefix);
     }
 
   protected:
     /**
-     * Interned symbol for "<prefix>.<name><suffix>", cached per
-     * sub-value slot. Slots are dense small integers fixed by the
-     * stat's shape (0 for a single-valued stat); the composed string
-     * is built only on a cache miss.
+     * The interned full name of every sub-value, indexed in the order
+     * nameSuffixes() lists them, composed under the current visit
+     * prefix (unprefixed until one is set).
      */
-    SymId
-    nameSym(std::size_t slot, std::string_view suffix = {}) const
+    const SymId *
+    names() const
     {
-        if (slot < symCache.size() && symCache[slot] != 0)
-            return symCache[slot];
-        return internName(slot, suffix);
+        if (!syms)
+            bindNames({});
+        return syms;
     }
 
-    /** Cache-only lookup: the slot's symbol, or 0 on a miss. Lets a
-     *  stat with a composed suffix ("name.row.col") skip building the
-     *  suffix string entirely on the hot (cached) path. */
-    SymId
-    cachedNameSym(std::size_t slot) const
+    /**
+     * Append the name suffix of every sub-value, in visit order (""
+     * names the stat itself). The list is a function of the stat's
+     * type and shapeKey() alone.
+     */
+    virtual void
+    nameSuffixes(std::vector<std::string> &out) const
     {
-        return slot < symCache.size() ? symCache[slot] : 0;
+        out.emplace_back();
     }
+
+    /** Distinguishes the suffix lists of two stats of the same type
+     *  (a Distribution's bucket count, a Counter2D's labels). */
+    virtual std::uint64_t shapeKey() const { return 0; }
 
     /** Interned symbol of the stat's own description. */
     SymId
@@ -155,14 +160,20 @@ class StatBase
     }
 
   private:
-    SymId internName(std::size_t slot, std::string_view suffix) const;
+    /**
+     * Point syms at the composed names for @p prefix. They come from a
+     * process-global memo keyed by (prefix, name, type, shape), so a
+     * fresh core's first walk finds every name its predecessors
+     * composed and only the first core of each shape builds strings.
+     */
+    void bindNames(std::string_view prefix) const;
 
     std::string statName;
     std::string statDesc;
-    /** Prefix the cached symbols were composed under. */
-    mutable std::string visitPrefix;
-    /** Per-slot interned full names; cleared on prefix change. */
-    mutable std::vector<SymId> symCache;
+    /** The memo entry's prefix and names; both live as long as the
+     *  process. */
+    mutable std::string_view boundPrefix;
+    mutable const SymId *syms = nullptr;
     mutable SymId descCache = 0;
 };
 
@@ -183,7 +194,7 @@ class Scalar : public StatBase
     void
     visit(StatVisitor &v) const override
     {
-        v.visitUInt(nameSym(0), descSym(), val);
+        v.visitUInt(names()[0], descSym(), val);
     }
 
   private:
@@ -205,7 +216,7 @@ class Real : public StatBase
     void
     visit(StatVisitor &v) const override
     {
-        v.visitReal(nameSym(0), descSym(), val);
+        v.visitReal(names()[0], descSym(), val);
     }
 
   private:
@@ -235,8 +246,15 @@ class Average : public StatBase
     void
     visit(StatVisitor &v) const override
     {
-        v.visitReal(nameSym(0), descSym(), mean());
-        v.visitUInt(nameSym(1, ".samples"), descSym(), n);
+        v.visitReal(names()[0], descSym(), mean());
+        v.visitUInt(names()[1], descSym(), n);
+    }
+
+  protected:
+    void
+    nameSuffixes(std::vector<std::string> &out) const override
+    {
+        out.insert(out.end(), {"", ".samples"});
     }
 
   private:
@@ -284,6 +302,9 @@ class SampleEstimator : public StatBase
     void reset() override { n = 0; sum = 0.0; sumSq = 0.0; }
     void print(std::ostream &os) const override;
     void visit(StatVisitor &v) const override;
+
+  protected:
+    void nameSuffixes(std::vector<std::string> &out) const override;
 
   private:
     std::uint64_t n = 0;
@@ -356,6 +377,10 @@ class Distribution : public StatBase
     void print(std::ostream &os) const override;
     void visit(StatVisitor &v) const override;
 
+  protected:
+    void nameSuffixes(std::vector<std::string> &out) const override;
+    std::uint64_t shapeKey() const override { return buckets.size(); }
+
   private:
     std::uint64_t lo;
     std::uint64_t hi;
@@ -405,6 +430,10 @@ class Counter2D : public StatBase
     void reset() override;
     void print(std::ostream &os) const override;
     void visit(StatVisitor &v) const override;
+
+  protected:
+    void nameSuffixes(std::vector<std::string> &out) const override;
+    std::uint64_t shapeKey() const override;
 
   private:
     std::vector<std::string> rows;

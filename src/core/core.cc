@@ -83,7 +83,8 @@ Core::Core(TraceStream &stream, const CoreConfig &config)
       // Anything beyond still works via the overflow list.
       completions(state.cfg.cqCalendar,
                   state.cfg.cache.hitLatency + state.cfg.cache.missPenalty +
-                      64),
+                      64,
+                  state.cfg.issueWidth),
       fetchBuffer(state.fetch),
       fetchRedirect(state.fetch),
       commit(state),
@@ -109,18 +110,6 @@ Core::Core(TraceStream &stream, const CoreConfig &config)
                             static_cast<double>(committed)
                       : 0.0);
     });
-}
-
-void
-Core::reinit()
-{
-    completions.clear();
-    ffRetired = 0;
-    commit.reinit();
-    issue.reinit();
-    // Last: ends with the stats-tree reset, recapturing interval bases
-    // against the zeroed counters.
-    state.reinit();
 }
 
 bool

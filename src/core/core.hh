@@ -82,17 +82,6 @@ class Core : public SquashCoordinator
     void resetStats();
 
     /**
-     * Return the whole core to the constructed state without
-     * reconstructing it (simulator reuse between grid cells): every
-     * structure, latch, stage and counter ends up exactly as a fresh
-     * Core over the same (rewound) stream and config — asserted
-     * byte-identical by the determinism suite. The stats tree and its
-     * registered groups are never reseated, which is what makes in-place
-     * reuse possible at all.
-     */
-    void reinit();
-
-    /**
      * Walk the core's stats tree into @p v: every component's and
      * stage's StatGroup, in registration order, derived values brought
      * up to date first. This is the single export path — a stat added

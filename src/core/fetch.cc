@@ -48,25 +48,6 @@ FetchUnit::FetchUnit(TraceStream &stream, const FetchConfig &config)
     branchGroup.add(&bhtAccuracy);
 }
 
-void
-FetchUnit::reinit()
-{
-    buffer.clear();
-    bht.reset();
-    waiting = false;
-    paused = false;
-    stallUntil = 0;
-    exhausted = false;
-    // Construct, don't reseed(): the two map a zero seed differently,
-    // and fresh-construct equivalence is the whole contract here.
-    wpRng = Random(cfg.wrongPathSeed);
-    wpPc = 0xdead0000;
-    nReal = 0;
-    nWrongPath = 0;
-    nBranches = 0;
-    nMispredicts = 0;
-}
-
 StaticInst
 FetchUnit::synthesizeWrongPath()
 {

@@ -124,14 +124,6 @@ class FetchUnit
      */
     std::size_t skipFunctional(std::size_t n);
 
-    /**
-     * Return to the constructed state — buffer empty, BHT cold,
-     * wrong-path synthesizer reseeded, counters zeroed (simulator reuse
-     * between grid cells). The trace stream is shared with the owner,
-     * who rewinds it separately.
-     */
-    void reinit();
-
     /** True while fetch is past an unresolved mispredicted branch. */
     bool awaitingResolve() const { return waiting; }
 

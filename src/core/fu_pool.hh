@@ -83,18 +83,6 @@ class FuPool
     /** Ops denied because all units were busy (stats). */
     std::uint64_t structuralHazards() const { return nHazards; }
 
-    /** Return to the constructed state: every unit idle, per-cycle and
-     *  whole-run counters zeroed (simulator reuse between grid cells). */
-    void
-    clear()
-    {
-        usedThisCycle.fill(0);
-        for (auto &v : busyUntil)
-            v.clear();
-        issued.fill(0);
-        nHazards = 0;
-    }
-
   private:
     FuPoolConfig cfg;
     /** cfg.count(t) per type, cached at construction (hot-path read). */

@@ -95,15 +95,6 @@ class InstHotPool
         commitA[i] = kNoCycle;
     }
 
-    /** Reinitialise every slot, as construction does (simulator reuse
-     *  between grid cells). */
-    void
-    resetAll()
-    {
-        for (std::size_t i = 0; i < capacity(); ++i)
-            reset(static_cast<HotIdx>(i));
-    }
-
     /** Field accessors (hot loops may also index the arrays directly
      *  through these; everything is inline, no bounds checks). @{ */
     InstSeqNum seqOf(HotIdx i) const { return seqA[i]; }

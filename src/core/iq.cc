@@ -82,19 +82,6 @@ InstQueue::squashYoungerThan(InstSeqNum seq)
     }
 }
 
-void
-InstQueue::clear()
-{
-    for (DynInst *inst : list) {
-        inst->setInIq(false);
-        inst->setInReadyQ(false);
-    }
-    list.clear();
-    for (auto &lists : waitLists)
-        lists.clear();
-    readyEvents.clear();
-}
-
 unsigned
 InstQueue::wakeup(RegClass cls, std::uint16_t tag, std::uint16_t physReg)
 {

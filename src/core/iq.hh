@@ -104,8 +104,6 @@ class InstQueue
      *  this). */
     const std::vector<DynInst *> &entries() const { return list; }
 
-    void clear();
-
     /** Use the legacy full-queue wakeup scan instead of the wait lists
      *  (reference path for the determinism test). Must be selected
      *  before the first insert. */

@@ -247,17 +247,6 @@ Lsq::squashYoungerThan(InstSeqNum seq)
     }
 }
 
-void
-Lsq::clear()
-{
-    list.clear();
-    lineTable.clear();
-    unknownStores.clear();
-    pendingKnown.clear();
-    holdSubs.clear();
-    pendingRelease.clear();
-}
-
 LoadCheck
 Lsq::scanCheck(const DynInst *load, Cycle now) const
 {

@@ -94,16 +94,6 @@ class LineRefMap
      *  stretch the probe chains. */
     void erase(Addr line);
 
-    void
-    clear()
-    {
-        for (Slot &s : slots) {
-            s.used = false;
-            s.refs.clear();
-        }
-        numUsed = 0;
-    }
-
     std::size_t size() const { return numUsed; }
 
   private:
@@ -231,8 +221,6 @@ class Lsq
     void regStats(stats::StatRegistry &r) { r.add(&group); }
 
     const RingDeque<DynInst *> &entries() const { return list; }
-
-    void clear();
 
   private:
     /** Disambiguation granularity: 16-byte lines, >= the largest

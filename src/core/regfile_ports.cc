@@ -65,14 +65,6 @@ PortSchedule::used(Cycle cycle) const
 }
 
 void
-PortSchedule::clear()
-{
-    counts.assign(counts.size(), 0);
-    tags.assign(tags.size(), kNoCycle);
-    base = 0;
-}
-
-void
 RegFilePorts::beginCycle(Cycle now)
 {
     readsUsed[0] = readsUsed[1] = 0;

@@ -71,8 +71,6 @@ class PortSchedule
     /** Ports already claimed at @p cycle (tests). */
     unsigned used(Cycle cycle) const;
 
-    void clear();
-
   private:
     /** A write scheduled past the miss penalty is rare; 1024 slots
      *  cover any realistic claim horizon without ever growing. */
@@ -120,16 +118,6 @@ class RegFilePorts
     writePortsPerCycle() const
     {
         return writes[0].portsPerCycle();
-    }
-
-    /** Return to the constructed state: no reads claimed, no writes
-     *  scheduled (simulator reuse between grid cells). */
-    void
-    clear()
-    {
-        readsUsed[0] = readsUsed[1] = 0;
-        writes[0].clear();
-        writes[1].clear();
     }
 
   private:

@@ -96,10 +96,6 @@ class Rob
     /** The pool holding every entry's hot state. */
     const InstHotPool &hotPool() const { return hot; }
 
-    /** Drop every entry (simulator reuse between grid cells). The hot
-     *  rows are re-reset by allocate(); the caller resets the pool. */
-    void clear() { buf.clear(); }
-
     /** Record the occupancy for this cycle. */
     void sampleOccupancy() { occupancy.sample(buf.size()); }
 

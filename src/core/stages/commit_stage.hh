@@ -42,10 +42,6 @@ class CommitStage : public Stage
      *  run-until protocol across stat resets). */
     std::uint64_t committedTotal() const { return nCommittedTotal; }
 
-    /** Zero the whole-run commit counter (simulator reuse between grid
-     *  cells); the interval stats reset through the stats tree. */
-    void reinit() { nCommittedTotal = 0; }
-
     /** Interval counters (reset through the stats tree). @{ */
     std::uint64_t committedInterval() const { return committed.value(); }
     std::uint64_t

@@ -31,6 +31,13 @@ IssueStage::IssueStage(PipelineState &state,
               "issues per op class, split first execution vs re-execution",
               opClassRows(), {"first", "reexec"})
 {
+    // Every candidate is (or, once stale, was) an IQ entry, so the
+    // queue size is each list's working capacity; sizing them now
+    // keeps a fresh core from growing them during its first cycles.
+    cand.reserve(s.cfg.iqSize);
+    retryQ.reserve(s.cfg.iqSize);
+    for (auto &q : fuStallQ)
+        q.reserve(s.cfg.iqSize);
     group.add(&issued);
     group.add(&byClass);
     fetchToIssue.reserve(kNumOpClasses);

@@ -50,17 +50,6 @@ class IssueStage : public Stage
         // to walk here.
     }
 
-    /** Drop carried-over candidates and stall queues (simulator reuse
-     *  between grid cells). Capacities stay resident. */
-    void
-    reinit()
-    {
-        cand.clear();
-        retryQ.clear();
-        for (auto &q : fuStallQ)
-            q.clear();
-    }
-
   private:
     /** Why an issue attempt did not issue. */
     enum class Outcome : std::uint8_t

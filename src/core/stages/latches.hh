@@ -72,13 +72,20 @@ class CompletionQueue
      *                     power of two. Events scheduled further out
      *                     than the ring spans go to the overflow list
      *                     and migrate in as the wheel turns.
+     * @param bucketEvents events each cycle's bucket holds before it
+     *                     first grows (the core passes its issue
+     *                     width), so a fresh core does not grow every
+     *                     bucket from empty.
      */
     explicit CompletionQueue(bool useCalendar = true,
-                             Cycle horizonHint = 128)
+                             Cycle horizonHint = 128,
+                             std::size_t bucketEvents = 0)
         : calendar(useCalendar),
           horizon(Cycle{1} << ceilLog2(horizonHint < 2 ? 2 : horizonHint)),
           buckets(useCalendar ? static_cast<std::size_t>(horizon) : 0)
     {
+        for (auto &b : buckets)
+            b.reserve(bucketEvents);
     }
 
     /** Schedule @p inst to complete at @p when. */
@@ -200,24 +207,6 @@ class CompletionQueue
             if (ref.seq == seq)
                 return true;
         return false;
-    }
-
-    /** Return to the constructed state: no events, wheel rewound to
-     *  cycle zero, no parked stores (simulator reuse between grid
-     *  cells). Bucket capacities stay resident. */
-    void
-    clear()
-    {
-        for (auto &b : buckets)
-            b.clear();
-        overflow.clear();
-        overflowMin = kNoCycle;
-        base = 0;
-        drainIdx = 0;
-        curSorted = true;
-        nEvents = 0;
-        events = EventHeap();
-        storesAwaitingData.clear();
     }
 
   private:

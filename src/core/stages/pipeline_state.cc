@@ -79,28 +79,6 @@ PipelineState::resetStats()
 }
 
 void
-PipelineState::reinit()
-{
-    hot.resetAll();
-    rob.clear();
-    iq.clear();
-    lsq.clear();
-    cache.reset();
-    fus.clear();
-    regPorts.clear();
-    cachePortSched.clear();
-    fetch.reinit();
-    renameMgr->reinit();
-    curCycle = 0;
-    nextSeq = 0;
-    lastCommitCycle = 0;
-    statBaseCycle = 0;
-    // Last: every group's reset hook recaptures its bases against the
-    // zeroed counters above, leaving the tree as construction does.
-    statsTree.reset();
-}
-
-void
 PipelineState::squashYoungerThan(InstSeqNum youngestKept)
 {
     iq.squashYoungerThan(youngestKept);

@@ -40,16 +40,6 @@ struct PipelineState
     void resetStats();
 
     /**
-     * Return every shared structure and clock to the constructed state
-     * (simulator reuse between grid cells). The renamer is reinitialised
-     * in place — the stats tree holds pointers into it, so it is never
-     * reconstructed. Runs the stats-tree reset last, after every raw
-     * counter is zeroed, so the interval bases recapture at zero exactly
-     * as a fresh construction leaves them.
-     */
-    void reinit();
-
-    /**
      * Branch recovery over the shared structures: drop IQ/LSQ entries
      * and walk the ROB youngest-first down to @p youngestKept, undoing
      * each rename (the paper's recovery walk).

@@ -16,30 +16,10 @@ ConventionalRename::ConventionalRename(const RenameConfig &config)
             mapTable[c][i] = i;
             ready[c][i] = true;
         }
+        freeList[c].reserve(cfg.numPhysRegs);
         for (std::uint16_t p = cfg.numPhysRegs; p-- > kNumLogicalRegs;)
             freeList[c].push_back(p);
         // Pressure accounting: the architected registers are live.
-        for (std::uint16_t i = 0; i < kNumLogicalRegs; ++i)
-            pressureTrk[c].onAlloc(i, 0);
-    }
-}
-
-void
-ConventionalRename::reinit()
-{
-    // Replays the constructor body exactly (the free-list pop order is
-    // architecturally visible downstream, so it must match).
-    reinitBase();
-    for (std::size_t c = 0; c < kNumRegClasses; ++c) {
-        mapTable[c].assign(kNumLogicalRegs, 0);
-        ready[c].assign(cfg.numPhysRegs, false);
-        freeList[c].clear();
-        for (std::uint16_t i = 0; i < kNumLogicalRegs; ++i) {
-            mapTable[c][i] = i;
-            ready[c][i] = true;
-        }
-        for (std::uint16_t p = cfg.numPhysRegs; p-- > kNumLogicalRegs;)
-            freeList[c].push_back(p);
         for (std::uint16_t i = 0; i < kNumLogicalRegs; ++i)
             pressureTrk[c].onAlloc(i, 0);
     }

@@ -20,19 +20,6 @@ EarlyReleaseRename::EarlyReleaseRename(const RenameConfig &config)
 }
 
 void
-EarlyReleaseRename::reinit()
-{
-    ConventionalRename::reinit();
-    for (std::size_t c = 0; c < kNumRegClasses; ++c) {
-        state[c].assign(cfg.numPhysRegs, RegState{});
-        for (std::uint16_t i = 0; i < kNumLogicalRegs; ++i)
-            state[c][i].written = true;
-    }
-    owedFrees.clear();
-    nEarlyReleases = 0;
-}
-
-void
 EarlyReleaseRename::maybeRelease(RegClass cls, PhysRegId reg, Cycle now)
 {
     RegState &st = state[classIdx(cls)][reg];

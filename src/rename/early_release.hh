@@ -53,7 +53,6 @@ class EarlyReleaseRename : public ConventionalRename
     void commitInst(DynInst &inst, Cycle now) override;
     void squashInst(DynInst &inst, Cycle now) override;
     void checkInvariants() const override;
-    void reinit() override;
     void visitState(StateVisitor &v) override;
 
     /** Registers freed before their superseder committed. */

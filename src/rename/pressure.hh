@@ -64,20 +64,6 @@ class PressureTracker
 
     void reset(Cycle now);
 
-    /** Return to the constructed state — every register free, integrals
-     *  zeroed (simulator reuse between grid cells). Distinct from
-     *  reset(), which starts a measurement interval with live
-     *  allocations carried over. */
-    void
-    clear()
-    {
-        allocCycle.assign(allocCycle.size(), kNoCycle);
-        nBusy = 0;
-        peak = 0;
-        holdCycles = 0;
-        nFrees = 0;
-    }
-
     /** Serialize/restore live allocation stamps + whole-run integrals.
      *  Architectural mappings stay allocated across a drained point, so
      *  the alloc-cycle stamps are genuinely live state. */

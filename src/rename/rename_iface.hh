@@ -149,15 +149,6 @@ class RenameManager
     virtual void checkInvariants() const = 0;
 
     /**
-     * Return to the constructed state: architected mappings restored,
-     * free lists rebuilt in construction order (allocation order is
-     * architecturally visible downstream), pressure trackers and
-     * whole-run counters zeroed. Simulator reuse between grid cells;
-     * must be indistinguishable from a freshly constructed renamer.
-     */
-    virtual void reinit() = 0;
-
-    /**
      * Register the renamer's stat groups — "rename" (mean holding
      * times), "rename.vp" (per-value register-lifetime distributions)
      * and "regfile" (occupancy distributions, peaks) — into the core's
@@ -215,17 +206,6 @@ class RenameManager
     virtual void visitState(StateVisitor &v);
 
   protected:
-    /** Shared half of reinit(): clear the pressure trackers and the
-     *  base-class counters. Subclasses replay their constructor bodies
-     *  on top (re-allocating the architected registers). */
-    void
-    reinitBase()
-    {
-        for (std::size_t c = 0; c < kNumRegClasses; ++c)
-            pressureTrk[c].clear();
-        nRejections = 0;
-    }
-
     RenameConfig cfg;
     /** Lifetime distributions are declared before the trackers that
      *  sample into them (construction order). */

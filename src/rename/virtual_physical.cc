@@ -30,38 +30,14 @@ VirtualPhysicalRename::VirtualPhysicalRename(const RenameConfig &config,
             pmt[c][i] = PmtEntry{i, true};
             pressureTrk[c].onAlloc(i, 0);
         }
+        vpFreeList[c].reserve(cfg.numVPRegs);
         for (std::uint16_t v = cfg.numVPRegs; v-- > kNumLogicalRegs;)
             vpFreeList[c].push_back(v);
+        physFreeList[c].reserve(cfg.numPhysRegs);
         for (std::uint16_t p = cfg.numPhysRegs; p-- > kNumLogicalRegs;)
             physFreeList[c].push_back(p);
+        pendingFrees[c].reserve(cfg.numPhysRegs);
     }
-}
-
-void
-VirtualPhysicalRename::reinit()
-{
-    // Replays the constructor body exactly (both free-list pop orders
-    // are architecturally visible downstream, so they must match).
-    reinitBase();
-    for (std::size_t c = 0; c < kNumRegClasses; ++c) {
-        gmt[c].assign(kNumLogicalRegs, GmtEntry{});
-        pmt[c].assign(cfg.numVPRegs, PmtEntry{});
-        vpFreeList[c].clear();
-        physFreeList[c].clear();
-        for (std::uint16_t i = 0; i < kNumLogicalRegs; ++i) {
-            gmt[c][i] = GmtEntry{i, i, true};
-            pmt[c][i] = PmtEntry{i, true};
-            pressureTrk[c].onAlloc(i, 0);
-        }
-        for (std::uint16_t v = cfg.numVPRegs; v-- > kNumLogicalRegs;)
-            vpFreeList[c].push_back(v);
-        for (std::uint16_t p = cfg.numPhysRegs; p-- > kNumLogicalRegs;)
-            physFreeList[c].push_back(p);
-        tracker[c].clear();
-        pendingFrees[c].clear();
-    }
-    pendingFreeCycle = 0;
-    nIssueRejections = 0;
 }
 
 void

@@ -5,6 +5,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -21,9 +22,11 @@ namespace
 constexpr std::size_t kMaxHeaderBytes = 64 * 1024;
 constexpr std::size_t kMaxBodyBytes = 4 * 1024 * 1024;
 
-/** recv() timeout per connection — a wedged peer must not hold the
- *  single-threaded accept loop hostage. */
-constexpr int kRecvTimeoutSec = 30;
+using Clock = std::chrono::steady_clock;
+
+/** The client waits as long as the server computes (a sweep may run
+ *  for minutes); only the server reads against a deadline. */
+constexpr Clock::time_point kNoDeadline = Clock::time_point::max();
 
 void
 closeFd(int fd)
@@ -51,16 +54,30 @@ sendAll(int fd, const std::string &data)
     return true;
 }
 
+/** Append the next chunk the peer sends; false once it has closed,
+ *  failed, or stayed silent until @p deadline. */
 bool
-recvSome(int fd, std::string &buffer)
+recvSome(int fd, std::string &buffer, Clock::time_point deadline)
 {
     char chunk[16 * 1024];
     for (;;) {
+        if (deadline != kNoDeadline) {
+            const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+                                  deadline - Clock::now())
+                                  .count();
+            pollfd pfd{fd, POLLIN, 0};
+            const int ready =
+                ::poll(&pfd, 1, left > 0 ? static_cast<int>(left) : 0);
+            if (ready < 0 && errno == EINTR)
+                continue;
+            if (ready <= 0)
+                return false;
+        }
         const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
         if (n < 0 && errno == EINTR)
             continue;
         if (n <= 0)
-            return false;  // peer closed or timed out
+            return false;  // peer closed or failed
         buffer.append(chunk, static_cast<std::size_t>(n));
         return true;
     }
@@ -126,12 +143,14 @@ parseContentLength(const std::string &headers, std::size_t &length)
 /**
  * Read one full request/response message from @p fd: header block up
  * to the blank line, then Content-Length body bytes (or, when
- * @p bodyUntilEof, everything until the peer closes). @p firstLine and
- * @p headerBlock/@p body come back separated.
+ * @p bodyUntilEof, everything until the peer closes), all of it by
+ * @p deadline. @p firstLine and @p headerBlock/@p body come back
+ * separated.
  */
 bool
 readMessage(int fd, std::string &firstLine, std::string &headerBlock,
-            std::string &body, bool bodyUntilEof, std::string &error)
+            std::string &body, bool bodyUntilEof,
+            Clock::time_point deadline, std::string &error)
 {
     std::string buffer;
     std::size_t headerEnd;
@@ -143,7 +162,7 @@ readMessage(int fd, std::string &firstLine, std::string &headerBlock,
             error = "header block too large";
             return false;
         }
-        if (!recvSome(fd, buffer)) {
+        if (!recvSome(fd, buffer, deadline)) {
             error = "connection closed mid-header";
             return false;
         }
@@ -165,12 +184,12 @@ readMessage(int fd, std::string &firstLine, std::string &headerBlock,
         return false;
     }
     if (bodyUntilEof && contentLength == 0) {
-        while (recvSome(fd, body)) {
+        while (recvSome(fd, body, deadline)) {
         }
         return true;
     }
     while (body.size() < contentLength) {
-        if (!recvSome(fd, body)) {
+        if (!recvSome(fd, body, deadline)) {
             error = "connection closed mid-body";
             return false;
         }
@@ -202,6 +221,7 @@ httpReason(int status)
       case 400: return "Bad Request";
       case 404: return "Not Found";
       case 405: return "Method Not Allowed";
+      case 408: return "Request Timeout";
       case 500: return "Internal Server Error";
       default: return "Unknown";
     }
@@ -265,16 +285,18 @@ HttpServer::serve(const Handler &handler)
             VPR_WARN("accept: ", std::strerror(errno));
             return;
         }
-        timeval timeout{kRecvTimeoutSec, 0};
-        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
-                     sizeof(timeout));
-
+        const Clock::time_point deadline = Clock::now() + kRequestDeadline;
         std::string requestLine, headerBlock, body, error;
         HttpResponse response;
         if (!readMessage(fd, requestLine, headerBlock, body,
-                         /*bodyUntilEof=*/false, error)) {
-            response.status = 400;
-            response.body = "bad request: " + error + "\n";
+                         /*bodyUntilEof=*/false, deadline, error)) {
+            const bool late = Clock::now() >= deadline;
+            response.status = late ? 408 : 400;
+            response.body = late ? "request not complete within the " +
+                                       std::to_string(
+                                           kRequestDeadline.count()) +
+                                       " s deadline\n"
+                                 : "bad request: " + error + "\n";
         } else {
             HttpRequest request;
             const std::size_t sp1 = requestLine.find(' ');
@@ -343,7 +365,7 @@ httpRequest(const std::string &host, std::uint16_t port,
 
     std::string statusLine, headerBlock;
     if (!readMessage(fd, statusLine, headerBlock, response.body,
-                     /*bodyUntilEof=*/true, error)) {
+                     /*bodyUntilEof=*/true, kNoDeadline, error)) {
         closeFd(fd);
         return false;
     }

@@ -12,6 +12,7 @@
 #ifndef VPR_SERVICE_HTTP_HH
 #define VPR_SERVICE_HTTP_HH
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -50,6 +51,15 @@ class HttpServer
   public:
     using Handler = std::function<HttpResponse(const HttpRequest &)>;
 
+    /**
+     * Each connection must deliver its whole request — request line,
+     * headers and body — within this long of being accepted, or it is
+     * answered 408 and closed. One absolute deadline, not a per-read
+     * timeout: a client trickling a byte at a time cannot hold the
+     * serial accept loop beyond it.
+     */
+    static constexpr std::chrono::seconds kRequestDeadline{3};
+
     HttpServer() = default;
     ~HttpServer();
 
@@ -67,8 +77,9 @@ class HttpServer
     /**
      * Accept-and-handle loop; returns after a handler calls
      * requestStop() (checked between connections). A malformed request
-     * gets a 400 without reaching the handler; socket-level errors on
-     * one connection never take the server down.
+     * gets a 400 and one still incomplete at kRequestDeadline a 408,
+     * neither reaching the handler; socket-level errors on one
+     * connection never take the server down.
      */
     void serve(const Handler &handler);
 

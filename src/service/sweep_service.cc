@@ -451,11 +451,24 @@ SweepService::handleSweep(const std::string &body)
         axes.push_back(std::move(axis));
     }
 
-    // Everything is pre-validated, so the fatal()ing sweep/grid helpers
-    // below cannot fire — the daemon shares their one code path (and
-    // its cell order) with the batch binaries.
+    // Every key and value is pre-validated, so the fatal()ing sweep
+    // helper below cannot fire — the daemon shares its one code path
+    // (and its cell order) with the batch binaries.
     const std::vector<GridCell> cells =
         buildSweepGrid(benchmarks, config, axes);
+    // Cross-parameter constraints span keys, so only whole cells can be
+    // checked: each one exactly as the engine will construct it
+    // (instruction scale applied), since the Simulator fatal()s on what
+    // validationError() reports.
+    for (const GridCell &cell : cells) {
+        SimConfig scaled = cell.config;
+        applyInstructionScale(scaled);
+        const std::string invalid = scaled.validationError();
+        if (!invalid.empty())
+            return errorResponse(400, "invalid configuration for " +
+                                          cell.benchmark + ": " +
+                                          invalid);
+    }
     const std::vector<SimResults> results = runGrid(cells, jobs);
 
     std::vector<std::size_t> indices(cells.size());

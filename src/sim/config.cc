@@ -155,11 +155,6 @@ SimConfig::visitParams(ParamVisitor &v)
                 "thread); never changes results",
                 /*execOnly=*/true);
     v.pushGroup("sim");
-    v.boolParam("pool", pool,
-                "reuse a per-worker simulator across grid cells of the "
-                "same benchmark and seed (in-place core reinit); never "
-                "changes results",
-                /*execOnly=*/true);
     v.pushGroup("sampling");
     sampling.visitParams(v);
     v.popGroup();

@@ -146,17 +146,6 @@ struct SimConfig
     unsigned jobs = 1;
 
     /**
-     * Reuse a per-worker simulator across grid cells of the same
-     * benchmark and seed (Simulator::reinit): the warmed allocations of
-     * the previous cell are kept and the core is returned to its
-     * constructed state in place, killing the fixed construct/destroy
-     * overhead per cell. Execution-only — results are byte-identical
-     * with the pool on or off (asserted by the determinism suite), so
-     * the knob never enters provenance or config dumps.
-     */
-    bool pool = true;
-
-    /**
      * Convenience: apply the paper's relationship between register-file
      * size and the other renaming parameters — sets numPhysRegs, sizes
      * the VP pool to NLR + window, and sets NRR to its maximum

@@ -14,36 +14,6 @@ namespace vpr
 namespace
 {
 
-/**
- * One worker's reusable simulator (sim.pool). A cell whose benchmark
- * and seed match the pooled simulator re-arms it through
- * Simulator::reinit — keeping the stream, the core's warmed
- * allocations, and (for identical core configurations) the core itself
- * in place; anything else constructs fresh. One slot is enough: cells
- * of one sweep share a benchmark run-to-run far more often than they
- * alternate, and a stale slot just falls back to construction cost.
- */
-class SimulatorPool
-{
-  public:
-    SimResults
-    run(const std::string &benchmark, const SimConfig &config)
-    {
-        if (!sim || !sim->reinit(benchmark, config))
-            sim = std::make_unique<Simulator>(benchmark, config);
-        try {
-            return sim->run();
-        } catch (...) {
-            // A half-run simulator must never be re-armed.
-            sim.reset();
-            throw;
-        }
-    }
-
-  private:
-    std::unique_ptr<Simulator> sim;
-};
-
 SimResults
 runCell(const GridCell &cell)
 {
@@ -68,12 +38,6 @@ runCell(const GridCell &cell)
             std::unique_ptr<TraceStream> stream = cell.makeStream();
             Simulator sim(*stream, config);
             return sim.run();
-        }
-        if (config.pool) {
-            // Per-thread: workers run cells concurrently, and the main
-            // thread's pool survives across whole runGrid calls.
-            static thread_local SimulatorPool pool;
-            return pool.run(cell.benchmark, config);
         }
         Simulator sim(cell.benchmark, config);
         return sim.run();

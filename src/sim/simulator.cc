@@ -7,7 +7,6 @@
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "sim/checkpoint.hh"
-#include "sim/params.hh"
 #include "trace/kernels/kernels.hh"
 
 namespace vpr
@@ -54,43 +53,6 @@ void
 Simulator::rebuildCore()
 {
     theCore = std::make_unique<Core>(*stream, cfg.core);
-}
-
-bool
-Simulator::reinit(const std::string &benchmark, const SimConfig &config)
-{
-    // Reuse needs the same stream: owned (we may rewind it), the same
-    // benchmark, and the same seed (the kernel stream bakes the seed in
-    // at construction).
-    if (!ownedStream || benchmark != benchName)
-        return false;
-    SimConfig fresh = config;
-    fresh.validate();
-    threadSeed(fresh);
-    if (fresh.seed != cfg.seed)
-        return false;
-
-    // Same core-level provenance (both sides seed-threaded) means the
-    // constructed core would be structurally and behaviourally
-    // identical, so the existing one is reinitialised in place; any
-    // difference falls back to reconstruction. Run-control parameters
-    // (skip/measure/sampling) never affect core construction.
-    const auto provA = configProvenance(cfg);
-    const auto provB = configProvenance(fresh);
-    bool sameCore = provA.size() == provB.size();
-    for (std::size_t i = 0; sameCore && i < provA.size(); ++i) {
-        if (provA[i].first.compare(0, 5, "core.") != 0)
-            continue;
-        sameCore = provA[i] == provB[i];
-    }
-
-    cfg = fresh;
-    stream->reset();
-    if (sameCore)
-        theCore->reinit();
-    else
-        rebuildCore();
-    return true;
 }
 
 bool

@@ -130,20 +130,6 @@ class Simulator
     Simulator(const std::string &benchmark, const SimConfig &config);
 
     /**
-     * Re-arm this simulator for another run as if freshly constructed
-     * with (@p benchmark, @p config): rewind the owned stream and return
-     * the core to its constructed state in place — reusing every
-     * allocation the previous cell warmed up — or rebuild the core when
-     * the core-level configuration differs. Results are asserted
-     * byte-identical to a fresh construction by the determinism suite.
-     *
-     * @return false (simulator untouched) when reuse is impossible: the
-     * stream is externally owned, the benchmark differs, or the seed
-     * differs (the owned stream was built with the old seed).
-     */
-    bool reinit(const std::string &benchmark, const SimConfig &config);
-
-    /**
      * Run the measurement protocol and return stats. With sampling off
      * (the default): warm up for skipInsts, measure for measureInsts
      * contiguously. With sim.sampling.enable: fast-forward through

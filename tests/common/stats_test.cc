@@ -309,6 +309,38 @@ TEST(Counter2D, VisitsEveryLabelledCell)
     EXPECT_EQ(v.entries[3], "m.b.y=0");
 }
 
+TEST(Visitation, NameMemoSeparatesTypesAndShapes)
+{
+    // Composed names are memoised process-wide by (prefix, name, type,
+    // shape). Stats that share a group prefix and a name but differ in
+    // type or shape must each get their own name list, whichever of
+    // them binds first.
+    Distribution wide = Distribution::evenBuckets("s", "d", 0, 99, 4);
+    Distribution narrow = Distribution::evenBuckets("s", "d", 0, 99, 2);
+    Average avg("s", "a");
+    Counter2D rowsAb("s", "c", {"a", "b"}, {"x"});
+    Counter2D rowsBa("s", "c", {"b", "a"}, {"x"});
+    std::vector<StatGroup> groups(5, StatGroup("memo"));
+    groups[0].add(&wide);
+    groups[1].add(&narrow);
+    groups[2].add(&avg);
+    groups[3].add(&rowsAb);
+    groups[4].add(&rowsBa);
+
+    RecordingVisitor v;
+    for (const StatGroup &g : groups)
+        g.visit(v);
+    ASSERT_EQ(v.entries.size(), (9u + 4u) + (9u + 2u) + 2u + 2u + 2u);
+    EXPECT_EQ(v.entries[12], "memo.s.hist[3]=0");
+    EXPECT_EQ(v.entries[13], "memo.s.mean=0");
+    EXPECT_EQ(v.entries[23], "memo.s.hist[1]=0");
+    EXPECT_EQ(v.entries[24], "memo.s=0");
+    EXPECT_EQ(v.entries[25], "memo.s.samples=0");
+    EXPECT_EQ(v.entries[26], "memo.s.a.x=0");
+    EXPECT_EQ(v.entries[28], "memo.s.b.x=0");
+    EXPECT_EQ(v.entries[29], "memo.s.a.x=0");
+}
+
 TEST(Registry, VisitRunsUpdateHooksInRegistrationOrder)
 {
     StatRegistry reg;

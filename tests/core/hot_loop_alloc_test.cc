@@ -16,6 +16,9 @@
  * comfortably before 60k committed instructions. Shrinking the warm-up
  * makes the test flaky-by-construction; don't.
  *
+ * The last test pins the fixed cost around that loop instead: the exact
+ * allocation count of one fresh grid cell.
+ *
  * Wrong-path fetch runs in Stall mode, like every BM_Simulator* row:
  * under squash-mode recovery the IQ wait lists accumulate stale
  * waiters that only drain when their tag is next broadcast, so their
@@ -27,6 +30,7 @@
 
 #include "core/core.hh"
 #include "sim/config.hh"
+#include "sim/experiment.hh"
 #include "sim/metrics.hh"
 #include "trace/kernels/kernels.hh"
 
@@ -79,11 +83,10 @@ TEST(HotLoopAlloc, ZeroAllocationsPerSimulatedCycle)
 
 TEST(HotLoopAlloc, MetricsCollectionIsAllocationFreeWhenWarm)
 {
-    // The per-cell metrics path: after one collection has interned
+    // The per-interval metrics path: after one collection has interned
     // every symbol and sized the record's storage, re-collecting into
-    // the same record must not allocate. This is what lets a pooled
-    // simulator export metrics for thousands of grid cells with zero
-    // fixed overhead.
+    // the same record must not allocate. This is what lets a sampled
+    // run export every measurement interval with zero fixed overhead.
     SimConfig config = paperConfig();
     config.core.fetch.wrongPath = WrongPathMode::Stall;
     auto stream = makeBenchmarkStream("swim");
@@ -98,6 +101,33 @@ TEST(HotLoopAlloc, MetricsCollectionIsAllocationFreeWhenWarm)
     core.visitStats(warm);
     EXPECT_EQ(g.count(), 0u)
         << "warm metrics collection touched the heap";
+}
+
+TEST(HotLoopAlloc, FreshGridCellAllocationCountIsPinned)
+{
+    // Every grid cell constructs its simulator from scratch, so this
+    // fixed heap traffic — construct, run and collect one tiny sampled
+    // cell, the BM_GridCellOverhead configuration — is what each paper
+    // cell pays beyond its instructions. The first cell fills what is
+    // paid once per process (interned symbols, the stat-name memo,
+    // verified schemas); after it the count is exact and repeats run
+    // to run. A deliberate change re-pins it; an accidental one fails
+    // here before it is big enough to move wall time.
+    constexpr std::uint64_t kFreshCellAllocs = 1483;
+
+    SimConfig config = paperConfig();
+    config.skipInsts = 0;
+    config.measureInsts = 4000;
+    config.core.fetch.wrongPath = WrongPathMode::Stall;
+    config.sampling.enable = true;
+    config.sampling.periodInsts = 2000;
+    const std::vector<GridCell> cells{{"swim", config}};
+    runGrid(cells, 1);
+
+    AllocGuard g;
+    const std::vector<SimResults> results = runGrid(cells, 1);
+    EXPECT_EQ(g.count(), kFreshCellAllocs);
+    EXPECT_GT(results[0].ipc(), 0.0);
 }
 
 } // namespace

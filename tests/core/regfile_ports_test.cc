@@ -68,17 +68,6 @@ TEST(PortSchedule, LappedSlotReadsFreeAfterPrune)
     EXPECT_EQ(ps.used(5123), 2u);
 }
 
-TEST(PortSchedule, ClearForgetsEverything)
-{
-    PortSchedule ps(1);
-    ps.tryClaim(7);
-    ps.pruneBefore(7);
-    ps.clear();
-    EXPECT_EQ(ps.used(7), 0u);
-    EXPECT_TRUE(ps.tryClaim(0));  // watermark rewound to zero
-    EXPECT_TRUE(ps.tryClaim(7));
-}
-
 TEST(RegFilePorts, PaperPortCounts)
 {
     RegFilePorts p(16, 8);

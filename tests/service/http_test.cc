@@ -4,11 +4,14 @@
  * ephemeral-port server in a background thread, the blocking client
  * against it. Covers request/response round trips (body, status,
  * content type), protocol-error handling (malformed request line =
- * 400 without reaching the handler), and clean shutdown.
+ * 400 without reaching the handler), the per-connection read deadline
+ * (a stalled client = 408, and it cannot starve the next one), and
+ * clean shutdown.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <thread>
 
@@ -24,10 +27,10 @@ namespace vpr::service
 namespace
 {
 
-/** Raw exchange: send @p wire verbatim, return everything until EOF
- *  (for protocol-level cases the structured client cannot produce). */
-std::string
-rawExchange(std::uint16_t port, const std::string &wire)
+/** Connect to the loopback server and send @p wire verbatim; -1 if
+ *  the connection fails. */
+int
+rawSend(std::uint16_t port, const std::string &wire)
 {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     sockaddr_in addr{};
@@ -37,9 +40,16 @@ rawExchange(std::uint16_t port, const std::string &wire)
     if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                   sizeof(addr)) != 0) {
         ::close(fd);
-        return "";
+        return -1;
     }
     (void)!::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL);
+    return fd;
+}
+
+/** Everything the server sends on @p fd until it closes; closes @p fd. */
+std::string
+readToEof(int fd)
+{
     std::string back;
     char buf[4096];
     ssize_t n;
@@ -47,6 +57,15 @@ rawExchange(std::uint16_t port, const std::string &wire)
         back.append(buf, static_cast<std::size_t>(n));
     ::close(fd);
     return back;
+}
+
+/** Raw exchange: send @p wire verbatim, return everything until EOF
+ *  (for protocol-level cases the structured client cannot produce). */
+std::string
+rawExchange(std::uint16_t port, const std::string &wire)
+{
+    const int fd = rawSend(port, wire);
+    return fd < 0 ? "" : readToEof(fd);
 }
 
 TEST(Http, RoundTripAndShutdown)
@@ -110,6 +129,48 @@ TEST(Http, RoundTripAndShutdown)
     serverThread.join();
 }
 
+TEST(Http, StalledClientCannotStallTheNextOne)
+{
+    HttpServer server;
+    std::string error;
+    ASSERT_TRUE(server.bindAndListen("127.0.0.1", 0, error)) << error;
+    std::thread serverThread([&] {
+        server.serve([&](const HttpRequest &request) {
+            if (request.path == "/quit")
+                server.requestStop();
+            HttpResponse response;
+            response.body = "ok " + request.path;
+            return response;
+        });
+    });
+
+    // Half a request line, then silence with the connection held open.
+    const auto start = std::chrono::steady_clock::now();
+    const int stalled = rawSend(server.port(), "GET /sta");
+    ASSERT_GE(stalled, 0);
+    // The serial loop now waits on the stalled client; the next client
+    // is answered once its deadline expires.
+    HttpResponse response;
+    ASSERT_TRUE(httpRequest("127.0.0.1", server.port(), "GET", "/status",
+                            "", response, error))
+        << error;
+    const auto waited = std::chrono::steady_clock::now() - start;
+    EXPECT_EQ(response.status, 200);
+    EXPECT_EQ(response.body, "ok /status");
+    EXPECT_LE(waited,
+              HttpServer::kRequestDeadline + std::chrono::seconds(1));
+
+    // The stalled client itself was told why it was dropped.
+    const std::string dropped = readToEof(stalled);
+    EXPECT_EQ(dropped.compare(0, 21, "HTTP/1.1 408 Request "), 0)
+        << dropped;
+
+    ASSERT_TRUE(httpRequest("127.0.0.1", server.port(), "POST", "/quit",
+                            "", response, error))
+        << error;
+    serverThread.join();
+}
+
 TEST(Http, ConnectFailureIsCleanError)
 {
     // Nothing listens on the discard port on this host.
@@ -126,6 +187,7 @@ TEST(Http, ReasonPhrases)
     EXPECT_STREQ(httpReason(400), "Bad Request");
     EXPECT_STREQ(httpReason(404), "Not Found");
     EXPECT_STREQ(httpReason(405), "Method Not Allowed");
+    EXPECT_STREQ(httpReason(408), "Request Timeout");
     EXPECT_STREQ(httpReason(500), "Internal Server Error");
     EXPECT_STREQ(httpReason(999), "Unknown");
 }

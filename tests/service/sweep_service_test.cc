@@ -163,6 +163,21 @@ TEST(SweepService, BadRequestsAre400NeverFatal)
     expect400("{\"sweep\": [\"core.scheme=conv,nope\"]}", "bad value");
     expect400("{\"sweep\": [\"core.scheme\"]}", "malformed sweep axis");
     expect400("{\"format\": \"xml\"}", "bad format");
+    // Cross-parameter violations: every key and value parses on its
+    // own, but no cell could be constructed (the simulator would
+    // fatal()), whether the bad value is set or is one sweep point.
+    expect400("{\"target\": \"swim\", "
+              "\"set\": \"core.rob_size=100000000\"}",
+              "numVPRegs");
+    expect400("{\"target\": \"swim\", "
+              "\"sweep\": \"core.rob_size=128,100000000\"}",
+              "numVPRegs");
+
+    // And the daemon is still there to answer.
+    const HttpResponse status = service.handle(get("/status"), 0);
+    EXPECT_EQ(status.status, 200);
+    EXPECT_NE(status.body.find("\"service\": \"vpr_simd\""),
+              std::string::npos);
 }
 
 TEST(SweepService, MethodAndPathDispatch)

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "sim/experiment.hh"
 #include "trace/kernels/kernels.hh"
 
@@ -18,6 +20,18 @@ tiny()
     c.measureInsts = 5000;
     c.core.fetch.wrongPath = WrongPathMode::Stall;
     return c;
+}
+
+/** A record as text, one line per metric: name, description, kind
+ *  and exact value (reals at round-trip precision). */
+std::string
+recordText(const SimResults &r)
+{
+    std::ostringstream os;
+    for (const Metric &m : r.metrics.all())
+        os << m.name() << '\t' << m.desc() << '\t'
+           << static_cast<int>(m.kind) << '\t' << m.text() << '\n';
+    return os.str();
 }
 
 TEST(ParallelEngine, EmptyGridIsFine)
@@ -80,6 +94,29 @@ TEST(ParallelEngine, RunAllUsesConfigJobs)
         ASSERT_TRUE(all.count(name)) << name;
         EXPECT_GT(all[name].ipc(), 0.0) << name;
     }
+}
+
+TEST(ParallelEngine, InterleavedCoreShapesLeaveNoTrace)
+{
+    // Every cell builds a fresh simulator; only process-global state
+    // (interned symbols, the stat-name memo) outlives one. Shape A,
+    // then B with another scheme and register-file size, then A again,
+    // all on one worker: A's two records must match byte for byte.
+    SimConfig a = tiny();
+    a.sampling.enable = true;
+    a.sampling.periodInsts = 1000;
+    a.setScheme(RenameScheme::VPAllocAtIssue);
+    a.setPhysRegs(48);
+    SimConfig b = a;
+    b.setScheme(RenameScheme::ConventionalEarlyRelease);
+    b.setPhysRegs(96);
+
+    const std::vector<GridCell> cells{
+        {"compress", a}, {"compress", b}, {"compress", a}};
+    const std::vector<SimResults> results = runGrid(cells, 1);
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_EQ(recordText(results[0]), recordText(results[2]));
+    EXPECT_NE(recordText(results[0]), recordText(results[1]));
 }
 
 } // namespace

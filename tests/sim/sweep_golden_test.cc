@@ -3,13 +3,13 @@
  * Byte-identity pin for the sampled-sweep CSV exporter.
  *
  * tests/data/sampled_sweep_golden.csv was recorded before stat names
- * were interned (and before the simulator reuse pool existed): a small
- * sampled sweep over all four rename schemes at two register-file
- * sizes, exported through writeResultsCsv. Re-running the identical
+ * were interned or memoised: a small sampled sweep over all four
+ * rename schemes at two register-file sizes, exported through
+ * writeResultsCsv. Re-running the identical
  * sweep must reproduce that file byte for byte — any change to metric
  * names, schema order, value formatting, provenance columns, or the
  * simulated outcomes themselves trips this test. This is the repo's
- * proof that interning and core reuse are pure plumbing changes.
+ * proof that interning and name memoisation are pure plumbing changes.
  */
 
 #include <gtest/gtest.h>
@@ -80,9 +80,12 @@ TEST(SampledSweepGolden, CsvIsByteIdenticalToPreInterningRecord)
 TEST(SampledSweepGolden, JobsCountDoesNotChangeTheBytes)
 {
     // Serial and parallel runs must export the same bytes: cell order
-    // is positional, never completion-ordered, and the per-thread
-    // simulator pool must not leak state between cells.
-    EXPECT_EQ(runSampledSweepCsv(1), runSampledSweepCsv(4));
+    // is positional, never completion-ordered. The parallel run goes
+    // first so that, in a fresh process, four workers fill the
+    // process-global intern table and stat-name memo concurrently
+    // (the TSan CI job runs this test).
+    const std::string parallel = runSampledSweepCsv(4);
+    EXPECT_EQ(runSampledSweepCsv(1), parallel);
 }
 
 } // namespace
