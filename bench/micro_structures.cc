@@ -136,7 +136,6 @@ BM_IqWakeup(benchmark::State &state)
 {
     InstHotPool pool(128);
     InstQueue iq(128, pool);
-    iq.setTrackReady(false);  // no stage drains the ready list here
     std::vector<DynInst> insts(128);
     for (std::size_t i = 0; i < insts.size(); ++i) {
         insts[i] = makeAlu(i + 1);
@@ -156,26 +155,30 @@ BM_IqWakeup(benchmark::State &state)
 }
 BENCHMARK(BM_IqWakeup);
 
-/** Issue-path IQ maintenance: remove a mid-queue entry by position and
- *  re-insert it (seq-ordered). Guards the no-snapshot issue scan and the
- *  binary-search remove. */
+/** Issue-path IQ maintenance: remove a mid-queue entry (binary-search
+ *  remove) and re-insert it (seq-ordered), then drain the ready list
+ *  the re-insert published to, as the issue stage does every cycle. */
 void
 BM_IqRemoveReinsert(benchmark::State &state)
 {
     InstHotPool pool(128);
     InstQueue iq(128, pool);
-    iq.setTrackReady(false);  // no stage drains the ready list here
     std::vector<DynInst> insts(128);
     for (std::size_t i = 0; i < insts.size(); ++i) {
         insts[i] = makeAlu(i + 1);
         bindAt(pool, insts[i], static_cast<HotIdx>(i), i + 1);
         iq.insert(&insts[i]);
     }
+    std::vector<ReadyRef> ready;
+    ready.reserve(insts.size());
+    iq.drainReadyEvents(ready);
     for (auto _ : state) {
-        DynInst *inst = iq.at(37);
-        iq.removeAt(37);
+        DynInst *inst = &insts[37];
+        iq.remove(inst);
         benchmark::DoNotOptimize(iq.size());
         iq.insert(inst);
+        ready.clear();
+        iq.drainReadyEvents(ready);
     }
 }
 BENCHMARK(BM_IqRemoveReinsert);
@@ -186,9 +189,8 @@ BENCHMARK(BM_IqRemoveReinsert);
 class LsqDisambigFixture
 {
   public:
-    explicit LsqDisambigFixture(bool scanDisambig) : pool(128), lsq(128)
+    LsqDisambigFixture() : pool(128), lsq(128)
     {
-        lsq.setScanDisambig(scanDisambig);
         insts.reserve(97);
         for (InstSeqNum sn = 1; sn <= 96; ++sn) {
             Addr addr = 0x1000 + (sn * 24) % 1024;
@@ -225,21 +227,11 @@ class LsqDisambigFixture
     std::vector<DynInst> insts;
 };
 
-/** Legacy reverse-scan disambiguation over a full queue. */
-void
-BM_LsqDisambigScan(benchmark::State &state)
-{
-    LsqDisambigFixture f(true);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(f.check());
-}
-BENCHMARK(BM_LsqDisambigScan);
-
-/** Address-indexed store-table disambiguation, same queue contents. */
+/** Address-indexed store-table disambiguation over a full queue. */
 void
 BM_LsqDisambigTable(benchmark::State &state)
 {
-    LsqDisambigFixture f(false);
+    LsqDisambigFixture f;
     for (auto _ : state)
         benchmark::DoNotOptimize(f.check());
 }
@@ -247,11 +239,10 @@ BENCHMARK(BM_LsqDisambigTable);
 
 /** Completion-queue churn: the issue→complete latch's per-cycle
  *  pattern — a burst of schedules at mixed FU/cache latencies, then a
- *  drain of everything due this cycle. The two rows compare the legacy
- *  binary heap (O(log n) sift per schedule/pop) against the
- *  cycle-indexed calendar ring (O(1) append/drain). */
+ *  drain of everything due this cycle, through the cycle-indexed
+ *  calendar ring (O(1) append/drain). */
 void
-completionQueueChurn(benchmark::State &state, bool useCalendar)
+BM_CompletionQueueCalendar(benchmark::State &state)
 {
     InstHotPool pool(64);
     std::vector<DynInst> insts(64);
@@ -259,7 +250,7 @@ completionQueueChurn(benchmark::State &state, bool useCalendar)
         insts[i] = makeAlu(i + 1);
         bindAt(pool, insts[i], static_cast<HotIdx>(i), i + 1);
     }
-    CompletionQueue cq(useCalendar, 128);
+    CompletionQueue cq(128);
     static const Cycle lat[8] = {1, 1, 1, 2, 2, 4, 12, 52};
     Cycle now = 0;
     InstSeqNum seq = 0;
@@ -273,19 +264,6 @@ completionQueueChurn(benchmark::State &state, bool useCalendar)
             benchmark::DoNotOptimize(cq.popDue());
     }
     state.SetItemsProcessed(static_cast<int64_t>(seq));
-}
-
-void
-BM_CompletionQueueHeap(benchmark::State &state)
-{
-    completionQueueChurn(state, false);
-}
-BENCHMARK(BM_CompletionQueueHeap);
-
-void
-BM_CompletionQueueCalendar(benchmark::State &state)
-{
-    completionQueueChurn(state, true);
 }
 BENCHMARK(BM_CompletionQueueCalendar);
 
@@ -352,25 +330,15 @@ BM_BhtPredict(benchmark::State &state)
 }
 BENCHMARK(BM_BhtPredict);
 
-/** End-to-end simulator throughput on one kernel. With `legacyScans`
- *  the cycle loop runs every reference scan (full-queue wakeup, full
- *  oldest-first issue walk, reverse LSQ disambiguation) instead of the
- *  event-driven scheduler core — the two rows report the scheduler
- *  speedup as a number, byte-identical results guaranteed by the
- *  determinism tests. */
+/** End-to-end simulator throughput on one kernel. */
 void
-simulatorEndToEnd(benchmark::State &state, const char *kernel,
-                  bool legacyScans)
+simulatorEndToEnd(benchmark::State &state, const char *kernel)
 {
     for (auto _ : state) {
         SimConfig config = paperConfig();
         config.skipInsts = 0;
         config.measureInsts = 20000;
         config.core.fetch.wrongPath = WrongPathMode::Stall;
-        config.core.iqScanWakeup = legacyScans;
-        config.core.iqScanIssue = legacyScans;
-        config.core.lsqScanDisambig = legacyScans;
-        config.core.cqCalendar = !legacyScans;
         Simulator sim(kernel, config);
         benchmark::DoNotOptimize(sim.run().ipc());
     }
@@ -379,33 +347,18 @@ simulatorEndToEnd(benchmark::State &state, const char *kernel,
 void
 BM_SimulatorEndToEnd(benchmark::State &state)
 {
-    simulatorEndToEnd(state, "swim", false);
+    simulatorEndToEnd(state, "swim");
 }
 BENCHMARK(BM_SimulatorEndToEnd)->Unit(benchmark::kMillisecond);
 
-void
-BM_SimulatorEndToEndLegacyScans(benchmark::State &state)
-{
-    simulatorEndToEnd(state, "swim", true);
-}
-BENCHMARK(BM_SimulatorEndToEndLegacyScans)->Unit(benchmark::kMillisecond);
-
-/** The same pair on a pointer-chasing integer kernel (more loads held
- *  on store addresses, so the LSQ path weighs more). */
+/** The same on a pointer-chasing integer kernel (more loads held on
+ *  store addresses, so the LSQ path weighs more). */
 void
 BM_SimulatorEndToEndCompress(benchmark::State &state)
 {
-    simulatorEndToEnd(state, "compress", false);
+    simulatorEndToEnd(state, "compress");
 }
 BENCHMARK(BM_SimulatorEndToEndCompress)->Unit(benchmark::kMillisecond);
-
-void
-BM_SimulatorEndToEndCompressLegacyScans(benchmark::State &state)
-{
-    simulatorEndToEnd(state, "compress", true);
-}
-BENCHMARK(BM_SimulatorEndToEndCompressLegacyScans)
-    ->Unit(benchmark::kMillisecond);
 
 /** SMARTS-style sampled run over the same instruction budget as the
  *  end-to-end rows (measure 20000, default sampling geometry): the

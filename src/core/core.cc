@@ -36,27 +36,6 @@ CoreConfig::visitParams(ParamVisitor &v)
                   RenameScheme::ConventionalEarlyRelease},
                  {"conv-er", RenameScheme::ConventionalEarlyRelease}},
                 "register-renaming scheme");
-    v.pushGroup("iq");
-    v.boolParam("scan_wakeup", iqScanWakeup,
-                "use the legacy full-queue IQ wakeup scan instead of "
-                "per-tag wait lists (schedules are byte-identical)");
-    v.boolParam("scan_issue", iqScanIssue,
-                "use the legacy full-queue oldest-first issue scan "
-                "instead of the event-driven ready list (schedules are "
-                "byte-identical)");
-    v.popGroup();
-    v.pushGroup("lsq");
-    v.boolParam("scan_disambig", lsqScanDisambig,
-                "use the legacy reverse-scan memory disambiguation "
-                "instead of the address-indexed store table (schedules "
-                "are byte-identical)");
-    v.popGroup();
-    v.pushGroup("cq");
-    v.boolParam("calendar", cqCalendar,
-                "use the cycle-indexed completion calendar instead of "
-                "the legacy binary-heap event queue (schedules are "
-                "byte-identical)");
-    v.popGroup();
     v.boolParam("invariant_checks", invariantChecks,
                 "run the renamer's invariant self-check every 64 cycles");
     v.uintParam("deadlock_threshold", deadlockThreshold,
@@ -81,8 +60,7 @@ Core::Core(TraceStream &stream, const CoreConfig &config)
       // cache miss (hit + miss penalty); pad for write-port slip and
       // MSHR queueing, and the constructor rounds up to a power of two.
       // Anything beyond still works via the overflow list.
-      completions(state.cfg.cqCalendar,
-                  state.cfg.cache.hitLatency + state.cfg.cache.missPenalty +
+      completions(state.cfg.cache.hitLatency + state.cfg.cache.missPenalty +
                       64,
                   state.cfg.issueWidth),
       fetchBuffer(state.fetch),

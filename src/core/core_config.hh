@@ -37,18 +37,6 @@ struct CoreConfig
     FuPoolConfig fu;
     CacheConfig cache;
 
-    /** Use the legacy full-queue IQ wakeup scan instead of per-tag wait
-     *  lists (reference path; schedules are byte-identical). */
-    bool iqScanWakeup = false;
-    /** Use the legacy full-queue oldest-first issue scan instead of the
-     *  event-driven ready list (reference path; byte-identical). */
-    bool iqScanIssue = false;
-    /** Use the legacy reverse-scan LSQ disambiguation instead of the
-     *  address-indexed store table (reference path; byte-identical). */
-    bool lsqScanDisambig = false;
-    /** Use the cycle-indexed completion calendar instead of the legacy
-     *  binary heap (reference path; schedules are byte-identical). */
-    bool cqCalendar = true;
     /** Run the renamer's invariant self-check every 64 cycles. */
     bool invariantChecks = false;
     /** Panic if no instruction commits for this many cycles. */

@@ -10,8 +10,6 @@ namespace vpr
 void
 InstQueue::addWaiters(DynInst *inst)
 {
-    if (scanWakeup)
-        return;
     for (std::size_t i = 0; i < kMaxSrcRegs; ++i) {
         const SrcOperand &s = inst->src[i];
         if (!s.valid || s.ready)
@@ -64,15 +62,6 @@ InstQueue::remove(DynInst *inst)
 }
 
 void
-InstQueue::removeAt(std::size_t i)
-{
-    VPR_ASSERT(i < list.size(), "IQ removeAt: index out of range");
-    list[i]->setInIq(false);
-    list[i]->setInReadyQ(false);
-    list.erase(list.begin() + static_cast<std::ptrdiff_t>(i));
-}
-
-void
 InstQueue::squashYoungerThan(InstSeqNum seq)
 {
     while (!list.empty() && list.back()->seq() > seq) {
@@ -86,36 +75,14 @@ unsigned
 InstQueue::wakeup(RegClass cls, std::uint16_t tag, std::uint16_t physReg)
 {
     ++broadcasts;
-    unsigned nWoken = 0;
-
-    if (scanWakeup) {
-        // Reference path: scan every queue entry for matching sources.
-        for (DynInst *inst : list) {
-            bool touched = false;
-            for (auto &s : inst->src) {
-                if (s.valid && !s.ready && s.cls == cls && s.tag == tag) {
-                    s.tag = physReg;
-                    s.ready = true;
-                    touched = true;
-                    ++nWoken;
-                }
-            }
-            if (touched)
-                maybePublishReady(inst);
-        }
-        woken += nWoken;
-        return nWoken;
-    }
-
     auto &lists = waitLists[classIdx(cls)];
-    if (tag >= lists.size()) {
+    if (tag >= lists.size())
         return 0;
-    }
     // Consume the tag's wait list: every valid waiter wakes; stale
     // entries (instruction issued, squashed, or its slot reused — the
     // seq/residency check catches all three) are simply dropped. A tag
     // is broadcast at most once per allocation, so the list drains
-    // exactly when the old scan would have found its waiters. The
+    // exactly when a scan of the queue would have found its waiters. The
     // staleness check reads only the packed hot arrays via the recorded
     // slot; a stale waiter never touches its DynInst.
     // Copy the tag's list into a persistent scratch buffer and clear
@@ -129,6 +96,7 @@ InstQueue::wakeup(RegClass cls, std::uint16_t tag, std::uint16_t physReg)
     // (pinned per cycle by the hot-loop allocation tests).
     wakeScratch.assign(lists[tag].begin(), lists[tag].end());
     lists[tag].clear();
+    unsigned nWoken = 0;
     for (const Waiter &w : wakeScratch) {
         if (!hot.live(w.slot, w.seq) || !hot.isInIq(w.slot))
             continue;

@@ -14,10 +14,7 @@
  * touches exactly the recorded waiters instead of scanning the whole
  * queue. Waiters that left the queue in the meantime (issue, squash)
  * are detected lazily via their sequence number and residency flag —
- * the same stale-entry idiom the CompletionQueue uses. The original
- * full-queue scan is kept behind setScanWakeup() as a reference
- * implementation; a determinism test asserts both paths produce
- * byte-identical results.
+ * the same stale-entry idiom the CompletionQueue uses.
  *
  * Selection is event-driven the same way: the queue *publishes* an
  * instruction onto its ready list at the exact moment its last
@@ -78,17 +75,6 @@ class InstQueue
      */
     void remove(DynInst *inst);
 
-    /** Entry at age-order position @p i (0 = oldest). */
-    DynInst *
-    at(std::size_t i) const
-    {
-        return list[i];
-    }
-
-    /** Remove the entry at age-order position @p i — the legacy issue
-     *  scan, where the caller already knows the position. */
-    void removeAt(std::size_t i);
-
     /** Remove every entry younger than @p seq (branch recovery). */
     void squashYoungerThan(InstSeqNum seq);
 
@@ -100,20 +86,8 @@ class InstQueue
      */
     unsigned wakeup(RegClass cls, std::uint16_t tag, std::uint16_t physReg);
 
-    /** Age-ordered entries, oldest first (the legacy selection scans
-     *  this). */
+    /** Age-ordered entries, oldest first. */
     const std::vector<DynInst *> &entries() const { return list; }
-
-    /** Use the legacy full-queue wakeup scan instead of the wait lists
-     *  (reference path for the determinism test). Must be selected
-     *  before the first insert. */
-    void setScanWakeup(bool scan) { scanWakeup = scan; }
-
-    /** Publish ready instructions for the event-driven issue stage
-     *  (off when the legacy issue scan is selected, so the unconsumed
-     *  ready list cannot grow without bound). Must be selected before
-     *  the first insert. */
-    void setTrackReady(bool track) { trackReady = track; }
 
     /**
      * Move this cycle's newly published ready instructions into
@@ -159,7 +133,7 @@ class InstQueue
     void
     maybePublishReady(DynInst *inst)
     {
-        if (!trackReady || inst->inReadyQ() || !inst->issueOperandsReady())
+        if (inst->inReadyQ() || !inst->issueOperandsReady())
             return;
         inst->setInReadyQ(true);
         readyEvents.push_back(inst->ref());
@@ -177,8 +151,6 @@ class InstQueue
      *  while they are processed (the tag's own buffer is cleared, not
      *  swapped away, so its capacity stays with the tag). */
     std::vector<Waiter> wakeScratch;
-    bool scanWakeup = false;
-    bool trackReady = true;
 
     stats::StatGroup group{"iq"};
     stats::Distribution occupancy;

@@ -226,7 +226,7 @@ Lsq::remove(DynInst *inst)
         eraseLineEntries(inst);
         eraseUnknown(inst->seq());
         // Commit ticks before issue, so loads held on this store may
-        // re-attempt this very cycle — as the legacy re-scan would.
+        // re-attempt this very cycle, as an every-cycle re-check would.
         releaseSubs(inst, 0);
     }
 }
@@ -248,39 +248,9 @@ Lsq::squashYoungerThan(InstSeqNum seq)
 }
 
 LoadCheck
-Lsq::scanCheck(const DynInst *load, Cycle now) const
-{
-    // Walk older entries from youngest to oldest so the *nearest*
-    // matching store decides forwarding.
-    for (std::size_t i = list.size(); i-- > 0;) {
-        const DynInst *other = list[i];
-        if (other->seq() >= load->seq())
-            continue;
-        if (!other->isStore())
-            continue;
-        if (!other->addrReady || other->addrReadyCycle > now)
-            return {LoadHold::UnknownAddress, other};
-        if (!overlap(other->si.effAddr, other->si.memSize,
-                     load->si.effAddr, load->si.memSize))
-            continue;
-        // Containing store with the data available: forward.
-        if (other->si.effAddr <= load->si.effAddr &&
-            other->si.effAddr + other->si.memSize >=
-                load->si.effAddr + load->si.memSize) {
-            return {LoadHold::Forward, other};
-        }
-        return {LoadHold::PartialOverlap, other};
-    }
-    return {LoadHold::Ready, nullptr};
-}
-
-LoadCheck
 Lsq::disambiguate(const DynInst *load, Cycle now)
 {
     VPR_ASSERT(load->isLoad(), "checkLoad on non-load");
-    if (scanDisambig)
-        return scanCheck(load, now);
-
     flushKnown(now);
 
     // Youngest older store whose address is still unknown at `now` (the
@@ -325,8 +295,8 @@ Lsq::disambiguate(const DynInst *load, Cycle now)
         }
     }
 
-    // The *youngest* decisive store wins, exactly as the reverse scan
-    // encounters it first.
+    // The *youngest* decisive store wins, exactly as a reverse queue
+    // scan would encounter it first.
     if (!unknown && !ovl)
         return {LoadHold::Ready, nullptr};
     if (unknown && (!ovl || unknownSeq > ovlSeq))

@@ -15,14 +15,13 @@
  * the load), and stores whose addresses are still unknown sit on a
  * seq-sorted watermark list. A load's check reduces to "youngest older
  * store that is unknown or overlaps" — O(1) expected instead of
- * O(queue). The legacy reverse scan survives behind setScanDisambig()
- * as a reference path; a determinism test asserts both byte-identical.
+ * O(queue).
  *
  * Holds are events, not polls: the issue stage subscribes a held load
  * to its blocking store (subscribeHold), the blocker's address
  * computation or commit releases the subscription, and takeReadyHolds()
  * hands the re-attemptable loads back to the issue stage at exactly the
- * cycle the legacy every-cycle re-scan would have unblocked them.
+ * cycle an every-cycle re-check would have unblocked them.
  */
 
 #ifndef VPR_CORE_LSQ_HH
@@ -166,8 +165,6 @@ class Lsq
     /**
      * Disambiguation check for @p load at cycle @p now: find the
      * youngest older store with an unknown or conflicting address.
-     * Table path by default; setScanDisambig(true) selects the legacy
-     * youngest-to-oldest queue scan (byte-identical results).
      */
     LoadCheck disambiguate(const DynInst *load, Cycle now);
 
@@ -197,10 +194,6 @@ class Lsq
     /** Append the held loads whose release is due at @p now to @p out
      *  (the issue stage validates and sorts them). */
     void takeReadyHolds(Cycle now, std::vector<ReadyRef> &out);
-
-    /** Use the legacy full-queue disambiguation scan (reference path
-     *  for the determinism test). */
-    void setScanDisambig(bool scan) { scanDisambig = scan; }
 
     /** Statistics. @{ */
     std::uint64_t forwards() const { return nForwards.value(); }
@@ -248,9 +241,6 @@ class Lsq
     /** First and last disambiguation lines touched by an access. */
     static Addr firstLine(const DynInst *m);
     static Addr lastLine(const DynInst *m);
-
-    /** Legacy reference path: reverse queue walk. */
-    LoadCheck scanCheck(const DynInst *load, Cycle now) const;
 
     /** Erase @p seq from the unknown-address list if present. */
     void eraseUnknown(InstSeqNum seq);
@@ -306,8 +296,6 @@ class Lsq
     std::vector<SubList> holdSubs;
     /** Released holds waiting for their wake cycle. */
     std::vector<HoldRelease> pendingRelease;
-
-    bool scanDisambig = false;
 
     stats::StatGroup group{"lsq"};
     stats::Distribution occupancy;

@@ -26,7 +26,6 @@ opClassRows()
 IssueStage::IssueStage(PipelineState &state,
                        CompletionQueue &completionQueue)
     : s(state), completions(completionQueue),
-      scanIssue(state.cfg.iqScanIssue),
       byClass("issued_by_class",
               "issues per op class, split first execution vs re-execution",
               opClassRows(), {"first", "reexec"})
@@ -69,9 +68,8 @@ IssueStage::tryIssueOne(DynInst *inst)
     const bool reExecution = inst->executions > 0;
 
     // Memory disambiguation (PA-8000 style) for loads. Hold statistics
-    // count episodes (transitions into a blocking state), so the
-    // event-driven path — which re-attempts a held load only when its
-    // blocker resolves — and the legacy every-cycle scan agree.
+    // count episodes (transitions into a blocking state), not attempts:
+    // a held load is re-attempted only when its blocker resolves.
     LoadHold hold = LoadHold::Ready;
     if (inst->isLoad() && !reExecution) {
         LoadCheck chk = s.lsq.disambiguate(inst, now);
@@ -196,51 +194,15 @@ IssueStage::tryIssueOne(DynInst *inst)
 }
 
 void
-IssueStage::scanTick()
-{
-    // Reference path: oldest-first selection directly over the
-    // age-ordered list — no per-cycle snapshot copy. Issue is the only
-    // mutation during the scan (nothing is inserted or squashed from
-    // inside tryIssueOne), so removing the issued entry and keeping the
-    // index in place walks every remaining entry exactly once. Two
-    // passes: first executions have priority; re-executions fill the
-    // remaining slots ("resources that otherwise would be unused",
-    // paper §4.2.1).
-    unsigned nIssued = 0;
-    for (int pass = 0; pass < 2 && nIssued < s.cfg.issueWidth; ++pass) {
-        std::size_t i = 0;
-        while (i < s.iq.size() && nIssued < s.cfg.issueWidth) {
-            DynInst *inst = s.iq.at(i);
-            if ((inst->executions > 0) != (pass == 1) ||
-                inst->phase() != InstPhase::Renamed) {
-                ++i;
-                continue;
-            }
-            if (tryIssueOne(inst).outcome == Outcome::Issued) {
-                s.iq.removeAt(i);
-                ++nIssued;
-            } else {
-                ++i;
-            }
-        }
-    }
-}
-
-void
 IssueStage::tick()
 {
-    if (scanIssue) {
-        scanTick();
-        return;
-    }
-
     const Cycle now = s.curCycle;
 
     // Merge this cycle's candidates: newly published ready
     // instructions, last cycle's per-cycle-resource failures, FU-stall
     // lists whose unit class has capacity again (availability only
     // shrinks within a tick, so a class gated here would fail every
-    // scan attempt this cycle too), and released LSQ holds.
+    // attempt this cycle too), and released LSQ holds.
     cand.clear();
     s.iq.drainReadyEvents(cand);
     cand.insert(cand.end(), retryQ.begin(), retryQ.end());
@@ -259,9 +221,11 @@ IssueStage::tick()
                   return a.seq < b.seq;
               });
 
-    // Oldest-first over the candidates, same two-pass priority as the
-    // scan. Failures are re-parked by reason; entries the width cutoff
-    // left unattempted stay ready for next cycle.
+    // Oldest-first over the candidates in two passes: first executions
+    // have priority; re-executions fill the remaining slots ("resources
+    // that otherwise would be unused", paper §4.2.1). Failures are
+    // re-parked by reason; entries the width cutoff left unattempted
+    // stay ready for next cycle.
     unsigned nIssued = 0;
     for (int pass = 0; pass < 2 && nIssued < s.cfg.issueWidth; ++pass) {
         for (ReadyRef &e : cand) {

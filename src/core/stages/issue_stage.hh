@@ -13,9 +13,7 @@
  * candidates by age and attempts them oldest first — the whole
  * instruction queue is never walked. Entries that fail a structural
  * check are re-parked on the matching list; holds park inside the LSQ
- * until the blocking store resolves. The legacy full-queue scan
- * survives behind CoreConfig::iqScanIssue (core.iq.scan_issue) and is
- * byte-identical, as the determinism test asserts.
+ * until the blocking store resolves.
  */
 
 #ifndef VPR_CORE_STAGES_ISSUE_STAGE_HH
@@ -68,25 +66,21 @@ class IssueStage : public Stage
         const DynInst *blocker = nullptr;
     };
 
-    /** Try to issue one instruction (all structural checks in scan
+    /** Try to issue one instruction (all structural checks in a fixed
      *  order); commits the side effects only when it issues. */
     Attempt tryIssueOne(DynInst *inst);
 
-    /** The legacy full-queue oldest-first walk (reference path). */
-    void scanTick();
-
     PipelineState &s;
     CompletionQueue &completions;
-    bool scanIssue;
 
     /** This cycle's merged, age-sorted candidates (member to reuse the
      *  allocation across cycles). */
     std::vector<ReadyRef> cand;
     /** Ready entries that failed a per-cycle resource; retried next
-     *  cycle, exactly when the scan would retry them. */
+     *  cycle. */
     std::vector<ReadyRef> retryQ;
     /** Ready entries stalled on a busy FU class; merged back the first
-     *  cycle a unit is available again (until then every scan attempt
+     *  cycle a unit is available again (until then every attempt
      *  would fail the same availability check). */
     std::array<std::vector<ReadyRef>, kNumFUTypes> fuStallQ;
 

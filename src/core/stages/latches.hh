@@ -16,7 +16,6 @@
 #define VPR_CORE_STAGES_LATCHES_HH
 
 #include <algorithm>
-#include <queue>
 #include <vector>
 
 #include "common/intmath.hh"
@@ -36,12 +35,6 @@ struct CompletionEvent
     InstSeqNum seq;
     DynInst *inst;
     HotIdx slot;
-
-    bool
-    operator>(const CompletionEvent &o) const
-    {
-        return when != o.when ? when > o.when : seq > o.seq;
-    }
 };
 
 /**
@@ -51,23 +44,18 @@ struct CompletionEvent
  * may have been reused, so the (seq, phase) pair is re-checked), which
  * keeps recovery O(squashed instructions).
  *
- * The default mechanism is a cycle-indexed calendar (timing wheel): a
+ * The events live in a cycle-indexed calendar (timing wheel): a
  * power-of-two ring of per-cycle buckets spanning the maximum FU/cache
  * latency, plus an overflow list for the rare event beyond the horizon
  * (unbounded write-port slip, MSHR queueing). schedule() is an append
  * and popDue() drains one bucket — O(1) each, no heap sifts over
- * 32-byte events. Within a cycle, events drain in ascending sequence
- * number, which is exactly the (when, seq) order of the legacy
- * std::priority_queue; the heap survives behind `core.cq.calendar`
- * (constructor flag) as a reference path, and the determinism test
- * asserts every exported metric byte-identical between the two.
+ * 32-byte events. Events pop in (when, seq) order: within a cycle they
+ * drain in ascending sequence number.
  */
 class CompletionQueue
 {
   public:
     /**
-     * @param useCalendar  select the calendar ring (default) or the
-     *                     legacy binary heap.
      * @param horizonHint  minimum ring span in cycles; rounded up to a
      *                     power of two. Events scheduled further out
      *                     than the ring spans go to the overflow list
@@ -77,12 +65,10 @@ class CompletionQueue
      *                     width), so a fresh core does not grow every
      *                     bucket from empty.
      */
-    explicit CompletionQueue(bool useCalendar = true,
-                             Cycle horizonHint = 128,
+    explicit CompletionQueue(Cycle horizonHint = 128,
                              std::size_t bucketEvents = 0)
-        : calendar(useCalendar),
-          horizon(Cycle{1} << ceilLog2(horizonHint < 2 ? 2 : horizonHint)),
-          buckets(useCalendar ? static_cast<std::size_t>(horizon) : 0)
+        : horizon(Cycle{1} << ceilLog2(horizonHint < 2 ? 2 : horizonHint)),
+          buckets(static_cast<std::size_t>(horizon))
     {
         for (auto &b : buckets)
             b.reserve(bucketEvents);
@@ -92,10 +78,6 @@ class CompletionQueue
     void
     schedule(Cycle when, InstSeqNum seq, DynInst *inst)
     {
-        if (!calendar) {
-            events.push({when, seq, inst, inst->slot});
-            return;
-        }
         VPR_ASSERT(when >= base, "scheduling into the drained past: when=",
                    when, " base=", base);
         ++nEvents;
@@ -115,22 +97,14 @@ class CompletionQueue
     bool
     hasDue(Cycle now)
     {
-        if (!calendar)
-            return !events.empty() && events.top().when <= now;
         advanceTo(now);
-        return base <= now &&
-               drainIdx < buckets[curBucket()].size();
+        return base <= now && drainIdx < buckets[curBucket()].size();
     }
 
     /** Pop the next due event (caller must check hasDue). */
     CompletionEvent
     popDue()
     {
-        if (!calendar) {
-            CompletionEvent ev = events.top();
-            events.pop();
-            return ev;
-        }
         auto &b = buckets[curBucket()];
         VPR_ASSERT(drainIdx < b.size(), "popDue without a due event");
         if (!curSorted) {
@@ -149,11 +123,7 @@ class CompletionQueue
         return ev;
     }
 
-    std::size_t
-    pendingEvents() const
-    {
-        return calendar ? nEvents : events.size();
-    }
+    std::size_t pendingEvents() const { return nEvents; }
 
     /** Park an issued store until its data operand is produced. */
     void
@@ -181,28 +151,22 @@ class CompletionQueue
         storesAwaitingData.resize(keep);
     }
 
-    /** True if any event or parked store references @p seq (tests).
-     *  Calendar: walk the live bucket remainders and the overflow list.
-     *  Heap: linear scan of the underlying container (no copy-and-pop). */
+    /** True if any event or parked store references @p seq (tests):
+     *  walks the live bucket remainders, the overflow list and the
+     *  parked stores. */
     bool
     pendingFor(InstSeqNum seq) const
     {
-        if (calendar) {
-            for (std::size_t i = 0; i < buckets.size(); ++i) {
-                std::size_t from = i == curBucket() ? drainIdx : 0;
-                const auto &b = buckets[i];
-                for (std::size_t j = from; j < b.size(); ++j)
-                    if (b[j].seq == seq)
-                        return true;
-            }
-            for (const auto &ev : overflow)
-                if (ev.seq == seq)
-                    return true;
-        } else {
-            for (const auto &ev : heapContainer(events))
-                if (ev.seq == seq)
+        for (std::size_t i = 0; i < buckets.size(); ++i) {
+            std::size_t from = i == curBucket() ? drainIdx : 0;
+            const auto &b = buckets[i];
+            for (std::size_t j = from; j < b.size(); ++j)
+                if (b[j].seq == seq)
                     return true;
         }
+        for (const auto &ev : overflow)
+            if (ev.seq == seq)
+                return true;
         for (const auto &ref : storesAwaitingData)
             if (ref.seq == seq)
                 return true;
@@ -210,27 +174,6 @@ class CompletionQueue
     }
 
   private:
-    using EventHeap =
-        std::priority_queue<CompletionEvent, std::vector<CompletionEvent>,
-                            std::greater<CompletionEvent>>;
-
-    /** Read access to the heap's underlying vector: the standard
-     *  guarantees a protected member `c`; the derived-class
-     *  member-pointer trick exposes it without copying the queue. */
-    static const std::vector<CompletionEvent> &
-    heapContainer(const EventHeap &q)
-    {
-        struct Access : EventHeap
-        {
-            static const std::vector<CompletionEvent> &
-            get(const EventHeap &h)
-            {
-                return h.*&Access::c;
-            }
-        };
-        return Access::get(q);
-    }
-
     std::size_t
     curBucket() const
     {
@@ -292,10 +235,7 @@ class CompletionQueue
         overflowMin = newMin;
     }
 
-    const bool calendar;
     const Cycle horizon;          ///< ring span (power of two)
-
-    // --- calendar state ---------------------------------------------------
     std::vector<std::vector<CompletionEvent>> buckets;
     std::vector<CompletionEvent> overflow; ///< events beyond the horizon
     Cycle overflowMin = kNoCycle; ///< earliest overflow `when`
@@ -303,9 +243,6 @@ class CompletionQueue
     std::size_t drainIdx = 0;     ///< consumed prefix of bucket[base]
     bool curSorted = true;        ///< bucket[base] tail is seq-sorted
     std::size_t nEvents = 0;
-
-    // --- legacy heap (reference path) --------------------------------------
-    EventHeap events;
 
     /** Issued stores whose data operand has not been produced yet; they
      *  complete once the data broadcast arrives. */

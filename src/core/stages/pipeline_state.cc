@@ -22,11 +22,6 @@ PipelineState::PipelineState(TraceStream &stream, const CoreConfig &config)
     VPR_ASSERT(cfg.iqSize >= cfg.robSize,
                "unified IQ must hold every in-flight instruction "
                "(write-back squashes re-insert issued instructions)");
-    iq.setScanWakeup(cfg.iqScanWakeup);
-    // Ready publication is pointless (and would accumulate undrained)
-    // under the legacy issue scan.
-    iq.setTrackReady(!cfg.iqScanIssue);
-    lsq.setScanDisambig(cfg.lsqScanDisambig);
 
     // Root of the stats tree: the shared structures register here, in a
     // fixed order; the stages append their groups when the composition

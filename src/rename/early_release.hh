@@ -21,8 +21,9 @@
  * Restriction: early release is incompatible with squash-based recovery
  * unless counters are checkpointed (as the original papers do). Use it
  * with `WrongPathMode::Stall` (the paper's trace-driven methodology,
- * where no wrong-path instructions are ever renamed); squashing an
- * instruction whose previous mapping was already released panics.
+ * where no wrong-path instructions are ever renamed);
+ * SimConfig::validationError() refuses any other mode, and squashing
+ * an instruction whose previous mapping was already released panics.
  */
 
 #ifndef VPR_RENAME_EARLY_RELEASE_HH

@@ -55,6 +55,13 @@ SimConfig::validationError() const
     }
     if (core.iqSize < core.robSize)
         return "iqSize must be >= robSize (unified queue)";
+    if (core.scheme == RenameScheme::ConventionalEarlyRelease &&
+        core.fetch.wrongPath != WrongPathMode::Stall)
+        return detail::concat(
+            "core.scheme=", renameSchemeName(core.scheme),
+            " requires core.fetch.wrong_path=stall (got ",
+            wrongPathModeName(core.fetch.wrongPath),
+            "): early release cannot squash a wrong-path superseder");
     if (sampling.enable) {
         if (sampling.detailedInsts == 0)
             return "sampling: zero-length detailed interval "

@@ -1,16 +1,18 @@
 /**
  * @file
- * Unit tests for the issue→complete CompletionQueue: the cycle-indexed
- * calendar (timing wheel) against the legacy binary heap it replaced.
- * The two must agree event for event — the determinism test checks the
- * whole simulator; these tests pin the structure down in isolation,
- * including the paths a short run may never hit (bucket wrap-around,
- * beyond-horizon overflow, late drains that skip cycles).
+ * Unit tests for the issue→complete CompletionQueue, the cycle-indexed
+ * calendar (timing wheel). The randomized tests check it event for
+ * event against a std::priority_queue model that lives only here; the
+ * directed ones pin down the paths a short run may never hit (bucket
+ * wrap-around, beyond-horizon overflow, late drains that skip cycles).
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <queue>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "core/stages/latches.hh"
@@ -35,10 +37,41 @@ struct CqFixture
     DynInst inst;
 };
 
+/** Reference model: a binary min-heap of (when, seq) pairs. */
+class HeapModel
+{
+  public:
+    using Event = std::pair<Cycle, InstSeqNum>;
+
+    void schedule(Cycle when, InstSeqNum seq) { q.push({when, seq}); }
+    bool hasDue(Cycle now) const { return !q.empty() && q.top().first <= now; }
+    std::size_t pendingEvents() const { return q.size(); }
+
+    Event
+    popDue()
+    {
+        Event ev = q.top();
+        q.pop();
+        return ev;
+    }
+
+    bool
+    pendingFor(InstSeqNum seq) const
+    {
+        for (auto copy = q; !copy.empty(); copy.pop())
+            if (copy.top().second == seq)
+                return true;
+        return false;
+    }
+
+  private:
+    std::priority_queue<Event, std::vector<Event>, std::greater<Event>> q;
+};
+
 TEST(CompletionQueue, PopsInWhenThenSeqOrder)
 {
     CqFixture f;
-    CompletionQueue cq(true, 16);
+    CompletionQueue cq(16);
     // Same cycle out of seq order, plus a later cycle scheduled first.
     cq.schedule(5, 30, &f.inst);
     cq.schedule(3, 20, &f.inst);
@@ -61,7 +94,7 @@ TEST(CompletionQueue, WrapsAroundTheRingManyTimes)
 {
     CqFixture f;
     // Horizon 4: every fourth cycle reuses a bucket.
-    CompletionQueue cq(true, 4);
+    CompletionQueue cq(4);
     InstSeqNum seq = 0;
     for (Cycle now = 0; now < 100; ++now) {
         cq.schedule(now + 3, ++seq, &f.inst);
@@ -82,7 +115,7 @@ TEST(CompletionQueue, WrapsAroundTheRingManyTimes)
 TEST(CompletionQueue, BeyondHorizonEventsOverflowAndMigrateBack)
 {
     CqFixture f;
-    CompletionQueue cq(true, 8);
+    CompletionQueue cq(8);
     // Far beyond the 8-cycle ring: an unpipelined FP divide, say.
     cq.schedule(70, 1, &f.inst);
     cq.schedule(75, 2, &f.inst);
@@ -106,7 +139,7 @@ TEST(CompletionQueue, BeyondHorizonEventsOverflowAndMigrateBack)
 TEST(CompletionQueue, LateDrainStillPopsInOrder)
 {
     CqFixture f;
-    CompletionQueue cq(true, 16);
+    CompletionQueue cq(16);
     cq.schedule(2, 1, &f.inst);
     cq.schedule(4, 2, &f.inst);
     cq.schedule(4, 3, &f.inst);
@@ -125,13 +158,14 @@ TEST(CompletionQueue, LateDrainStillPopsInOrder)
 
 TEST(CompletionQueue, RandomizedCalendarMatchesHeap)
 {
-    // Drive a calendar and a heap with an identical randomized
-    // schedule/drain interleaving — bursty arrivals, idle stretches,
-    // same-cycle completions, latencies past the horizon — and demand
-    // the exact same pop sequence and pending count at every step.
+    // Drive the calendar and the heap model with an identical
+    // randomized schedule/drain interleaving — bursty arrivals, idle
+    // stretches, same-cycle completions, latencies past the horizon —
+    // and demand the exact same pop sequence and pending count at
+    // every step.
     CqFixture f;
-    CompletionQueue cal(true, 64);
-    CompletionQueue heap(false);
+    CompletionQueue cal(64);
+    HeapModel heap;
     std::mt19937 rng(0xc0ffee);
     auto below = [&rng](unsigned n) { return rng() % n; };
 
@@ -145,7 +179,7 @@ TEST(CompletionQueue, RandomizedCalendarMatchesHeap)
             Cycle when = now + 1 + below(150);
             ++seq;
             cal.schedule(when, seq, &f.inst);
-            heap.schedule(when, seq, &f.inst);
+            heap.schedule(when, seq);
         }
         ASSERT_EQ(cal.pendingEvents(), heap.pendingEvents());
 
@@ -155,9 +189,9 @@ TEST(CompletionQueue, RandomizedCalendarMatchesHeap)
         while (heap.hasDue(now)) {
             ASSERT_TRUE(cal.hasDue(now));
             CompletionEvent a = cal.popDue();
-            CompletionEvent b = heap.popDue();
-            ASSERT_EQ(a.when, b.when) << "step " << step;
-            ASSERT_EQ(a.seq, b.seq) << "step " << step;
+            HeapModel::Event b = heap.popDue();
+            ASSERT_EQ(a.when, b.first) << "step " << step;
+            ASSERT_EQ(a.seq, b.second) << "step " << step;
         }
         ASSERT_FALSE(cal.hasDue(now));
     }
@@ -166,7 +200,7 @@ TEST(CompletionQueue, RandomizedCalendarMatchesHeap)
         ++now;
         while (heap.hasDue(now)) {
             ASSERT_TRUE(cal.hasDue(now));
-            ASSERT_EQ(cal.popDue().seq, heap.popDue().seq);
+            ASSERT_EQ(cal.popDue().seq, heap.popDue().second);
         }
     }
     EXPECT_EQ(cal.pendingEvents(), 0u);
@@ -175,8 +209,8 @@ TEST(CompletionQueue, RandomizedCalendarMatchesHeap)
 TEST(CompletionQueue, PendingForAgreesBetweenCalendarAndHeap)
 {
     CqFixture f;
-    CompletionQueue cal(true, 8);
-    CompletionQueue heap(false);
+    CompletionQueue cal(8);
+    HeapModel heap;
     std::mt19937 rng(42);
     InstSeqNum seq = 0;
     Cycle now = 0;
@@ -184,7 +218,7 @@ TEST(CompletionQueue, PendingForAgreesBetweenCalendarAndHeap)
         Cycle when = now + 1 + rng() % 40;
         ++seq;
         cal.schedule(when, seq, &f.inst);
-        heap.schedule(when, seq, &f.inst);
+        heap.schedule(when, seq);
         now += rng() % 3;
         while (heap.hasDue(now)) {
             ASSERT_TRUE(cal.hasDue(now));
@@ -201,10 +235,10 @@ TEST(CompletionQueue, PendingForAgreesBetweenCalendarAndHeap)
 
 TEST(CompletionQueue, ParkedStoresSquashYoungerThan)
 {
-    // Parked stores are common code between the two mechanisms, but the
-    // squash filter is the recovery path — pin it down here.
+    // The parked-store squash filter is the recovery path — pin it
+    // down here.
     CqFixture f;
-    CompletionQueue cq(true, 16);
+    CompletionQueue cq(16);
     cq.parkStore(&f.inst, 5);
     cq.parkStore(&f.inst, 9);
     cq.parkStore(&f.inst, 12);

@@ -98,106 +98,6 @@ expectIdenticalMetrics(const SimResults &a, const SimResults &b,
     }
 }
 
-TEST(Determinism, EventSchedulerMatchesLegacyScansByteForByte)
-{
-    // The event-driven scheduler core — IQ ready-list issue and the
-    // address-indexed LSQ disambiguation table — is a pure mechanism
-    // change: every schedule, and therefore every exported metric
-    // (latency distributions included), must be byte-identical to the
-    // legacy full-queue scans, for every rename scheme (the VP
-    // write-back squash re-inserts issued instructions, the hardest
-    // path for the ready list).
-    struct Mode
-    {
-        const char *name;
-        bool scanIssue, scanDisambig, scanWakeup;
-    };
-    const Mode modes[] = {
-        {"scan-issue", true, false, false},
-        {"scan-disambig", false, true, false},
-        {"all-scans", true, true, true},
-    };
-    for (RenameScheme scheme : {RenameScheme::Conventional,
-                                RenameScheme::VPAllocAtWriteback,
-                                RenameScheme::VPAllocAtIssue,
-                                RenameScheme::ConventionalEarlyRelease}) {
-        SimConfig c = quick();
-        c.setScheme(scheme);
-        if (scheme == RenameScheme::ConventionalEarlyRelease)
-            c.core.fetch.wrongPath = WrongPathMode::Stall;
-        auto event = runOne("vortex", c);
-        for (const Mode &m : modes) {
-            SimConfig s = c;
-            s.core.iqScanIssue = m.scanIssue;
-            s.core.lsqScanDisambig = m.scanDisambig;
-            s.core.iqScanWakeup = m.scanWakeup;
-            auto scan = runOne("vortex", s);
-            expectIdenticalMetrics(
-                event, scan,
-                std::string(renameSchemeName(scheme)) + " vs " + m.name);
-        }
-    }
-}
-
-TEST(Determinism, CalendarQueueMatchesHeapByteForByte)
-{
-    // The cycle-indexed completion calendar replaces the binary heap as
-    // the pending-completion store. Pop order is defined as (cycle,
-    // sequence) in both, so every schedule — and therefore every
-    // exported metric, distributions included — must be byte-identical.
-    // Run every scheme: the VP write-back squash drops in-flight
-    // completions and re-issues them, the hardest path for stale-event
-    // filtering, and FP divides push events past the calendar horizon
-    // into the overflow list.
-    for (RenameScheme scheme : {RenameScheme::Conventional,
-                                RenameScheme::VPAllocAtWriteback,
-                                RenameScheme::VPAllocAtIssue,
-                                RenameScheme::ConventionalEarlyRelease}) {
-        SimConfig c = quick();
-        c.setScheme(scheme);
-        if (scheme == RenameScheme::ConventionalEarlyRelease)
-            c.core.fetch.wrongPath = WrongPathMode::Stall;
-        c.core.cqCalendar = true;
-        auto calendar = runOne("vortex", c);
-        c.core.cqCalendar = false;
-        auto heap = runOne("vortex", c);
-        expectIdenticalMetrics(calendar, heap,
-                               std::string(renameSchemeName(scheme)) +
-                                   " calendar vs heap");
-    }
-}
-
-TEST(Determinism, WaitListWakeupMatchesScanByteForByte)
-{
-    // The per-tag wakeup wait lists are a pure mechanism change: every
-    // schedule — and therefore every exported metric, distributions
-    // included — must be byte-identical to the legacy full-queue scan.
-    // Run every scheme (the VP write-back squash re-inserts issued
-    // instructions, the hardest path for the wait lists).
-    for (RenameScheme scheme : {RenameScheme::Conventional,
-                                RenameScheme::VPAllocAtWriteback,
-                                RenameScheme::VPAllocAtIssue,
-                                RenameScheme::ConventionalEarlyRelease}) {
-        SimConfig c = quick();
-        c.setScheme(scheme);
-        if (scheme == RenameScheme::ConventionalEarlyRelease)
-            c.core.fetch.wrongPath = WrongPathMode::Stall;
-        c.core.iqScanWakeup = false;
-        auto waitlist = runOne("vortex", c);
-        c.core.iqScanWakeup = true;
-        auto scan = runOne("vortex", c);
-
-        ASSERT_TRUE(
-            waitlist.metrics.sameSchema(scan.metrics));
-        for (std::size_t i = 0; i < waitlist.metrics.all().size(); ++i) {
-            const Metric &a = waitlist.metrics.all()[i];
-            const Metric &b = scan.metrics.all()[i];
-            EXPECT_EQ(a.text(), b.text())
-                << renameSchemeName(scheme) << ": " << a.name();
-        }
-    }
-}
-
 TEST(Determinism, SampledRunsAreByteIdenticalAcrossRepeats)
 {
     // A sampled run is a pure function of (benchmark, config, seed):

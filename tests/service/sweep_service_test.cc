@@ -141,13 +141,15 @@ TEST(SweepService, BadRequestsAre400NeverFatal)
 {
     SweepService service(quick(), 1);
     const auto expect400 = [&](const std::string &body,
-                               const std::string &needle) {
+                               const std::string &needle,
+                               const std::string &alsoNeedle = "") {
         const HttpResponse response =
             service.handle(post("/sweep", body), 0);
         EXPECT_EQ(response.status, 400) << body;
-        EXPECT_NE(response.body.find(needle), std::string::npos)
-            << "response '" << response.body << "' should mention '"
-            << needle << "'";
+        for (const std::string &n : {needle, alsoNeedle})
+            EXPECT_NE(response.body.find(n), std::string::npos)
+                << "response '" << response.body << "' should mention '"
+                << n << "'";
     };
 
     expect400("", "bad JSON");
@@ -172,6 +174,17 @@ TEST(SweepService, BadRequestsAre400NeverFatal)
     expect400("{\"target\": \"swim\", "
               "\"sweep\": \"core.rob_size=128,100000000\"}",
               "numVPRegs");
+    // Early release cannot squash wrong-path instructions: the renamer
+    // would abort the daemon, so the 400 must come first and name both
+    // keys.
+    expect400("{\"target\": \"vortex\", "
+              "\"set\": [\"core.scheme=conv-er\", "
+              "\"core.fetch.wrong_path=synthesize\"]}",
+              "core.scheme", "core.fetch.wrong_path");
+    expect400("{\"target\": \"vortex\", "
+              "\"set\": \"core.scheme=conv-er\", "
+              "\"sweep\": \"core.fetch.wrong_path=stall,synthesize\"}",
+              "core.scheme", "core.fetch.wrong_path");
 
     // And the daemon is still there to answer.
     const HttpResponse status = service.handle(get("/status"), 0);

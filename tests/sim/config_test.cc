@@ -96,5 +96,19 @@ TEST(SimConfigDeath, ValidateRejectsSmallIq)
                 "iqSize");
 }
 
+TEST(SimConfigDeath, ValidateRejectsEarlyReleaseWithWrongPathSynthesis)
+{
+    // Early release cannot squash a wrong-path superseder: the config
+    // is refused up front instead of aborting inside the renamer.
+    SimConfig c = paperConfig();
+    c.setScheme(RenameScheme::ConventionalEarlyRelease);
+    c.core.fetch.wrongPath = WrongPathMode::Synthesize;
+    EXPECT_EXIT(c.validate(), ::testing::ExitedWithCode(1),
+                "core.scheme=conv-early-release requires "
+                "core.fetch.wrong_path=stall");
+    c.core.fetch.wrongPath = WrongPathMode::Stall;
+    EXPECT_EQ(c.validationError(), "");
+}
+
 } // namespace
 } // namespace vpr

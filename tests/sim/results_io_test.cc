@@ -58,8 +58,6 @@ constexpr const char *kGoldenConfigColumns =
     "cfg.core.issue_width,cfg.core.commit_width,cfg.core.rob_size,"
     "cfg.core.iq_size,cfg.core.lsq_size,cfg.core.reg_read_ports,"
     "cfg.core.reg_write_ports,cfg.core.cache_ports,cfg.core.scheme,"
-    "cfg.core.iq.scan_wakeup,cfg.core.iq.scan_issue,"
-    "cfg.core.lsq.scan_disambig,cfg.core.cq.calendar,"
     "cfg.core.invariant_checks,"
     "cfg.core.deadlock_threshold,cfg.core.rename.phys_regs,"
     "cfg.core.rename.vp_regs,cfg.core.rename.nrr_int,"
@@ -76,7 +74,7 @@ constexpr const char *kGoldenConfigColumns =
 
 constexpr const char *kGoldenConfigValues =
     "1000,2000,7,0,20000,150,250,1,8,8,8,128,128,128,16,8,3,"
-    "vp-writeback,0,0,0,1,0,200000,"
+    "vp-writeback,0,200000,"
     "64,160,32,32,8,16,2048,1,stall,7860237,0,3,2,3,3,2,2,16384,32,1,"
     "2,50,8,4";
 
@@ -86,7 +84,7 @@ goldenCsv()
     std::string row = std::string("swim,") + kGoldenConfigValues +
                       ",1600,2000,1.25\n";
     return "# vpr-results v1 figure=golden cells=2 shard=0/1 scale=1 "
-           "cfg=75c64f96ca717efd\n"
+           "cfg=ad2765666cf135cb\n"
            "cell,benchmark," + std::string(kGoldenConfigColumns) +
            ",core.cycles,core.committed,core.ipc\n"
            "0," + row + "1," + row;
@@ -138,7 +136,7 @@ TEST(ResultsJson, GoldenKeyOrderIsStable)
     // and metrics.
     EXPECT_NE(json.find("\"format\": \"vpr-results\""),
               std::string::npos);
-    EXPECT_NE(json.find("\"config_digest\": \"5c4a629e84e3509b\""),
+    EXPECT_NE(json.find("\"config_digest\": \"4a70d6aa1c5f38e2\""),
               std::string::npos);
     EXPECT_NE(json.find("\"sim.sampling.enable\": \"0\""),
               std::string::npos);
