@@ -48,6 +48,7 @@ const FigureDef *findFigure(const std::string &name);
  * The shared bench main(): parse args, build the grid, run the whole
  * grid (or the --shard slice), export --out records, and render the
  * table (unsharded runs only — a shard cannot render a partial table).
+ * A user error is reported through runMain (fatal: ..., exit status 1).
  */
 int figureMain(const std::string &name, int argc, char **argv);
 

@@ -43,8 +43,11 @@ findFigure(const std::string &name)
     return nullptr;
 }
 
+namespace
+{
+
 int
-figureMain(const std::string &name, int argc, char **argv)
+runFigure(const std::string &name, int argc, char **argv)
 {
     parseArgs(argc, argv);
     const FigureDef *def = findFigure(name);
@@ -85,6 +88,14 @@ figureMain(const std::string &name, int argc, char **argv)
 
     def->render(cells, results, std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+figureMain(const std::string &name, int argc, char **argv)
+{
+    return runMain([&] { return runFigure(name, argc, argv); });
 }
 
 } // namespace vpr::bench

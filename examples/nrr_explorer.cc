@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "sim/experiment.hh"
 #include "sim/params.hh"
 #include "sim/results_io.hh"
@@ -31,8 +32,11 @@
 
 using namespace vpr;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+explorerMain(int argc, char **argv)
 {
     std::string bench = "hydro2d";
     std::uint16_t physRegs = 64;
@@ -124,4 +128,12 @@ main(int argc, char **argv)
                  "conventional scheme\nplus late allocation. The paper "
                  "finds NRR = 32 best on average for both policies.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain([&] { return explorerMain(argc, argv); });
 }

@@ -9,13 +9,17 @@
 #include <iostream>
 #include <string>
 
+#include "common/logging.hh"
 #include "sim/experiment.hh"
 #include "trace/kernels/kernels.hh"
 
 using namespace vpr;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+quickstartMain(int argc, char **argv)
 {
     std::string bench = argc > 1 ? argv[1] : "swim";
 
@@ -48,4 +52,12 @@ main(int argc, char **argv)
     std::cout << "\nre-executions per committed instruction (vp): "
               << vp.executionsPerCommit() << "\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain([&] { return quickstartMain(argc, argv); });
 }

@@ -85,8 +85,7 @@ inflateBytes(const std::string &in, std::uint64_t rawSize)
     std::memset(&zs, 0, sizeof(zs));
     if (inflateInit(&zs) != Z_OK)
         throw CkptError("zlib inflateInit failed");
-    std::string out;
-    out.reserve(static_cast<std::size_t>(rawSize));
+    std::string out;  // rawSize is untrusted: grow, never reserve it
     char chunk[64 * 1024];
     zs.next_in =
         reinterpret_cast<Bytef *>(const_cast<char *>(in.data()));
@@ -198,7 +197,7 @@ vprzUnpack(const std::string &raw, const std::string &expectKind)
                         kind + "', expected '" + expectKind + "')");
     std::uint64_t rawSize = readU64(raw, pos);
     std::uint64_t storedSize = readU64(raw, pos);
-    if (raw.size() - pos < storedSize + 8)
+    if (raw.size() - pos < 8 || raw.size() - pos - 8 < storedSize)
         throw CkptError("truncated VPRZ container");
     std::string stored = raw.substr(pos, storedSize);
     pos += storedSize;

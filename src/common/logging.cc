@@ -6,20 +6,23 @@
 namespace vpr
 {
 
+int
+runMain(const std::function<int()> &body)
+{
+    try {
+        return body();
+    } catch (const Error &e) {
+        std::cerr << "fatal: " << e.what() << std::endl;
+        return 1;
+    }
+}
+
 [[noreturn]] void
 panicImpl(const char *file, int line, const std::string &msg)
 {
     std::cerr << "panic: " << msg << "\n  @ " << file << ":" << line
               << std::endl;
     std::abort();
-}
-
-[[noreturn]] void
-fatalImpl(const char *file, int line, const std::string &msg)
-{
-    std::cerr << "fatal: " << msg << "\n  @ " << file << ":" << line
-              << std::endl;
-    std::exit(1);
 }
 
 void

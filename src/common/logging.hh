@@ -3,7 +3,11 @@
  * Error-reporting helpers in the spirit of gem5's logging.hh.
  *
  * panic()  — an internal invariant was violated (simulator bug); aborts.
- * fatal()  — the user supplied an impossible configuration; exits(1).
+ * fatal()  — the user supplied an impossible input (flag, config value,
+ *            request body, result/trace/checkpoint file); throws
+ *            vpr::Error. No library call ends the process: main()
+ *            reports the Error through runMain() and exits 1, and the
+ *            sweep daemon answers it with a 400.
  * warn()   — something questionable happened but simulation continues.
  * inform() — neutral status output.
  */
@@ -11,18 +15,30 @@
 #ifndef VPR_COMMON_LOGGING_HH
 #define VPR_COMMON_LOGGING_HH
 
+#include <functional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 namespace vpr
 {
 
+/** A user error; the message names the offending key, value or file. */
+class Error : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
+/**
+ * The one place an Error ends a process: run an argv-reading main()'s
+ * @p body and return its status, or print "fatal: <message>" to stderr
+ * and return 1 when it throws an Error.
+ */
+int runMain(const std::function<int()> &body);
+
 /** Terminate with an "internal bug" diagnostic (calls std::abort). */
 [[noreturn]] void panicImpl(const char *file, int line,
-                            const std::string &msg);
-
-/** Terminate with a "user error" diagnostic (calls std::exit(1)). */
-[[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 
 /** Print a warning to stderr; simulation continues. */
@@ -51,7 +67,7 @@ concat(Args &&...args)
     ::vpr::panicImpl(__FILE__, __LINE__, ::vpr::detail::concat(__VA_ARGS__))
 
 #define VPR_FATAL(...) \
-    ::vpr::fatalImpl(__FILE__, __LINE__, ::vpr::detail::concat(__VA_ARGS__))
+    throw ::vpr::Error(::vpr::detail::concat(__VA_ARGS__))
 
 #define VPR_WARN(...) \
     ::vpr::warnImpl(__FILE__, __LINE__, ::vpr::detail::concat(__VA_ARGS__))

@@ -25,11 +25,11 @@
 
 #include <cstdint>
 #include <cstring>
-#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/random.hh"
 
 namespace vpr
@@ -37,11 +37,12 @@ namespace vpr
 
 /** Any checkpoint (de)serialization failure: wrong magic, version skew,
  *  digest mismatch, truncation, section drift, out-of-range field.
- *  Callers catch it and fall back to a cold run. */
-class CkptError : public std::runtime_error
+ *  Checkpoint and cache readers catch it and fall back to a cold run;
+ *  anywhere else it is an ordinary user Error. */
+class CkptError : public Error
 {
   public:
-    using std::runtime_error::runtime_error;
+    using Error::Error;
 };
 
 /** What a checkpoint captures. */

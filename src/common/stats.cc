@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <deque>
-#include <iomanip>
 #include <mutex>
 #include <shared_mutex>
 #include <typeinfo>
@@ -203,29 +202,6 @@ StatBase::bindNames(std::string_view prefix) const
     syms = entry->syms.data();
 }
 
-void
-Scalar::print(std::ostream &os) const
-{
-    os << std::left << std::setw(40) << name() << " " << std::right
-       << std::setw(14) << val << "  # " << desc() << "\n";
-}
-
-void
-Real::print(std::ostream &os) const
-{
-    os << std::left << std::setw(40) << name() << " " << std::right
-       << std::setw(14) << std::fixed << std::setprecision(4) << value()
-       << "  # " << desc() << "\n";
-}
-
-void
-Average::print(std::ostream &os) const
-{
-    os << std::left << std::setw(40) << name() << " " << std::right
-       << std::setw(14) << std::fixed << std::setprecision(4) << mean()
-       << "  # " << desc() << " (" << n << " samples)\n";
-}
-
 double
 tCritical95(std::uint64_t df)
 {
@@ -265,15 +241,6 @@ double
 SampleEstimator::ci95() const
 {
     return n < 2 ? 0.0 : tCritical95(n - 1) * standardError();
-}
-
-void
-SampleEstimator::print(std::ostream &os) const
-{
-    os << std::left << std::setw(40) << name() << " " << std::right
-       << std::setw(14) << std::fixed << std::setprecision(4) << mean()
-       << " +/- " << ci95() << "  # " << desc() << " (" << n
-       << " intervals)\n";
 }
 
 void
@@ -347,25 +314,6 @@ Distribution::reset()
     sumSq = 0.0;
     minSeen = maxSeen = 0;
     buckets.assign(buckets.size(), 0);
-}
-
-void
-Distribution::print(std::ostream &os) const
-{
-    os << std::left << std::setw(40) << name() << " mean="
-       << std::fixed << std::setprecision(3) << mean() << " sd="
-       << stddev() << " n=" << n << " min=" << minSeen << " max="
-       << maxSeen << "  # " << desc() << "\n";
-    for (std::size_t i = 0; i < buckets.size(); ++i) {
-        if (buckets[i] == 0)
-            continue;
-        os << "  [" << (lo + i * bsize) << ".."
-           << (lo + (i + 1) * bsize - 1) << "] " << buckets[i] << "\n";
-    }
-    if (under)
-        os << "  underflows " << under << "\n";
-    if (over)
-        os << "  overflows " << over << "\n";
 }
 
 void
@@ -443,21 +391,6 @@ Counter2D::reset()
 }
 
 void
-Counter2D::print(std::ostream &os) const
-{
-    os << std::left << std::setw(40) << name() << " total="
-       << total() << "  # " << desc() << "\n";
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-        if (rowTotal(r) == 0)
-            continue;
-        os << "  " << std::left << std::setw(12) << rows[r];
-        for (std::size_t c = 0; c < cols.size(); ++c)
-            os << " " << cols[c] << "=" << count(r, c);
-        os << "\n";
-    }
-}
-
-void
 Counter2D::visit(StatVisitor &v) const
 {
     const SymId *nm = names();
@@ -509,14 +442,6 @@ StatGroup::resetAll()
 {
     for (auto *s : statList)
         s->reset();
-}
-
-void
-StatGroup::print(std::ostream &os) const
-{
-    os << "---------- " << groupName << " ----------\n";
-    for (const auto *s : statList)
-        s->print(os);
 }
 
 namespace
@@ -670,16 +595,6 @@ StatRegistry::reset()
             e.reset();
         else
             e.group->resetAll();
-    }
-}
-
-void
-StatRegistry::print(std::ostream &os)
-{
-    for (Entry &e : entryList) {
-        if (e.update)
-            e.update();
-        e.group->print(os);
     }
 }
 

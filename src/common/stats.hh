@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -71,9 +70,7 @@ class SymbolTable
 
 /**
  * Visitor over the (name, desc, typed value) triples a statistic
- * exposes. This is the machine-readable face of the package: anything
- * that can pretty-print can also be enumerated into an export record.
- * A multi-valued stat (e.g. Distribution) visits one triple per
+ * exposes; every export goes through it. A multi-valued stat (e.g. Distribution) visits one triple per
  * sub-value, suffixing its name. Names and descriptions arrive as
  * interned SymIds; resolve with SymbolTable::global().text() only where
  * text is genuinely needed.
@@ -103,8 +100,6 @@ class StatBase
 
     /** Reset the accumulator to its initial state. */
     virtual void reset() = 0;
-    /** Print "name value # desc" style line(s). */
-    virtual void print(std::ostream &os) const = 0;
     /** Enumerate the stat's values into @p v. */
     virtual void visit(StatVisitor &v) const = 0;
 
@@ -189,7 +184,6 @@ class Scalar : public StatBase
     std::uint64_t value() const { return val; }
 
     void reset() override { val = 0; }
-    void print(std::ostream &os) const override;
 
     void
     visit(StatVisitor &v) const override
@@ -211,7 +205,6 @@ class Real : public StatBase
     double value() const { return val; }
 
     void reset() override { val = 0.0; }
-    void print(std::ostream &os) const override;
 
     void
     visit(StatVisitor &v) const override
@@ -241,7 +234,6 @@ class Average : public StatBase
     double total() const { return sum; }
 
     void reset() override { sum = 0.0; n = 0; }
-    void print(std::ostream &os) const override;
 
     void
     visit(StatVisitor &v) const override
@@ -300,7 +292,6 @@ class SampleEstimator : public StatBase
     double ci95() const;
 
     void reset() override { n = 0; sum = 0.0; sumSq = 0.0; }
-    void print(std::ostream &os) const override;
     void visit(StatVisitor &v) const override;
 
   protected:
@@ -374,7 +365,6 @@ class Distribution : public StatBase
     std::uint64_t maxSample() const { return maxSeen; }
 
     void reset() override;
-    void print(std::ostream &os) const override;
     void visit(StatVisitor &v) const override;
 
   protected:
@@ -428,7 +418,6 @@ class Counter2D : public StatBase
     std::size_t numCols() const { return cols.size(); }
 
     void reset() override;
-    void print(std::ostream &os) const override;
     void visit(StatVisitor &v) const override;
 
   protected:
@@ -456,7 +445,6 @@ class StatGroup
     const std::vector<StatBase *> &all() const { return statList; }
 
     void resetAll();
-    void print(std::ostream &os) const;
 
     /** Enumerate every stat in registration order, with each name
      *  prefixed "<group>." so records from different groups can share a
@@ -500,9 +488,6 @@ class StatRegistry
 
     /** Begin a measurement interval across the whole tree. */
     void reset();
-
-    /** Human-readable dump of the whole tree (updates first). */
-    void print(std::ostream &os);
 
     const std::vector<Entry> &entries() const { return entryList; }
 

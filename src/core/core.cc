@@ -6,6 +6,15 @@
 namespace vpr
 {
 
+namespace
+{
+
+/** Panic if no instruction commits for this many cycles: about 3x the
+ *  longest memory stall SimConfig::validate admits (65,535 cycles). */
+constexpr Cycle kDeadlockCycles = 200000;
+
+} // namespace
+
 void
 CoreConfig::visitParams(ParamVisitor &v)
 {
@@ -38,8 +47,6 @@ CoreConfig::visitParams(ParamVisitor &v)
                 "register-renaming scheme");
     v.boolParam("invariant_checks", invariantChecks,
                 "run the renamer's invariant self-check every 64 cycles");
-    v.uintParam("deadlock_threshold", deadlockThreshold,
-                "panic if no instruction commits for this many cycles");
     v.pushGroup("rename");
     rename.visitParams(v);
     v.popGroup();
@@ -111,11 +118,11 @@ Core::tick()
     if (state.cfg.invariantChecks && (state.curCycle & 0x3f) == 0)
         state.renameMgr->checkInvariants();
 
-    if (state.curCycle - state.lastCommitCycle >
-            state.cfg.deadlockThreshold &&
-        !state.rob.empty()) {
-        VPR_PANIC("deadlock: no commit for ", state.cfg.deadlockThreshold,
-                  " cycles; head ", state.rob.head().toString(),
+    if (state.curCycle - state.lastCommitCycle > kDeadlockCycles) {
+        VPR_PANIC("deadlock: no commit for ", kDeadlockCycles,
+                  " cycles; head ",
+                  state.rob.empty() ? std::string("(empty ROB)")
+                                    : state.rob.head().toString(),
                   " freeInt=", state.renameMgr->freePhysRegs(RegClass::Int),
                   " freeFp=", state.renameMgr->freePhysRegs(RegClass::Float),
                   " iq=", state.iq.size(), " lsq=", state.lsq.size(),

@@ -39,8 +39,6 @@ struct CoreConfig
 
     /** Run the renamer's invariant self-check every 64 cycles. */
     bool invariantChecks = false;
-    /** Panic if no instruction commits for this many cycles. */
-    Cycle deadlockThreshold = 200000;
 
     /** Reflect the core parameters and every nested config struct
      *  (sim/params.hh); implemented in core.cc. */

@@ -22,7 +22,7 @@
  * unless counters are checkpointed (as the original papers do). Use it
  * with `WrongPathMode::Stall` (the paper's trace-driven methodology,
  * where no wrong-path instructions are ever renamed);
- * SimConfig::validationError() refuses any other mode, and squashing
+ * SimConfig::validate() refuses any other mode, and squashing
  * an instruction whose previous mapping was already released panics.
  */
 

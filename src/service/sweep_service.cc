@@ -1,11 +1,13 @@
 #include "service/sweep_service.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iomanip>
 #include <sstream>
 #include <utility>
 
+#include "common/logging.hh"
 #include "sim/experiment.hh"
 #include "sim/params.hh"
 #include "sim/result_cache.hh"
@@ -35,52 +37,41 @@ class FlatJsonParser
     using Fields =
         std::vector<std::pair<std::string, std::vector<std::string>>>;
 
-    bool
-    parse(Fields &fields, std::string &error)
+    /** Parse the whole body; throws Error on anything else. */
+    Fields
+    parse()
     {
+        Fields fields;
         skipSpace();
         if (!consume('{'))
-            return fail(error, "expected '{'");
+            fail("expected '{'");
         skipSpace();
-        if (consume('}'))
-            return atEnd(error);
-        for (;;) {
-            std::string key;
-            if (!parseString(key, error))
-                return false;
-            skipSpace();
-            if (!consume(':'))
-                return fail(error, "expected ':' after \"" + key + "\"");
-            std::vector<std::string> values;
-            if (!parseValue(key, values, error))
-                return false;
-            fields.emplace_back(std::move(key), std::move(values));
-            skipSpace();
-            if (consume(',')) {
+        if (!consume('}')) {
+            for (;;) {
+                std::string key = parseString();
                 skipSpace();
-                continue;
+                if (!consume(':'))
+                    fail("expected ':' after \"" + key + "\"");
+                std::vector<std::string> values = parseValue(key);
+                fields.emplace_back(std::move(key), std::move(values));
+                skipSpace();
+                if (consume('}'))
+                    break;
+                if (!consume(','))
+                    fail("expected ',' or '}'");
             }
-            if (consume('}'))
-                return atEnd(error);
-            return fail(error, "expected ',' or '}'");
         }
+        skipSpace();
+        if (pos != text.size())
+            fail("trailing content after object");
+        return fields;
     }
 
   private:
-    bool
-    fail(std::string &error, const std::string &what) const
+    [[noreturn]] void
+    fail(const std::string &what) const
     {
-        error = what + " at offset " + std::to_string(pos);
-        return false;
-    }
-
-    bool
-    atEnd(std::string &error)
-    {
-        skipSpace();
-        if (pos != text.size())
-            return fail(error, "trailing content after object");
-        return true;
+        VPR_FATAL("bad JSON body: ", what, " at offset ", pos);
     }
 
     void
@@ -102,17 +93,17 @@ class FlatJsonParser
         return false;
     }
 
-    bool
-    parseString(std::string &out, std::string &error)
+    std::string
+    parseString()
     {
         skipSpace();
         if (!consume('"'))
-            return fail(error, "expected '\"'");
-        out.clear();
+            fail("expected '\"'");
+        std::string out;
         while (pos < text.size()) {
             const char c = text[pos++];
             if (c == '"')
-                return true;
+                return out;
             if (c != '\\') {
                 out += c;
                 continue;
@@ -128,45 +119,37 @@ class FlatJsonParser
               case 't': out += '\t'; break;
               case 'r': out += '\r'; break;
               default:
-                return fail(error, std::string("unsupported escape '\\") +
-                                       esc + "'");
+                fail(std::string("unsupported escape '\\") + esc + "'");
             }
         }
-        return fail(error, "unterminated string");
+        fail("unterminated string");
     }
 
     /** A value: one string, or an array of strings. */
-    bool
-    parseValue(const std::string &key, std::vector<std::string> &values,
-               std::string &error)
+    std::vector<std::string>
+    parseValue(const std::string &key)
     {
+        std::vector<std::string> values;
         skipSpace();
-        if (pos < text.size() && text[pos] == '[') {
-            ++pos;
+        if (consume('[')) {
             skipSpace();
             if (consume(']'))
-                return true;
+                return values;
             for (;;) {
-                std::string item;
-                if (!parseString(item, error))
-                    return false;
-                values.push_back(std::move(item));
+                values.push_back(parseString());
                 skipSpace();
                 if (consume(','))
                     continue;
                 if (consume(']'))
-                    return true;
-                return fail(error, "expected ',' or ']' in \"" + key +
-                                       "\"");
+                    return values;
+                fail("expected ',' or ']' in \"" + key + "\"");
             }
         }
-        std::string item;
-        if (!parseString(item, error))
-            return fail(error, "field \"" + key +
-                                   "\" must be a string or an array of "
-                                   "strings");
-        values.push_back(std::move(item));
-        return true;
+        if (pos >= text.size() || text[pos] != '"')
+            fail("field \"" + key +
+                 "\" must be a string or an array of strings");
+        values.push_back(parseString());
+        return values;
     }
 
     const std::string &text;
@@ -182,104 +165,18 @@ errorResponse(int status, const std::string &message)
     return response;
 }
 
-/** Non-fatal twin of applyAssignment: apply "key=value" to @p config
- *  through the registry; false + @p error instead of exiting. */
-bool
-applyAssignmentChecked(SimConfig &config, const std::string &assignment,
-                       std::string &error)
-{
-    const std::size_t eq = assignment.find('=');
-    if (eq == std::string::npos || eq == 0) {
-        error = "malformed assignment '" + assignment +
-                "' (want key=value)";
-        return false;
-    }
-    const std::string key = assignment.substr(0, eq);
-    const std::string value = assignment.substr(eq + 1);
-    ConfigRegistry registry(config);
-    const ParamDef *def = registry.find(key);
-    if (!def) {
-        error = "unknown parameter '" + key + "'";
-        return false;
-    }
-    if (!def->set(value)) {
-        error = "bad value '" + value + "' for " + key + " (" +
-                def->type + ")";
-        return false;
-    }
-    return true;
-}
-
-/** Non-fatal twin of parseSweepAxis + the grid builder's validation:
- *  parse "key=v1,v2,..." and check every value parses for the key. */
-bool
-parseSweepAxisChecked(const SimConfig &base, const std::string &spec,
-                      SweepAxis &axis, std::string &error)
-{
-    const std::size_t eq = spec.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 == spec.size()) {
-        error = "malformed sweep axis '" + spec +
-                "' (want key=v1,v2,...)";
-        return false;
-    }
-    axis.key = spec.substr(0, eq);
-    axis.values.clear();
-    std::size_t start = eq + 1;
-    while (start <= spec.size()) {
-        std::size_t comma = spec.find(',', start);
-        if (comma == std::string::npos)
-            comma = spec.size();
-        if (comma == start) {
-            error = "empty value in sweep axis '" + spec + "'";
-            return false;
-        }
-        axis.values.push_back(spec.substr(start, comma - start));
-        start = comma + 1;
-    }
-
-    SimConfig scratch = base;
-    ConfigRegistry registry(scratch);
-    const ParamDef *def = registry.find(axis.key);
-    if (!def) {
-        error = "unknown sweep parameter '" + axis.key + "'";
-        return false;
-    }
-    for (const std::string &value : axis.values) {
-        if (!def->set(value)) {
-            error = "bad value '" + value + "' for " + axis.key + " (" +
-                    def->type + ")";
-            return false;
-        }
-    }
-    return true;
-}
-
 /** Resolve the "target" field: "all" (alone) or benchmark names. */
-bool
-resolveTargets(const std::vector<std::string> &targets,
-               std::vector<std::string> &benchmarks, std::string &error)
+std::vector<std::string>
+resolveTargets(const std::vector<std::string> &targets)
 {
     const std::vector<std::string> known = benchmarkNames();
-    if (targets.size() == 1 && targets[0] == "all") {
-        benchmarks = known;
-        return true;
-    }
-    for (const std::string &name : targets) {
-        bool found = false;
-        for (const std::string &k : known)
-            found = found || k == name;
-        if (!found) {
-            error = "unknown benchmark '" + name +
-                    "' (want \"all\" or names from GET /params)";
-            return false;
-        }
-        benchmarks.push_back(name);
-    }
-    if (benchmarks.empty()) {
-        error = "empty target list";
-        return false;
-    }
-    return true;
+    if (targets.size() == 1 && targets[0] == "all")
+        return known;
+    for (const std::string &name : targets)
+        if (std::find(known.begin(), known.end(), name) == known.end())
+            VPR_FATAL("unknown benchmark '", name,
+                      "' (want \"all\" or names from GET /params)");
+    return targets;
 }
 
 void
@@ -400,76 +297,53 @@ SweepService::dispatch(const HttpRequest &request, std::uint64_t minute)
 HttpResponse
 SweepService::handleSweep(const std::string &body)
 {
-    FlatJsonParser::Fields fields;
-    std::string error;
-    if (!FlatJsonParser(body).parse(fields, error))
-        return errorResponse(400, "bad JSON body: " + error);
-
-    std::vector<std::string> targets;
-    std::vector<std::string> sweeps;
-    std::vector<std::string> sets;
+    // Every user error below throws vpr::Error naming its key: a bad
+    // body, an unknown key or value, a malformed axis, or a cell no core
+    // can be built from (the engine validates every cell before running
+    // any). The batch binaries exit 1 on the same Error; the daemon
+    // answers 400 and lives on.
+    std::vector<GridCell> cells;
+    std::vector<SimResults> results;
     std::string figure = "vpr_simd-sweep";
     std::string format = "csv";
-    for (const auto &[key, values] : fields) {
-        if (key == "target") {
-            targets.insert(targets.end(), values.begin(), values.end());
-        } else if (key == "sweep") {
-            sweeps.insert(sweeps.end(), values.begin(), values.end());
-        } else if (key == "set") {
-            sets.insert(sets.end(), values.begin(), values.end());
-        } else if (key == "figure" && values.size() == 1) {
-            figure = values[0];
-        } else if (key == "format" && values.size() == 1) {
-            format = values[0];
-        } else {
-            return errorResponse(400, "unknown or malformed field \"" +
-                                          key +
-                                          "\" (want target, sweep, set, "
-                                          "figure, format)");
+    try {
+        std::vector<std::string> targets;
+        std::vector<std::string> sweeps;
+        std::vector<std::string> sets;
+        for (const auto &[key, values] : FlatJsonParser(body).parse()) {
+            if (key == "target") {
+                targets.insert(targets.end(), values.begin(),
+                               values.end());
+            } else if (key == "sweep") {
+                sweeps.insert(sweeps.end(), values.begin(), values.end());
+            } else if (key == "set") {
+                sets.insert(sets.end(), values.begin(), values.end());
+            } else if (key == "figure" && values.size() == 1) {
+                figure = values[0];
+            } else if (key == "format" && values.size() == 1) {
+                format = values[0];
+            } else {
+                VPR_FATAL("unknown or malformed field \"", key,
+                          "\" (want target, sweep, set, figure, format)");
+            }
         }
+        if (format != "csv" && format != "json")
+            VPR_FATAL("bad format '", format, "' (want csv or json)");
+        if (targets.empty())
+            targets.push_back("all");
+
+        const std::vector<std::string> benchmarks =
+            resolveTargets(targets);
+        SimConfig config = base;
+        applyAssignments(config, sets);
+        std::vector<SweepAxis> axes;
+        for (const std::string &spec : sweeps)
+            axes.push_back(parseSweepAxis(spec));
+        cells = buildSweepGrid(benchmarks, config, axes);
+        results = runGrid(cells, jobs);
+    } catch (const Error &e) {
+        return errorResponse(400, e.what());
     }
-    if (format != "csv" && format != "json")
-        return errorResponse(400, "bad format '" + format +
-                                      "' (want csv or json)");
-    if (targets.empty())
-        targets.push_back("all");
-
-    std::vector<std::string> benchmarks;
-    if (!resolveTargets(targets, benchmarks, error))
-        return errorResponse(400, error);
-
-    SimConfig config = base;
-    for (const std::string &assignment : sets)
-        if (!applyAssignmentChecked(config, assignment, error))
-            return errorResponse(400, error);
-
-    std::vector<SweepAxis> axes;
-    for (const std::string &spec : sweeps) {
-        SweepAxis axis;
-        if (!parseSweepAxisChecked(config, spec, axis, error))
-            return errorResponse(400, error);
-        axes.push_back(std::move(axis));
-    }
-
-    // Every key and value is pre-validated, so the fatal()ing sweep
-    // helper below cannot fire — the daemon shares its one code path
-    // (and its cell order) with the batch binaries.
-    const std::vector<GridCell> cells =
-        buildSweepGrid(benchmarks, config, axes);
-    // Cross-parameter constraints span keys, so only whole cells can be
-    // checked: each one exactly as the engine will construct it
-    // (instruction scale applied), since the Simulator fatal()s on what
-    // validationError() reports.
-    for (const GridCell &cell : cells) {
-        SimConfig scaled = cell.config;
-        applyInstructionScale(scaled);
-        const std::string invalid = scaled.validationError();
-        if (!invalid.empty())
-            return errorResponse(400, "invalid configuration for " +
-                                          cell.benchmark + ": " +
-                                          invalid);
-    }
-    const std::vector<SimResults> results = runGrid(cells, jobs);
 
     std::vector<std::size_t> indices(cells.size());
     for (std::size_t i = 0; i < indices.size(); ++i)

@@ -160,13 +160,10 @@ struct SimConfig
     /** Set the rename scheme. */
     void setScheme(RenameScheme scheme);
 
-    /** Validate cross-parameter constraints; fatal()s on user error. */
+    /** Check every per-key range and cross-parameter constraint a core
+     *  needs to build and make progress; throws Error naming the first
+     *  offending key. */
     void validate() const;
-
-    /** Non-fatal form of validate(): the first constraint violation as
-     *  a message, or an empty string when the config is valid. Lets a
-     *  long-lived server reject a bad request instead of exiting. */
-    std::string validationError() const;
 
     /**
      * Reflect the whole config tree — run control, the core, and every

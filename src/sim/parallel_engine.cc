@@ -14,6 +14,15 @@ namespace vpr
 namespace
 {
 
+/** @p cell's config exactly as it runs: instruction scale applied. */
+SimConfig
+scaledConfig(const GridCell &cell)
+{
+    SimConfig config = cell.config;
+    applyInstructionScale(config);
+    return config;
+}
+
 SimResults
 runCell(const GridCell &cell)
 {
@@ -31,8 +40,7 @@ runCell(const GridCell &cell)
             return cached;
     }
 
-    SimConfig config = cell.config;
-    applyInstructionScale(config);
+    const SimConfig config = scaledConfig(cell);
     SimResults results = [&] {
         if (cell.makeStream) {
             std::unique_ptr<TraceStream> stream = cell.makeStream();
@@ -69,6 +77,12 @@ ParallelExperimentEngine::workersFor(std::size_t cellCount) const
 std::vector<SimResults>
 ParallelExperimentEngine::run(const std::vector<GridCell> &cells) const
 {
+    // Validate every cell exactly as it will run before running any: a
+    // bad grid fails on its first bad cell without spending compute on
+    // the good ones.
+    for (const GridCell &cell : cells)
+        scaledConfig(cell).validate();
+
     std::vector<SimResults> results(cells.size());
 
     const unsigned workers = workersFor(cells.size());

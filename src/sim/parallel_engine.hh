@@ -58,8 +58,9 @@ class ParallelExperimentEngine
     /**
      * Run every cell and return results in cell order. The instruction
      * scale (VPR_INSTS_SCALE) is applied to each cell exactly as the
-     * serial runOne does. Deterministic: results depend only on the
-     * cells, never on jobs or scheduling.
+     * serial runOne does, and every scaled cell is validated before any
+     * runs (the first invalid one throws Error). Deterministic: results
+     * depend only on the cells, never on jobs or scheduling.
      */
     std::vector<SimResults> run(const std::vector<GridCell> &cells) const;
 

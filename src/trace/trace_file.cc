@@ -1,6 +1,9 @@
 #include "trace/trace_file.hh"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
+#include <memory>
 
 #include "common/logging.hh"
 
@@ -42,17 +45,6 @@ packReg(const RegId &r, std::uint8_t &cls, std::uint8_t &lo,
     hi = static_cast<std::uint8_t>(r.index() >> 8);
 }
 
-RegId
-unpackReg(std::uint8_t cls, std::uint8_t lo, std::uint8_t hi)
-{
-    if (cls == 0xff)
-        return RegId::none();
-    std::uint16_t idx =
-        static_cast<std::uint16_t>(lo) |
-        (static_cast<std::uint16_t>(hi) << 8);
-    return RegId(static_cast<RegClass>(cls), idx);
-}
-
 DiskRecord
 pack(const TraceRecord &r)
 {
@@ -69,22 +61,54 @@ pack(const TraceRecord &r)
     return d;
 }
 
+/** Decode one register operand of record @p i of @p path; throws Error
+ *  unless it is "none" or a valid architectural register. */
+RegId
+unpackReg(std::uint8_t cls, std::uint8_t lo, std::uint8_t hi,
+          const std::string &path, std::uint32_t i, const char *operand)
+{
+    if (cls == 0xff)
+        return RegId::none();
+    const std::uint16_t idx =
+        static_cast<std::uint16_t>(lo) |
+        (static_cast<std::uint16_t>(hi) << 8);
+    if (cls >= kNumRegClasses || idx >= kNumLogicalRegs)
+        VPR_FATAL("'", path, "': record ", i, ": bad ", operand,
+                  " register (class ", unsigned(cls), ", index ", idx,
+                  ")");
+    return RegId(static_cast<RegClass>(cls), idx);
+}
+
+/** Decode record @p i of @p path; throws Error on a bad field. */
 TraceRecord
-unpack(const DiskRecord &d)
+unpack(const DiskRecord &d, const std::string &path, std::uint32_t i)
 {
     TraceRecord r;
     r.pc = d.pc;
     r.effAddr = d.effAddr;
     r.target = d.target;
-    VPR_ASSERT(d.op < kNumOpClasses, "trace file: bad op class ",
-               unsigned(d.op));
+    if (d.op >= kNumOpClasses)
+        VPR_FATAL("'", path, "': record ", i, ": bad op class ",
+                  unsigned(d.op));
     r.op = static_cast<OpClass>(d.op);
-    r.dest = unpackReg(d.destClass, d.destIdxLo, d.destIdxHi);
-    r.src[0] = unpackReg(d.src0Class, d.src0IdxLo, d.src0IdxHi);
-    r.src[1] = unpackReg(d.src1Class, d.src1IdxLo, d.src1IdxHi);
+    r.dest = unpackReg(d.destClass, d.destIdxLo, d.destIdxHi, path, i,
+                       "dest");
+    r.src[0] = unpackReg(d.src0Class, d.src0IdxLo, d.src0IdxHi, path, i,
+                         "src0");
+    r.src[1] = unpackReg(d.src1Class, d.src1IdxLo, d.src1IdxHi, path, i,
+                         "src1");
     r.memSize = d.memSize;
     r.taken = d.taken != 0;
     return r;
+}
+
+/** An open FILE that closes itself, also when an Error unwinds. */
+using File = std::unique_ptr<std::FILE, int (*)(std::FILE *)>;
+
+File
+openFile(const std::string &path, const char *mode)
+{
+    return File(std::fopen(path.c_str(), mode), &std::fclose);
 }
 
 } // namespace
@@ -93,80 +117,77 @@ std::size_t
 writeTraceFile(const std::string &path,
                const std::vector<TraceRecord> &records)
 {
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        VPR_FATAL("cannot open trace file '", path, "' for writing");
-
-    std::uint32_t version = kTraceFormatVersion;
-    std::uint32_t count = static_cast<std::uint32_t>(records.size());
-    if (std::fwrite(kMagic, sizeof(kMagic), 1, f) != 1 ||
-        std::fwrite(&version, sizeof(version), 1, f) != 1 ||
-        std::fwrite(&count, sizeof(count), 1, f) != 1) {
-        std::fclose(f);
-        VPR_FATAL("short write on trace header '", path, "'");
-    }
-    for (const auto &r : records) {
-        DiskRecord d = pack(r);
-        if (std::fwrite(&d, sizeof(d), 1, f) != 1) {
-            std::fclose(f);
-            VPR_FATAL("short write on trace body '", path, "'");
-        }
-    }
-    std::fclose(f);
-    return records.size();
+    VectorTraceStream stream(records);
+    return writeTraceFile(path, stream, records.size());
 }
 
 std::size_t
 writeTraceFile(const std::string &path, TraceStream &stream,
                std::size_t maxRecords)
 {
-    std::vector<TraceRecord> recs;
-    recs.reserve(maxRecords);
-    for (std::size_t i = 0; i < maxRecords; ++i) {
-        auto r = stream.next();
+    // Records stream straight to disk, so memory use never depends on
+    // the requested count; the header's count is patched in at the end.
+    if (maxRecords > std::numeric_limits<std::uint32_t>::max())
+        VPR_FATAL("cannot write ", maxRecords, " records to trace file '",
+                  path, "' (the format counts at most 2^32 - 1)");
+    const File f = openFile(path, "wb");
+    if (!f)
+        VPR_FATAL("cannot open trace file '", path, "' for writing");
+
+    std::uint32_t version = kTraceFormatVersion;
+    std::uint32_t count = 0;
+    if (std::fwrite(kMagic, sizeof(kMagic), 1, f.get()) != 1 ||
+        std::fwrite(&version, sizeof(version), 1, f.get()) != 1 ||
+        std::fwrite(&count, sizeof(count), 1, f.get()) != 1)
+        VPR_FATAL("short write on trace header '", path, "'");
+    for (; count < maxRecords; ++count) {
+        const std::optional<TraceRecord> r = stream.next();
         if (!r)
             break;
-        recs.push_back(*r);
+        DiskRecord d = pack(*r);
+        if (std::fwrite(&d, sizeof(d), 1, f.get()) != 1)
+            VPR_FATAL("short write on trace body '", path, "'");
     }
-    return writeTraceFile(path, recs);
+    const long countOffset = sizeof(kMagic) + sizeof(version);
+    if (std::fseek(f.get(), countOffset, SEEK_SET) != 0 ||
+        std::fwrite(&count, sizeof(count), 1, f.get()) != 1)
+        VPR_FATAL("short write on trace header '", path, "'");
+    return count;
 }
 
 std::vector<TraceRecord>
 readTraceFile(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
+    const File f = openFile(path, "rb");
     if (!f)
         VPR_FATAL("cannot open trace file '", path, "'");
 
     char magic[8];
     std::uint32_t version = 0, count = 0;
-    if (std::fread(magic, sizeof(magic), 1, f) != 1 ||
-        std::memcmp(magic, kMagic, sizeof(magic)) != 0) {
-        std::fclose(f);
+    if (std::fread(magic, sizeof(magic), 1, f.get()) != 1 ||
+        std::memcmp(magic, kMagic, sizeof(magic)) != 0)
         VPR_FATAL("'", path, "' is not a vpr trace file");
-    }
-    if (std::fread(&version, sizeof(version), 1, f) != 1 ||
-        version != kTraceFormatVersion) {
-        std::fclose(f);
+    if (std::fread(&version, sizeof(version), 1, f.get()) != 1 ||
+        version != kTraceFormatVersion)
         VPR_FATAL("'", path, "': unsupported trace version ", version);
-    }
-    if (std::fread(&count, sizeof(count), 1, f) != 1) {
-        std::fclose(f);
+    if (std::fread(&count, sizeof(count), 1, f.get()) != 1)
         VPR_FATAL("'", path, "': truncated header");
-    }
 
+    // Trust the header's count only as far as the file backs it.
+    const long bodyStart = std::ftell(f.get());
+    std::fseek(f.get(), 0, SEEK_END);
+    const long bodyBytes = std::ftell(f.get()) - bodyStart;
+    std::fseek(f.get(), bodyStart, SEEK_SET);
     std::vector<TraceRecord> recs;
-    recs.reserve(count);
+    recs.reserve(std::min<std::uint64_t>(
+        count, bodyBytes < 0 ? 0 : bodyBytes / sizeof(DiskRecord)));
     for (std::uint32_t i = 0; i < count; ++i) {
         DiskRecord d;
-        if (std::fread(&d, sizeof(d), 1, f) != 1) {
-            std::fclose(f);
+        if (std::fread(&d, sizeof(d), 1, f.get()) != 1)
             VPR_FATAL("'", path, "': truncated at record ", i, " of ",
                       count);
-        }
-        recs.push_back(unpack(d));
+        recs.push_back(unpack(d, path, i));
     }
-    std::fclose(f);
     return recs;
 }
 

@@ -27,20 +27,23 @@ inline constexpr std::uint32_t kTraceFormatVersion = 1;
 
 /**
  * Write trace records to @p path.
- * @return number of records written; fatal()s on I/O errors.
+ * @return number of records written; throws Error on I/O errors.
  */
 std::size_t writeTraceFile(const std::string &path,
                            const std::vector<TraceRecord> &records);
 
 /**
- * Drain up to @p maxRecords from @p stream into a trace file.
- * @return number of records written.
+ * Drain up to @p maxRecords from @p stream into a trace file, streaming
+ * to disk (memory use does not grow with @p maxRecords).
+ * @return number of records written; throws Error on I/O errors or a
+ *         @p maxRecords past the format's 32-bit count.
  */
 std::size_t writeTraceFile(const std::string &path, TraceStream &stream,
                            std::size_t maxRecords);
 
 /**
- * Read a whole trace file into memory; fatal()s on malformed files.
+ * Read a whole trace file into memory; throws Error naming the file
+ * (and the record) when it is missing, truncated or malformed.
  */
 std::vector<TraceRecord> readTraceFile(const std::string &path);
 

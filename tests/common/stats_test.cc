@@ -78,24 +78,6 @@ TEST(Distribution, ResetClearsEverything)
     EXPECT_EQ(d.bucketCount(3), 0u);
 }
 
-TEST(StatGroup, PrintsAllMembers)
-{
-    StatGroup g("grp");
-    Scalar s("grp.count", "counts things");
-    Average a("grp.avg", "averages things");
-    g.add(&s);
-    g.add(&a);
-    ++s;
-    a.sample(4.0);
-
-    std::ostringstream os;
-    g.print(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("grp.count"), std::string::npos);
-    EXPECT_NE(out.find("grp.avg"), std::string::npos);
-    EXPECT_NE(out.find("counts things"), std::string::npos);
-}
-
 TEST(StatGroup, ResetAllResetsMembers)
 {
     StatGroup g("grp");

@@ -3,7 +3,7 @@
  * Deadlock-freedom property (paper section 3.3): for any legal NRR in
  * [1, NPR - NLR], any physical-register count and both allocation
  * policies, the machine always makes forward progress. The Core panics
- * if nothing commits for `deadlockThreshold` cycles, so simply running
+ * if nothing commits for 200,000 cycles, so simply running
  * each configuration to a commit target is the property check. The
  * renamer's structural invariants are verified every 64 cycles.
  */
@@ -38,7 +38,6 @@ TEST_P(DeadlockFreedom, MakesForwardProgress)
     c.skipInsts = 0;
     c.measureInsts = 15000;
     c.core.invariantChecks = true;
-    c.core.deadlockThreshold = 100000;
     c.core.fetch.wrongPath = WrongPathMode::Synthesize;
 
     auto r = runOne(bench, c);
@@ -88,7 +87,6 @@ TEST(DeadlockEdge, MinimumMachineOneSpareRegister)
     c.setPhysRegs(33, 1);
     c.skipInsts = 0;
     c.measureInsts = 1500;
-    c.core.deadlockThreshold = 200000;
     auto r = runOne("compress", c);
     EXPECT_GE(r.committed(), 1500u);
 }

@@ -11,6 +11,8 @@
 #include "sim/experiment.hh"
 #include "trace/kernels/kernels.hh"
 
+#include "../support/expect_error.hh"
+
 namespace vpr
 {
 namespace
@@ -152,8 +154,7 @@ TEST(SamplingDeath, ZeroDetailedIntervalIsFatal)
     SimConfig c = paperConfig();
     c.sampling.enable = true;
     c.sampling.detailedInsts = 0;
-    EXPECT_EXIT(c.validate(), ::testing::ExitedWithCode(1),
-                "sim.sampling.detailed_insts must be >= 1");
+    EXPECT_VPR_ERROR(c.validate(), "sim.sampling.detailed_insts must be >= 1");
 }
 
 TEST(SamplingDeath, WarmupPlusDetailedBeyondPeriodIsFatal)
@@ -163,8 +164,7 @@ TEST(SamplingDeath, WarmupPlusDetailedBeyondPeriodIsFatal)
     c.sampling.periodInsts = 1000;
     c.sampling.warmupInsts = 800;
     c.sampling.detailedInsts = 300;
-    EXPECT_EXIT(c.validate(), ::testing::ExitedWithCode(1),
-                "exceeds the period");
+    EXPECT_VPR_ERROR(c.validate(), "exceeds the period");
 }
 
 TEST(SamplingDeath, PeriodBeyondMeasureBudgetIsFatal)
@@ -173,8 +173,7 @@ TEST(SamplingDeath, PeriodBeyondMeasureBudgetIsFatal)
     c.measureInsts = 10000;
     c.sampling.enable = true;
     c.sampling.periodInsts = 20000;
-    EXPECT_EXIT(c.validate(), ::testing::ExitedWithCode(1),
-                "not even one interval fits");
+    EXPECT_VPR_ERROR(c.validate(), "not even one interval fits");
 }
 
 } // namespace

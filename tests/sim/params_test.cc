@@ -14,6 +14,8 @@
 #include "sim/params.hh"
 #include "sim/config.hh"
 
+#include "../support/expect_error.hh"
+
 namespace vpr
 {
 namespace
@@ -283,69 +285,66 @@ TEST(ConfigParams, ParamReferenceDocumentsEveryParam)
 TEST(ConfigParamsDeath, UnknownKeyIsFatal)
 {
     SimConfig config;
-    EXPECT_EXIT(applyAssignment(config, "core.warp_drive=9"),
-                ::testing::ExitedWithCode(1), "unknown parameter");
+    EXPECT_VPR_ERROR(applyAssignment(config, "core.warp_drive=9"),
+                     "unknown parameter");
 }
 
 TEST(ConfigParamsDeath, MalformedAssignmentIsFatal)
 {
     SimConfig config;
-    EXPECT_EXIT(applyAssignment(config, "core.iq_size"),
-                ::testing::ExitedWithCode(1), "malformed assignment");
+    EXPECT_VPR_ERROR(applyAssignment(config, "core.iq_size"),
+                     "malformed assignment");
 }
 
 TEST(ConfigParamsDeath, BadValueIsFatal)
 {
     SimConfig config;
-    EXPECT_EXIT(applyAssignment(config, "core.iq_size=lots"),
-                ::testing::ExitedWithCode(1), "bad value");
+    EXPECT_VPR_ERROR(applyAssignment(config, "core.iq_size=lots"),
+                     "bad value");
 }
 
 TEST(ConfigParamsDeath, OutOfRangeValueIsFatal)
 {
     SimConfig config;
     // phys_regs is a u16 field: 70000 does not fit.
-    EXPECT_EXIT(applyAssignment(config, "core.rename.phys_regs=70000"),
-                ::testing::ExitedWithCode(1), "bad value");
+    EXPECT_VPR_ERROR(applyAssignment(config, "core.rename.phys_regs=70000"),
+                     "bad value");
 }
 
 TEST(ConfigParamsDeath, BadEnumNameIsFatal)
 {
     SimConfig config;
-    EXPECT_EXIT(applyAssignment(config, "core.scheme=magic"),
-                ::testing::ExitedWithCode(1), "bad value");
+    EXPECT_VPR_ERROR(applyAssignment(config, "core.scheme=magic"),
+                     "bad value");
 }
 
 TEST(ConfigParamsDeath, BadBoolIsFatal)
 {
     SimConfig config;
-    EXPECT_EXIT(
+    EXPECT_VPR_ERROR(
         applyAssignment(config, "core.fetch.wrong_path_mem=maybe"),
-        ::testing::ExitedWithCode(1), "bad value");
+        "bad value");
 }
 
 TEST(ConfigParamsDeath, LoadRejectsUnknownKey)
 {
     SimConfig config;
     std::istringstream is("{\n  \"core.warp_drive\": \"9\"\n}\n");
-    EXPECT_EXIT(loadConfig(config, is, "bad"),
-                ::testing::ExitedWithCode(1), "unknown parameter");
+    EXPECT_VPR_ERROR(loadConfig(config, is, "bad"), "unknown parameter");
 }
 
 TEST(ConfigParamsDeath, LoadRejectsMalformedDocument)
 {
     SimConfig config;
     std::istringstream is("core.iq_size: 64\n");
-    EXPECT_EXIT(loadConfig(config, is, "bad"),
-                ::testing::ExitedWithCode(1), "expected");
+    EXPECT_VPR_ERROR(loadConfig(config, is, "bad"), "expected");
 }
 
 TEST(ConfigParamsDeath, LoadRejectsMissingBraces)
 {
     SimConfig config;
     std::istringstream is("  \"core.iq_size\": \"64\"\n");
-    EXPECT_EXIT(loadConfig(config, is, "bad"),
-                ::testing::ExitedWithCode(1), "missing braces");
+    EXPECT_VPR_ERROR(loadConfig(config, is, "bad"), "missing braces");
 }
 
 } // namespace

@@ -9,6 +9,8 @@
 #include "common/io/zio.hh"
 #include "sim/results_io.hh"
 
+#include "../support/expect_error.hh"
+
 namespace vpr
 {
 namespace
@@ -58,8 +60,7 @@ constexpr const char *kGoldenConfigColumns =
     "cfg.core.issue_width,cfg.core.commit_width,cfg.core.rob_size,"
     "cfg.core.iq_size,cfg.core.lsq_size,cfg.core.reg_read_ports,"
     "cfg.core.reg_write_ports,cfg.core.cache_ports,cfg.core.scheme,"
-    "cfg.core.invariant_checks,"
-    "cfg.core.deadlock_threshold,cfg.core.rename.phys_regs,"
+    "cfg.core.invariant_checks,cfg.core.rename.phys_regs,"
     "cfg.core.rename.vp_regs,cfg.core.rename.nrr_int,"
     "cfg.core.rename.nrr_fp,cfg.core.fetch.fetch_width,"
     "cfg.core.fetch.buffer_capacity,cfg.core.fetch.bht_entries,"
@@ -74,7 +75,7 @@ constexpr const char *kGoldenConfigColumns =
 
 constexpr const char *kGoldenConfigValues =
     "1000,2000,7,0,20000,150,250,1,8,8,8,128,128,128,16,8,3,"
-    "vp-writeback,0,200000,"
+    "vp-writeback,0,"
     "64,160,32,32,8,16,2048,1,stall,7860237,0,3,2,3,3,2,2,16384,32,1,"
     "2,50,8,4";
 
@@ -84,7 +85,7 @@ goldenCsv()
     std::string row = std::string("swim,") + kGoldenConfigValues +
                       ",1600,2000,1.25\n";
     return "# vpr-results v1 figure=golden cells=2 shard=0/1 scale=1 "
-           "cfg=ad2765666cf135cb\n"
+           "cfg=a25226c9ceb8e7cd\n"
            "cell,benchmark," + std::string(kGoldenConfigColumns) +
            ",core.cycles,core.committed,core.ipc\n"
            "0," + row + "1," + row;
@@ -136,7 +137,7 @@ TEST(ResultsJson, GoldenKeyOrderIsStable)
     // and metrics.
     EXPECT_NE(json.find("\"format\": \"vpr-results\""),
               std::string::npos);
-    EXPECT_NE(json.find("\"config_digest\": \"4a70d6aa1c5f38e2\""),
+    EXPECT_NE(json.find("\"config_digest\": \"192e10a87e605799\""),
               std::string::npos);
     EXPECT_NE(json.find("\"sim.sampling.enable\": \"0\""),
               std::string::npos);
@@ -280,8 +281,7 @@ TEST(ResultsCsvDeath, ScaleMismatchIsFatal)
         files.push_back(readResultsCsv(ib, "b"));
         mergeResults(files);
     };
-    EXPECT_EXIT(mergeMismatched(), ::testing::ExitedWithCode(1),
-                "instruction-scale mismatch");
+    EXPECT_VPR_ERROR(mergeMismatched(), "instruction-scale mismatch");
 }
 
 TEST(ResultsCsvDeath, ConfigDigestMismatchIsFatal)
@@ -303,8 +303,7 @@ TEST(ResultsCsvDeath, ConfigDigestMismatchIsFatal)
         files.push_back(readResultsCsv(ib, "b"));
         mergeResults(files);
     };
-    EXPECT_EXIT(mergeMismatched(), ::testing::ExitedWithCode(1),
-                "config provenance disagrees");
+    EXPECT_VPR_ERROR(mergeMismatched(), "config provenance disagrees");
 }
 
 TEST(ResultsCsvDeath, SamplingConfigMismatchCannotMerge)
@@ -327,8 +326,7 @@ TEST(ResultsCsvDeath, SamplingConfigMismatchCannotMerge)
         files.push_back(readResultsCsv(ib, "b"));
         mergeResults(files);
     };
-    EXPECT_EXIT(mergeMismatched(), ::testing::ExitedWithCode(1),
-                "config provenance disagrees");
+    EXPECT_VPR_ERROR(mergeMismatched(), "config provenance disagrees");
 }
 
 TEST(ResultsCsvDeath, SamplingParamMismatchNamesTheKey)
@@ -353,26 +351,24 @@ TEST(ResultsCsvDeath, SamplingParamMismatchNamesTheKey)
         ResultsFile file = readResultsCsv(is, "forged");
         verifyCellProvenance(file, cells, "forged");
     };
-    EXPECT_EXIT(verifyForged(), ::testing::ExitedWithCode(1),
-                "config provenance mismatch at cfg.sim.sampling.enable");
+    EXPECT_VPR_ERROR(verifyForged(),
+                     "config provenance mismatch at cfg.sim.sampling.enable");
 }
 
 TEST(ResultsCsvDeath, DuplicateCellIsFatal)
 {
-    EXPECT_EXIT(mergeSameShardTwice(halfShardCsv()),
-                ::testing::ExitedWithCode(1), "more than one shard");
+    EXPECT_VPR_ERROR(mergeSameShardTwice(halfShardCsv()),
+                     "more than one shard");
 }
 
 TEST(ResultsCsvDeath, IncompleteMergeIsFatal)
 {
-    EXPECT_EXIT(mergeSingleShard(halfShardCsv()),
-                ::testing::ExitedWithCode(1), "incomplete merge");
+    EXPECT_VPR_ERROR(mergeSingleShard(halfShardCsv()), "incomplete merge");
 }
 
 TEST(ResultsCsvDeath, MalformedFileIsFatal)
 {
-    EXPECT_EXIT(readMalformed(), ::testing::ExitedWithCode(1),
-                "vpr-results");
+    EXPECT_VPR_ERROR(readMalformed(), "vpr-results");
 }
 
 // --- reader error paths ---------------------------------------------------
@@ -386,32 +382,31 @@ readCsvText(const std::string &text)
 
 TEST(ResultsCsvDeath, EmptyFileIsFatal)
 {
-    EXPECT_EXIT(readCsvText(""), ::testing::ExitedWithCode(1),
-                "empty result file");
+    EXPECT_VPR_ERROR(readCsvText(""), "empty result file");
 }
 
 TEST(ResultsCsvDeath, UnsupportedVersionIsFatal)
 {
-    EXPECT_EXIT(
+    EXPECT_VPR_ERROR(
         readCsvText("# vpr-results v9 figure=f cells=1 shard=0/1\n"),
-        ::testing::ExitedWithCode(1), "unsupported version");
+        "unsupported version");
 }
 
 TEST(ResultsCsvDeath, TruncatedAfterMetadataIsFatal)
 {
-    EXPECT_EXIT(
+    EXPECT_VPR_ERROR(
         readCsvText("# vpr-results v1 figure=f cells=1 shard=0/1\n"),
-        ::testing::ExitedWithCode(1), "missing header row");
+        "missing header row");
 }
 
 TEST(ResultsCsvDeath, UnknownHeaderIsFatal)
 {
     // A header whose fixed columns do not match the writer's layout
     // (e.g. a hand-edited or foreign file).
-    EXPECT_EXIT(
+    EXPECT_VPR_ERROR(
         readCsvText("# vpr-results v1 figure=f cells=1 shard=0/1\n"
                     "cell,bogus_column,core.ipc\n"),
-        ::testing::ExitedWithCode(1), "unexpected header row");
+        "unexpected header row");
 }
 
 TEST(ResultsCsvDeath, TruncatedRowIsFatal)
@@ -422,8 +417,7 @@ TEST(ResultsCsvDeath, TruncatedRowIsFatal)
     std::size_t lastComma = csv.rfind(',');
     ASSERT_NE(lastComma, std::string::npos);
     csv = csv.substr(0, lastComma) + "\n";
-    EXPECT_EXIT(readCsvText(csv), ::testing::ExitedWithCode(1),
-                "columns");
+    EXPECT_VPR_ERROR(readCsvText(csv), "columns");
 }
 
 TEST(ResultsCsvDeath, CellIndexOutOfRangeIsFatal)
@@ -433,8 +427,7 @@ TEST(ResultsCsvDeath, CellIndexOutOfRangeIsFatal)
     std::size_t rowStart = csv.rfind("\n0,");
     ASSERT_NE(rowStart, std::string::npos);
     csv.replace(rowStart, 3, "\n7,");
-    EXPECT_EXIT(readCsvText(csv), ::testing::ExitedWithCode(1),
-                "out of range");
+    EXPECT_VPR_ERROR(readCsvText(csv), "out of range");
 }
 
 TEST(ResultsCsvDeath, MixedMetricSchemasCannotMerge)
@@ -456,8 +449,7 @@ TEST(ResultsCsvDeath, MixedMetricSchemasCannotMerge)
         files.push_back(readResultsCsv(ib, "b"));
         mergeResults(files);
     };
-    EXPECT_EXIT(mergeMixed(), ::testing::ExitedWithCode(1),
-                "header mismatch");
+    EXPECT_VPR_ERROR(mergeMixed(), "header mismatch");
 }
 
 // --- distribution metrics round-trip --------------------------------------
@@ -571,8 +563,7 @@ TEST(ResultsVprzDeath, CorruptedArchiveIsFatal)
     ASSERT_TRUE(readFileBytes(path, raw));
     raw[raw.size() / 2] ^= 0x01;
     ASSERT_TRUE(writeFileAtomic(path, raw));
-    EXPECT_EXIT(readResultsCsvFile(path),
-                ::testing::ExitedWithCode(1), "");
+    EXPECT_VPR_ERROR(readResultsCsvFile(path), "");
     std::remove(path.c_str());
 }
 

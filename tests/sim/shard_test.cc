@@ -13,6 +13,8 @@
 #include "figures.hh"
 #include "sim/results_io.hh"
 
+#include "../support/expect_error.hh"
+
 namespace vpr
 {
 namespace
@@ -29,14 +31,10 @@ TEST(ShardSpec, ParseAcceptsValidSpecs)
 
 TEST(ShardSpecDeath, ParseRejectsGarbage)
 {
-    EXPECT_EXIT(parseShard("5/5"), ::testing::ExitedWithCode(1),
-                "bad shard");
-    EXPECT_EXIT(parseShard("3"), ::testing::ExitedWithCode(1),
-                "bad shard");
-    EXPECT_EXIT(parseShard("x/2"), ::testing::ExitedWithCode(1),
-                "bad shard");
-    EXPECT_EXIT(parseShard("1/0"), ::testing::ExitedWithCode(1),
-                "bad shard");
+    EXPECT_VPR_ERROR(parseShard("5/5"), "bad shard");
+    EXPECT_VPR_ERROR(parseShard("3"), "bad shard");
+    EXPECT_VPR_ERROR(parseShard("x/2"), "bad shard");
+    EXPECT_VPR_ERROR(parseShard("1/0"), "bad shard");
 }
 
 TEST(ShardSpec, IndicesPartitionTheGrid)

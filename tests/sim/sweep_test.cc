@@ -18,6 +18,8 @@
 #include "sim/results_io.hh"
 #include "sim/sweep.hh"
 
+#include "../support/expect_error.hh"
+
 namespace vpr
 {
 namespace
@@ -36,12 +38,9 @@ TEST(SweepAxis, ParseAcceptsKeyAndValueList)
 
 TEST(SweepAxisDeath, ParseRejectsGarbage)
 {
-    EXPECT_EXIT(parseSweepAxis("core.scheme"),
-                ::testing::ExitedWithCode(1), "bad sweep spec");
-    EXPECT_EXIT(parseSweepAxis("=1,2"), ::testing::ExitedWithCode(1),
-                "bad sweep spec");
-    EXPECT_EXIT(parseSweepAxis("seed=1,,2"),
-                ::testing::ExitedWithCode(1), "empty value");
+    EXPECT_VPR_ERROR(parseSweepAxis("core.scheme"), "bad sweep spec");
+    EXPECT_VPR_ERROR(parseSweepAxis("=1,2"), "bad sweep spec");
+    EXPECT_VPR_ERROR(parseSweepAxis("seed=1,,2"), "empty value");
 }
 
 TEST(SweepGrid, CrossProductOrderIsBenchOuterRightmostFastest)
@@ -82,8 +81,7 @@ TEST(SweepGridDeath, UnknownAxisKeyIsFatal)
 {
     SimConfig base;
     std::vector<SweepAxis> axes = {parseSweepAxis("core.warp=1,2")};
-    EXPECT_EXIT(buildSweepGrid({"a"}, base, axes),
-                ::testing::ExitedWithCode(1), "unknown parameter");
+    EXPECT_VPR_ERROR(buildSweepGrid({"a"}, base, axes), "unknown parameter");
 }
 
 /**
@@ -199,9 +197,8 @@ TEST(SweepProvenance, VerifyAcceptsMatchingAndNamesTheDifferingKey)
     ASSERT_NE(it, fixed.end());
     bad.rows[2].values[static_cast<std::size_t>(it - fixed.begin())] =
         "123";
-    EXPECT_EXIT(verifyCellProvenance(bad, cells, "tampered"),
-                ::testing::ExitedWithCode(1),
-                "cfg.core.cache.miss_penalty");
+    EXPECT_VPR_ERROR(verifyCellProvenance(bad, cells, "tampered"),
+                     "cfg.core.cache.miss_penalty");
 }
 
 } // namespace

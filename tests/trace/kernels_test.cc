@@ -7,6 +7,8 @@
 
 #include "trace/kernels/kernels.hh"
 
+#include "../support/expect_error.hh"
+
 namespace vpr
 {
 namespace
@@ -144,8 +146,7 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, KernelMixTest,
 
 TEST(Kernels, UnknownBenchmarkDies)
 {
-    EXPECT_EXIT(makeKernel("nonexistent"),
-                ::testing::ExitedWithCode(1), "unknown benchmark");
+    EXPECT_VPR_ERROR(makeKernel("nonexistent"), "unknown benchmark");
 }
 
 TEST(Kernels, SketchesNonEmpty)

@@ -8,6 +8,8 @@
 #include "trace/kernels/kernels.hh"
 #include "trace/trace_file.hh"
 
+#include "../support/expect_error.hh"
+
 namespace vpr
 {
 namespace
@@ -89,8 +91,7 @@ TEST(TraceFile, EmptyTraceIsValid)
 
 TEST(TraceFileDeath, MissingFileIsFatal)
 {
-    EXPECT_EXIT(readTraceFile("/nonexistent/path.vprt"),
-                ::testing::ExitedWithCode(1), "cannot open");
+    EXPECT_VPR_ERROR(readTraceFile("/nonexistent/path.vprt"), "cannot open");
 }
 
 TEST(TraceFileDeath, GarbageFileIsFatal)
@@ -99,8 +100,7 @@ TEST(TraceFileDeath, GarbageFileIsFatal)
     std::FILE *f = std::fopen(path.c_str(), "wb");
     std::fputs("this is not a trace", f);
     std::fclose(f);
-    EXPECT_EXIT(readTraceFile(path), ::testing::ExitedWithCode(1),
-                "not a vpr trace");
+    EXPECT_VPR_ERROR(readTraceFile(path), "not a vpr trace");
     std::remove(path.c_str());
 }
 
@@ -116,8 +116,33 @@ TEST(TraceFileDeath, TruncatedBodyIsFatal)
     long sz = std::ftell(f);
     std::fclose(f);
     ASSERT_EQ(truncate(path.c_str(), sz - 20), 0);
-    EXPECT_EXIT(readTraceFile(path), ::testing::ExitedWithCode(1),
-                "truncated");
+    EXPECT_VPR_ERROR(readTraceFile(path), "truncated");
+    std::remove(path.c_str());
+}
+
+TEST(TraceFileDeath, DamagedHeaderAndRecordsAreErrors)
+{
+    // Each damage below used to abort the process or corrupt memory:
+    // a count the file cannot back was reserved up front (bad_alloc),
+    // a register index >= 32 overran the renamer's map tables, and an
+    // op class past the last one tripped an assertion.
+    TraceBuilder b;
+    b.alu(RegId::intReg(1), RegId::intReg(2), RegId::intReg(3));
+    const std::string path = tmpPath("damaged");
+    auto damage = [&](long offset, unsigned char byte) {
+        writeTraceFile(path, b.records());
+        std::FILE *f = std::fopen(path.c_str(), "rb+");
+        std::fseek(f, offset, SEEK_SET);
+        std::fputc(byte, f);
+        std::fclose(f);
+    };
+    const long record = 16;  // header: magic, version, count
+    damage(15, 0xff);        // count's top byte: ~4 G records claimed
+    EXPECT_VPR_ERROR(readTraceFile(path), "truncated at record 1 of");
+    damage(record + 26, 40);  // dest register index
+    EXPECT_VPR_ERROR(readTraceFile(path), "record 0: bad dest register");
+    damage(record + 24, 200);  // op class
+    EXPECT_VPR_ERROR(readTraceFile(path), "record 0: bad op class 200");
     std::remove(path.c_str());
 }
 

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "sim/result_cache.hh"
 
 using namespace vpr;
@@ -41,10 +42,8 @@ usage(const char *argv0)
     std::exit(1);
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+gcMain(int argc, char **argv)
 {
     std::uint64_t budget = 0;
     bool haveBudget = false;
@@ -81,4 +80,12 @@ main(int argc, char **argv)
                       << " planned files (some vanished concurrently)\n";
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain([&] { return gcMain(argc, argv); });
 }

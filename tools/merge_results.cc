@@ -47,8 +47,11 @@
 
 using namespace vpr;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+mergeMain(int argc, char **argv)
 {
     std::string outPath;
     bool render = false;
@@ -132,4 +135,12 @@ main(int argc, char **argv)
         def->render(cells, resultsFromFile(merged), std::cout);
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain([&] { return mergeMain(argc, argv); });
 }

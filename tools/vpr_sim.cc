@@ -51,6 +51,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "sim/experiment.hh"
 #include "sim/params.hh"
 #include "sim/results_io.hh"
@@ -125,10 +126,8 @@ printSweepTable(std::ostream &os, const std::vector<SweepAxis> &axes,
     }
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+simMain(int argc, char **argv)
 {
     SimConfig config = paperConfig();
     config.skipInsts = 20000;
@@ -343,4 +342,12 @@ main(int argc, char **argv)
         exportRecords(figure, {{target, config}}, {r});
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain([&] { return simMain(argc, argv); });
 }

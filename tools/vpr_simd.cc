@@ -32,6 +32,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/logging.hh"
 #include "service/http.hh"
 #include "service/sweep_service.hh"
 #include "sim/experiment.hh"
@@ -69,10 +70,8 @@ matchArg(const char *arg, const char *key, const char **value)
     return false;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+daemonMain(int argc, char **argv)
 {
     SimConfig config = paperConfig();
     config.skipInsts = 20000;
@@ -167,4 +166,12 @@ main(int argc, char **argv)
 
     std::cout << "vpr_simd: shutting down\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain([&] { return daemonMain(argc, argv); });
 }
