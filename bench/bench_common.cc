@@ -100,9 +100,6 @@ parseArgs(int argc, char **argv)
             opt.config.assignments.push_back(
                 "sim.sampling.detailed_insts=" +
                 std::to_string(preset->detailedInsts));
-        } else if (std::strncmp(argv[i], "--ckpt-dir=", 11) == 0) {
-            opt.config.assignments.push_back(
-                std::string("sim.ckpt.dir=") + (argv[i] + 11));
         } else if (std::strncmp(argv[i], "--result-cache=", 15) == 0) {
             opt.config.assignments.push_back(
                 std::string("sim.result_cache.dir=") + (argv[i] + 15));
@@ -112,8 +109,7 @@ parseArgs(int argc, char **argv)
             std::printf(
                 "usage: %s [--scale=<factor>] [--jobs=<n>] "
                 "[--shard=i/N] [--out=<path>]\n"
-                "          [--sampling] [--sampling-preset=<figure>] "
-                "[--ckpt-dir=<dir>]\n"
+                "          [--sampling] [--sampling-preset=<figure>]\n"
                 "          [--result-cache=<dir>]\n"
                 "          [--set <key>=<value>] [--config=<file.json>] "
                 "[--dump-config]\n"
@@ -142,9 +138,6 @@ parseArgs(int argc, char **argv)
                 "  applies the sim.sampling.* protocol tuned for the "
                 "named figure's\n"
                 "  grid (one preset per registered figure).\n"
-                "  --ckpt-dir caches warm-up state across runs "
-                "(= --set sim.ckpt.dir=<dir>;\n"
-                "  see README \"Checkpoints & warm-start sweeps\").\n"
                 "  --result-cache serves whole grid cells computed by "
                 "any earlier run\n"
                 "  from disk (= --set sim.result_cache.dir=<dir>; see "

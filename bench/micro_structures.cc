@@ -8,13 +8,10 @@
 
 #include <benchmark/benchmark.h>
 
-#include <filesystem>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "branch/bht.hh"
-#include "common/state.hh"
 #include "common/random.hh"
 #include "core/core.hh"
 #include "core/iq.hh"
@@ -130,7 +127,9 @@ BM_VirtualPhysicalRenameRoundTrip(benchmark::State &state)
 }
 BENCHMARK(BM_VirtualPhysicalRenameRoundTrip);
 
-/** IQ broadcast wakeup over a full 128-entry queue. */
+/** IQ broadcast wakeup over a full 128-entry queue: each broadcast
+ *  wakes the two entries waiting on its tag, which are then
+ *  re-subscribed so every iteration times a real wakeup. */
 void
 BM_IqWakeup(benchmark::State &state)
 {
@@ -145,13 +144,26 @@ BM_IqWakeup(benchmark::State &state)
         insts[i].src[0].tag = static_cast<std::uint16_t>(i % 64);
         iq.insert(&insts[i]);
     }
+    std::vector<ReadyRef> published;
+    std::uint64_t woken = 0;
     std::uint16_t tag = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(iq.wakeup(RegClass::Int, tag, tag));
-        for (auto *inst : iq.entries())
-            inst->src[0].ready = false;  // rearm
+        const unsigned n = iq.wakeup(RegClass::Int, tag, tag);
+        benchmark::DoNotOptimize(n);
+        woken += n;
+        // Rearm: a woken operand has left its tag's wait list, so the
+        // entry goes back through insert() to wait on the tag again.
+        for (std::size_t i = tag; i < insts.size(); i += 64) {
+            iq.remove(&insts[i]);
+            insts[i].src[0].ready = false;
+            iq.insert(&insts[i]);
+        }
+        iq.drainReadyEvents(published);
+        published.clear();
         tag = (tag + 1) % 64;
     }
+    state.counters["woken_per_broadcast"] =
+        static_cast<double>(woken) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_IqWakeup);
 
@@ -392,109 +404,22 @@ BM_SimulatorSampledCompress(benchmark::State &state)
 }
 BENCHMARK(BM_SimulatorSampledCompress)->Unit(benchmark::kMillisecond);
 
-/** A warmed, drained core ready to checkpoint: 20 k detailed
- *  instructions of swim, then a pipeline drain. */
-std::unique_ptr<Core>
-warmedCore(TraceStream &stream, const CoreConfig &config)
-{
-    auto core = std::make_unique<Core>(stream, config);
-    core->runUntilCommitted(20000);
-    core->drainForCheckpoint();
-    return core;
-}
-
-/** Serialize the warm state: the visitState walk plus checkpoint
- *  framing (no disk, no compression — that is the container's cost,
- *  reported by the save/restore end-to-end rows below). */
+/** One paper-style grid cell end to end: a 100 k instruction detailed
+ *  warm-up and a 20 k measured region of swim on a freshly built
+ *  simulator. */
 void
-BM_CheckpointSave(benchmark::State &state)
+BM_SimulatorColdStart(benchmark::State &state)
 {
-    SimConfig config = paperConfig();
-    config.core.fetch.wrongPath = WrongPathMode::Stall;
-    auto stream = makeBenchmarkStream("swim");
-    auto core = warmedCore(*stream, config.core);
-    std::size_t bytes = 0;
-    for (auto _ : state) {
-        StateSaver saver;
-        core->visitState(saver, CkptScope::Full);
-        std::string raw = packCheckpoint(CkptScope::Full, 1,
-                                         saver.take());
-        bytes = raw.size();
-        benchmark::DoNotOptimize(raw.data());
-    }
-    state.counters["ckpt_bytes"] =
-        static_cast<double>(bytes);
-}
-BENCHMARK(BM_CheckpointSave);
-
-/** Restore the warm state into a fresh core: frame checks, the
- *  visitState walk and the trace-position replay. */
-void
-BM_CheckpointRestore(benchmark::State &state)
-{
-    SimConfig config = paperConfig();
-    config.core.fetch.wrongPath = WrongPathMode::Stall;
-    auto stream = makeBenchmarkStream("swim");
-    std::string raw;
-    {
-        auto core = warmedCore(*stream, config.core);
-        StateSaver saver;
-        core->visitState(saver, CkptScope::Full);
-        raw = packCheckpoint(CkptScope::Full, 1, saver.take());
-    }
-    for (auto _ : state) {
-        std::string payload = unpackCheckpoint(raw, CkptScope::Full, 1);
-        Core fresh(*stream, config.core);
-        StateLoader loader(payload);
-        fresh.visitState(loader, CkptScope::Full);
-        benchmark::DoNotOptimize(fresh.committedInsts());
-    }
-}
-BENCHMARK(BM_CheckpointRestore);
-
-/** Warm-start payoff, end to end: one grid cell with a 100 k
- *  instruction warm-up and a 20 k measured region, cold versus
- *  restoring the warm-up from a populated --ckpt-dir. The
- *  BM_SimulatorColdStart / BM_SimulatorWarmStart ratio is the per-cell
- *  sweep speedup the checkpoint cache buys (target >= 2x). */
-void
-simulatorWarmStart(benchmark::State &state, bool useCache)
-{
-    namespace fs = std::filesystem;
     SimConfig config = paperConfig();
     config.skipInsts = 100000;
     config.measureInsts = 20000;
     config.core.fetch.wrongPath = WrongPathMode::Stall;
-    const fs::path dir =
-        fs::temp_directory_path() / "vpr_bench_warm_start";
-    if (useCache) {
-        fs::remove_all(dir);
-        fs::create_directories(dir);
-        config.ckpt.dir = dir.string();
-        Simulator prime("swim", config);
-        prime.run();  // populate the cache once, outside the timing
-    }
     for (auto _ : state) {
         Simulator sim("swim", config);
         benchmark::DoNotOptimize(sim.run().ipc());
     }
-    if (useCache)
-        fs::remove_all(dir);
-}
-
-void
-BM_SimulatorColdStart(benchmark::State &state)
-{
-    simulatorWarmStart(state, false);
 }
 BENCHMARK(BM_SimulatorColdStart)->Unit(benchmark::kMillisecond);
-
-void
-BM_SimulatorWarmStart(benchmark::State &state)
-{
-    simulatorWarmStart(state, true);
-}
-BENCHMARK(BM_SimulatorWarmStart)->Unit(benchmark::kMillisecond);
 
 /** Fixed per-cell overhead: construct + run + collect of one tiny
  *  sampled grid cell through the parallel engine, the unit of work a

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/state.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -50,21 +49,6 @@ class BhtPredictor
     std::uint64_t mispredicts() const { return nMispredicts; }
 
     void reset();
-
-    /** Serialize/restore the counters and the whole-run accuracy
-     *  numerators (common/state.hh). */
-    void
-    visitState(StateVisitor &v)
-    {
-        v.section("bht");
-        std::uint64_t n = table.size();
-        v.value(n);
-        if (v.loading() && n != table.size())
-            throw CkptError("BHT size mismatch");
-        v.bytes(table.data(), table.size());
-        v.value(nLookups);
-        v.value(nMispredicts);
-    }
 
   private:
     std::size_t index(Addr pc) const { return (pc >> 2) & mask; }

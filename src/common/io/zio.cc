@@ -11,8 +11,6 @@
 #include <unistd.h>
 #endif
 
-#include "common/state.hh"
-
 #ifdef VPR_HAVE_ZLIB
 #include <zlib.h>
 #endif
@@ -39,7 +37,7 @@ std::uint64_t
 readU64(const std::string &in, std::size_t &pos)
 {
     if (in.size() - pos < 8)
-        throw CkptError("truncated VPRZ container");
+        throw FormatError("truncated VPRZ container");
     std::uint64_t w = 0;
     for (int i = 0; i < 8; ++i)
         w |= static_cast<std::uint64_t>(
@@ -58,7 +56,7 @@ deflateBytes(const std::string &in)
     z_stream zs;
     std::memset(&zs, 0, sizeof(zs));
     if (deflateInit(&zs, Z_DEFAULT_COMPRESSION) != Z_OK)
-        throw CkptError("zlib deflateInit failed");
+        throw FormatError("zlib deflateInit failed");
     std::string out;
     char chunk[64 * 1024];
     zs.next_in =
@@ -73,7 +71,7 @@ deflateBytes(const std::string &in)
     } while (rc == Z_OK);
     deflateEnd(&zs);
     if (rc != Z_STREAM_END)
-        throw CkptError("zlib deflate failed");
+        throw FormatError("zlib deflate failed");
     return out;
 }
 
@@ -84,7 +82,7 @@ inflateBytes(const std::string &in, std::uint64_t rawSize)
     z_stream zs;
     std::memset(&zs, 0, sizeof(zs));
     if (inflateInit(&zs) != Z_OK)
-        throw CkptError("zlib inflateInit failed");
+        throw FormatError("zlib inflateInit failed");
     std::string out;  // rawSize is untrusted: grow, never reserve it
     char chunk[64 * 1024];
     zs.next_in =
@@ -97,18 +95,18 @@ inflateBytes(const std::string &in, std::uint64_t rawSize)
         rc = inflate(&zs, Z_NO_FLUSH);
         if (rc != Z_OK && rc != Z_STREAM_END) {
             inflateEnd(&zs);
-            throw CkptError("zlib inflate failed (corrupted stream)");
+            throw FormatError("zlib inflate failed (corrupted stream)");
         }
         out.append(chunk, sizeof(chunk) - zs.avail_out);
         if (out.size() > rawSize) {
             inflateEnd(&zs);
-            throw CkptError("VPRZ payload inflates past its declared "
-                            "size");
+            throw FormatError("VPRZ payload inflates past its declared "
+                              "size");
         }
     } while (rc != Z_STREAM_END);
     inflateEnd(&zs);
     if (out.size() != rawSize)
-        throw CkptError("VPRZ payload shorter than declared");
+        throw FormatError("VPRZ payload shorter than declared");
     return out;
 }
 
@@ -116,15 +114,24 @@ inflateBytes(const std::string &in, std::uint64_t rawSize)
 
 } // namespace
 
+std::uint64_t
+fnv1a(const void *data, std::size_t n, std::uint64_t seed)
+{
+    std::uint64_t h = seed;
+    const unsigned char *p = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= p[i];
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
 FileFormat
 guessFormat(const std::string &data)
 {
     if (data.size() >= sizeof(kVprzMagic) &&
         std::memcmp(data.data(), kVprzMagic, sizeof(kVprzMagic)) == 0)
         return FileFormat::Vprz;
-    if (data.size() >= sizeof(kCkptMagic) &&
-        std::memcmp(data.data(), kCkptMagic, sizeof(kCkptMagic)) == 0)
-        return FileFormat::Checkpoint;
     return FileFormat::Plain;
 }
 
@@ -175,13 +182,13 @@ vprzUnpack(const std::string &raw, const std::string &expectKind)
 {
     if (raw.size() < 8 ||
         std::memcmp(raw.data(), kVprzMagic, sizeof(kVprzMagic)) != 0)
-        throw CkptError("not a VPRZ container (wrong magic)");
+        throw FormatError("not a VPRZ container (wrong magic)");
     std::size_t pos = sizeof(kVprzMagic);
     std::uint8_t version = static_cast<unsigned char>(raw[pos++]);
     if (version != kVprzVersion)
-        throw CkptError("VPRZ container version skew (file v" +
-                        std::to_string(version) + ", expected v" +
-                        std::to_string(kVprzVersion) + ")");
+        throw FormatError("VPRZ container version skew (file v" +
+                          std::to_string(version) + ", expected v" +
+                          std::to_string(kVprzVersion) + ")");
     std::uint8_t codec = static_cast<unsigned char>(raw[pos++]);
     std::size_t kindLen =
         static_cast<unsigned char>(raw[pos]) |
@@ -189,40 +196,40 @@ vprzUnpack(const std::string &raw, const std::string &expectKind)
          << 8);
     pos += 2;
     if (raw.size() - pos < kindLen)
-        throw CkptError("truncated VPRZ container");
+        throw FormatError("truncated VPRZ container");
     std::string kind = raw.substr(pos, kindLen);
     pos += kindLen;
     if (!expectKind.empty() && kind != expectKind)
-        throw CkptError("VPRZ payload kind mismatch (file holds '" +
-                        kind + "', expected '" + expectKind + "')");
+        throw FormatError("VPRZ payload kind mismatch (file holds '" +
+                          kind + "', expected '" + expectKind + "')");
     std::uint64_t rawSize = readU64(raw, pos);
     std::uint64_t storedSize = readU64(raw, pos);
     if (raw.size() - pos < 8 || raw.size() - pos - 8 < storedSize)
-        throw CkptError("truncated VPRZ container");
+        throw FormatError("truncated VPRZ container");
     std::string stored = raw.substr(pos, storedSize);
     pos += storedSize;
     std::uint64_t checksum = readU64(raw, pos);
     if (pos != raw.size())
-        throw CkptError("trailing garbage after VPRZ container");
+        throw FormatError("trailing garbage after VPRZ container");
 
     std::string payload;
     if (codec == kCodecStore) {
         if (stored.size() != rawSize)
-            throw CkptError("VPRZ stored size disagrees with raw size");
+            throw FormatError("VPRZ stored size disagrees with raw size");
         payload = std::move(stored);
     } else if (codec == kCodecZlib) {
 #ifdef VPR_HAVE_ZLIB
         payload = inflateBytes(stored, rawSize);
 #else
-        throw CkptError("VPRZ payload is zlib-compressed but this "
-                        "build has no zlib");
+        throw FormatError("VPRZ payload is zlib-compressed but this "
+                          "build has no zlib");
 #endif
     } else {
-        throw CkptError("unknown VPRZ codec " + std::to_string(codec));
+        throw FormatError("unknown VPRZ codec " + std::to_string(codec));
     }
     if (fnv1a(payload) != checksum)
-        throw CkptError("VPRZ payload checksum mismatch (corrupted "
-                        "file)");
+        throw FormatError("VPRZ payload checksum mismatch (corrupted "
+                          "file)");
     return payload;
 }
 
@@ -241,7 +248,7 @@ bool
 writeFileAtomic(const std::string &path, const std::string &data)
 {
     // Unique per (process, thread-order) so concurrent writers — other
-    // grid-cell threads or whole other processes sharing a checkpoint
+    // grid-cell threads or whole other processes sharing a cache
     // directory — never collide on the temp name; rename() then makes
     // the publish atomic (last writer wins with identical content).
     static std::atomic<unsigned> tmpCounter{0};

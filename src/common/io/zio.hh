@@ -1,15 +1,16 @@
 /**
  * @file
  * Streaming compression + self-identifying container ("VPRZ") for
- * checkpoints and large grid result files, plus magic-byte format
- * autodetection so readers ingest compressed and plain inputs alike.
+ * result-cache entries and large grid result files, plus magic-byte
+ * format autodetection so readers ingest compressed and plain inputs
+ * alike.
  *
  * Container layout:
  *
  *   magic "VPRZ" (4 bytes)
  *   u8  container version (1)
  *   u8  codec: 0 = store (no compression), 1 = zlib deflate
- *   u16 kind length, kind bytes — what the payload is ("ckpt",
+ *   u16 kind length, kind bytes — what the payload is ("result",
  *       "results"); a reader expecting one kind rejects another
  *   u64 raw (uncompressed) payload size
  *   u64 stored (possibly compressed) payload size
@@ -19,7 +20,7 @@
  * zlib is found by CMake; when absent the codec falls back to store so
  * the container still round-trips (compression is a size optimization,
  * never a correctness dependency). Every malformed input throws
- * CkptError with a message naming the first failed check.
+ * FormatError with a message naming the first failed check.
  */
 
 #ifndef VPR_COMMON_IO_ZIO_HH
@@ -28,15 +29,35 @@
 #include <cstdint>
 #include <string>
 
+#include "common/logging.hh"
+
 namespace vpr
 {
+
+/** A damaged or foreign file: wrong magic, version skew, truncation,
+ *  checksum or field mismatch. The result-cache reader catches it and
+ *  re-simulates the cell; anywhere else it is an ordinary user Error. */
+class FormatError : public Error
+{
+  public:
+    using Error::Error;
+};
+
+/** FNV-1a 64-bit over a byte range (payload checksums, cache keys). */
+std::uint64_t fnv1a(const void *data, std::size_t n,
+                    std::uint64_t seed = 14695981039346656037ull);
+
+inline std::uint64_t
+fnv1a(const std::string &s, std::uint64_t seed = 14695981039346656037ull)
+{
+    return fnv1a(s.data(), s.size(), seed);
+}
 
 /** Detected on-disk format of an input file (by magic bytes). */
 enum class FileFormat : std::uint8_t
 {
-    Vprz,        ///< "VPRZ" compressed container
-    Checkpoint,  ///< bare "VPRCKPT" checkpoint
-    Plain,       ///< anything else (CSV/JSON results, text)
+    Vprz,   ///< "VPRZ" compressed container
+    Plain,  ///< anything else (CSV/JSON results, text)
 };
 
 /** Classify a buffer by its leading magic bytes. */
@@ -50,7 +71,7 @@ bool zlibAvailable();
 std::string vprzPack(const std::string &payload, const std::string &kind,
                      bool compress = true);
 
-/** Unwrap a VPRZ container, inflating as needed. Throws CkptError on
+/** Unwrap a VPRZ container, inflating as needed. Throws FormatError on
  *  any malformed field or on a kind mismatch (@p expectKind empty =
  *  accept any kind). */
 std::string vprzUnpack(const std::string &raw,
@@ -61,7 +82,7 @@ bool readFileBytes(const std::string &path, std::string &out);
 
 /** Write @p data to @p path atomically (unique temp file in the same
  *  directory + rename), so concurrent grid cells racing to publish the
- *  same checkpoint never expose a partial file. False on I/O failure. */
+ *  same cache entry never expose a partial file. False on I/O failure. */
 bool writeFileAtomic(const std::string &path, const std::string &data);
 
 } // namespace vpr

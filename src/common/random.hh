@@ -71,12 +71,6 @@ class Random
     /** Reset the internal state. */
     void reseed(std::uint64_t seed) { state = seed ? seed : 1; }
 
-    /** Raw generator state, for checkpointing. xorshift64* state is
-     *  never 0 once seeded, so the round trip is exact. @{ */
-    std::uint64_t rawState() const { return state; }
-    void setRawState(std::uint64_t s) { state = s ? s : 1; }
-    /** @} */
-
   private:
     std::uint64_t state;
 };

@@ -187,26 +187,6 @@ Core::fastForward(std::uint64_t n, bool warm)
 }
 
 void
-Core::visitState(StateVisitor &v, CkptScope scope)
-{
-    VPR_ASSERT(quiescent(), "checkpoint of a non-quiescent core");
-    // At quiescence the ROB/IQ/LSQ, latches, event calendar, port
-    // schedules and FU reservations are all empty or in the past —
-    // only the long-lived state below needs to travel.
-    v.section("clock");
-    v.value(state.curCycle);
-    v.value(state.lastCommitCycle);
-    v.value(ffRetired);
-    state.fetch.visitState(v, scope);
-    state.cache.visitState(v);
-    if (scope != CkptScope::Full)
-        return;
-    v.section("seq");
-    v.value(state.nextSeq);
-    state.renameMgr->visitState(v);
-}
-
-void
 Core::squashYoungerThan(InstSeqNum youngestKept)
 {
     state.squashYoungerThan(youngestKept);

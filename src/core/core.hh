@@ -30,7 +30,6 @@
 #include <array>
 #include <memory>
 
-#include "common/state.hh"
 #include "core/core_config.hh"
 #include "core/stages/commit_stage.hh"
 #include "core/stages/complete_stage.hh"
@@ -103,30 +102,6 @@ class Core : public SquashCoordinator
     /** The stage graph in tick order, back (commit) to front (fetch). */
     const std::array<Stage *, 5> &stages() const { return stageGraph; }
 
-    /**
-     * Drain the pipeline to a quiescent point (fetch paused until the
-     * ROB, queues and event calendar are empty) so the core can be
-     * checkpointed: at quiescence every transient structure is empty
-     * and only long-lived state needs to travel.
-     */
-    void drainForCheckpoint() { drain(); }
-
-    /** No in-flight work anywhere in the stage graph or latches. */
-    bool quiescent() const;
-
-    /**
-     * Serialize/restore the core at a quiescent point. Functional scope
-     * covers only the state a functional fast-forward warms (trace
-     * position, BHT, cache hierarchy, clocks) — one such checkpoint is
-     * shared by every sweep cell with the same warm-relevant
-     * configuration. Full scope adds the renamer, sequence numbers and
-     * whole-run counters for exact warm-up replay.
-     */
-    void visitState(StateVisitor &v, CkptScope scope);
-
-    /** Trace stream access (checkpoint identity/rewind). */
-    TraceStream &stream() { return state.fetch.stream(); }
-
     /** Component access (tests / detailed reporting). @{ */
     const Rob &rob() const { return state.rob; }
     const InstQueue &iq() const { return state.iq; }
@@ -140,6 +115,9 @@ class Core : public SquashCoordinator
     /** @} */
 
   private:
+    /** No in-flight work anywhere in the stage graph or latches. */
+    bool quiescent() const;
+
     /** Tick with fetch paused until the pipeline is empty. */
     void drain();
 

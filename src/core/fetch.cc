@@ -223,26 +223,4 @@ FetchUnit::resolveBranch(Cycle now)
     buffer.clear();
 }
 
-void
-FetchUnit::visitState(StateVisitor &v, CkptScope scope)
-{
-    VPR_ASSERT(buffer.empty() && !waiting,
-               "fetch checkpointed while not drained");
-    v.section("fetch");
-    trace.visitState(v);
-    bht.visitState(v);
-    v.value(exhausted);
-    if (scope != CkptScope::Full)
-        return;
-    // stallUntil can still point past the drain point: the final commit
-    // before quiescence may have resolved a mispredict.
-    v.value(stallUntil);
-    v.rng(wpRng);
-    v.value(wpPc);
-    v.value(nReal);
-    v.value(nWrongPath);
-    v.value(nBranches);
-    v.value(nMispredicts);
-}
-
 } // namespace vpr

@@ -132,19 +132,6 @@ class FetchUnit
 
     const BhtPredictor &predictor() const { return bht; }
 
-    /** The trace stream fetch reads from (checkpointing). */
-    TraceStream &stream() { return trace; }
-    const TraceStream &stream() const { return trace; }
-
-    /**
-     * Serialize/restore fetch state at a drained point (buffer empty,
-     * no mispredict outstanding). Functional scope covers the warm
-     * subset that survives a fast-forward: trace position and BHT.
-     * Full scope adds the wrong-path synthesizer and the whole-run
-     * fetch/branch counters.
-     */
-    void visitState(StateVisitor &v, CkptScope scope);
-
     /** Statistics. @{ */
     std::uint64_t fetchedReal() const { return nReal; }
     std::uint64_t fetchedWrongPath() const { return nWrongPath; }

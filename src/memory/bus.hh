@@ -10,7 +10,6 @@
 #ifndef VPR_MEMORY_BUS_HH
 #define VPR_MEMORY_BUS_HH
 
-#include "common/state.hh"
 #include "common/types.hh"
 
 namespace vpr
@@ -44,16 +43,6 @@ class Bus
     std::uint64_t queueingCycles() const { return nQueueing; }
 
     void reset();
-
-    /** Serialize/restore occupancy horizon + counters. */
-    void
-    visitState(StateVisitor &v)
-    {
-        v.section("bus");
-        v.value(nextFree);
-        v.value(nTransfers);
-        v.value(nQueueing);
-    }
 
   private:
     unsigned occCycles;

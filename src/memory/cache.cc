@@ -172,32 +172,6 @@ NonBlockingCache::reset()
 }
 
 void
-NonBlockingCache::visitState(StateVisitor &v)
-{
-    v.section("cache");
-    std::uint64_t n = lines.size();
-    v.value(n);
-    if (v.loading() && n != lines.size())
-        throw CkptError("cache geometry mismatch");
-    for (Line &l : lines) {
-        v.value(l.valid);
-        v.value(l.dirty);
-        v.value(l.tag);
-        v.value(l.lastUse);
-    }
-    mshrFile.visitState(v);
-    theBus.visitState(v);
-    v.value(nAccesses);
-    v.value(nHits);
-    v.value(nMisses);
-    v.value(nMerged);
-    v.value(nBlocked);
-    v.value(nWritebacks);
-    v.value(baseAccesses);
-    v.value(baseMisses);
-}
-
-void
 NonBlockingCache::regStats(stats::StatRegistry &r)
 {
     r.add(

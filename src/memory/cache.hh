@@ -113,14 +113,6 @@ class NonBlockingCache
     void reset();
 
     /**
-     * Serialize/restore the tag array, the in-flight MSHRs, the bus and
-     * the whole-run counters (common/state.hh). The monotonic counters
-     * must travel so whole-run metrics (miss rate) exported after a
-     * restore match a cold run byte for byte.
-     */
-    void visitState(StateVisitor &v);
-
-    /**
      * Register the "memory" stat group into the core's stats tree. The
      * exported access/miss counts are measurement-interval deltas of
      * the monotonic counters above; the miss rate stays whole-run (the

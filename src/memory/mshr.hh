@@ -15,7 +15,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/state.hh"
 #include "common/types.hh"
 
 namespace vpr
@@ -84,31 +83,6 @@ class MshrFile
 
     /** All live entries (tests/inspection). */
     const std::vector<Mshr> &entries() const { return live; }
-
-    /** Serialize/restore the in-flight fills. Fills are *not* pipeline
-     *  events, so the MSHR file can legitimately be non-empty at a
-     *  drained checkpoint — the entries travel as plain records. */
-    void
-    visitState(StateVisitor &v)
-    {
-        v.section("mshr");
-        std::uint64_t n = live.size();
-        v.value(n);
-        if (v.loading()) {
-            if (n > capacity)
-                throw CkptError("MSHR count exceeds capacity");
-            live.resize(static_cast<std::size_t>(n));
-        }
-        for (Mshr &m : live) {
-            v.value(m.lineAddr);
-            v.value(m.fillCycle);
-            v.value(m.needsWriteback);
-            v.value(m.victimLine);
-            v.value(m.targets);
-            v.value(m.dirty);
-        }
-        v.value(earliestFill);
-    }
 
   private:
     std::size_t capacity;

@@ -161,16 +161,4 @@ ConventionalRename::checkInvariants() const
     }
 }
 
-void
-ConventionalRename::visitState(StateVisitor &v)
-{
-    RenameManager::visitState(v);
-    v.section("rename.conv");
-    for (std::size_t c = 0; c < kNumRegClasses; ++c) {
-        v.fixedVec(mapTable[c]);
-        v.boolVec(ready[c]);
-        v.dynVec(freeList[c]);
-    }
-}
-
 } // namespace vpr

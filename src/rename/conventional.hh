@@ -41,7 +41,6 @@ class ConventionalRename : public RenameManager
 
     std::size_t freePhysRegs(RegClass cls) const override;
     void checkInvariants() const override;
-    void visitState(StateVisitor &v) override;
 
     /** Current mapping of a logical register (tests). */
     PhysRegId

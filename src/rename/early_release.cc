@@ -1,8 +1,5 @@
 #include "rename/early_release.hh"
 
-#include <algorithm>
-#include <vector>
-
 #include "common/logging.hh"
 
 namespace vpr
@@ -141,35 +138,6 @@ EarlyReleaseRename::checkInvariants() const
                        "current mapping ", p, " marked superseded");
         }
     }
-}
-
-void
-EarlyReleaseRename::visitState(StateVisitor &v)
-{
-    ConventionalRename::visitState(v);
-    v.section("rename.er");
-    for (std::size_t c = 0; c < kNumRegClasses; ++c) {
-        std::uint64_t n = state[c].size();
-        v.value(n);
-        if (v.loading() && n != state[c].size())
-            throw CkptError("early-release table size mismatch");
-        for (RegState &st : state[c]) {
-            v.value(st.pendingReaders);
-            v.value(st.written);
-            v.value(st.superseded);
-            v.value(st.earlyFreed);
-            v.value(st.supersederSeq);
-        }
-    }
-    // The set is empty at a drained point; serialize it sorted anyway so
-    // the encoding is canonical and independent of hashing order.
-    std::vector<InstSeqNum> owed(owedFrees.begin(), owedFrees.end());
-    std::sort(owed.begin(), owed.end());
-    v.dynVec(owed);
-    if (v.loading())
-        owedFrees = std::unordered_set<InstSeqNum>(owed.begin(),
-                                                   owed.end());
-    v.value(nEarlyReleases);
 }
 
 } // namespace vpr

@@ -54,7 +54,6 @@ class EarlyReleaseRename : public ConventionalRename
     void commitInst(DynInst &inst, Cycle now) override;
     void squashInst(DynInst &inst, Cycle now) override;
     void checkInvariants() const override;
-    void visitState(StateVisitor &v) override;
 
     /** Registers freed before their superseder committed. */
     std::uint64_t earlyReleases() const { return nEarlyReleases; }

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/state.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "isa/reg.hh"
@@ -63,20 +62,6 @@ class PressureTracker
     }
 
     void reset(Cycle now);
-
-    /** Serialize/restore live allocation stamps + whole-run integrals.
-     *  Architectural mappings stay allocated across a drained point, so
-     *  the alloc-cycle stamps are genuinely live state. */
-    void
-    visitState(StateVisitor &v)
-    {
-        v.section("pressure");
-        v.fixedVec(allocCycle);
-        v.value(nBusy);
-        v.value(peak);
-        v.value(holdCycles);
-        v.value(nFrees);
-    }
 
   private:
     std::vector<Cycle> allocCycle;  ///< kNoCycle when free

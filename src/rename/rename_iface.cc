@@ -75,18 +75,6 @@ RenameManager::RenameManager(const RenameConfig &config)
 }
 
 void
-RenameManager::visitState(StateVisitor &v)
-{
-    v.section("rename.base");
-    for (std::size_t c = 0; c < kNumRegClasses; ++c)
-        pressureTrk[c].visitState(v);
-    v.value(nRejections);
-    // The lifetime/occupancy distributions are interval stats: the
-    // resetStats() that starts every measurement clears them in cold
-    // and restored runs alike, so they never travel.
-}
-
-void
 RenameManager::regStats(stats::StatRegistry &r)
 {
     r.add(&renameGroup, [this] {

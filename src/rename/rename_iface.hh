@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/state.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "core/dyn_inst.hh"
@@ -195,15 +194,6 @@ class RenameManager
 
     /** Times VP write-back allocation refused a register. */
     std::uint64_t allocationRejections() const { return nRejections; }
-
-    /**
-     * Serialize/restore the scheme's live state at a drained point
-     * (common/state.hh): map tables, free-list *order* (allocation
-     * order is architecturally visible downstream), pressure trackers
-     * and whole-run counters. Subclasses extend the base walk, which
-     * covers the shared members.
-     */
-    virtual void visitState(StateVisitor &v);
 
   protected:
     RenameConfig cfg;

@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/state.hh"
 #include "common/types.hh"
 
 namespace vpr
@@ -87,27 +86,6 @@ class ReservationTracker
         head = 0;
         num = 0;
         usedRes = 0;
-    }
-
-    /** Serialize/restore the age-ordered window (empty at a drained
-     *  point, but the walk stays total so the encoding never depends
-     *  on that invariant). */
-    void
-    visitState(StateVisitor &v)
-    {
-        v.section("reservation");
-        std::uint64_t n = num;
-        v.value(n);
-        if (v.loading()) {
-            clear();
-            reserve(static_cast<std::size_t>(n));
-            num = static_cast<std::size_t>(n);
-        }
-        for (std::size_t i = 0; i < num; ++i) {
-            v.value(at(i).seq);
-            v.value(at(i).allocated);
-        }
-        v.value(usedRes);
     }
 
   private:

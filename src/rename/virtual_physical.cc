@@ -311,38 +311,4 @@ VirtualPhysicalRename::checkInvariants() const
     }
 }
 
-void
-VirtualPhysicalRename::visitState(StateVisitor &v)
-{
-    RenameManager::visitState(v);
-    v.section("rename.vp");
-    for (std::size_t c = 0; c < kNumRegClasses; ++c) {
-        std::uint64_t n = gmt[c].size();
-        v.value(n);
-        if (v.loading() && n != gmt[c].size())
-            throw CkptError("GMT size mismatch");
-        for (GmtEntry &e : gmt[c]) {
-            v.value(e.vp);
-            v.value(e.p);
-            v.value(e.v);
-        }
-        n = pmt[c].size();
-        v.value(n);
-        if (v.loading() && n != pmt[c].size())
-            throw CkptError("PMT size mismatch");
-        for (PmtEntry &e : pmt[c]) {
-            v.value(e.phys);
-            v.value(e.valid);
-        }
-        v.dynVec(vpFreeList[c]);
-        v.dynVec(physFreeList[c]);
-        tracker[c].visitState(v);
-        // The last commit before the drain point may have queued frees
-        // that only release on the next tick — they must travel.
-        v.dynVec(pendingFrees[c]);
-    }
-    v.value(pendingFreeCycle);
-    v.value(nIssueRejections);
-}
-
 } // namespace vpr

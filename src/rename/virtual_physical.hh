@@ -63,7 +63,6 @@ class VirtualPhysicalRename : public RenameManager
 
     std::size_t freePhysRegs(RegClass cls) const override;
     void checkInvariants() const override;
-    void visitState(StateVisitor &v) override;
 
     /** GMT inspection (tests). @{ */
     VPRegId

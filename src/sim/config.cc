@@ -163,25 +163,6 @@ SamplingConfig::visitParams(ParamVisitor &v)
 }
 
 void
-CkptConfig::visitParams(ParamVisitor &v)
-{
-    // All execution-only: where warm state is cached must never change
-    // a result, so none of these enter provenance or config dumps.
-    v.strParam("dir", dir,
-               "warm-state checkpoint cache directory (empty = "
-               "checkpointing disabled); never changes results",
-               /*execOnly=*/true);
-    v.boolParam("compress", compress,
-                "compress checkpoint files (zlib container; stored "
-                "container when the build lacks zlib)",
-                /*execOnly=*/true);
-    v.boolParam("save", save,
-                "save a checkpoint after a cold warm-up (0 = "
-                "restore-only)",
-                /*execOnly=*/true);
-}
-
-void
 ResultCacheConfig::visitParams(ParamVisitor &v)
 {
     // All execution-only: where whole-cell results are cached must
@@ -218,9 +199,6 @@ SimConfig::visitParams(ParamVisitor &v)
     v.pushGroup("sim");
     v.pushGroup("sampling");
     sampling.visitParams(v);
-    v.popGroup();
-    v.pushGroup("ckpt");
-    ckpt.visitParams(v);
     v.popGroup();
     v.pushGroup("result_cache");
     resultCache.visitParams(v);

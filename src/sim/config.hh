@@ -54,31 +54,6 @@ struct SamplingConfig
 };
 
 /**
- * Warm-state checkpointing (sim.ckpt.*). With a cache directory set,
- * a run whose warm-up (skip_insts) has been simulated before under the
- * same warm-relevant configuration restores the drained pipeline state
- * from disk instead of re-simulating it; a cold run saves its warm
- * state for the next run. All knobs are execution-only: where warm
- * state is cached must never change a result, so none of them enter
- * provenance or config dumps.
- */
-struct CkptConfig
-{
-    /** Checkpoint cache directory; empty disables checkpointing. */
-    std::string dir;
-
-    /** Compress checkpoint files (zlib container; falls back to a
-     *  stored container when the build lacks zlib). */
-    bool compress = true;
-
-    /** Save a checkpoint after a cold warm-up (off = restore-only). */
-    bool save = true;
-
-    /** Reflect the checkpoint parameters (sim/params.hh). */
-    void visitParams(ParamVisitor &v);
-};
-
-/**
  * Content-addressed per-cell result cache (sim.result_cache.*). With a
  * cache directory set, the parallel experiment engine serves any grid
  * cell whose (benchmark, provenance, seed, scale) content digest has
@@ -111,9 +86,6 @@ struct SimConfig
 
     /** Statistical-sampling protocol (sim.sampling.*). */
     SamplingConfig sampling;
-
-    /** Warm-state checkpoint cache (sim.ckpt.*; execution-only). */
-    CkptConfig ckpt;
 
     /** Per-cell result cache (sim.result_cache.*; execution-only). */
     ResultCacheConfig resultCache;

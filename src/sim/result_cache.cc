@@ -10,7 +10,6 @@
 
 #include "common/io/zio.hh"
 #include "common/logging.hh"
-#include "common/state.hh"
 #include "sim/experiment.hh"
 #include "sim/params.hh"
 
@@ -57,13 +56,13 @@ doubleOf(std::uint64_t bits)
     return d;
 }
 
-/** Strict whole-string hex parse; throws CkptError on junk. */
+/** Strict whole-string hex parse; throws FormatError on junk. */
 std::uint64_t
 parseHex64(const std::string &text)
 {
     if (text.empty() || text.size() > 16)
-        throw CkptError("result-cache entry: bad hex field '" + text +
-                        "'");
+        throw FormatError("result-cache entry: bad hex field '" + text +
+                          "'");
     std::uint64_t v = 0;
     for (char c : text) {
         int digit;
@@ -72,8 +71,8 @@ parseHex64(const std::string &text)
         else if (c >= 'a' && c <= 'f')
             digit = c - 'a' + 10;
         else
-            throw CkptError("result-cache entry: bad hex field '" +
-                            text + "'");
+            throw FormatError("result-cache entry: bad hex field '" +
+                              text + "'");
         v = (v << 4) | static_cast<std::uint64_t>(digit);
     }
     return v;
@@ -86,8 +85,8 @@ headerValue(std::istream &is, const std::string &key)
     std::string line;
     if (!std::getline(is, line) ||
         line.compare(0, key.size() + 1, key + "=") != 0)
-        throw CkptError("result-cache entry: missing '" + key +
-                        "' header");
+        throw FormatError("result-cache entry: missing '" + key +
+                          "' header");
     return line.substr(key.size() + 1);
 }
 
@@ -118,7 +117,7 @@ encodeEntry(std::uint64_t digest, const std::string &benchmark,
     return os.str();
 }
 
-/** Invert encodeEntry; throws CkptError on any malformed or
+/** Invert encodeEntry; throws FormatError on any malformed or
  *  mismatching field. */
 SimResults
 decodeEntry(const std::string &payload, std::uint64_t expectDigest,
@@ -129,21 +128,21 @@ decodeEntry(const std::string &payload, std::uint64_t expectDigest,
     if (!std::getline(is, line) ||
         line != "vpr-result v" +
                     std::to_string(kResultCacheFormatVersion))
-        throw CkptError("result-cache entry: bad format line");
+        throw FormatError("result-cache entry: bad format line");
     if (parseHex64(headerValue(is, "digest")) != expectDigest)
-        throw CkptError("result-cache entry: digest mismatch (entry "
-                        "for a different configuration)");
+        throw FormatError("result-cache entry: digest mismatch (entry "
+                          "for a different configuration)");
     if (headerValue(is, "benchmark") != expectBenchmark)
-        throw CkptError("result-cache entry: benchmark mismatch");
+        throw FormatError("result-cache entry: benchmark mismatch");
     std::uint64_t count = 0;
     if (!parseParamU64(headerValue(is, "metrics"), count))
-        throw CkptError("result-cache entry: bad metric count");
+        throw FormatError("result-cache entry: bad metric count");
 
     SimResults out;
     for (std::uint64_t i = 0; i < count; ++i) {
         if (!std::getline(is, line))
-            throw CkptError("result-cache entry: truncated metric "
-                            "list");
+            throw FormatError("result-cache entry: truncated metric "
+                              "list");
         std::size_t t1 = line.find('\t');
         std::size_t t2 =
             t1 == std::string::npos ? t1 : line.find('\t', t1 + 1);
@@ -151,27 +150,27 @@ decodeEntry(const std::string &payload, std::uint64_t expectDigest,
             t2 == std::string::npos ? t2 : line.find('\t', t2 + 1);
         if (line.size() < 2 || line[1] != '\t' ||
             t3 == std::string::npos)
-            throw CkptError("result-cache entry: malformed metric "
-                            "line");
+            throw FormatError("result-cache entry: malformed metric "
+                              "line");
         const std::string name = line.substr(t1 + 1, t2 - t1 - 1);
         const std::string value = line.substr(t2 + 1, t3 - t2 - 1);
         const std::string desc = line.substr(t3 + 1);
         if (line[0] == 'U') {
             std::uint64_t v = 0;
             if (!parseParamU64(value, v))
-                throw CkptError("result-cache entry: bad counter "
-                                "value '" + value + "'");
+                throw FormatError("result-cache entry: bad counter "
+                                  "value '" + value + "'");
             out.metrics.setUInt(name, desc, v);
         } else if (line[0] == 'R') {
             out.metrics.setReal(name, desc, doubleOf(parseHex64(value)));
         } else {
-            throw CkptError("result-cache entry: unknown metric kind");
+            throw FormatError("result-cache entry: unknown metric kind");
         }
     }
     if (std::getline(is, line) && !line.empty())
-        throw CkptError("result-cache entry: trailing garbage");
+        throw FormatError("result-cache entry: trailing garbage");
     if (out.metrics.size() != count)
-        throw CkptError("result-cache entry: duplicate metric names");
+        throw FormatError("result-cache entry: duplicate metric names");
     return out;
 }
 
@@ -225,7 +224,7 @@ loadCachedResult(const std::string &dir, const GridCell &cell,
     try {
         out = decodeEntry(vprzUnpack(raw, "result"), digest,
                           cell.benchmark);
-    } catch (const CkptError &e) {
+    } catch (const FormatError &e) {
         VPR_WARN("discarding damaged result-cache entry '", path,
                  "': ", e.what(), " (re-simulating the cell)");
         resultCacheCounters().corrupt.fetch_add(1);
@@ -278,7 +277,7 @@ listCacheFiles(const std::vector<std::string> &dirs)
         }
         for (const fs::directory_entry &entry : it) {
             const std::string ext = entry.path().extension().string();
-            if (ext != ".vprck" && ext != ".vprr")
+            if (ext != ".vprr")
                 continue;
             if (!entry.is_regular_file(ec) || ec)
                 continue;

@@ -8,9 +8,7 @@
  * cache key is a digest over exactly the provenance subset results_io
  * embeds in every exported record (seed included, execution-only knobs
  * excluded) plus the global instruction scale and the cache format
- * version — the same content-addressing discipline the warm-state
- * checkpoint cache uses (sim/checkpoint.hh), applied to whole-cell
- * *results* rather than warm state.
+ * version.
  *
  * Entries are small VPRZ-wrapped text records (common/io/zio.hh, kind
  * "result"): metric kinds, names, descriptions and exact values (reals
@@ -41,8 +39,10 @@ namespace vpr
 {
 
 /** Bump to invalidate every cached result at the name level (the
- *  digest covers it) when the entry format changes. */
-constexpr std::uint32_t kResultCacheFormatVersion = 1;
+ *  digest covers it) when the entry format or the records it may hold
+ *  change. Version 2 retires v1 entries, which could hold detailed
+ *  records perturbed by the since-removed warm-state checkpoint path. */
+constexpr std::uint32_t kResultCacheFormatVersion = 2;
 
 /**
  * Process-wide cache traffic counters (monotonic, thread-safe): the
@@ -86,8 +86,8 @@ void storeCachedResult(const std::string &dir, const GridCell &cell,
 
 /** @name Cache directory garbage collection (LRU on file mtime)
  *  Shared by tools/cache_gc and the vpr_simd startup pass: enforce a
- *  byte budget over checkpoint (*.vprck) and result (*.vprr) cache
- *  files, evicting least-recently-touched files first. @{ */
+ *  byte budget over result-cache (*.vprr) files, evicting
+ *  least-recently-touched files first. @{ */
 
 /** One cache file considered by the collector. */
 struct CacheFileInfo
@@ -107,7 +107,7 @@ struct CacheGcPlan
     std::size_t keptFiles = 0;         ///< files surviving the budget
 };
 
-/** Enumerate the cache files (*.vprck, *.vprr) of @p dirs. Missing or
+/** Enumerate the cache files (*.vprr) of @p dirs. Missing or
  *  unreadable directories are skipped with a warning. */
 std::vector<CacheFileInfo>
 listCacheFiles(const std::vector<std::string> &dirs);

@@ -9,7 +9,6 @@
 
 #include "common/io/zio.hh"
 #include "common/logging.hh"
-#include "common/state.hh"
 #include "sim/params.hh"
 
 namespace vpr
@@ -356,7 +355,7 @@ readResultsCsvFile(const std::string &path)
     if (guessFormat(data) == FileFormat::Vprz) {
         try {
             data = vprzUnpack(data, "results");
-        } catch (const CkptError &e) {
+        } catch (const FormatError &e) {
             VPR_FATAL(path, ": ", e.what());
         }
     }

@@ -1,12 +1,9 @@
 #include "sim/simulator.hh"
 
 #include <iomanip>
-#include <iostream>
 
-#include "common/io/zio.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
-#include "sim/checkpoint.hh"
 #include "trace/kernels/kernels.hh"
 
 namespace vpr
@@ -30,93 +27,21 @@ threadSeed(SimConfig &cfg)
 
 } // namespace
 
-Simulator::Simulator(TraceStream &externalStream, const SimConfig &config)
-    : cfg(config), stream(&externalStream)
+Simulator::Simulator(TraceStream &stream, const SimConfig &config)
+    : cfg(config)
 {
     cfg.validate();
     threadSeed(cfg);
-    benchName = stream->identity();
-    theCore = std::make_unique<Core>(*stream, cfg.core);
+    theCore = std::make_unique<Core>(stream, cfg.core);
 }
 
 Simulator::Simulator(const std::string &benchmark, const SimConfig &config)
-    : cfg(config), benchName(benchmark)
+    : cfg(config)
 {
     cfg.validate();
     threadSeed(cfg);
     ownedStream = makeBenchmarkStream(benchmark, cfg.seed);
-    stream = ownedStream.get();
-    theCore = std::make_unique<Core>(*stream, cfg.core);
-}
-
-void
-Simulator::rebuildCore()
-{
-    theCore = std::make_unique<Core>(*stream, cfg.core);
-}
-
-bool
-Simulator::ckptActive() const
-{
-    return !cfg.ckpt.dir.empty() && cfg.skipInsts > 0 &&
-           !stream->identity().empty();
-}
-
-bool
-Simulator::tryRestoreCheckpoint(CkptScope scope)
-{
-    const std::uint64_t digest =
-        warmStateDigest(cfg, benchName, stream->identity(), scope);
-    const std::string path =
-        checkpointPath(cfg.ckpt.dir, benchName, scope, digest);
-    std::string raw;
-    if (!readFileBytes(path, raw))
-        return false;  // cache miss: core untouched, warm up cold
-    try {
-        if (guessFormat(raw) == FileFormat::Vprz)
-            raw = vprzUnpack(raw, "ckpt");
-        const std::string payload = unpackCheckpoint(raw, scope, digest);
-        rebuildCore();
-        StateLoader loader(payload);
-        theCore->visitState(loader, scope);
-        if (!loader.exhausted())
-            throw CkptError("trailing bytes after checkpoint state");
-        return true;
-    } catch (const CkptError &e) {
-        std::cerr << "vpr: warning: ignoring checkpoint " << path << ": "
-                  << e.what() << "; warming up cold\n";
-        // The failed load may have half-mutated the core and advanced
-        // the stream; rebuild both before the cold fallback.
-        stream->reset();
-        rebuildCore();
-        return false;
-    }
-}
-
-void
-Simulator::saveAndReloadCheckpoint(CkptScope scope)
-{
-    const std::uint64_t digest =
-        warmStateDigest(cfg, benchName, stream->identity(), scope);
-    StateSaver saver;
-    theCore->visitState(saver, scope);
-    const std::string raw = packCheckpoint(scope, digest, saver.take());
-    if (cfg.ckpt.save) {
-        const std::string path =
-            checkpointPath(cfg.ckpt.dir, benchName, scope, digest);
-        const std::string bytes =
-            vprzPack(raw, "ckpt", cfg.ckpt.compress);
-        if (!writeFileAtomic(path, bytes))
-            std::cerr << "vpr: warning: cannot write checkpoint " << path
-                      << "; continuing without saving\n";
-    }
-    // Measure from a constructed-then-loaded core even on the cold run,
-    // so cold and restored measurements are byte-identical.
-    const std::string payload = unpackCheckpoint(raw, scope, digest);
-    rebuildCore();
-    StateLoader loader(payload);
-    theCore->visitState(loader, scope);
-    VPR_ASSERT(loader.exhausted(), "checkpoint reload left bytes over");
+    theCore = std::make_unique<Core>(*ownedStream, cfg.core);
 }
 
 SimResults
@@ -125,21 +50,9 @@ Simulator::run()
     if (cfg.sampling.enable)
         return runSampled();
 
-    if (cfg.skipInsts > 0) {
-        if (ckptActive()) {
-            // Full-scope checkpoint: the detailed warm-up touches
-            // everything, so the warm key covers the full provenance.
-            if (!tryRestoreCheckpoint(CkptScope::Full)) {
-                theCore->runUntilCommitted(cfg.skipInsts);
-                theCore->drainForCheckpoint();
-                saveAndReloadCheckpoint(CkptScope::Full);
-            }
-        } else {
-            theCore->runUntilCommitted(cfg.skipInsts);
-        }
-    }
-    // The checkpoint step may have replaced the core; bind after it.
     Core &c = *theCore;
+    if (cfg.skipInsts > 0)
+        c.runUntilCommitted(cfg.skipInsts);
     c.resetStats();
     std::uint64_t target = c.committedInsts() + cfg.measureInsts;
     c.runUntilCommitted(target);
@@ -162,22 +75,9 @@ Simulator::runSampled()
     // The initial skip goes through the same functional-warming path as
     // the inter-interval fast-forwards — that is the whole point of
     // sampling: the paper's 100M-skip warm-up becomes nearly free.
-    // Functional-scope checkpoint: the fast-forward only warms the
-    // trace position, BHT and caches, so one cached checkpoint is
-    // shared by every cell of a scheme x regfile-size sweep grid.
-    if (cfg.skipInsts > 0) {
-        if (ckptActive()) {
-            if (!tryRestoreCheckpoint(CkptScope::Functional)) {
-                theCore->fastForward(cfg.skipInsts, sp.functionalWarming);
-                theCore->drainForCheckpoint();
-                saveAndReloadCheckpoint(CkptScope::Functional);
-            }
-        } else {
-            theCore->fastForward(cfg.skipInsts, sp.functionalWarming);
-        }
-    }
-    // The checkpoint step may have replaced the core; bind after it.
     Core &c = *theCore;
+    if (cfg.skipInsts > 0)
+        c.fastForward(cfg.skipInsts, sp.functionalWarming);
 
     stats::SampleEstimator ipcSampled{
         "ipc.sampled", "sampled-IPC estimator over detailed intervals"};
@@ -269,13 +169,14 @@ Simulator::collectMetrics(MetricsRecord &m)
 }
 
 void
-Simulator::printReport(std::ostream &os, const SimResults &r) const
+printReport(std::ostream &os, const SimConfig &config, const SimResults &r)
 {
-    os << "scheme            " << renameSchemeName(cfg.core.scheme)
+    const RenameConfig &rename = config.core.rename;
+    os << "scheme            " << renameSchemeName(config.core.scheme)
        << "\n";
-    os << "physRegs/file     " << cfg.core.rename.numPhysRegs << "\n";
-    os << "NRR (int/fp)      " << cfg.core.rename.nrrInt << "/"
-       << cfg.core.rename.nrrFp << "\n";
+    os << "physRegs/file     " << rename.numPhysRegs << "\n";
+    os << "NRR (int/fp)      " << rename.nrrInt << "/" << rename.nrrFp
+       << "\n";
     if (r.metrics.has("core.ipc.sampled.mean")) {
         os << "sampled ipc       " << std::fixed << std::setprecision(4)
            << r.metrics.real("core.ipc.sampled.mean") << " +/- "

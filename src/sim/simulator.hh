@@ -140,9 +140,6 @@ class Simulator
      */
     SimResults run();
 
-    /** Print a human-readable report of the last run. */
-    void printReport(std::ostream &os, const SimResults &r) const;
-
     Core &core() { return *theCore; }
     const Core &core() const { return *theCore; }
 
@@ -153,39 +150,14 @@ class Simulator
     /** Build the result record by walking the core's stats tree. */
     void collectMetrics(MetricsRecord &m);
 
-    /** Replace the core with a freshly constructed one (restore target
-     *  and cold fallback both start from construction defaults). */
-    void rebuildCore();
-
-    /** Checkpointing engaged for this run? Requires a cache directory,
-     *  a warm-up to skip, and a stream that advertises an identity. */
-    bool ckptActive() const;
-
-    /**
-     * Try to restore the warm-up from the checkpoint cache; true on
-     * success (the core is rebuilt and loaded, positioned exactly after
-     * a drained warm-up). A missing file returns false with the core
-     * untouched; a bad file (corrupt, version skew, stale digest) warns,
-     * rewinds the stream, rebuilds the core and returns false — the
-     * caller falls back to a cold warm-up, never to a wrong result.
-     */
-    bool tryRestoreCheckpoint(CkptScope scope);
-
-    /**
-     * Serialize the drained core, optionally write it to the cache, and
-     * reload it into a freshly constructed core. Cold and restored runs
-     * thus both measure from a constructed-then-loaded core, making
-     * them byte-identical by construction — and every cold run
-     * exercises the restore path.
-     */
-    void saveAndReloadCheckpoint(CkptScope scope);
-
     SimConfig cfg;
-    std::string benchName;
     std::unique_ptr<TraceStream> ownedStream;
-    TraceStream *stream = nullptr;  ///< the core's stream, owned or not
     std::unique_ptr<Core> theCore;
 };
+
+/** Print a human-readable report of one run of @p config. */
+void printReport(std::ostream &os, const SimConfig &config,
+                 const SimResults &r);
 
 } // namespace vpr
 

@@ -112,23 +112,6 @@ LoopTraceStream::reset()
     loopCount.assign(desc.blocks.size(), 0);
 }
 
-std::string
-LoopTraceStream::identity() const
-{
-    return "loop:" + desc.name + ":" + std::to_string(desc.seed);
-}
-
-void
-LoopTraceStream::visitState(StateVisitor &v)
-{
-    v.section("looptrace");
-    v.rng(rng);
-    v.value(curBlock);
-    v.value(curInst);
-    v.fixedVec(streamPos);
-    v.fixedVec(loopCount);
-}
-
 Addr
 LoopTraceStream::pcOf(std::size_t blk, std::size_t idx) const
 {

@@ -109,14 +109,6 @@ class LoopTraceStream : public TraceStream
     std::size_t nextBatch(TraceRecord *out, std::size_t max) override;
     void reset() override;
 
-    /** "loop:<kernel>:<seed>" — (desc, seed) fully determines the
-     *  sequence, which makes generated streams checkpointable. */
-    std::string identity() const override;
-
-    /** Position = RNG state + CFG cursor + per-stream/block counters;
-     *  blockPc/geom are derived from desc and never travel. */
-    void visitState(StateVisitor &v) override;
-
     const KernelDesc &kernel() const { return desc; }
 
   private:

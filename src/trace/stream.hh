@@ -7,10 +7,8 @@
 #define VPR_TRACE_STREAM_HH
 
 #include <optional>
-#include <string>
 #include <vector>
 
-#include "common/state.hh"
 #include "trace/record.hh"
 
 namespace vpr
@@ -67,23 +65,6 @@ class TraceStream
         }
         return k;
     }
-
-    /**
-     * Stable identity of the stream's *content* for checkpointing:
-     * two streams with the same identity yield the same record
-     * sequence from reset(). Empty (the default) marks a stream as not
-     * checkpointable — the simulator silently falls back to cold runs.
-     * Generators return their kernel name + seed.
-     */
-    virtual std::string identity() const { return {}; }
-
-    /**
-     * Serialize/restore the stream position (common/state.hh). Only
-     * ever called on streams that advertise a non-empty identity() or
-     * in tests that pair save and load on the same stream type; the
-     * default carries no state.
-     */
-    virtual void visitState(StateVisitor &v) { v.section("stream"); }
 };
 
 /**
@@ -110,16 +91,6 @@ class VectorTraceStream : public TraceStream
     }
 
     void reset() override { pos = 0; }
-
-    /** Identity stays empty (content is arbitrary caller data), but the
-     *  position round-trips so tests can checkpoint vector-backed
-     *  cores explicitly. */
-    void
-    visitState(StateVisitor &v) override
-    {
-        v.section("vecstream");
-        v.value(pos);
-    }
 
     std::size_t size() const { return recs.size(); }
 

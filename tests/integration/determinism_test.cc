@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "sim/experiment.hh"
 #include "trace/kernels/kernels.hh"
 
@@ -145,59 +143,6 @@ TEST(Determinism, SampledGridCellsAreByteIdenticalAcrossJobs)
                                "sampled grid vs runOne, cell " +
                                    std::to_string(i));
     }
-}
-
-TEST(Determinism, CheckpointRestoreIsByteIdenticalForEveryScheme)
-{
-    // Warm-state checkpoints are a pure time optimisation: a run that
-    // restores the warm-up from the cache must export every metric byte
-    // for byte as the cold run that wrote it, for every rename scheme
-    // (the VP free-list order and the early-release owed-frees set are
-    // architecturally visible state that must travel exactly).
-    namespace fs = std::filesystem;
-    const std::string dir =
-        ::testing::TempDir() + "/vpr_determinism_ckpt";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    for (RenameScheme scheme : {RenameScheme::Conventional,
-                                RenameScheme::VPAllocAtWriteback,
-                                RenameScheme::VPAllocAtIssue,
-                                RenameScheme::ConventionalEarlyRelease}) {
-        SimConfig c = quick();
-        c.setScheme(scheme);
-        if (scheme == RenameScheme::ConventionalEarlyRelease)
-            c.core.fetch.wrongPath = WrongPathMode::Stall;
-        c.ckpt.dir = dir;
-        auto cold = runOne("vortex", c);      // writes the checkpoint
-        auto restored = runOne("vortex", c);  // loads it back
-        expectIdenticalMetrics(cold, restored,
-                               std::string("ckpt restore: ") +
-                                   renameSchemeName(scheme));
-    }
-    fs::remove_all(dir);
-}
-
-TEST(Determinism, SampledCheckpointRestoreMatchesPlainSampledRun)
-{
-    // A functional checkpoint reconstructs exactly the state a sampled
-    // run's initial fast-forward would have produced, so a cached
-    // sampled run — cold or restored — must match a run that never
-    // touched the cache, byte for byte.
-    namespace fs = std::filesystem;
-    const std::string dir =
-        ::testing::TempDir() + "/vpr_determinism_ckpt_sampled";
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    SimConfig plain = sampledQuick();
-    plain.setScheme(RenameScheme::VPAllocAtWriteback);
-    SimConfig cached = plain;
-    cached.ckpt.dir = dir;
-    auto reference = runOne("vortex", plain);
-    auto cold = runOne("vortex", cached);
-    auto restored = runOne("vortex", cached);
-    expectIdenticalMetrics(reference, cold, "sampled ckpt cold");
-    expectIdenticalMetrics(reference, restored, "sampled ckpt restored");
-    fs::remove_all(dir);
 }
 
 TEST(Determinism, SimulatorOwnsIndependentStreams)

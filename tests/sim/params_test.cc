@@ -2,17 +2,24 @@
  * @file
  * Tests for the reflective config-parameter API (sim/params.hh):
  * registry lookups, every-parameter reachability, round-trip fuzz of
- * --set / dump / load, provenance contents, and the error paths.
+ * --set / dump / load, provenance contents, execution-only invariance,
+ * and the error paths.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <numeric>
 #include <random>
 #include <sstream>
 
-#include "sim/params.hh"
 #include "sim/config.hh"
+#include "sim/experiment.hh"
+#include "sim/params.hh"
+#include "sim/results_io.hh"
+#include "sim/sweep.hh"
 
 #include "../support/expect_error.hh"
 
@@ -278,6 +285,74 @@ TEST(ConfigParams, ParamReferenceDocumentsEveryParam)
               std::string::npos);
     EXPECT_NE(help.str().find("core.rename.regfile_size"),
               std::string::npos);
+}
+
+// --- execution-only invariance ---------------------------------------------
+
+/** The CSV export of a small grid under @p base: two benchmarks x
+ *  conv/vp-wb, run with base.jobs workers. */
+std::string
+exportSmallGrid(const SimConfig &base)
+{
+    const std::vector<GridCell> cells =
+        buildSweepGrid({"compress", "swim"}, base,
+                       {parseSweepAxis("core.scheme=conv,vp-wb")});
+    const std::vector<SimResults> results = runGrid(cells, base.jobs);
+    std::vector<std::size_t> indices(cells.size());
+    std::iota(indices.begin(), indices.end(), 0);
+    std::ostringstream os;
+    writeResultsCsv(os, "exec-only", ShardSpec{}, indices, cells, results);
+    return os.str();
+}
+
+TEST(ConfigParams, ExecutionOnlyParamsNeverChangeARecord)
+{
+    // Execution-only knobs decide how a grid runs, never what it
+    // computes. Every one of them gets an alternate setting here (a new
+    // knob without one fails the test), and each alternate runs the
+    // grid twice: a configured cache is cold the first time and warm
+    // the second. Both exports must equal the all-defaults export byte
+    // for byte.
+    namespace fs = std::filesystem;
+    const fs::path cache = fs::path(::testing::TempDir()) / "vpr_exec_only";
+    fs::remove_all(cache);
+    const std::string dir = "sim.result_cache.dir=" + cache.string();
+    const std::map<std::string, std::vector<std::string>> alternates = {
+        {"jobs", {"jobs=4"}},
+        {"sim.result_cache.dir", {dir + "/plain"}},
+        {"sim.result_cache.compress",
+         {dir + "/stored", "sim.result_cache.compress=0"}},
+        {"sim.result_cache.save",
+         {dir + "/read-only", "sim.result_cache.save=0"}},
+    };
+    for (const ParamInfo &p : paramReference()) {
+        if (!p.execOnly)
+            continue;
+        EXPECT_EQ(alternates.count(p.name), 1u)
+            << p.name << " is execution-only but has no alternate";
+    }
+
+    // Both run protocols: a detailed warm-up, and sampling.
+    const std::map<std::string, std::vector<std::string>> protocols = {
+        {"detailed", {"skip_insts=2000", "measure_insts=8000"}},
+        {"sampled",
+         {"skip_insts=2000", "measure_insts=8000", "sim.sampling.enable=1",
+          "sim.sampling.period_insts=2000"}},
+    };
+    for (const auto &[protocol, settings] : protocols) {
+        SimConfig base;
+        applyAssignments(base, settings);
+        const std::string reference = exportSmallGrid(base);
+        for (const auto &[name, assignments] : alternates) {
+            SimConfig alt = base;
+            applyAssignments(alt, assignments);
+            for (const char *pass : {"first", "second"})
+                EXPECT_TRUE(exportSmallGrid(alt) == reference)
+                    << protocol << " grid, " << name << ", " << pass
+                    << " run: the export differs from the defaults'";
+        }
+    }
+    fs::remove_all(cache);
 }
 
 // --- error paths ----------------------------------------------------------

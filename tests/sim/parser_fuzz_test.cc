@@ -2,9 +2,9 @@
  * @file
  * Seeded mutation fuzz of every parser that reads input from outside
  * the program: the /sweep request body, --config JSON, CSV and VPRZ
- * result files, VPRTRACE files, result-cache entries (.vprr) and
- * warm-state checkpoints (.vprck). Each case starts from a valid input,
- * applies a few random byte edits, and feeds the result to the reader.
+ * result files, VPRTRACE files and result-cache entries (.vprr). Each
+ * case starts from a valid input, applies a few random byte edits, and
+ * feeds the result to the reader.
  * Every outcome must be a parsed result or a vpr::Error: an abort, a
  * crash, another exception type or a sanitizer report fails the test.
  * The seed is fixed, so a failure reproduces exactly.
@@ -247,28 +247,6 @@ TEST(ParserFuzz, ResultCacheEntry)
         hits += loadCachedResult(dir, cell, out);
     });
     EXPECT_LT(hits, kMutations);
-}
-
-TEST(ParserFuzz, CheckpointRestore)
-{
-    SimConfig config = tiny();
-    config.skipInsts = 300;
-    config.ckpt.dir = scratchDir("vpr_fuzz_vprck");
-    Simulator("swim", config).run();  // cold run saves the checkpoint
-    std::string path;
-    for (const auto &entry : fs::directory_iterator(config.ckpt.dir))
-        path = entry.path().string();
-    ASSERT_FALSE(path.empty()) << "no checkpoint was saved";
-    std::string seed;
-    ASSERT_TRUE(readFileBytes(path, seed));
-    config.ckpt.save = false;
-    QuietCerr quiet;
-    const int ok = fuzz(seed, 7, [&](const std::string &bytes) {
-        ASSERT_TRUE(writeFileAtomic(path, bytes));
-        Simulator sim("swim", config);
-        EXPECT_GE(sim.run().committed(), config.measureInsts);
-    });
-    EXPECT_EQ(ok, kMutations);  // a damaged checkpoint means a cold run
 }
 
 } // namespace

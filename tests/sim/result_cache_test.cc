@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/io/zio.hh"
-#include "common/state.hh"
 #include "sim/experiment.hh"
 #include "sim/result_cache.hh"
 #include "sim/results_io.hh"
@@ -276,7 +275,7 @@ TEST(ResultCacheGc, EvictsOldestUntilBudgetFits)
 {
     const std::string dir = freshDir("gc");
     // Four 100-byte files with strictly increasing mtimes.
-    std::vector<std::string> names = {"a.vprr", "b.vprck", "c.vprr",
+    std::vector<std::string> names = {"a.vprr", "b.vprr", "c.vprr",
                                       "d.vprr"};
     const auto base = fs::file_time_type::clock::now();
     for (std::size_t i = 0; i < names.size(); ++i) {
@@ -297,7 +296,7 @@ TEST(ResultCacheGc, EvictsOldestUntilBudgetFits)
     EXPECT_EQ(fs::path(plan.evict[0].path).filename().string(),
               "a.vprr");
     EXPECT_EQ(fs::path(plan.evict[1].path).filename().string(),
-              "b.vprck");
+              "b.vprr");
 
     EXPECT_EQ(applyCacheGc(plan), 2u);
     EXPECT_FALSE(fs::exists(dir + "/a.vprr"));

@@ -1,12 +1,12 @@
 /**
  * @file
- * cache_gc — garbage-collect the on-disk simulation caches.
+ * cache_gc — garbage-collect the on-disk result cache.
  *
- * Enforces a byte budget over warm-state checkpoint (*.vprck) and
- * result-cache (*.vprr) files by LRU on file mtime: the
- * least-recently-written files are deleted until what remains fits the
- * budget. Both caches are pure re-computable optimizations, so eviction
- * only ever costs re-simulation, never correctness.
+ * Enforces a byte budget over result-cache (*.vprr) files by LRU on
+ * file mtime: the least-recently-written files are deleted until what
+ * remains fits the budget. The cache is a pure re-computable
+ * optimization, so eviction only ever costs re-simulation, never
+ * correctness.
  *
  * Usage:
  *   cache_gc --budget=<size>[K|M|G|T] [--dry-run] <dir> [<dir>...]
@@ -36,7 +36,7 @@ usage(const char *argv0)
     std::cerr << "usage: " << argv0
               << " --budget=<size>[K|M|G|T] [--dry-run] <dir> "
                  "[<dir>...]\n"
-                 "evicts *.vprck / *.vprr cache files, least recently "
+                 "evicts *.vprr result-cache files, least recently "
                  "written first,\nuntil the remaining files fit the "
                  "budget\n";
     std::exit(1);

@@ -35,19 +35,23 @@
  * Run control: --skip/--insts/--seed/--jobs, --out=<path> (one record
  * per run; CSV, .json, or compressed .vprz), --dump-trace=F,N, --list.
  * The classic flags --scheme/--regs/--nrr/--rob/--miss/--mshrs/
- * --wrongpath[-mem], --sampling (= sim.sampling.enable=1, SMARTS-style
- * sampled simulation) and --ckpt-dir=<dir> (= sim.ckpt.dir, warm-state
- * checkpoint cache; see README "Checkpoints & warm-start sweeps") are
- * thin aliases onto the dotted parameters above, as is
- * --result-cache=<dir> (= sim.result_cache.dir, the content-addressed
- * per-cell result cache shared with the vpr_simd daemon; see README
- * "Sweep service").
+ * --wrongpath[-mem] and --sampling (= sim.sampling.enable=1,
+ * SMARTS-style sampled simulation) are thin aliases onto the dotted
+ * parameters above, as is --result-cache=<dir> (= sim.result_cache.dir,
+ * the content-addressed per-cell result cache shared with the vpr_simd
+ * daemon; see README "Sweep service").
+ *
+ * Every target runs through the grid engine — a single benchmark or
+ * trace as a one-cell grid — so VPR_INSTS_SCALE applies to all of them
+ * and --result-cache to every benchmark target (a trace file's content
+ * is not part of the cache key, so trace runs are never cached).
  */
 
 #include <cstdlib>
 #include <cstring>
 #include <iomanip>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -172,8 +176,6 @@ simMain(int argc, char **argv)
             shard = parseShard(v);
         } else if (std::strcmp(argv[i], "--sampling") == 0) {
             alias("sim.sampling.enable", "1");
-        } else if (matchArg(argv[i], "--ckpt-dir", &v)) {
-            alias("sim.ckpt.dir", v);
         } else if (matchArg(argv[i], "--result-cache", &v)) {
             alias("sim.result_cache.dir", v);
         } else if (std::strcmp(argv[i], "--wrongpath") == 0) {
@@ -324,23 +326,19 @@ simMain(int argc, char **argv)
         return 0;
     }
 
-    if (figure.empty())
-        figure = "vpr_sim";
+    GridCell cell{target, config};
     if (endsWith(target, ".vprt")) {
-        FileTraceStream stream(target);
         // Finite trace: keep the warm-up from swallowing it whole.
-        if (config.skipInsts >= stream.size() / 2)
-            config.skipInsts = stream.size() / 10;
-        Simulator sim(stream, config);
-        SimResults r = sim.run();
-        sim.printReport(std::cout, r);
-        exportRecords(figure, {{target, config}}, {r});
-    } else {
-        Simulator sim(target, config);
-        SimResults r = sim.run();
-        sim.printReport(std::cout, r);
-        exportRecords(figure, {{target, config}}, {r});
+        const std::size_t records = FileTraceStream(target).size();
+        if (cell.config.skipInsts >= records / 2)
+            cell.config.skipInsts = records / 10;
+        cell.makeStream = [target] {
+            return std::make_unique<FileTraceStream>(target);
+        };
     }
+    const SimResults r = runGrid({cell}, config.jobs).front();
+    printReport(std::cout, cell.config, r);
+    exportRecords(figure.empty() ? "vpr_sim" : figure, {cell}, {r});
     return 0;
 }
 

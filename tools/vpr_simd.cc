@@ -15,12 +15,12 @@
  *
  * Usage:
  *   vpr_simd [--host=<addr>] [--port=<n>] [--jobs=<n>]
- *            [--result-cache=<dir>] [--ckpt-dir=<dir>]
+ *            [--result-cache=<dir>]
  *            [--cache-budget=<size>[K|M|G|T]] [--gc-dry-run]
  *            [--set <key>=<value>] [--config=<file.json>]
  *
  * --cache-budget runs one LRU garbage-collection pass over the
- * checkpoint and result-cache directories at startup (the same
+ * result-cache directory at startup (the same
  * collector as tools/cache_gc; --gc-dry-run only prints the plan).
  * The base configuration matches vpr_sim's, so a request body
  * reproduces a vpr_sim command line field for field.
@@ -49,7 +49,7 @@ usage(const char *argv0)
 {
     std::cerr << "usage: " << argv0
               << " [--host=<addr>] [--port=<n>] [--jobs=<n>]\n"
-                 "  [--result-cache=<dir>] [--ckpt-dir=<dir>]\n"
+                 "  [--result-cache=<dir>]\n"
                  "  [--cache-budget=<size>[K|M|G|T]] [--gc-dry-run]\n"
                  "  [--set <key>=<value>] [--config=<file.json>] "
                  "[--dump-config]\n"
@@ -102,8 +102,6 @@ daemonMain(int argc, char **argv)
             jobs = parseJobs(v);
         } else if (matchArg(argv[i], "--result-cache", &v)) {
             alias("sim.result_cache.dir", v);
-        } else if (matchArg(argv[i], "--ckpt-dir", &v)) {
-            alias("sim.ckpt.dir", v);
         } else if (matchArg(argv[i], "--cache-budget", &v)) {
             if (!parseByteSize(v, cacheBudget)) {
                 std::cerr << "bad --cache-budget '" << v
@@ -125,11 +123,11 @@ daemonMain(int argc, char **argv)
         return 0;
     }
 
-    // Startup GC pass: enforce the byte budget over both on-disk caches
+    // Startup GC pass: enforce the byte budget over the result cache
     // before accepting work, oldest files first.
     if (haveBudget) {
-        const CacheGcPlan plan = planCacheGc(
-            {config.ckpt.dir, config.resultCache.dir}, cacheBudget);
+        const CacheGcPlan plan =
+            planCacheGc({config.resultCache.dir}, cacheBudget);
         printCacheGcPlan(std::cout, plan, cacheBudget, gcDryRun);
         if (!gcDryRun)
             applyCacheGc(plan);
