@@ -8,7 +8,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
 #include <memory>
+#include <numeric>
+#include <sstream>
 #include <vector>
 
 #include "branch/bht.hh"
@@ -23,6 +26,9 @@
 #include "rename/virtual_physical.hh"
 #include "sim/experiment.hh"
 #include "sim/metrics.hh"
+#include "sim/result_cache.hh"
+#include "sim/results_io.hh"
+#include "sim/sweep.hh"
 #include "trace/kernels/kernels.hh"
 
 #include "../tests/support/alloc_count.hh"
@@ -495,6 +501,75 @@ BM_CollectMetrics(benchmark::State &state)
         state.SkipWithError("warm metrics walk allocated");
 }
 BENCHMARK(BM_CollectMetrics);
+
+/** The BM_GridCellOverhead cell, sampled and tiny. */
+SimConfig
+tinySampledCell()
+{
+    SimConfig config = paperConfig();
+    config.skipInsts = 0;
+    config.measureInsts = 4000;
+    config.core.fetch.wrongPath = WrongPathMode::Stall;
+    config.sampling.enable = true;
+    config.sampling.periodInsts = 2000;
+    return config;
+}
+
+/** One result-cache hit of a real ~800-metric record: read, verify and
+ *  decode its entry. The first hit memoises the schema block, as a
+ *  sweep's first hit does, so every measured hit costs the file read,
+ *  one checksum over the ~5 KB payload and the values. */
+void
+BM_ResultCacheHit(benchmark::State &state)
+{
+    namespace fs = std::filesystem;
+    const std::string dir =
+        (fs::temp_directory_path() / "vpr_bm_result_cache").string();
+    fs::remove_all(dir);
+    SimConfig config = tinySampledCell();
+    config.resultCache.dir = dir;
+    const GridCell cell{"swim", config};
+    runGrid({cell}, 1);  // simulate and store
+    SimResults out;
+    if (!loadCachedResult(dir, cell, out))
+        state.SkipWithError("the stored entry did not load");
+    std::uint64_t allocs = 0;
+    std::uint64_t iters = 0;
+    for (auto _ : state) {
+        testsupport::AllocGuard g;
+        benchmark::DoNotOptimize(loadCachedResult(dir, cell, out));
+        allocs += g.count();
+        ++iters;
+    }
+    // HotLoopAlloc.CachedHitAllocationCountIsPinned pins the same count.
+    state.counters["allocs_per_hit"] =
+        iters ? static_cast<double>(allocs) / static_cast<double>(iters)
+              : 0.0;
+    fs::remove_all(dir);
+}
+BENCHMARK(BM_ResultCacheHit);
+
+/** CSV export of a 16-cell sampled grid (four register-file sizes ×
+ *  four schemes, a typical vpr_simd sweep reply); items are cells. */
+void
+BM_WriteResultsCsv(benchmark::State &state)
+{
+    const std::vector<GridCell> cells = buildSweepGrid(
+        {"swim"}, tinySampledCell(),
+        {SweepAxis{"core.rename.regfile_size", {"48", "64", "96", "128"}},
+         SweepAxis{"core.scheme", {"conv", "vp-wb", "vp-issue", "conv-er"}}});
+    const std::vector<SimResults> results = runGrid(cells, 1);
+    std::vector<std::size_t> indices(cells.size());
+    std::iota(indices.begin(), indices.end(), 0);
+    for (auto _ : state) {
+        std::ostringstream os;
+        writeResultsCsv(os, "bm", ShardSpec{}, indices, cells, results);
+        benchmark::DoNotOptimize(os.tellp());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(cells.size()));
+}
+BENCHMARK(BM_WriteResultsCsv);
 
 } // namespace
 

@@ -239,6 +239,17 @@ readFileBytes(const std::string &path, std::string &out)
     std::ifstream is(path, std::ios::binary);
     if (!is)
         return false;
+    // A regular file is read into one buffer of its size (a result-cache
+    // hit reads a whole entry this way); a pipe has no size and streams.
+    is.seekg(0, std::ios::end);
+    const std::streamoff size = is ? std::streamoff(is.tellg()) : -1;
+    if (size >= 0) {
+        is.seekg(0);
+        out.resize(static_cast<std::size_t>(size));
+        is.read(out.data(), size);
+        return is.gcount() == size;
+    }
+    is.clear();
     out.assign(std::istreambuf_iterator<char>(is),
                std::istreambuf_iterator<char>());
     return is.good() || is.eof();

@@ -298,15 +298,14 @@ HttpResponse
 SweepService::handleSweep(const std::string &body)
 {
     // Every user error below throws vpr::Error naming its key: a bad
-    // body, an unknown key or value, a malformed axis, or a cell no core
+    // body, an unknown key or value, a malformed axis, a cell no core
     // can be built from (the engine validates every cell before running
-    // any). The batch binaries exit 1 on the same Error; the daemon
-    // answers 400 and lives on.
-    std::vector<GridCell> cells;
-    std::vector<SimResults> results;
-    std::string figure = "vpr_simd-sweep";
-    std::string format = "csv";
+    // any), or a grid the CSV writer cannot hold (sampled and detailed
+    // records mixed). The batch binaries exit 1 on the same Error; the
+    // daemon answers 400 and lives on.
     try {
+        std::string figure = "vpr_simd-sweep";
+        std::string format = "csv";
         std::vector<std::string> targets;
         std::vector<std::string> sweeps;
         std::vector<std::string> sets;
@@ -339,29 +338,29 @@ SweepService::handleSweep(const std::string &body)
         std::vector<SweepAxis> axes;
         for (const std::string &spec : sweeps)
             axes.push_back(parseSweepAxis(spec));
-        cells = buildSweepGrid(benchmarks, config, axes);
-        results = runGrid(cells, jobs);
+        const std::vector<GridCell> cells =
+            buildSweepGrid(benchmarks, config, axes);
+        const std::vector<SimResults> results = runGrid(cells, jobs);
+
+        std::vector<std::size_t> indices(cells.size());
+        for (std::size_t i = 0; i < indices.size(); ++i)
+            indices[i] = i;
+        std::ostringstream os;
+        HttpResponse response;
+        if (format == "json") {
+            writeResultsJson(os, figure, ShardSpec{}, indices, cells,
+                             results);
+            response.contentType = "application/json";
+        } else {
+            writeResultsCsv(os, figure, ShardSpec{}, indices, cells,
+                            results);
+            response.contentType = "text/csv";
+        }
+        response.body = os.str();
+        return response;
     } catch (const Error &e) {
         return errorResponse(400, e.what());
     }
-
-    std::vector<std::size_t> indices(cells.size());
-    for (std::size_t i = 0; i < indices.size(); ++i)
-        indices[i] = i;
-
-    std::ostringstream os;
-    HttpResponse response;
-    if (format == "json") {
-        writeResultsJson(os, figure, ShardSpec{}, indices, cells,
-                         results);
-        response.contentType = "application/json";
-    } else {
-        writeResultsCsv(os, figure, ShardSpec{}, indices, cells,
-                        results);
-        response.contentType = "text/csv";
-    }
-    response.body = os.str();
-    return response;
 }
 
 std::string

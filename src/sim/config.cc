@@ -172,10 +172,6 @@ ResultCacheConfig::visitParams(ParamVisitor &v)
                "content-addressed per-cell result cache directory "
                "(empty = cache disabled); never changes results",
                /*execOnly=*/true);
-    v.boolParam("compress", compress,
-                "compress result-cache entries (zlib container; stored "
-                "container when the build lacks zlib)",
-                /*execOnly=*/true);
     v.boolParam("save", save,
                 "save an entry after simulating a missed cell (0 = "
                 "read-only cache)",

@@ -67,10 +67,6 @@ struct ResultCacheConfig
     /** Result cache directory; empty disables the cache. */
     std::string dir;
 
-    /** Compress cache entries (zlib container; falls back to a stored
-     *  container when the build lacks zlib). */
-    bool compress = true;
-
     /** Save entries after simulating a missed cell (0 = read-only:
      *  serve hits but never write). */
     bool save = true;

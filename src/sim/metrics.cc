@@ -1,11 +1,26 @@
 #include "sim/metrics.hh"
 
+#include <charconv>
 #include <iomanip>
 #include <ostream>
-#include <sstream>
 
 namespace vpr
 {
+
+namespace
+{
+
+/** Index bucket of @p name: SymIds are small dense integers, so mix
+ *  them (Fibonacci hashing) before masking. */
+std::size_t
+bucketOf(stats::SymId name, std::size_t mask)
+{
+    return static_cast<std::size_t>(
+               (std::uint64_t{name} * 0x9e3779b97f4a7c15ull) >> 32) &
+           mask;
+}
+
+} // namespace
 
 const std::string &
 Metric::name() const
@@ -22,11 +37,24 @@ Metric::desc() const
 std::string
 Metric::text() const
 {
-    if (kind == Kind::UInt)
-        return std::to_string(uval);
-    std::ostringstream os;
-    os << std::setprecision(17) << rval;
-    return os.str();
+    std::string out;
+    appendText(out);
+    return out;
+}
+
+void
+Metric::appendText(std::string &out) const
+{
+    // to_chars with a precision is specified as printf's "%.17g": the
+    // spelling of every exported record and golden (a setprecision(17)
+    // stream's), NaN and inf included, without a stream per value.
+    char buf[32];
+    const std::to_chars_result r =
+        kind == Kind::UInt
+            ? std::to_chars(buf, buf + sizeof(buf), uval)
+            : std::to_chars(buf, buf + sizeof(buf), rval,
+                            std::chars_format::general, 17);
+    out.append(buf, r.ptr);
 }
 
 Metric &
@@ -40,22 +68,45 @@ MetricsRecord::slot(stats::SymId name, stats::SymId desc)
         cursor = 0;
     if (cursor < metrics.size() && metrics[cursor].nameSym == name)
         return metrics[cursor++];
-    auto it = index.find(name);
-    if (it != index.end()) {
-        cursor = it->second + 1;
-        return metrics[it->second];
-    }
-    if (metrics.empty()) {
+    if (index.empty()) {
         // A record is almost always one full stats-tree walk; reserving
         // for a paper-config-sized schema avoids the reallocation and
         // rehash churn of growing through ~800 insertions.
         metrics.reserve(1024);
-        index.reserve(1024);
+        rehash(2048);
     }
-    index.emplace(name, metrics.size());
+    std::size_t b = probe(name);
+    if (index[b] != kEmpty) {
+        cursor = index[b] + 1;
+        return metrics[index[b]];
+    }
+    if (2 * (metrics.size() + 1) > index.size()) {
+        rehash(2 * index.size());
+        b = probe(name);
+    }
+    index[b] = static_cast<std::uint32_t>(metrics.size());
     metrics.push_back(Metric{name, desc, Metric::Kind::UInt, 0, 0.0});
     cursor = metrics.size();
     return metrics.back();
+}
+
+std::size_t
+MetricsRecord::probe(stats::SymId name) const
+{
+    // At most half full, so the walk always meets a free slot.
+    const std::size_t mask = index.size() - 1;
+    for (std::size_t b = bucketOf(name, mask);; b = (b + 1) & mask)
+        if (index[b] == kEmpty || metrics[index[b]].nameSym == name)
+            return b;
+}
+
+void
+MetricsRecord::rehash(std::size_t buckets)
+{
+    index.assign(buckets, kEmpty);
+    for (std::size_t pos = 0; pos < metrics.size(); ++pos)
+        index[probe(metrics[pos].nameSym)] =
+            static_cast<std::uint32_t>(pos);
 }
 
 void
@@ -97,10 +148,10 @@ MetricsRecord::findMetric(const std::string &name) const
     // Read-only lookups must not grow the intern table: a name that
     // was never interned is by construction absent from every record.
     const stats::SymId id = stats::SymbolTable::global().find(name);
-    if (id == 0)
+    if (id == 0 || index.empty())
         return nullptr;
-    auto it = index.find(id);
-    return it == index.end() ? nullptr : &metrics[it->second];
+    const std::uint32_t pos = index[probe(id)];
+    return pos == kEmpty ? nullptr : &metrics[pos];
 }
 
 bool

@@ -15,6 +15,10 @@
  * per measurement interval) touches no strings and — thanks to the
  * in-order cursor below — no hash tables either. Text comes back out
  * only through the name()/desc() accessors at serialization time.
+ *
+ * The name index is a flat open-addressing table of positions into the
+ * metric vector, so building, decoding or copying a record costs two
+ * heap blocks however many metrics it holds.
  */
 
 #ifndef VPR_SIM_METRICS_HH
@@ -23,7 +27,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hh"
@@ -55,8 +58,11 @@ struct Metric
     }
 
     /** Exact text form: integers in full, reals with round-trip
-     *  precision (17 significant digits). */
+     *  precision (17 significant digits, printf "%.17g" spelling). */
     std::string text() const;
+
+    /** Append text() to @p out without a temporary string. */
+    void appendText(std::string &out) const;
 };
 
 /** An ordered, name-indexed collection of metrics. */
@@ -107,11 +113,20 @@ class MetricsRecord : public stats::StatVisitor
     bool sameSchema(const MetricsRecord &other) const;
 
   private:
+    static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+
     Metric &slot(stats::SymId name, stats::SymId desc);
     const Metric *findMetric(const std::string &name) const;
+    /** The index slot holding @p name's position, or the empty slot
+     *  where it would go. */
+    std::size_t probe(stats::SymId name) const;
+    void rehash(std::size_t buckets);
 
     std::vector<Metric> metrics;
-    std::unordered_map<stats::SymId, std::size_t> index;
+    /** Open-addressing index: a power-of-two table of positions into
+     *  metrics (kEmpty = free), linear probing, at most half full. The
+     *  key is read back from metrics[pos].nameSym. */
+    std::vector<std::uint32_t> index;
     /** Expected position of the next visited name. A revisit of the
      *  same stats tree arrives in schema order, so every lookup is one
      *  integer compare instead of a hash probe. */

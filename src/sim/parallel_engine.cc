@@ -24,36 +24,91 @@ scaledConfig(const GridCell &cell)
 }
 
 SimResults
-runCell(const GridCell &cell)
+simulateCell(const GridCell &cell)
 {
-    // Content-addressed result cache: a cell whose (benchmark,
-    // provenance, seed, scale) digest has been simulated before — by
-    // this run, an earlier batch run, or the vpr_simd daemon — is
-    // served from disk, byte-identical to a cold run. Cells with a
-    // custom stream factory are never cached: their workload is not
-    // covered by the provenance digest.
-    const std::string &cacheDir = cell.config.resultCache.dir;
-    const bool cacheable = !cacheDir.empty() && !cell.makeStream;
-    if (cacheable) {
+    const SimConfig config = scaledConfig(cell);
+    if (cell.makeStream) {
+        std::unique_ptr<TraceStream> stream = cell.makeStream();
+        Simulator sim(*stream, config);
+        return sim.run();
+    }
+    Simulator sim(cell.benchmark, config);
+    return sim.run();
+}
+
+/** Cells with a custom stream factory are never cached: their workload
+ *  is not covered by the provenance digest. */
+bool
+cacheable(const GridCell &cell)
+{
+    return !cell.config.resultCache.dir.empty() && !cell.makeStream;
+}
+
+/** @p cell's record. Content-addressed result cache: a cell whose
+ *  (benchmark, provenance, seed, scale) digest has been simulated
+ *  before — by this run, an earlier batch run, or the vpr_simd daemon —
+ *  is served from disk (@p hit set), byte-identical to a cold run. */
+SimResults
+runCell(const GridCell &cell, bool &hit)
+{
+    if (cacheable(cell)) {
         SimResults cached;
-        if (loadCachedResult(cacheDir, cell, cached))
+        if (loadCachedResult(cell.config.resultCache.dir, cell, cached)) {
+            hit = true;
             return cached;
+        }
+    }
+    SimResults results = simulateCell(cell);
+    if (cacheable(cell) && cell.config.resultCache.save)
+        storeCachedResult(cell.config.resultCache.dir, cell, results);
+    return results;
+}
+
+/** Run @p work(k) for every k < @p count on @p workers threads (a
+ *  dynamic work queue: cells vary wildly in runtime, IPC differs 5×
+ *  between benchmarks, so static striping would leave workers idle).
+ *  The first exception stops the queue and is rethrown here. */
+template <typename Work>
+void
+forEach(std::size_t count, unsigned workers, Work &&work)
+{
+    if (workers <= 1) {
+        for (std::size_t k = 0; k < count; ++k)
+            work(k);
+        return;
     }
 
-    const SimConfig config = scaledConfig(cell);
-    SimResults results = [&] {
-        if (cell.makeStream) {
-            std::unique_ptr<TraceStream> stream = cell.makeStream();
-            Simulator sim(*stream, config);
-            return sim.run();
-        }
-        Simulator sim(cell.benchmark, config);
-        return sim.run();
-    }();
+    std::atomic<std::size_t> cursor{0};
+    std::atomic<bool> failed{false};
+    std::exception_ptr firstError;
+    std::mutex errorLock;
 
-    if (cacheable && cell.config.resultCache.save)
-        storeCachedResult(cacheDir, cell, results);
-    return results;
+    auto worker = [&]() {
+        for (;;) {
+            std::size_t k = cursor.fetch_add(1);
+            if (k >= count || failed.load())
+                return;
+            try {
+                work(k);
+            } catch (...) {
+                std::lock_guard<std::mutex> g(errorLock);
+                if (!firstError)
+                    firstError = std::current_exception();
+                failed.store(true);
+                return;
+            }
+        }
+    };
+
+    std::vector<std::thread> pool;
+    pool.reserve(workers);
+    for (unsigned t = 0; t < workers; ++t)
+        pool.emplace_back(worker);
+    for (auto &th : pool)
+        th.join();
+
+    if (firstError)
+        std::rethrow_exception(firstError);
 }
 
 } // namespace
@@ -84,47 +139,38 @@ ParallelExperimentEngine::run(const std::vector<GridCell> &cells) const
         scaledConfig(cell).validate();
 
     std::vector<SimResults> results(cells.size());
+    std::vector<char> hit(cells.size(), 0);  // not vector<bool>: racy
+    forEach(cells.size(), workersFor(cells.size()), [&](std::size_t i) {
+        bool fromCache = false;
+        results[i] = runCell(cells[i], fromCache);
+        hit[i] = fromCache;
+    });
 
-    const unsigned workers = workersFor(cells.size());
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < cells.size(); ++i)
-            results[i] = runCell(cells[i]);
+    // A grid's records share one set of metric columns. When they don't
+    // and some came from the cache, an entry may hold a record of a
+    // build with other stats under the same format version: re-simulate
+    // every cached cell, and count as corrupt and re-store each whose
+    // columns change. The export then equals a cold run. Fresh cells
+    // that still disagree are the exporter's to report.
+    bool agree = true;
+    for (const SimResults &r : results)
+        agree = agree && r.metrics.sameSchema(results.front().metrics);
+    if (agree)
         return results;
-    }
-
-    // Dynamic work queue: cells vary wildly in runtime (IPC differs 5×
-    // between benchmarks), so static striping would leave workers idle.
-    std::atomic<std::size_t> cursor{0};
-    std::atomic<bool> failed{false};
-    std::exception_ptr firstError;
-    std::mutex errorLock;
-
-    auto worker = [&]() {
-        for (;;) {
-            std::size_t i = cursor.fetch_add(1);
-            if (i >= cells.size() || failed.load())
-                return;
-            try {
-                results[i] = runCell(cells[i]);
-            } catch (...) {
-                std::lock_guard<std::mutex> g(errorLock);
-                if (!firstError)
-                    firstError = std::current_exception();
-                failed.store(true);
-                return;
-            }
+    std::vector<std::size_t> cached;
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        if (hit[i])
+            cached.push_back(i);
+    forEach(cached.size(), workersFor(cached.size()), [&](std::size_t k) {
+        const GridCell &cell = cells[cached[k]];
+        SimResults fresh = simulateCell(cell);
+        if (!fresh.metrics.sameSchema(results[cached[k]].metrics)) {
+            resultCacheCounters().corrupt.fetch_add(1);
+            if (cell.config.resultCache.save)
+                storeCachedResult(cell.config.resultCache.dir, cell, fresh);
         }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t)
-        pool.emplace_back(worker);
-    for (auto &th : pool)
-        th.join();
-
-    if (firstError)
-        std::rethrow_exception(firstError);
+        results[cached[k]] = std::move(fresh);
+    });
     return results;
 }
 

@@ -60,7 +60,11 @@ class ParallelExperimentEngine
      * scale (VPR_INSTS_SCALE) is applied to each cell exactly as the
      * serial runOne does, and every scaled cell is validated before any
      * runs (the first invalid one throws Error). Deterministic: results
-     * depend only on the cells, never on jobs or scheduling.
+     * depend only on the cells, never on jobs or scheduling. Cells with
+     * sim.result_cache.dir set are served from the result cache; if
+     * the records then disagree on their metric columns, every cached
+     * cell is re-simulated (and its entry repaired when its columns
+     * change), so the results equal a cold run's.
      */
     std::vector<SimResults> run(const std::vector<GridCell> &cells) const;
 

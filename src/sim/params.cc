@@ -163,23 +163,39 @@ ConfigRegistry::get(const std::string &name) const
     return def->get();
 }
 
+namespace
+{
+
 void
-applyAssignment(SimConfig &config, const std::string &assignment)
+applyTo(ConfigRegistry &registry, const std::string &assignment)
 {
     std::size_t eq = assignment.find('=');
     if (eq == std::string::npos || eq == 0)
         VPR_FATAL("malformed assignment '", assignment,
                   "' (expected key=value)");
-    ConfigRegistry registry(config);
     registry.set(assignment.substr(0, eq), assignment.substr(eq + 1));
+}
+
+} // namespace
+
+void
+applyAssignment(SimConfig &config, const std::string &assignment)
+{
+    ConfigRegistry registry(config);
+    applyTo(registry, assignment);
 }
 
 void
 applyAssignments(SimConfig &config,
                  const std::vector<std::string> &assignments)
 {
+    // One registry for the whole list: building one costs ~40
+    // ParamDefs' worth of names, docs and closures.
+    if (assignments.empty())
+        return;
+    ConfigRegistry registry(config);
     for (const std::string &a : assignments)
-        applyAssignment(config, a);
+        applyTo(registry, a);
 }
 
 bool

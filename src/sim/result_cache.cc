@@ -1,12 +1,15 @@
 #include "sim/result_cache.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <ostream>
-#include <sstream>
+#include <string_view>
 
 #include "common/io/zio.hh"
 #include "common/logging.hh"
@@ -29,17 +32,6 @@ toHex16(std::uint64_t v)
     return out;
 }
 
-/** Round-trip-exact text of the global instruction scale (the same
- *  rendering results_io records in the file metadata). */
-std::string
-scaleKeyText()
-{
-    std::ostringstream os;
-    os.precision(17);
-    os << instructionScale();
-    return os.str();
-}
-
 std::uint64_t
 bitsOf(double d)
 {
@@ -56,65 +48,324 @@ doubleOf(std::uint64_t bits)
     return d;
 }
 
-/** Strict whole-string hex parse; throws FormatError on junk. */
-std::uint64_t
-parseHex64(const std::string &text)
+/** LEB128: seven bits per byte, low group first, high bit = more. */
+void
+appendVarint(std::string &out, std::uint64_t v)
 {
-    if (text.empty() || text.size() > 16)
-        throw FormatError("result-cache entry: bad hex field '" + text +
-                          "'");
-    std::uint64_t v = 0;
-    for (char c : text) {
-        int digit;
-        if (c >= '0' && c <= '9')
-            digit = c - '0';
-        else if (c >= 'a' && c <= 'f')
-            digit = c - 'a' + 10;
-        else
-            throw FormatError("result-cache entry: bad hex field '" +
-                              text + "'");
-        v = (v << 4) | static_cast<std::uint64_t>(digit);
+    for (; v >= 0x80; v >>= 7)
+        out.push_back(static_cast<char>((v & 0x7f) | 0x80));
+    out.push_back(static_cast<char>(v));
+}
+
+void
+appendU64le(std::string &out, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+}
+
+/** Bounds-checked reader over an entry payload; every failure throws
+ *  FormatError, which the loader turns into a miss. */
+class PayloadReader
+{
+  public:
+    explicit PayloadReader(std::string_view data) : rest(data) {}
+
+    /** The value of the next "key=value" header line. */
+    std::string_view
+    header(std::string_view key)
+    {
+        const std::string_view line = nextLine();
+        if (line.size() <= key.size() || line.substr(0, key.size()) != key ||
+            line[key.size()] != '=')
+            throw FormatError("result-cache entry: missing '" +
+                              std::string(key) + "' header");
+        return line.substr(key.size() + 1);
     }
+
+    std::string_view
+    nextLine()
+    {
+        const std::size_t nl = rest.find('\n');
+        if (nl == std::string_view::npos)
+            throw FormatError("result-cache entry: truncated header");
+        const std::string_view line = rest.substr(0, nl);
+        rest.remove_prefix(nl + 1);
+        return line;
+    }
+
+    std::string_view
+    take(std::size_t n)
+    {
+        if (rest.size() < n)
+            throw FormatError("result-cache entry: truncated payload");
+        const std::string_view out = rest.substr(0, n);
+        rest.remove_prefix(n);
+        return out;
+    }
+
+    /** One canonical LEB128 varint of at most 64 bits. */
+    std::uint64_t
+    varint()
+    {
+        std::uint64_t v = 0;
+        for (unsigned shift = 0;; shift += 7) {
+            if (rest.empty())
+                throw FormatError("result-cache entry: truncated value");
+            const auto byte = static_cast<unsigned char>(rest.front());
+            rest.remove_prefix(1);
+            if (shift == 63 && byte > 1)
+                throw FormatError("result-cache entry: counter "
+                                  "overflows 64 bits");
+            v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+            if (!(byte & 0x80)) {
+                if (byte == 0 && shift > 0)
+                    throw FormatError("result-cache entry: "
+                                      "non-canonical counter");
+                return v;
+            }
+        }
+    }
+
+    std::uint64_t
+    u64le()
+    {
+        const std::string_view bytes = take(8);
+        std::uint64_t v = 0;
+        for (int i = 0; i < 8; ++i)
+            v |= static_cast<std::uint64_t>(
+                     static_cast<unsigned char>(bytes[i]))
+                 << (8 * i);
+        return v;
+    }
+
+    bool done() const { return rest.empty(); }
+
+  private:
+    std::string_view rest;
+};
+
+/** Strict whole-field unsigned parse in @p base; throws on junk. */
+std::uint64_t
+parseField(std::string_view text, int base, const char *what)
+{
+    std::uint64_t v = 0;
+    const char *end = text.data() + text.size();
+    const std::from_chars_result r =
+        std::from_chars(text.data(), end, v, base);
+    if (r.ec != std::errc() || r.ptr != end)
+        throw FormatError("result-cache entry: bad " + std::string(what) +
+                          " '" + std::string(text) + "'");
     return v;
 }
 
-/** One "key=value" header line; throws on mismatch of @p key. */
-std::string
-headerValue(std::istream &is, const std::string &key)
+/**
+ * A record's column layout — every metric's (name, description, kind),
+ * in order — and the packed block that stores it: a nested VPRZ
+ * container of kind "schema" holding one "K\tname\tdesc" line per
+ * metric (K = U or R), deflated when zlib is present. Immutable once
+ * built, so a memoised one is shared without a lock.
+ */
+struct Schema
 {
-    std::string line;
-    if (!std::getline(is, line) ||
-        line.compare(0, key.size() + 1, key + "=") != 0)
-        throw FormatError("result-cache entry: missing '" + key +
-                          "' header");
-    return line.substr(key.size() + 1);
+    std::string block;
+    MetricsRecord layout;  ///< the columns, every value zero
+};
+
+bool
+sameLayout(const MetricsRecord &a, const MetricsRecord &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const Metric &x = a.all()[i];
+        const Metric &y = b.all()[i];
+        if (x.nameSym != y.nameSym || x.descSym != y.descSym ||
+            x.kind != y.kind)
+            return false;
+    }
+    return true;
 }
 
-/** Serialize one record: header + one tab-separated line per metric.
- *  Reals travel as raw IEEE-754 bits so a replayed record renders
- *  byte-identically in every exporter. */
+void
+addColumn(MetricsRecord &layout, Metric::Kind kind, stats::SymId name,
+          stats::SymId desc)
+{
+    if (kind == Metric::Kind::UInt)
+        layout.setUInt(name, desc, 0);
+    else
+        layout.setReal(name, desc, 0.0);
+}
+
+/** Pack the schema of @p record (the store side of a memo miss). */
+std::shared_ptr<const Schema>
+encodeSchema(const MetricsRecord &record)
+{
+    auto schema = std::make_shared<Schema>();
+    std::string text;
+    for (const Metric &m : record.all()) {
+        VPR_ASSERT(m.name().find_first_of("\t\n") == std::string::npos &&
+                       m.desc().find_first_of("\t\n") ==
+                           std::string::npos,
+                   "metric unsafe for the result-cache encoding: '",
+                   m.name(), "'");
+        text += m.kind == Metric::Kind::UInt ? "U\t" : "R\t";
+        text += m.name();
+        text += '\t';
+        text += m.desc();
+        text += '\n';
+        addColumn(schema->layout, m.kind, m.nameSym, m.descSym);
+    }
+    schema->block = vprzPack(text, "schema", /*compress=*/true);
+    return schema;
+}
+
+/** Verify and parse a schema block no memo entry vouches for: its own
+ *  container checks, the line grammar, and unique names. */
+std::shared_ptr<const Schema>
+decodeSchema(std::string_view block)
+{
+    auto schema = std::make_shared<Schema>();
+    schema->block.assign(block);
+    const std::string text = vprzUnpack(schema->block, "schema");
+    stats::SymbolTable &symbols = stats::SymbolTable::global();
+    std::size_t lines = 0;
+    for (std::size_t at = 0; at < text.size(); ++lines) {
+        const std::size_t nl = text.find('\n', at);
+        if (nl == std::string::npos)
+            throw FormatError("result-cache schema: unterminated line");
+        const std::string_view line(text.data() + at, nl - at);
+        at = nl + 1;
+        const std::size_t tab =
+            line.size() < 2 || line[1] != '\t' ? std::string_view::npos
+                                               : line.find('\t', 2);
+        if (tab == std::string_view::npos ||
+            line.find('\t', tab + 1) != std::string_view::npos)
+            throw FormatError("result-cache schema: malformed line");
+        if (line[0] != 'U' && line[0] != 'R')
+            throw FormatError("result-cache schema: unknown metric kind");
+        addColumn(schema->layout,
+                  line[0] == 'U' ? Metric::Kind::UInt : Metric::Kind::Real,
+                  symbols.intern(line.substr(2, tab - 2)),
+                  symbols.intern(line.substr(tab + 1)));
+    }
+    if (schema->layout.size() != lines)
+        throw FormatError("result-cache schema: duplicate metric names");
+    return schema;
+}
+
+/**
+ * Process-wide memo of verified schemas, searched both ways: by a
+ * record's layout when storing (so the deflate runs once per schema)
+ * and by block bytes when loading (so inflate, parsing and interning
+ * run once per schema). A block equal to a memoised one equals bytes
+ * that were already verified. Bounded to kCapacity schemas, most
+ * recently used first; a new one evicts the least recently used, so
+ * however many schemas a process meets (damaged entries that still
+ * parse, a cache directory shared by several builds), the ones in use
+ * stay memoised.
+ */
+class SchemaMemo
+{
+  public:
+    static constexpr std::size_t kCapacity = 8;
+
+    std::shared_ptr<const Schema>
+    byLayout(const MetricsRecord &record)
+    {
+        std::lock_guard<std::mutex> g(lock);
+        return touch([&](const Schema &s) {
+            return sameLayout(s.layout, record);
+        });
+    }
+
+    std::shared_ptr<const Schema>
+    byBlock(std::string_view block)
+    {
+        std::lock_guard<std::mutex> g(lock);
+        return touch([&](const Schema &s) { return s.block == block; });
+    }
+
+    /** Keep @p fresh; a racing thread may have kept an equal schema
+     *  first, which is then returned instead. */
+    std::shared_ptr<const Schema>
+    add(std::shared_ptr<const Schema> fresh)
+    {
+        std::lock_guard<std::mutex> g(lock);
+        if (auto kept = touch([&](const Schema &s) {
+                return s.block == fresh->block;
+            }))
+            return kept;
+        if (schemas.size() == kCapacity)
+            schemas.pop_back();
+        schemas.insert(schemas.begin(), fresh);
+        return fresh;
+    }
+
+  private:
+    /** The first schema @p match accepts, moved to the front; the
+     *  caller holds the lock. */
+    template <typename Match>
+    std::shared_ptr<const Schema>
+    touch(Match &&match)
+    {
+        for (auto it = schemas.begin(); it != schemas.end(); ++it)
+            if (match(**it)) {
+                std::rotate(schemas.begin(), it, it + 1);
+                return schemas.front();
+            }
+        return nullptr;
+    }
+
+    std::mutex lock;
+    /** Most recently used first. */
+    std::vector<std::shared_ptr<const Schema>> schemas;
+};
+
+SchemaMemo &
+schemaMemo()
+{
+    static SchemaMemo memo;
+    return memo;
+}
+
+const std::string &
+formatLine()
+{
+    static const std::string line =
+        "vpr-result v" + std::to_string(kResultCacheFormatVersion);
+    return line;
+}
+
+/**
+ * Serialize one record (entry format v3): the header lines, the schema
+ * block, then one value per metric — counters as LEB128 varints (most
+ * are zero: one byte), reals as their raw IEEE-754 bits, so a replayed
+ * record renders byte-identically in every exporter.
+ */
 std::string
 encodeEntry(std::uint64_t digest, const std::string &benchmark,
             const SimResults &results)
 {
-    std::ostringstream os;
-    os << "vpr-result v" << kResultCacheFormatVersion << "\n";
-    os << "digest=" << toHex16(digest) << "\n";
-    os << "benchmark=" << benchmark << "\n";
-    os << "metrics=" << results.metrics.size() << "\n";
-    for (const Metric &m : results.metrics.all()) {
-        VPR_ASSERT(m.name().find('\t') == std::string::npos &&
-                       m.desc().find('\t') == std::string::npos &&
-                       m.desc().find('\n') == std::string::npos,
-                   "metric unsafe for the result-cache encoding: '",
-                   m.name(), "'");
+    const MetricsRecord &record = results.metrics;
+    std::shared_ptr<const Schema> schema = schemaMemo().byLayout(record);
+    if (!schema)
+        schema = schemaMemo().add(encodeSchema(record));
+
+    std::string out = formatLine() + "\ndigest=" + toHex16(digest) +
+                      "\nbenchmark=" + benchmark +
+                      "\nmetrics=" + std::to_string(record.size()) +
+                      "\nschema=" + std::to_string(schema->block.size()) +
+                      "\n";
+    out.reserve(out.size() + schema->block.size() + 9 * record.size());
+    out += schema->block;
+    for (const Metric &m : record.all()) {
         if (m.kind == Metric::Kind::UInt)
-            os << "U\t" << m.name() << "\t" << m.uval;
+            appendVarint(out, m.uval);
         else
-            os << "R\t" << m.name() << "\t" << toHex16(bitsOf(m.rval));
-        os << "\t" << m.desc() << "\n";
+            appendU64le(out, bitsOf(m.rval));
     }
-    return os.str();
+    return out;
 }
 
 /** Invert encodeEntry; throws FormatError on any malformed or
@@ -123,55 +374,48 @@ SimResults
 decodeEntry(const std::string &payload, std::uint64_t expectDigest,
             const std::string &expectBenchmark)
 {
-    std::istringstream is(payload);
-    std::string line;
-    if (!std::getline(is, line) ||
-        line != "vpr-result v" +
-                    std::to_string(kResultCacheFormatVersion))
+    PayloadReader in(payload);
+    if (in.nextLine() != formatLine())
         throw FormatError("result-cache entry: bad format line");
-    if (parseHex64(headerValue(is, "digest")) != expectDigest)
+    if (parseField(in.header("digest"), 16, "digest") != expectDigest)
         throw FormatError("result-cache entry: digest mismatch (entry "
                           "for a different configuration)");
-    if (headerValue(is, "benchmark") != expectBenchmark)
+    if (in.header("benchmark") != expectBenchmark)
         throw FormatError("result-cache entry: benchmark mismatch");
-    std::uint64_t count = 0;
-    if (!parseParamU64(headerValue(is, "metrics"), count))
-        throw FormatError("result-cache entry: bad metric count");
+    const std::uint64_t count =
+        parseField(in.header("metrics"), 10, "metric count");
+    const std::string_view block =
+        in.take(parseField(in.header("schema"), 10, "schema size"));
+
+    std::shared_ptr<const Schema> schema = schemaMemo().byBlock(block);
+    if (!schema)
+        schema = schemaMemo().add(decodeSchema(block));
+    if (schema->layout.size() != count)
+        throw FormatError("result-cache entry: metric count disagrees "
+                          "with its schema");
 
     SimResults out;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        if (!std::getline(is, line))
-            throw FormatError("result-cache entry: truncated metric "
-                              "list");
-        std::size_t t1 = line.find('\t');
-        std::size_t t2 =
-            t1 == std::string::npos ? t1 : line.find('\t', t1 + 1);
-        std::size_t t3 =
-            t2 == std::string::npos ? t2 : line.find('\t', t2 + 1);
-        if (line.size() < 2 || line[1] != '\t' ||
-            t3 == std::string::npos)
-            throw FormatError("result-cache entry: malformed metric "
-                              "line");
-        const std::string name = line.substr(t1 + 1, t2 - t1 - 1);
-        const std::string value = line.substr(t2 + 1, t3 - t2 - 1);
-        const std::string desc = line.substr(t3 + 1);
-        if (line[0] == 'U') {
-            std::uint64_t v = 0;
-            if (!parseParamU64(value, v))
-                throw FormatError("result-cache entry: bad counter "
-                                  "value '" + value + "'");
-            out.metrics.setUInt(name, desc, v);
-        } else if (line[0] == 'R') {
-            out.metrics.setReal(name, desc, doubleOf(parseHex64(value)));
-        } else {
-            throw FormatError("result-cache entry: unknown metric kind");
-        }
+    out.metrics = schema->layout;
+    for (const Metric &m : schema->layout.all()) {
+        if (m.kind == Metric::Kind::UInt)
+            out.metrics.setUInt(m.nameSym, m.descSym, in.varint());
+        else
+            out.metrics.setReal(m.nameSym, m.descSym,
+                                doubleOf(in.u64le()));
     }
-    if (std::getline(is, line) && !line.empty())
-        throw FormatError("result-cache entry: trailing garbage");
-    if (out.metrics.size() != count)
-        throw FormatError("result-cache entry: duplicate metric names");
+    if (!in.done())
+        throw FormatError("result-cache entry: trailing bytes");
     return out;
+}
+
+/** Feed "key=value\n" to an FNV-1a stream without building the line. */
+std::uint64_t
+hashLine(std::uint64_t h, std::string_view key, std::string_view value)
+{
+    h = fnv1a(key.data(), key.size(), h);
+    h = fnv1a("=", 1, h);
+    h = fnv1a(value.data(), value.size(), h);
+    return fnv1a("\n", 1, h);
 }
 
 } // namespace
@@ -191,13 +435,14 @@ resultCacheDigest(const GridCell &cell)
     h = fnv1a(&version, sizeof(version), h);
     // The instruction scale rescales skip/measure after provenance is
     // recorded, so it is part of the content key even though it is not
-    // a parameter.
-    const std::string scale = "scale=" + scaleKeyText() + "\n";
-    h = fnv1a(scale.data(), scale.size(), h);
-    for (const auto &[name, value] : configProvenance(cell.config)) {
-        const std::string line = name + "=" + value + "\n";
-        h = fnv1a(line.data(), line.size(), h);
-    }
+    // a parameter. Round-trip-exact text, as results_io records it.
+    char scale[32];
+    const std::to_chars_result r =
+        std::to_chars(scale, scale + sizeof(scale), instructionScale(),
+                      std::chars_format::general, 17);
+    h = hashLine(h, "scale", std::string_view(scale, r.ptr - scale));
+    for (const auto &[name, value] : configProvenance(cell.config))
+        h = hashLine(h, name, value);
     h = fnv1a(cell.benchmark.data(), cell.benchmark.size(), h);
     return h;
 }
@@ -244,9 +489,11 @@ storeCachedResult(const std::string &dir, const GridCell &cell,
         resultCachePath(dir, cell.benchmark, digest);
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);  // best effort
+    // The schema block is deflated on its own; the container around
+    // the whole entry is stored, so a hit inflates nothing.
     const std::string entry =
         vprzPack(encodeEntry(digest, cell.benchmark, results), "result",
-                 cell.config.resultCache.compress);
+                 /*compress=*/false);
     if (!writeFileAtomic(path, entry)) {
         VPR_WARN("cannot write result-cache entry '", path,
                  "' (results are unaffected)");

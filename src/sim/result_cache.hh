@@ -10,12 +10,26 @@
  * excluded) plus the global instruction scale and the cache format
  * version.
  *
- * Entries are small VPRZ-wrapped text records (common/io/zio.hh, kind
- * "result"): metric kinds, names, descriptions and exact values (reals
- * as raw IEEE-754 bits, so a replayed record renders byte-identically
- * to a cold run in every exporter). Every load re-verifies container
- * checksum, digest and benchmark; any damage is a miss — the cell is
- * re-simulated and the file repaired, never a wrong row.
+ * Entries are VPRZ containers (common/io/zio.hh, kind "result", store
+ * codec). Format v3 payload:
+ *
+ *   "vpr-result v3\n" "digest=<hex16>\n" "benchmark=<name>\n"
+ *   "metrics=<N>\n" "schema=<bytes>\n"
+ *   schema block: a nested VPRZ container of kind "schema" holding one
+ *     "K\tname\tdesc\n" line per metric (K = U or R), deflated when
+ *     zlib is present
+ *   N values in schema order: counters as LEB128 varints, reals as
+ *     their 8 raw little-endian IEEE-754 bytes
+ *
+ * Every entry of one build repeats the same schema block, so each
+ * process packs and decodes a schema once through a small memo; a hit
+ * then costs a file read, one checksum over a ~5 KB payload and the
+ * values. Reals travel as raw bits, so a replayed record renders
+ * byte-identically to a cold run in every exporter. Every load
+ * re-verifies the container checksum, digest, benchmark, count and
+ * sizes (and a schema block no memo entry vouches for is verified in
+ * full); any damage is a miss — the cell is re-simulated and the file
+ * repaired, never a wrong row.
  *
  * The cache is wired into the parallel experiment engine: any grid run
  * — bench binaries, vpr_sim sweeps, and the vpr_simd daemon — with
@@ -40,9 +54,11 @@ namespace vpr
 
 /** Bump to invalidate every cached result at the name level (the
  *  digest covers it) when the entry format or the records it may hold
- *  change. Version 2 retires v1 entries, which could hold detailed
- *  records perturbed by the since-removed warm-state checkpoint path. */
-constexpr std::uint32_t kResultCacheFormatVersion = 2;
+ *  change; cache_gc ages the stale files out. Version 2 retired v1
+ *  entries, which could hold detailed records perturbed by the
+ *  since-removed warm-state checkpoint path; version 3 is the
+ *  schema-block layout above. */
+constexpr std::uint32_t kResultCacheFormatVersion = 3;
 
 /**
  * Process-wide cache traffic counters (monotonic, thread-safe): the

@@ -72,20 +72,55 @@ scaleText()
     return os.str();
 }
 
-/** Metric names (= metric column order) of the first exported result;
- *  asserts every other result shares the schema. */
-std::vector<std::string>
-metricSchema(const std::vector<SimResults> &results)
+/**
+ * Every exported row must carry the first row's metric columns. Sampled
+ * and detailed records differ in theirs, so a grid that varies
+ * sim.sampling.enable cannot be one CSV file: that is a user error.
+ * Any other disagreement is a simulator bug (the engine already
+ * re-simulates cells whose cached records disagree).
+ */
+void
+checkMetricSchema(const std::vector<std::size_t> &indices,
+                  const std::vector<GridCell> &cells,
+                  const std::vector<SimResults> &results)
 {
-    std::vector<std::string> names;
-    if (results.empty())
-        return names;
-    for (const Metric &m : results.front().metrics.all())
-        names.push_back(m.name());
-    for (const SimResults &r : results)
-        VPR_ASSERT(r.metrics.sameSchema(results.front().metrics),
-                   "grid cells disagree on the metric schema");
-    return names;
+    for (std::size_t k = 1; k < results.size(); ++k) {
+        if (results[k].metrics.sameSchema(results.front().metrics))
+            continue;
+        const GridCell &first = cells[indices.front()];
+        const GridCell &other = cells[indices[k]];
+        if (first.config.sampling.enable != other.config.sampling.enable)
+            VPR_FATAL("cells ", indices.front(), " and ", indices[k],
+                      " disagree on sim.sampling.enable: sampled and "
+                      "detailed records have different metric columns, "
+                      "so one CSV export cannot hold both (export them "
+                      "separately)");
+        VPR_PANIC("grid cells ", indices.front(), " and ", indices[k],
+                  " disagree on the metric schema");
+    }
+}
+
+/** The 16-hex-digit FNV-1a digest over every cell's provenance values
+ *  (cellConfigValues), with separators, so reordered or truncated grids
+ *  hash differently. */
+std::string
+configDigestOf(const std::vector<std::vector<std::string>> &values)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    auto mix = [&h](const std::string &s) {
+        for (char c : s) {
+            h ^= static_cast<unsigned char>(c);
+            h *= 1099511628211ull;
+        }
+        h ^= 0xffu;
+        h *= 1099511628211ull;
+    };
+    for (const std::vector<std::string> &cell : values)
+        for (const std::string &v : cell)
+            mix(v);
+    std::ostringstream os;
+    os << std::hex << std::setfill('0') << std::setw(16) << h;
+    return os.str();
 }
 
 void
@@ -131,24 +166,11 @@ cellConfigValues(const GridCell &cell)
 std::string
 gridConfigDigest(const std::vector<GridCell> &cells)
 {
-    // FNV-1a over every cell's (benchmark, key, value) provenance
-    // triples with separators, so reordered or truncated grids hash
-    // differently.
-    std::uint64_t h = 14695981039346656037ull;
-    auto mix = [&h](const std::string &s) {
-        for (char c : s) {
-            h ^= static_cast<unsigned char>(c);
-            h *= 1099511628211ull;
-        }
-        h ^= 0xffu;
-        h *= 1099511628211ull;
-    };
+    std::vector<std::vector<std::string>> values;
+    values.reserve(cells.size());
     for (const GridCell &cell : cells)
-        for (const std::string &v : cellConfigValues(cell))
-            mix(v);
-    std::ostringstream os;
-    os << std::hex << std::setfill('0') << std::setw(16) << h;
-    return os.str();
+        values.push_back(cellConfigValues(cell));
+    return configDigestOf(values);
 }
 
 void
@@ -159,28 +181,46 @@ writeResultsCsv(std::ostream &os, const std::string &figure,
                 const std::vector<SimResults> &results)
 {
     checkWriterArgs(indices, cells, results);
+    checkMetricSchema(indices, cells, results);
+
+    // Each cell's provenance is rendered once, for both the whole-grid
+    // digest and the cell's row.
+    std::vector<std::vector<std::string>> config;
+    config.reserve(cells.size());
+    for (const GridCell &cell : cells)
+        config.push_back(cellConfigValues(cell));
 
     os << "# vpr-results v1 figure=" << figure << " cells="
        << cells.size() << " shard=" << shardText(shard) << " scale="
-       << scaleText() << " cfg=" << gridConfigDigest(cells) << "\n";
+       << scaleText() << " cfg=" << configDigestOf(config) << "\n";
 
-    const std::vector<std::string> metricNames = metricSchema(results);
+    std::string line;
     const std::vector<std::string> &fixed = resultFixedColumns();
-    for (std::size_t i = 0; i < fixed.size(); ++i)
-        os << (i ? "," : "") << fixed[i];
-    for (const std::string &name : metricNames)
-        os << "," << name;
-    os << "\n";
+    for (std::size_t i = 0; i < fixed.size(); ++i) {
+        line += i ? "," : "";
+        line += fixed[i];
+    }
+    if (!results.empty())
+        for (const Metric &m : results.front().metrics.all()) {
+            line += ',';
+            line += m.name();
+        }
+    line += '\n';
+    os << line;
 
     for (std::size_t k = 0; k < indices.size(); ++k) {
-        os << indices[k];
-        for (const std::string &v : cellConfigValues(cells[indices[k]])) {
+        line.assign(std::to_string(indices[k]));
+        for (const std::string &v : config[indices[k]]) {
             checkCsvSafe(v);
-            os << "," << v;
+            line += ',';
+            line += v;
         }
-        for (const Metric &m : results[k].metrics.all())
-            os << "," << m.text();
-        os << "\n";
+        for (const Metric &m : results[k].metrics.all()) {
+            line += ',';
+            m.appendText(line);
+        }
+        line += '\n';
+        os << line;
     }
 }
 

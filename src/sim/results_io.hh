@@ -59,7 +59,10 @@ std::string gridConfigDigest(const std::vector<GridCell> &cells);
 /**
  * Write the records of one (possibly sharded) run: @p cells is the
  * FULL grid, @p indices the global cell indices actually run, and
- * @p results their outcomes, parallel to @p indices. @{
+ * @p results their outcomes, parallel to @p indices. CSV rows share one
+ * set of metric columns, so writeResultsCsv throws Error naming
+ * sim.sampling.enable for a grid that mixes sampled and detailed
+ * cells. @{
  */
 void writeResultsCsv(std::ostream &os, const std::string &figure,
                      const ShardSpec &shard,

@@ -38,17 +38,20 @@ buildSweepGrid(const std::vector<std::string> &benchmarks,
         VPR_ASSERT(!axis.values.empty(), "sweep axis '", axis.key,
                    "' has no values");
 
+    // One registry for the whole grid, bound to a scratch config that
+    // each cell resets to the base: its accessor closures capture the
+    // scratch's fields, so they need no rebinding (configProvenance
+    // does the same).
+    SimConfig scratch = base;
+    ConfigRegistry registry(scratch);
     std::vector<GridCell> cells;
     std::vector<std::size_t> pick(axes.size(), 0);
     for (const std::string &bench : benchmarks) {
         for (;;) {
-            SimConfig config = base;
-            {
-                ConfigRegistry registry(config);
-                for (std::size_t a = 0; a < axes.size(); ++a)
-                    registry.set(axes[a].key, axes[a].values[pick[a]]);
-            }
-            cells.emplace_back(bench, config);
+            scratch = base;
+            for (std::size_t a = 0; a < axes.size(); ++a)
+                registry.set(axes[a].key, axes[a].values[pick[a]]);
+            cells.emplace_back(bench, scratch);
 
             // Odometer step, rightmost axis fastest; a carry off the
             // left end means the benchmark's combinations are done

@@ -16,8 +16,9 @@
  * comfortably before 60k committed instructions. Shrinking the warm-up
  * makes the test flaky-by-construction; don't.
  *
- * The last test pins the fixed cost around that loop instead: the exact
- * allocation count of one fresh grid cell.
+ * The last two tests pin the fixed cost around that loop instead: the
+ * exact allocation counts of one fresh grid cell and of one
+ * result-cache hit.
  *
  * Wrong-path fetch runs in Stall mode, like every BM_Simulator* row:
  * under squash-mode recovery the IQ wait lists accumulate stale
@@ -28,10 +29,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "core/core.hh"
 #include "sim/config.hh"
 #include "sim/experiment.hh"
 #include "sim/metrics.hh"
+#include "sim/result_cache.hh"
 #include "trace/kernels/kernels.hh"
 
 #include "../support/alloc_count.hh"
@@ -44,6 +48,19 @@ namespace
 using testsupport::AllocGuard;
 
 constexpr std::uint64_t kWarmupInsts = 60000;
+
+/** The BM_GridCellOverhead cell: a tiny sampled swim run. */
+SimConfig
+tinySampledCell()
+{
+    SimConfig config = paperConfig();
+    config.skipInsts = 0;
+    config.measureInsts = 4000;
+    config.core.fetch.wrongPath = WrongPathMode::Stall;
+    config.sampling.enable = true;
+    config.sampling.periodInsts = 2000;
+    return config;
+}
 
 TEST(HotLoopAlloc, ZeroAllocationsPerMeasuredInterval)
 {
@@ -113,21 +130,57 @@ TEST(HotLoopAlloc, FreshGridCellAllocationCountIsPinned)
     // verified schemas); after it the count is exact and repeats run
     // to run. A deliberate change re-pins it; an accidental one fails
     // here before it is big enough to move wall time.
-    constexpr std::uint64_t kFreshCellAllocs = 1483;
+    constexpr std::uint64_t kFreshCellAllocs = 680;
 
-    SimConfig config = paperConfig();
-    config.skipInsts = 0;
-    config.measureInsts = 4000;
-    config.core.fetch.wrongPath = WrongPathMode::Stall;
-    config.sampling.enable = true;
-    config.sampling.periodInsts = 2000;
-    const std::vector<GridCell> cells{{"swim", config}};
+    const std::vector<GridCell> cells{{"swim", tinySampledCell()}};
     runGrid(cells, 1);
 
     AllocGuard g;
     const std::vector<SimResults> results = runGrid(cells, 1);
     EXPECT_EQ(g.count(), kFreshCellAllocs);
     EXPECT_GT(results[0].ipc(), 0.0);
+}
+
+TEST(HotLoopAlloc, CachedHitAllocationCountIsPinned)
+{
+    // A result-cache hit reads one file, checks it, and fills a copy of
+    // the memoised schema's record with the values: its heap traffic
+    // must not grow with the ~800 metrics of a record. Storing the cell
+    // memoises its schema; after that the count is exact.
+    constexpr std::uint64_t kCachedHitAllocs = 51;
+
+    namespace fs = std::filesystem;
+    const std::string dir =
+        (fs::path(::testing::TempDir()) / "vpr_alloc_hit").string();
+    fs::remove_all(dir);
+    SimConfig config = tinySampledCell();
+    config.resultCache.dir = dir;
+    const GridCell cell{"swim", config};
+
+    // However many schemas the process met before (damaged entries that
+    // still parse, a cache shared by several builds), the one in use is
+    // memoised: meet more than the memo holds first.
+    for (int i = 0; i < 10; ++i) {
+        GridCell other = cell;
+        other.config.seed = 100 + i;
+        SimResults record;
+        record.metrics.setUInt("alloc_pin.schema" + std::to_string(i),
+                               "one of many schemas", 1);
+        storeCachedResult(dir, other, record);
+        ASSERT_TRUE(loadCachedResult(dir, other, record));
+    }
+    runGrid({cell}, 1);
+    SimResults first;
+    ASSERT_TRUE(loadCachedResult(dir, cell, first));
+
+    SimResults out;
+    AllocGuard g;
+    const bool hit = loadCachedResult(dir, cell, out);
+    const std::uint64_t allocs = g.count();
+    ASSERT_TRUE(hit);
+    EXPECT_EQ(allocs, kCachedHitAllocs);
+    EXPECT_GT(out.metrics.size(), 700u);
+    EXPECT_EQ(out.ipc(), first.ipc());
 }
 
 } // namespace

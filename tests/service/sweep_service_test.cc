@@ -138,6 +138,69 @@ TEST(SweepService, RepeatedSweepIsServedFromResultCache)
     EXPECT_EQ(resultCacheCounters().hits.load(), hits0 + 2);  // 2 cells
 }
 
+TEST(SweepService, SamplingSweepIs400NotAnAbort)
+{
+    // Sampled and detailed records have different columns, so this grid
+    // cannot be one CSV export; it once aborted the daemon in the
+    // exporter. Cold and warm cache alike, the answer is a 400 naming
+    // the key, and the daemon lives on.
+    const std::string dir =
+        (fs::path(::testing::TempDir()) / "vpr_svc_sampling").string();
+    fs::remove_all(dir);
+    SimConfig base = quick();
+    base.resultCache.dir = dir;
+    SweepService service(base, 2);
+    const char *body =
+        "{\"target\":[\"compress\"],\"sweep\":[\"sim.sampling.enable=0,1\"],"
+        "\"set\":[\"measure_insts=40000\",\"sim.sampling.period_insts=4000\"]}";
+    for (int pass = 0; pass < 2; ++pass) {
+        const HttpResponse response = service.handle(post("/sweep", body), 0);
+        EXPECT_EQ(response.status, 400);
+        EXPECT_NE(response.body.find("sim.sampling.enable"),
+                  std::string::npos)
+            << response.body;
+    }
+    EXPECT_EQ(service.handle(get("/status"), 0).status, 200);
+    const HttpResponse ok = service.handle(post("/sweep", kSweepBody), 0);
+    ASSERT_EQ(ok.status, 200) << ok.body;
+    EXPECT_EQ(ok.body, batchCsv(quick(), "svc-test"));
+}
+
+TEST(SweepService, CachedRecordWithOtherColumnsIsRepaired)
+{
+    // A cache entry holding one metric more than this build exports
+    // (what a build with one more stat writes under the same format
+    // version) once aborted the daemon when a sweep mixed it with fresh
+    // cells. The answer is a 200 byte-equal to a cold run.
+    const std::string dir =
+        (fs::path(::testing::TempDir()) / "vpr_svc_columns").string();
+    fs::remove_all(dir);
+    SimConfig base = quick();
+    base.resultCache.dir = dir;
+    const GridCell cell{"go", base};
+    SimResults poisoned = runOne(cell.benchmark, cell.config);
+    poisoned.metrics.setUInt("test.extra_stat", "one stat more", 7);
+    storeCachedResult(dir, cell, poisoned);
+
+    SweepService service(base, 1);
+    const char *body = "{\"target\": \"go\", "
+                       "\"sweep\": [\"core.scheme=vp-wb,conv\"], "
+                       "\"figure\": \"svc-test\"}";
+    const std::uint64_t corrupt0 = resultCacheCounters().corrupt.load();
+    const HttpResponse response = service.handle(post("/sweep", body), 0);
+    ASSERT_EQ(response.status, 200) << response.body;
+    EXPECT_EQ(resultCacheCounters().corrupt.load(), corrupt0 + 1);
+
+    const std::vector<GridCell> cells = buildSweepGrid(
+        {"go"}, quick(), {SweepAxis{"core.scheme", {"vp-wb", "conv"}}});
+    std::ostringstream cold;
+    writeResultsCsv(cold, "svc-test", ShardSpec{}, {0, 1}, cells,
+                    runGrid(cells, 1));
+    EXPECT_EQ(response.body, cold.str());
+    EXPECT_EQ(service.handle(post("/sweep", body), 0).body, cold.str());
+    EXPECT_EQ(service.handle(get("/status"), 0).status, 200);
+}
+
 TEST(SweepService, BadRequestsAre400NeverFatal)
 {
     // tests/data/bad_requests.txt: one bad body per line, after the

@@ -320,8 +320,6 @@ TEST(ConfigParams, ExecutionOnlyParamsNeverChangeARecord)
     const std::map<std::string, std::vector<std::string>> alternates = {
         {"jobs", {"jobs=4"}},
         {"sim.result_cache.dir", {dir + "/plain"}},
-        {"sim.result_cache.compress",
-         {dir + "/stored", "sim.result_cache.compress=0"}},
         {"sim.result_cache.save",
          {dir + "/read-only", "sim.result_cache.save=0"}},
     };

@@ -2,9 +2,11 @@
  * @file
  * Seeded mutation fuzz of every parser that reads input from outside
  * the program: the /sweep request body, --config JSON, CSV and VPRZ
- * result files, VPRTRACE files and result-cache entries (.vprr). Each
- * case starts from a valid input, applies a few random byte edits, and
- * feeds the result to the reader.
+ * result files, VPRTRACE files and result-cache entries (.vprr): the
+ * raw file, and the entry payload and schema text re-packed into valid
+ * containers so the mutants get past the checksums to the decoder.
+ * Each case starts from a valid input, applies a few random byte
+ * edits, and feeds the result to the reader.
  * Every outcome must be a parsed result or a vpr::Error: an abort, a
  * crash, another exception type or a sanitizer report fails the test.
  * The seed is fixed, so a failure reproduces exactly.
@@ -246,6 +248,58 @@ TEST(ParserFuzz, ResultCacheEntry)
         SimResults out;
         hits += loadCachedResult(dir, cell, out);
     });
+    EXPECT_LT(hits, kMutations);
+}
+
+TEST(ParserFuzz, ResultCachePayload)
+{
+    // The raw-file fuzz above mostly tests the outer checksum. Here the
+    // mutants are re-packed into valid containers, so they reach the
+    // header, schema and value parsing: first the whole v3 payload,
+    // then the schema text inside its (re-deflated) block.
+    const std::string dir = scratchDir("vpr_fuzz_payload");
+    const GridCell cell("swim", tiny());
+    SimResults stored;
+    stored.metrics.setUInt("core.cycles", "cycles simulated", 1600);
+    stored.metrics.setUInt("core.zero", "a zero counter", 0);
+    stored.metrics.setUInt("core.big", "a ten-byte varint", ~0ull);
+    stored.metrics.setReal("core.ipc", "instructions per cycle", 1.25);
+    storeCachedResult(dir, cell, stored);
+    const std::string path =
+        resultCachePath(dir, cell.benchmark, resultCacheDigest(cell));
+    std::string raw;
+    ASSERT_TRUE(readFileBytes(path, raw));
+    const std::string payload = vprzUnpack(raw, "result");
+    const std::size_t at = payload.find("\nschema=") + 1;
+    const std::size_t nl = payload.find('\n', at);
+    const std::size_t blockSize =
+        std::stoul(payload.substr(at + 7, nl - at - 7));
+    const std::string head = payload.substr(0, at);
+    const std::string block = payload.substr(nl + 1, blockSize);
+    const std::string values = payload.substr(nl + 1 + blockSize);
+    const std::string schemaText = vprzUnpack(block, "schema");
+
+    QuietCerr quiet;
+    auto load = [&](const std::string &entryPayload) -> bool {
+        EXPECT_TRUE(
+            writeFileAtomic(path, vprzPack(entryPayload, "result", false)));
+        SimResults out;
+        return loadCachedResult(dir, cell, out);
+    };
+    ASSERT_TRUE(load(payload));
+
+    int hits = 0;
+    fuzz(payload, 7, [&](const std::string &mutant) { hits += load(mutant); });
+    EXPECT_GT(hits, 0);
+    EXPECT_LT(hits, kMutations);
+
+    hits = 0;
+    fuzz(schemaText, 8, [&](const std::string &mutant) {
+        const std::string packed = vprzPack(mutant, "schema", true);
+        hits += load(head + "schema=" + std::to_string(packed.size()) +
+                     "\n" + packed + values);
+    });
+    EXPECT_GT(hits, 0);
     EXPECT_LT(hits, kMutations);
 }
 
