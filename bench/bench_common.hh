@@ -1,14 +1,18 @@
 /**
  * @file
- * Shared scaffolding for the paper-reproduction bench binaries.
+ * What the paper figures share: the base config every figure grid is
+ * built from, the override store applied to it, and the tuned sampling
+ * presets.
  *
- * Every bench regenerates one table or figure of the paper. Instruction
- * budgets are scaled-down from the paper's 50 M (see DESIGN.md §4) and
- * can be rescaled with VPR_INSTS_SCALE=<factor> or --scale=<factor>.
+ * Every figure is a vpr_sim target (`vpr_sim fig7_regfile_size`).
+ * Instruction budgets are scaled down from the paper's 50 M (see README
+ * "Reproduce the paper") and rescaled with VPR_INSTS_SCALE=<factor>.
  * Any configuration parameter can be overridden by dotted name with
  * --set <key>=<value> / --config=<file.json> (see sim/params.hh and
- * vpr_sim --help-params); overrides apply to the base config every
- * figure grid is built from, so the axes a figure itself sweeps win.
+ * vpr_sim --help-params); vpr_sim and merge_results put those overrides
+ * in the store experimentConfig() applies, so they reach the base
+ * config every figure grid is built from, and the axes a figure itself
+ * sweeps win.
  */
 
 #ifndef VPR_BENCH_BENCH_COMMON_HH
@@ -24,22 +28,6 @@
 
 namespace vpr::bench
 {
-
-/** Command-line options shared by every bench binary. */
-struct BenchOptions
-{
-    /** --shard=i/N: run only the cells of slice i. */
-    ShardSpec shard;
-    /** --out=<path>: write one record per executed grid cell (CSV, or
-     *  JSON when the path ends in .json). Empty = no export. */
-    std::string outPath;
-    /** --set / --config= / --dump-config, applied to the base config
-     *  with the shared contract (config file first, then --set). */
-    ConfigCliArgs config;
-};
-
-/** The options parseArgs() collected. */
-const BenchOptions &benchOptions();
 
 /**
  * Tuned SMARTS sampling protocol for one registered figure: the
@@ -64,19 +52,20 @@ const std::vector<SamplingPreset> &samplingPresets();
 /** Preset lookup by figure name; nullptr when unknown. */
 const SamplingPreset *findSamplingPreset(const std::string &figure);
 
-/** Parse --scale=<f> into VPR_INSTS_SCALE, --jobs=<n> into VPR_JOBS,
- *  and --shard=i/N / --out=<path> / --config=<path> / --set <k>=<v> /
- *  --dump-config into benchOptions(), before anything runs. */
-void parseArgs(int argc, char **argv);
+/** What --sampling-preset=<figure> means: sim.sampling.enable=1, then
+ *  the preset's period, warm-up and detailed lengths, as "key=value"
+ *  assignments. Throws Error naming @p figure when it has no preset. */
+std::vector<std::string>
+samplingPresetAssignments(const std::string &figure);
 
-/** Append one "key=value" override as if passed via --set (used by
- *  tools that share the figure registry, e.g. merge_results). */
-void addConfigOverride(const std::string &assignment);
+/** Replace the override store experimentConfig() applies last, with
+ *  the shared applyConfigCli contract (--config file first, then the
+ *  assignments in order). */
+void setConfigOverrides(const ConfigCliArgs &overrides);
 
 /** The SimConfig all paper experiments start from: section 4.1 machine,
- *  trace-driven fetch stall on mispredictions, scaled-down budget,
- *  jobs from VPR_JOBS (see --jobs), with any --config/--set overrides
- *  applied last. */
+ *  trace-driven fetch stall on mispredictions, scaled-down budget, with
+ *  the override store applied last. */
 SimConfig experimentConfig();
 
 /** Geometric-mean helper used when summarizing speedup figures. */

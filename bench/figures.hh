@@ -28,7 +28,7 @@ namespace vpr::bench
 /** One registered figure. */
 struct FigureDef
 {
-    /** Stable id; equals the bench binary's name. */
+    /** Stable id: the vpr_sim target name and the records' label. */
     std::string name;
     /** Build the full grid (pure; identical on every host). */
     std::function<std::vector<GridCell>()> build;
@@ -44,15 +44,7 @@ const std::vector<FigureDef> &allFigures();
 /** Lookup by name; nullptr when unknown. */
 const FigureDef *findFigure(const std::string &name);
 
-/**
- * The shared bench main(): parse args, build the grid, run the whole
- * grid (or the --shard slice), export --out records, and render the
- * table (unsharded runs only — a shard cannot render a partial table).
- * A user error is reported through runMain (fatal: ..., exit status 1).
- */
-int figureMain(const std::string &name, int argc, char **argv);
-
-/** Figure constructors, one per bench binary. @{ */
+/** Figure constructors, one per registered figure. @{ */
 FigureDef fig4Figure();
 FigureDef fig5Figure();
 FigureDef fig6Figure();

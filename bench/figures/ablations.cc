@@ -10,6 +10,18 @@
 namespace vpr::bench
 {
 
+/**
+ * Ablation: counter-based early register release versus virtual-
+ * physical registers.
+ *
+ * Section 3.1 of the paper identifies two waste factors of decode-time
+ * allocation and positions virtual-physical registers as eliminating
+ * the *first* (decode→write-back holding), citing Moudgill et al. and
+ * Smith & Sohi for the *second* (dead value waiting for its
+ * superseder's commit). This figure runs conventional, early release
+ * and write-back VP side by side so the two factors can be compared
+ * head to head.
+ */
 FigureDef
 ablationEarlyReleaseFigure()
 {
@@ -68,6 +80,14 @@ ablationEarlyReleaseFigure()
     return def;
 }
 
+/**
+ * Ablation: MSHR count (lockup-free cache depth).
+ *
+ * The virtual-physical win on streaming FP codes comes from overlapping
+ * more cache misses than 32 rename registers allow. That makes the
+ * 8-entry MSHR file (paper §4.1) the complementary ceiling: this figure
+ * sweeps it to show where the VP speedup saturates.
+ */
 FigureDef
 ablationMshrFigure()
 {
@@ -120,6 +140,15 @@ ablationMshrFigure()
     return def;
 }
 
+/**
+ * Ablation: instruction-window (ROB) size sweep.
+ *
+ * The paper's conclusion argues the virtual-physical benefit grows for
+ * "future architectures with a larger instruction window and thus, a
+ * much higher register pressure". This figure sweeps the ROB from 32 to
+ * 256 entries at a fixed 64-register file and reports the VP/conv
+ * speedup per window size.
+ */
 FigureDef
 ablationWindowFigure()
 {
@@ -183,6 +212,20 @@ ablationWindowFigure()
     return def;
 }
 
+/**
+ * Ablation: misprediction modelling — fetch stall (the paper's
+ * trace-driven methodology) versus synthetic wrong-path fetch, with and
+ * without wrong-path memory operations.
+ *
+ * Trace-driven simulators cannot follow the actual wrong path. The
+ * paper's framework (like most of its era) stalls fetch at a detected
+ * misprediction. Our fetch unit can instead synthesize wrong-path
+ * instructions that occupy rename registers, queue slots and functional
+ * units until the branch resolves — and, with wrongPathMem, loads and
+ * stores that probe the cache and LSQ (speculative pollution) — closer
+ * to real hardware for a register-pressure study. This figure
+ * quantifies the differences.
+ */
 FigureDef
 ablationWrongPathFigure()
 {

@@ -1,8 +1,25 @@
 /**
  * @file
- * Section 3.1 motivating example as a FigureDef. The cells carry their
- * own trace factory (the paper's load->fdiv->fmul->fadd chain, all
- * writing f2) instead of a named benchmark kernel.
+ * Section 3.1 of the paper, the motivating register-pressure example,
+ * as a FigureDef:
+ *
+ *     load f2,0(r6)    (cache miss, 20 cycles in the paper's example)
+ *     fdiv f2,f2,f10   (20 cycles)
+ *     fmul f2,f2,f12   (10 cycles)
+ *     fadd f2,f2,f1    (5 cycles)
+ *
+ * The paper counts register-holding times of p1..p3 (the registers
+ * renamed to f2 by the first three instructions): 42/52/57 cycles with
+ * decode allocation, 21/11/6 with write-back allocation (-75% register
+ * pressure) and 41/31/16 with issue allocation (-42%).
+ *
+ * The cells carry their own trace factory (the chain above, repeated)
+ * instead of a named benchmark kernel, and replay it on the full
+ * simulator with each renaming scheme, reporting the measured FP
+ * register pressure (sum of holding cycles per produced value). Our
+ * machine uses Table 1 latencies and a 50-cycle miss, so the absolute
+ * cycle counts differ; the ranking and the large decode-allocation
+ * waste are the reproduced claims.
  */
 
 #include "figures.hh"
@@ -39,7 +56,7 @@ chainCell(RenameScheme scheme)
     config.skipInsts = 0;
     config.measureInsts = 4000;
     // Looping stream: at the default budget (4000 < 4800 records) the
-    // wrap never engages, but --scale > 1 keeps measuring the same
+    // wrap never engages, but VPR_INSTS_SCALE > 1 keeps measuring the same
     // chain instead of silently draining the pipeline early.
     return GridCell("section3.1-chain", config, [] {
         return std::make_unique<VectorTraceStream>(exampleTrace(1200),

@@ -11,7 +11,8 @@
  *
  * Usage: nrr_explorer [--jobs N] [--out F] [--set k=v] [--config=F]
  *                     [--dump-config] [benchmark] [physRegs]
- *        (defaults: hydro2d 64, jobs 1; jobs 0 = one per hw thread;
+ *        (defaults: hydro2d 64; jobs from VPR_JOBS, else 1; jobs 0 =
+ *        one per hw thread;
  *        --out writes one record per grid cell, CSV or .json; --set /
  *        --config override any dotted config parameter of the base
  *        machine — run vpr_sim --help-params for the list)
@@ -21,6 +22,7 @@
 #include <cstring>
 #include <iomanip>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,16 +42,16 @@ explorerMain(int argc, char **argv)
 {
     std::string bench = "hydro2d";
     std::uint16_t physRegs = 64;
-    unsigned jobs = 1;
+    std::optional<unsigned> jobsFlag;
     std::string outPath;
     ConfigCliArgs cliConfig;
 
     std::vector<std::string> positional;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-            jobs = parseJobs(argv[++i]);
+            jobsFlag = parseJobs(argv[++i], "--jobs");
         } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-            jobs = parseJobs(argv[i] + 7);
+            jobsFlag = parseJobs(argv[i] + 7, "--jobs");
         } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
             outPath = argv[++i];
         } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
@@ -104,7 +106,8 @@ explorerMain(int argc, char **argv)
         config.setScheme(RenameScheme::VPAllocAtIssue);
         cells.push_back({bench, config});
     }
-    std::vector<SimResults> results = runGrid(cells, jobs);
+    std::vector<SimResults> results =
+        runGrid(cells, jobsFlag ? *jobsFlag : defaultJobs());
 
     if (!outPath.empty())
         exportAllCells(outPath, "nrr_explorer", cells, results);

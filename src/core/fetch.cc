@@ -53,7 +53,7 @@ FetchUnit::synthesizeWrongPath()
 {
     // Wrong-path mixes are dominated by short integer ops; memory
     // operations stay out unless wrongPathMem is set, so speculative
-    // pollution of the data cache is opt-in (see DESIGN.md).
+    // pollution of the data cache is opt-in.
     StaticInst si;
     std::uint64_t pick = wpRng.below(100);
     auto randInt = [this] {

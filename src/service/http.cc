@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "sim/params.hh"
 
 namespace vpr::service
 {
@@ -212,6 +213,15 @@ renderResponse(const HttpResponse &response)
 }
 
 } // namespace
+
+std::uint16_t
+parsePort(const std::string &text)
+{
+    std::uint64_t v = 0;
+    if (!parseParamU64(text, v) || v > 65535)
+        VPR_FATAL("bad --port '", text, "' (want 0-65535; 0 = ephemeral)");
+    return static_cast<std::uint16_t>(v);
+}
 
 const char *
 httpReason(int status)

@@ -39,6 +39,11 @@ struct HttpResponse
 /** Standard reason phrase for the status codes the service emits. */
 const char *httpReason(int status);
 
+/** Strictly parse a --port value, the daemon's and the client's alike:
+ *  0-65535 (whole string; 0 = an ephemeral port). Anything else is an
+ *  Error naming --port. */
+std::uint16_t parsePort(const std::string &text);
+
 /**
  * Blocking single-threaded HTTP server: bind, then serve() accepts one
  * connection at a time and runs the handler inline. Long sweeps

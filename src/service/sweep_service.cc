@@ -328,6 +328,7 @@ SweepService::handleSweep(const std::string &body)
         }
         if (format != "csv" && format != "json")
             VPR_FATAL("bad format '", format, "' (want csv or json)");
+        checkResultsLabel(figure);
         if (targets.empty())
             targets.push_back("all");
 

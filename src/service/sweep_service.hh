@@ -19,8 +19,10 @@
  *       "format": "csv"}
  *
  *    "target" is "all" or a benchmark list; "sweep"/"set" accept a
- *    string or an array of strings; "format" is "csv" (default) or
- *    "json". The grid is expanded with sim/sweep.hh, run on the
+ *    string or an array of strings; "figure" labels the records
+ *    (default "vpr_simd-sweep"; [A-Za-z0-9._-] only, see
+ *    checkResultsLabel); "format" is "csv" (default) or "json". The
+ *    grid is expanded with sim/sweep.hh, run on the
  *    parallel engine (with the result cache, when configured), and the
  *    merged records come back as the response body — byte-identical to
  *    what `vpr_sim --sweep ... --out` writes for the same spec.

@@ -165,17 +165,13 @@ SamplingConfig::visitParams(ParamVisitor &v)
 void
 ResultCacheConfig::visitParams(ParamVisitor &v)
 {
-    // All execution-only: where whole-cell results are cached must
-    // never change a result, so none of these enter provenance or
-    // config dumps.
+    // Execution-only: where whole-cell results are cached must never
+    // change a result, so it enters neither provenance nor config
+    // dumps.
     v.strParam("dir", dir,
                "content-addressed per-cell result cache directory "
                "(empty = cache disabled); never changes results",
                /*execOnly=*/true);
-    v.boolParam("save", save,
-                "save an entry after simulating a missed cell (0 = "
-                "read-only cache)",
-                /*execOnly=*/true);
 }
 
 void
@@ -188,10 +184,6 @@ SimConfig::visitParams(ParamVisitor &v)
                 "committed instructions to measure");
     v.uintParam("seed", seed,
                 "workload seed (0 = the kernel's default stream)");
-    v.uintParam("jobs", jobs,
-                "worker threads for grid sweeps (0 = one per hardware "
-                "thread); never changes results",
-                /*execOnly=*/true);
     v.pushGroup("sim");
     v.pushGroup("sampling");
     sampling.visitParams(v);

@@ -58,18 +58,15 @@ struct SamplingConfig
  * cache directory set, the parallel experiment engine serves any grid
  * cell whose (benchmark, provenance, seed, scale) content digest has
  * been simulated before — by any binary or the vpr_simd daemon — from
- * disk, byte-identical to a cold run. All knobs are execution-only:
- * where results are cached must never change a result, so none of them
- * enter provenance or config dumps.
+ * disk, byte-identical to a cold run. The directory is execution-only:
+ * where results are cached must never change a result, so it enters
+ * neither provenance nor config dumps. A missed cell is stored after it
+ * is simulated.
  */
 struct ResultCacheConfig
 {
     /** Result cache directory; empty disables the cache. */
     std::string dir;
-
-    /** Save entries after simulating a missed cell (0 = read-only:
-     *  serve hits but never write). */
-    bool save = true;
 
     /** Reflect the result-cache parameters (sim/params.hh). */
     void visitParams(ParamVisitor &v);
@@ -88,7 +85,7 @@ struct SimConfig
 
     /** Committed instructions to skip before measuring (cache/BHT
      *  warm-up; the paper skips 100 M then measures 50 M — we scale both
-     *  down, see DESIGN.md §4). */
+     *  down, see README "Reproduce the paper"). */
     std::uint64_t skipInsts = 40000;
 
     /** Committed instructions to measure. */
@@ -104,14 +101,6 @@ struct SimConfig
      * concurrently.
      */
     std::uint64_t seed = 0;
-
-    /**
-     * Worker threads for grid sweeps through the
-     * ParallelExperimentEngine: 1 = serial, 0 = one per hardware
-     * thread. A single simulation is always single-threaded; jobs
-     * only parallelizes *across* grid cells.
-     */
-    unsigned jobs = 1;
 
     /**
      * Convenience: apply the paper's relationship between register-file

@@ -1,10 +1,11 @@
 #include "sim/experiment.hh"
 
+#include <cmath>
 #include <cstdlib>
 #include <iomanip>
 
 #include "common/logging.hh"
-#include "trace/kernels/kernels.hh"
+#include "sim/params.hh"
 
 namespace vpr
 {
@@ -75,56 +76,44 @@ selectCells(const std::vector<GridCell> &cells,
     return out;
 }
 
-std::map<std::string, SimResults>
-runAll(const SimConfig &config)
+double
+parseInstsScale(const char *text)
 {
-    std::vector<GridCell> cells;
-    for (const auto &name : benchmarkNames())
-        cells.push_back({name, config});
-    std::vector<SimResults> results = runGrid(cells, config.jobs);
-
-    std::map<std::string, SimResults> out;
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        out[cells[i].benchmark] = results[i];
-    return out;
+    char *end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0.0)
+        VPR_FATAL("bad VPR_INSTS_SCALE '", text,
+                  "' (want a positive number, e.g. 0.05)");
+    return v;
 }
 
 double
 instructionScale()
 {
-    static double scale = [] {
+    static const double scale = [] {
         const char *env = std::getenv("VPR_INSTS_SCALE");
-        if (!env)
-            return 1.0;
-        double v = std::atof(env);
-        if (v <= 0.0) {
-            VPR_WARN("ignoring bad VPR_INSTS_SCALE '", env, "'");
-            return 1.0;
-        }
-        return v;
+        return env ? parseInstsScale(env) : 1.0;
     }();
     return scale;
 }
 
 unsigned
-parseJobs(const char *text)
+parseJobs(const char *text, const char *what)
 {
-    char *end = nullptr;
-    unsigned long v = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0' || v > 4096) {
-        VPR_WARN("ignoring bad jobs value '", text,
-                 "' (want 0 = hw threads, or a worker count)");
-        return 1;
-    }
+    std::uint64_t v = 0;
+    if (!parseParamU64(text, v) || v > 4096)
+        VPR_FATAL("bad ", what, " '", text,
+                  "' (want 0 = one per hardware thread, or 1-4096 "
+                  "workers)");
     return static_cast<unsigned>(v);  // 0 = one per hardware thread
 }
 
 unsigned
 defaultJobs()
 {
-    static unsigned jobs = [] {
+    static const unsigned jobs = [] {
         const char *env = std::getenv("VPR_JOBS");
-        return env ? parseJobs(env) : 1u;
+        return env ? parseJobs(env, "VPR_JOBS") : 1u;
     }();
     return jobs;
 }

@@ -1,15 +1,14 @@
 /**
  * @file
  * Experiment harness: runs (benchmark × scheme × parameters) grids and
- * formats tables in the paper's style. Every bench binary is a thin
- * wrapper around these helpers.
+ * formats tables in the paper's style. vpr_sim's figure targets, its
+ * sweeps and the vpr_simd daemon all run through these helpers.
  */
 
 #ifndef VPR_SIM_EXPERIMENT_HH
 #define VPR_SIM_EXPERIMENT_HH
 
 #include <functional>
-#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -31,8 +30,8 @@ SimResults runOne(const std::string &benchmark, SimConfig config);
 /**
  * Run a whole grid of cells on the parallel engine with @p jobs worker
  * threads (1 = serial, 0 = one per hardware thread) and return results
- * in cell order. This is the workhorse every bench binary sweeps
- * through; results are independent of jobs.
+ * in cell order. This is the workhorse every driver sweeps through;
+ * results are independent of jobs.
  */
 std::vector<SimResults> runGrid(const std::vector<GridCell> &cells,
                                 unsigned jobs);
@@ -62,26 +61,23 @@ std::vector<std::size_t> shardCellIndices(std::size_t totalCells,
 std::vector<GridCell> selectCells(const std::vector<GridCell> &cells,
                                   const std::vector<std::size_t> &indices);
 
-/**
- * Run every benchmark of the paper under @p config, using config.jobs
- * worker threads.
- * @return results keyed by benchmark name (paper order preserved via
- *         benchmarkNames()).
- */
-std::map<std::string, SimResults> runAll(const SimConfig &config);
-
-/** Scale factor for instruction budgets, settable from the command
- *  line / environment (VPR_INSTS_SCALE) to trade time for fidelity. */
+/** Scale factor for instruction budgets: the VPR_INSTS_SCALE
+ *  environment variable (parsed by parseInstsScale), or 1. Trades time
+ *  for fidelity; throws Error on a bad value. */
 double instructionScale();
 
-/** Default worker-thread count for grid sweeps: the VPR_JOBS
- *  environment variable (0 = one per hardware thread), or 1. */
+/** Strictly parse a VPR_INSTS_SCALE value: a finite positive number
+ *  (whole string). Anything else is an Error naming VPR_INSTS_SCALE. */
+double parseInstsScale(const char *text);
+
+/** Worker-thread count for a grid when no --jobs was given: the
+ *  VPR_JOBS environment variable (parsed by parseJobs), or 1. */
 unsigned defaultJobs();
 
-/** Strictly parse a --jobs/VPR_JOBS value: "0" = one per hardware
- *  thread, a positive integer = that many workers; anything else
- *  warns and falls back to 1 worker. */
-unsigned parseJobs(const char *text);
+/** Strictly parse a worker count given by @p what (--jobs or
+ *  VPR_JOBS): "0" = one per hardware thread, else 1-4096 workers.
+ *  Anything else is an Error naming @p what. */
+unsigned parseJobs(const char *text, const char *what);
 
 /** Apply the global instruction scale to a config. */
 void applyInstructionScale(SimConfig &config);

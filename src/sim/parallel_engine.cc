@@ -59,7 +59,7 @@ runCell(const GridCell &cell, bool &hit)
         }
     }
     SimResults results = simulateCell(cell);
-    if (cacheable(cell) && cell.config.resultCache.save)
+    if (cacheable(cell))
         storeCachedResult(cell.config.resultCache.dir, cell, results);
     return results;
 }
@@ -166,8 +166,7 @@ ParallelExperimentEngine::run(const std::vector<GridCell> &cells) const
         SimResults fresh = simulateCell(cell);
         if (!fresh.metrics.sameSchema(results[cached[k]].metrics)) {
             resultCacheCounters().corrupt.fetch_add(1);
-            if (cell.config.resultCache.save)
-                storeCachedResult(cell.config.resultCache.dir, cell, fresh);
+            storeCachedResult(cell.config.resultCache.dir, cell, fresh);
         }
         results[cached[k]] = std::move(fresh);
     });

@@ -210,6 +210,11 @@ parseConfigArg(int argc, char **argv, int &i, ConfigCliArgs &args)
         args.configPath = arg + 9;
     } else if (std::strcmp(arg, "--dump-config") == 0) {
         args.dumpConfig = true;
+    } else if (std::strcmp(arg, "--sampling") == 0) {
+        args.assignments.push_back("sim.sampling.enable=1");
+    } else if (std::strncmp(arg, "--result-cache=", 15) == 0) {
+        args.assignments.push_back(std::string("sim.result_cache.dir=") +
+                                   (arg + 15));
     } else {
         return false;
     }
@@ -233,8 +238,8 @@ dumpConfig(std::ostream &os, const SimConfig &config)
     bool first = true;
     for (const ParamDef &def : registry.params()) {
         // Derived params serialize through their underlying values;
-        // execution-only knobs (jobs) describe how a grid is run, not
-        // the machine, and must not be resurrected by --config.
+        // execution-only knobs describe how a grid is run, not the
+        // machine, and must not be resurrected by --config.
         if (def.derived || def.execOnly)
             continue;
         os << (first ? "" : ",\n") << "  \"" << def.name << "\": \""

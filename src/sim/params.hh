@@ -17,8 +17,8 @@
  *    ("--dump-config" / "--config=file.json");
  *  - configProvenance enumerates the provenance-relevant (name, value)
  *    pairs of a config — what results_io embeds in every exported
- *    record (execution-only knobs like "jobs" are excluded; "seed" is
- *    included for reproducibility);
+ *    record (execution-only knobs like "sim.result_cache.dir" are
+ *    excluded; "seed" is included for reproducibility);
  *  - paramReference/printParamHelp generate the parameter reference
  *    ("--help-params", checked in as docs/params.txt).
  *
@@ -66,8 +66,9 @@ struct ParamDef
     /** Enum params: the canonical value names (set() also accepts the
      *  registered aliases; get() always returns a canonical name). */
     std::vector<std::string> enumNames;
-    /** Execution-only knob (worker threads): settable but excluded from
-     *  provenance — records must not depend on how a grid was run. */
+    /** Execution-only knob (the result-cache directory): settable but
+     *  excluded from provenance — records must not depend on how a grid
+     *  was run. */
     bool execOnly = false;
     /** Writes through to other parameters; excluded from dumps and
      *  provenance (only underlying values are serialized). */
@@ -247,13 +248,16 @@ void applyAssignments(SimConfig &config,
 struct ConfigCliArgs
 {
     std::string configPath;              ///< --config=<file.json>
-    std::vector<std::string> assignments;  ///< --set <k>=<v>, in order
+    /** --set <k>=<v> and the flags that alias one, in order. */
+    std::vector<std::string> assignments;
     bool dumpConfig = false;             ///< --dump-config
 };
 
 /** Recognize one of --set <k>=<v>, --set=<k>=<v>, --config=<file>,
- *  --dump-config at argv[i]; consumes a second argv slot for the
- *  two-token --set form. @return true when the argument was taken. */
+ *  --dump-config, --sampling (= --set sim.sampling.enable=1) or
+ *  --result-cache=<dir> (= --set sim.result_cache.dir=<dir>) at
+ *  argv[i]; consumes a second argv slot for the two-token --set form.
+ *  @return true when the argument was taken. */
 bool parseConfigArg(int argc, char **argv, int &i, ConfigCliArgs &args);
 
 /** Apply @p args to @p config: config file first, then assignments. */
@@ -263,8 +267,8 @@ void applyConfigCli(SimConfig &config, const ConfigCliArgs &args);
  * Write @p config as a JSON document of dotted keys to string values,
  * one parameter per line in registry order. Derived parameters are
  * skipped (their underlying values carry the information) and so are
- * execution-only knobs like jobs (a config file describes the machine,
- * not how a grid is run — loading one never clobbers --jobs).
+ * execution-only knobs like the result-cache directory (a config file
+ * describes the machine, not how a grid is run).
  * loadConfig inverts it: dump -> load -> dump is byte-identical.
  */
 void dumpConfig(std::ostream &os, const SimConfig &config);

@@ -32,7 +32,7 @@
  * repaired, never a wrong row.
  *
  * The cache is wired into the parallel experiment engine: any grid run
- * — bench binaries, vpr_sim sweeps, and the vpr_simd daemon — with
+ * — a vpr_sim figure, sweep or benchmark, and the vpr_simd daemon — with
  * sim.result_cache.dir set serves previously computed cells from disk.
  * Cells with a custom stream factory are never cached (their workload
  * is not covered by the provenance digest).

@@ -1,6 +1,7 @@
 #include "sim/results_io.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
@@ -62,8 +63,8 @@ shardText(const ShardSpec &shard)
 }
 
 /** The effective instruction scale as round-trip-exact text. Recorded
- *  in the file metadata so shards run with different --scale values
- *  can never be merged into one (meaningless) result set. */
+ *  in the file metadata so shards run with different VPR_INSTS_SCALE
+ *  values can never be merged into one (meaningless) result set. */
 std::string
 scaleText()
 {
@@ -135,7 +136,39 @@ checkWriterArgs(const std::vector<std::size_t> &indices,
                    " outside the ", cells.size(), "-cell grid");
 }
 
+bool
+hasSuffix(const std::string &path, const std::string &suffix)
+{
+    return path.size() >= suffix.size() &&
+           path.compare(path.size() - suffix.size(), suffix.size(),
+                        suffix) == 0;
+}
+
 } // namespace
+
+void
+checkResultsLabel(const std::string &figure)
+{
+    const bool ok =
+        !figure.empty() &&
+        std::all_of(figure.begin(), figure.end(), [](unsigned char c) {
+            return std::isalnum(c) || c == '.' || c == '_' || c == '-';
+        });
+    if (!ok)
+        VPR_FATAL("bad figure label '", figure,
+                  "' (want a non-empty name of [A-Za-z0-9._-])");
+}
+
+void
+checkResultsOutput(const std::string &path, const std::string &figure,
+                   const ShardSpec &shard)
+{
+    checkResultsLabel(figure);
+    if (shard.active() && hasSuffix(path, ".json"))
+        VPR_FATAL("--shard output must be CSV (merge_results cannot "
+                  "merge JSON); drop the .json extension of '", path,
+                  "'");
+}
 
 const std::vector<std::string> &
 resultFixedColumns()
@@ -180,6 +213,7 @@ writeResultsCsv(std::ostream &os, const std::string &figure,
                 const std::vector<GridCell> &cells,
                 const std::vector<SimResults> &results)
 {
+    checkResultsLabel(figure);
     checkWriterArgs(indices, cells, results);
     checkMetricSchema(indices, cells, results);
 
@@ -231,6 +265,7 @@ writeResultsJson(std::ostream &os, const std::string &figure,
                  const std::vector<GridCell> &cells,
                  const std::vector<SimResults> &results)
 {
+    checkResultsLabel(figure);
     checkWriterArgs(indices, cells, results);
 
     const std::vector<std::string> &fixed = resultFixedColumns();
@@ -269,19 +304,6 @@ writeResultsJson(std::ostream &os, const std::string &figure,
     os << "\n  ]\n}\n";
 }
 
-namespace
-{
-
-bool
-hasSuffix(const std::string &path, const std::string &suffix)
-{
-    return path.size() >= suffix.size() &&
-           path.compare(path.size() - suffix.size(), suffix.size(),
-                        suffix) == 0;
-}
-
-} // namespace
-
 void
 writeResultsFile(const std::string &path, const std::string &figure,
                  const ShardSpec &shard,
@@ -289,6 +311,7 @@ writeResultsFile(const std::string &path, const std::string &figure,
                  const std::vector<GridCell> &cells,
                  const std::vector<SimResults> &results)
 {
+    checkResultsOutput(path, figure, shard);
     // ".vprz" wraps the CSV records in the compressed container
     // (common/io/zio.hh); the reader autodetects by magic bytes, so
     // merge_results ingests both forms interchangeably.
@@ -436,7 +459,8 @@ mergeResults(const std::vector<ResultsFile> &shards)
         if (shard.scale != merged.scale)
             VPR_FATAL("shard instruction-scale mismatch: '", shard.scale,
                       "' vs '", merged.scale,
-                      "' — rerun every shard with the same --scale");
+                      "' — rerun every shard with the same "
+                      "VPR_INSTS_SCALE");
         if (shard.configDigest != merged.configDigest)
             VPR_FATAL("shard config provenance disagrees (grid digest '",
                       shard.configDigest, "' vs '", merged.configDigest,

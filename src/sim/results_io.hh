@@ -8,8 +8,9 @@
  * from the reflective parameter registry (sim/params.hh): one
  * "cfg.<dotted name>" column per parameter, covering every parameter
  * that can affect results (seed included; execution-only knobs like
- * jobs and the shard spec excluded — records are byte-identical for
- * any --jobs value and any sharding). Two formats:
+ * the result-cache directory, the worker count and the shard spec
+ * excluded — records are byte-identical for any --jobs value and any
+ * sharding). Two formats:
  *
  *  - CSV: one header row, one line per cell, preceded by a single
  *    "# vpr-results v1 figure=<name> cells=<N> shard=<i>/<n>
@@ -56,6 +57,19 @@ std::vector<std::string> cellConfigValues(const GridCell &cell);
  *  don't. */
 std::string gridConfigDigest(const std::vector<GridCell> &cells);
 
+/** The label rule every writer enforces: a record label (the "figure"
+ *  metadata field) is non-empty and uses only [A-Za-z0-9._-], so it
+ *  can never split or reshape the metadata line it rides on. Throws
+ *  Error naming "figure" otherwise. */
+void checkResultsLabel(const std::string &figure);
+
+/** Everything writeResultsFile checks before writing, for drivers to
+ *  call before running any cell: the label rule, and that a sharded
+ *  export is not JSON (merge_results reads CSV and VPRZ only). An empty
+ *  @p path checks the label alone. Throws Error. */
+void checkResultsOutput(const std::string &path, const std::string &figure,
+                        const ShardSpec &shard);
+
 /**
  * Write the records of one (possibly sharded) run: @p cells is the
  * FULL grid, @p indices the global cell indices actually run, and
@@ -77,7 +91,8 @@ void writeResultsJson(std::ostream &os, const std::string &figure,
 /** @} */
 
 /** Write to @p path, picking the format from the extension
- *  (".json" = JSON, anything else = CSV). fatal()s if unwritable. */
+ *  (".json" = JSON, ".vprz" = compressed CSV, anything else = CSV).
+ *  fatal()s if unwritable or if checkResultsOutput refuses. */
 void writeResultsFile(const std::string &path, const std::string &figure,
                       const ShardSpec &shard,
                       const std::vector<std::size_t> &indices,

@@ -2,9 +2,9 @@
  * @file
  * Floating-point synthetic kernels: apsi, swim, mgrid, hydro2d, wave5.
  *
- * Calibration model (see DESIGN.md §4): with NPR = 64 the conventional
- * scheme sustains about (NPR-NLR)/fpDestsPerIter iterations in flight,
- * the VP scheme about ROB/instsPerIter; the achievable IPC is the
+ * Calibration model: with NPR = 64 the conventional scheme sustains
+ * about (NPR-NLR)/fpDestsPerIter iterations in flight, the VP scheme
+ * about ROB/instsPerIter; the achievable IPC is the
  * minimum of the memory bandwidth bound
  *     outstandingMisses / (missesPerIter * missPenalty) * instsPerIter
  * (outstanding capped by the 8 MSHRs), the cross-iteration dependence

@@ -8,9 +8,9 @@
  * deterministic synthetic kernel with the same *signature*: instruction
  * mix, working-set size (and hence L1 miss rate against the paper's
  * 16 KB direct-mapped cache), dependence-chain depth, and branch
- * predictability. DESIGN.md §4 documents the substitution rationale:
- * the virtual-physical register effect is driven precisely by these
- * parameters, not by the functional program semantics.
+ * predictability. The virtual-physical register effect is driven
+ * precisely by these parameters, not by the functional program
+ * semantics (README "Reproduce the paper").
  *
  * FP kernels:  apsi, swim, mgrid, hydro2d, wave5
  * Int kernels: go, li, compress, vortex

@@ -8,7 +8,8 @@
  * effective addresses from named memory streams (strided, random or
  * pointer-chase). The generator replays this graph forever, producing an
  * unbounded, deterministic dynamic instruction stream — our substitute
- * for the paper's ATOM-generated SPEC95 traces (see DESIGN.md §4).
+ * for the paper's ATOM-generated SPEC95 traces (see README "Reproduce
+ * the paper").
  */
 
 #ifndef VPR_TRACE_LOOP_TRACE_HH

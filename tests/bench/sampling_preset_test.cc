@@ -3,8 +3,9 @@
  * The --sampling-preset table must stay a bijection with the figure
  * registry: every registered figure has exactly one tuned preset (a new
  * figure without one fails here, not at a user's command line), every
- * preset names a real figure, and the tuned values are well-formed
- * sampling protocols.
+ * preset names a real figure, the tuned values are well-formed
+ * sampling protocols for the figure's own cells, and the flag expands
+ * to exactly the preset's sim.sampling.* assignments.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,8 @@
 
 #include "bench_common.hh"
 #include "figures.hh"
+
+#include "../support/expect_error.hh"
 
 namespace vpr::bench
 {
@@ -42,16 +45,41 @@ TEST(SamplingPresets, CoverEveryRegisteredFigureExactlyOnce)
 
 TEST(SamplingPresets, ValuesFormValidProtocols)
 {
-    for (const SamplingPreset &preset : samplingPresets()) {
-        // A period must fit its warm-up + detailed phases, and the
-        // default 120 k bench measurement budget must yield at least
-        // three intervals for a meaningful variance estimate.
-        EXPECT_GT(preset.detailedInsts, 0u) << preset.figure;
-        EXPECT_GE(preset.periodInsts,
-                  preset.warmupInsts + preset.detailedInsts)
-            << preset.figure;
-        EXPECT_GE(120000u / preset.periodInsts, 3u) << preset.figure;
+    // Check each preset against its figure's real cells at scale 1,
+    // applied the way --sampling-preset applies it: every cell must
+    // validate (the period fits its warm-up, its detailed interval and
+    // the cell's measurement budget), and get at least three intervals
+    // for a meaningful variance estimate.
+    for (const FigureDef &figure : allFigures()) {
+        const std::vector<std::string> preset =
+            samplingPresetAssignments(figure.name);
+        for (GridCell cell : figure.build()) {
+            applyAssignments(cell.config, preset);
+            EXPECT_NO_THROW(cell.config.validate()) << figure.name;
+            EXPECT_GE(cell.config.measureInsts /
+                          cell.config.sampling.periodInsts,
+                      3u)
+                << figure.name << " cell " << cell.benchmark;
+        }
     }
+}
+
+TEST(SamplingPresets, PresetFlagExpandsToTheFourSamplingKeys)
+{
+    EXPECT_EQ(samplingPresetAssignments("fig7_regfile_size"),
+              (std::vector<std::string>{
+                  "sim.sampling.enable=1",
+                  "sim.sampling.period_insts=20000",
+                  "sim.sampling.warmup_insts=150",
+                  "sim.sampling.detailed_insts=250"}));
+    EXPECT_EQ(samplingPresetAssignments("table2_ipc"),
+              (std::vector<std::string>{
+                  "sim.sampling.enable=1",
+                  "sim.sampling.period_insts=10000",
+                  "sim.sampling.warmup_insts=150",
+                  "sim.sampling.detailed_insts=500"}));
+    EXPECT_VPR_ERROR(samplingPresetAssignments("nope"),
+                     "unknown sampling preset 'nope'");
 }
 
 TEST(SamplingPresets, LookupByName)

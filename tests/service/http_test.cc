@@ -22,6 +22,8 @@
 
 #include "service/http.hh"
 
+#include "../support/expect_error.hh"
+
 namespace vpr::service
 {
 namespace
@@ -179,6 +181,18 @@ TEST(Http, ConnectFailureIsCleanError)
     EXPECT_FALSE(
         httpRequest("127.0.0.1", 9, "GET", "/", "", response, error));
     EXPECT_FALSE(error.empty());
+}
+
+TEST(HttpDeath, PortIsStrict)
+{
+    // The daemon and the client share this parser: a port that does
+    // not fit 16 bits used to wrap (99999 listened on 34463) and text
+    // became port 0.
+    EXPECT_EQ(parsePort("0"), 0u);  // ephemeral
+    EXPECT_EQ(parsePort("8390"), 8390u);
+    EXPECT_EQ(parsePort("65535"), 65535u);
+    for (const char *bad : {"99999", "65536", "abc", "", "-1", "80x"})
+        EXPECT_VPR_ERROR(parsePort(bad), "bad --port") << bad;
 }
 
 TEST(Http, ReasonPhrases)

@@ -8,6 +8,8 @@
 #include "sim/experiment.hh"
 #include "trace/kernels/kernels.hh"
 
+#include "../support/expect_error.hh"
+
 namespace vpr
 {
 namespace
@@ -40,12 +42,34 @@ TEST(Experiment, RunAllCoversEveryBenchmark)
     SimConfig c = paperConfig();
     c.skipInsts = 200;
     c.measureInsts = 3000;
-    auto all = runAll(c);
-    EXPECT_EQ(all.size(), benchmarkNames().size());
-    for (const auto &name : benchmarkNames()) {
-        ASSERT_TRUE(all.count(name)) << name;
-        EXPECT_GT(all[name].ipc(), 0.0) << name;
-    }
+    std::vector<GridCell> cells;
+    for (const auto &name : benchmarkNames())
+        cells.push_back({name, c});
+    const std::vector<SimResults> all = runGrid(cells, 1);
+    ASSERT_EQ(all.size(), benchmarkNames().size());
+    for (std::size_t i = 0; i < all.size(); ++i)
+        EXPECT_GT(all[i].ipc(), 0.0) << cells[i].benchmark;
+}
+
+TEST(ExperimentDeath, ProcessInputsAreStrict)
+{
+    // A worker count or instruction scale that does not parse is an
+    // Error naming its flag or variable, never a warning and a
+    // fallback that runs at the wrong width or scale.
+    EXPECT_EQ(parseJobs("0", "--jobs"), 0u);
+    EXPECT_EQ(parseJobs("4", "--jobs"), 4u);
+    EXPECT_EQ(parseJobs("4096", "VPR_JOBS"), 4096u);
+    for (const char *bad : {"abc", "", "-1", "4x", " 4", "4097",
+                            "99999999999999999999"})
+        EXPECT_VPR_ERROR(parseJobs(bad, "--jobs"), "bad --jobs") << bad;
+    EXPECT_VPR_ERROR(parseJobs("abc", "VPR_JOBS"), "bad VPR_JOBS 'abc'");
+
+    EXPECT_DOUBLE_EQ(parseInstsScale("0.05"), 0.05);
+    EXPECT_DOUBLE_EQ(parseInstsScale("2"), 2.0);
+    EXPECT_DOUBLE_EQ(parseInstsScale("1e1"), 10.0);
+    for (const char *bad : {"abc", "", "0", "-1", "0.5x", "inf", "nan"})
+        EXPECT_VPR_ERROR(parseInstsScale(bad), "bad VPR_INSTS_SCALE")
+            << bad;
 }
 
 TEST(Experiment, TableFormatting)

@@ -82,18 +82,18 @@ TEST(ParallelEngine, ResultsKeepCellOrderAcrossJobCounts)
     }
 }
 
-TEST(ParallelEngine, RunAllUsesConfigJobs)
+TEST(ParallelEngine, EveryBenchmarkOnThreeWorkers)
 {
     SimConfig c = tiny();
     c.skipInsts = 200;
     c.measureInsts = 2000;
-    c.jobs = 3;
-    auto all = runAll(c);
-    EXPECT_EQ(all.size(), benchmarkNames().size());
-    for (const auto &name : benchmarkNames()) {
-        ASSERT_TRUE(all.count(name)) << name;
-        EXPECT_GT(all[name].ipc(), 0.0) << name;
-    }
+    std::vector<GridCell> cells;
+    for (const auto &name : benchmarkNames())
+        cells.push_back({name, c});
+    const std::vector<SimResults> all = runGrid(cells, 3);
+    ASSERT_EQ(all.size(), benchmarkNames().size());
+    for (std::size_t i = 0; i < all.size(); ++i)
+        EXPECT_GT(all[i].ipc(), 0.0) << cells[i].benchmark;
 }
 
 TEST(ParallelEngine, InterleavedCoreShapesLeaveNoTrace)

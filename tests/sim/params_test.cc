@@ -131,7 +131,6 @@ TEST(ConfigRegistry, ProvenanceIncludesSeedButNeverJobs)
 {
     SimConfig config;
     config.seed = 1234;
-    config.jobs = 7;
     bool sawSeed = false;
     for (const auto &[name, value] : configProvenance(config)) {
         EXPECT_NE(name, "jobs");
@@ -201,19 +200,19 @@ TEST(ConfigParams, AssignDumpLoadDumpIsByteIdenticalUnderFuzz)
 TEST(ConfigParams, DumpExcludesExecutionOnlyKnobs)
 {
     // A config file describes the machine, not how a grid is run:
-    // loading one must never clobber a --jobs given on the command
-    // line, so jobs is not serialized at all.
+    // loading one must never clobber a --result-cache given on the
+    // command line, so the cache directory is not serialized at all.
     SimConfig config;
-    config.jobs = 9;
+    config.resultCache.dir = "cache-a";
     std::ostringstream os;
     dumpConfig(os, config);
-    EXPECT_EQ(os.str().find("\"jobs\""), std::string::npos);
+    EXPECT_EQ(os.str().find("sim.result_cache.dir"), std::string::npos);
 
     SimConfig reloaded;
-    reloaded.jobs = 4;
+    reloaded.resultCache.dir = "cache-b";
     std::istringstream is(os.str());
     loadConfig(reloaded, is, "dump");
-    EXPECT_EQ(reloaded.jobs, 4u);
+    EXPECT_EQ(reloaded.resultCache.dir, "cache-b");
 }
 
 TEST(ConfigParams, CliContractLoadsConfigFileFirstSoSetWins)
@@ -259,6 +258,32 @@ TEST(ConfigParams, ParseConfigArgRecognizesBothSetSpellings)
     EXPECT_EQ(rest, (std::vector<std::string>{"positional"}));
 }
 
+TEST(ConfigParams, ParseConfigArgExpandsTheAliasFlags)
+{
+    // --sampling and --result-cache=<dir> are pure aliases: each
+    // becomes exactly the assignment every driver used to append on
+    // its own, in command-line order with the --set flags around it.
+    const char *argv[] = {"prog", "--set=seed=3", "--sampling",
+                          "--result-cache=rc", "--samplingx",
+                          "--result-cache"};
+    const int argc = 6;
+    ConfigCliArgs cli;
+    std::vector<std::string> rest;
+    for (int i = 1; i < argc; ++i)
+        if (!parseConfigArg(argc, const_cast<char **>(argv), i, cli))
+            rest.push_back(argv[i]);
+    EXPECT_EQ(cli.assignments,
+              (std::vector<std::string>{"seed=3", "sim.sampling.enable=1",
+                                        "sim.result_cache.dir=rc"}));
+    EXPECT_EQ(rest,
+              (std::vector<std::string>{"--samplingx", "--result-cache"}));
+
+    SimConfig config;
+    applyConfigCli(config, cli);
+    EXPECT_TRUE(config.sampling.enable);
+    EXPECT_EQ(config.resultCache.dir, "rc");
+}
+
 TEST(ConfigParams, ApplyAssignmentParsesKeyEqualsValue)
 {
     SimConfig config;
@@ -290,14 +315,14 @@ TEST(ConfigParams, ParamReferenceDocumentsEveryParam)
 // --- execution-only invariance ---------------------------------------------
 
 /** The CSV export of a small grid under @p base: two benchmarks x
- *  conv/vp-wb, run with base.jobs workers. */
+ *  conv/vp-wb, run on @p jobs workers. */
 std::string
-exportSmallGrid(const SimConfig &base)
+exportSmallGrid(const SimConfig &base, unsigned jobs)
 {
     const std::vector<GridCell> cells =
         buildSweepGrid({"compress", "swim"}, base,
                        {parseSweepAxis("core.scheme=conv,vp-wb")});
-    const std::vector<SimResults> results = runGrid(cells, base.jobs);
+    const std::vector<SimResults> results = runGrid(cells, jobs);
     std::vector<std::size_t> indices(cells.size());
     std::iota(indices.begin(), indices.end(), 0);
     std::ostringstream os;
@@ -308,20 +333,15 @@ exportSmallGrid(const SimConfig &base)
 TEST(ConfigParams, ExecutionOnlyParamsNeverChangeARecord)
 {
     // Execution-only knobs decide how a grid runs, never what it
-    // computes. Every one of them gets an alternate setting here (a new
-    // knob without one fails the test), and each alternate runs the
-    // grid twice: a configured cache is cold the first time and warm
-    // the second. Both exports must equal the all-defaults export byte
-    // for byte.
+    // computes, and neither does the worker count. Every knob gets an
+    // alternate setting here (a new knob without one fails the test),
+    // and each alternate runs the grid twice on 1 and on 4 workers: a
+    // configured cache is cold the first time and warm the second. All
+    // exports must equal the serial all-defaults export byte for byte.
     namespace fs = std::filesystem;
     const fs::path cache = fs::path(::testing::TempDir()) / "vpr_exec_only";
-    fs::remove_all(cache);
-    const std::string dir = "sim.result_cache.dir=" + cache.string();
     const std::map<std::string, std::vector<std::string>> alternates = {
-        {"jobs", {"jobs=4"}},
-        {"sim.result_cache.dir", {dir + "/plain"}},
-        {"sim.result_cache.save",
-         {dir + "/read-only", "sim.result_cache.save=0"}},
+        {"sim.result_cache.dir", {"sim.result_cache.dir=" + cache.string()}},
     };
     for (const ParamInfo &p : paramReference()) {
         if (!p.execOnly)
@@ -340,14 +360,21 @@ TEST(ConfigParams, ExecutionOnlyParamsNeverChangeARecord)
     for (const auto &[protocol, settings] : protocols) {
         SimConfig base;
         applyAssignments(base, settings);
-        const std::string reference = exportSmallGrid(base);
-        for (const auto &[name, assignments] : alternates) {
-            SimConfig alt = base;
-            applyAssignments(alt, assignments);
-            for (const char *pass : {"first", "second"})
-                EXPECT_TRUE(exportSmallGrid(alt) == reference)
-                    << protocol << " grid, " << name << ", " << pass
-                    << " run: the export differs from the defaults'";
+        const std::string reference = exportSmallGrid(base, 1);
+        for (unsigned jobs : {1u, 4u}) {
+            fs::remove_all(cache);  // each worker count starts cold
+            EXPECT_TRUE(exportSmallGrid(base, jobs) == reference)
+                << protocol << " grid, jobs=" << jobs
+                << ": the export differs from the serial run's";
+            for (const auto &[name, assignments] : alternates) {
+                SimConfig alt = base;
+                applyAssignments(alt, assignments);
+                for (const char *pass : {"first", "second"})
+                    EXPECT_TRUE(exportSmallGrid(alt, jobs) == reference)
+                        << protocol << " grid, " << name << ", jobs="
+                        << jobs << ", " << pass
+                        << " run: the export differs from the defaults'";
+            }
         }
     }
     fs::remove_all(cache);
@@ -360,6 +387,15 @@ TEST(ConfigParamsDeath, UnknownKeyIsFatal)
     SimConfig config;
     EXPECT_VPR_ERROR(applyAssignment(config, "core.warp_drive=9"),
                      "unknown parameter");
+}
+
+TEST(ConfigParamsDeath, WorkerCountIsNoParameter)
+{
+    // The worker count is a process flag (--jobs, else VPR_JOBS), not a
+    // config key: --set and request bodies must not accept it.
+    SimConfig config;
+    EXPECT_VPR_ERROR(applyAssignment(config, "jobs=4"),
+                     "unknown parameter 'jobs'");
 }
 
 TEST(ConfigParamsDeath, MalformedAssignmentIsFatal)

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "common/io/zio.hh"
@@ -109,21 +110,6 @@ TEST(ResultsCsv, ProvenanceColumnsIncludeSeedButNotJobs)
               fixed.end());
     EXPECT_EQ(std::find(fixed.begin(), fixed.end(), "cfg.jobs"),
               fixed.end());
-}
-
-TEST(ResultsCsv, RecordsAreIdenticalAcrossJobsValues)
-{
-    // jobs is an execution-only knob: two cells differing only in it
-    // must export byte-identical rows (and one shared grid digest).
-    GridCell serial = goldenCell(), parallel = goldenCell();
-    parallel.config.jobs = 8;
-    std::ostringstream a, b;
-    writeResultsCsv(a, "golden", ShardSpec{}, {0}, {serial},
-                    {goldenResult()});
-    writeResultsCsv(b, "golden", ShardSpec{}, {0}, {parallel},
-                    {goldenResult()});
-    EXPECT_EQ(a.str(), b.str());
-    EXPECT_EQ(gridConfigDigest({serial}), gridConfigDigest({parallel}));
 }
 
 TEST(ResultsJson, GoldenKeyOrderIsStable)
@@ -450,6 +436,54 @@ TEST(ResultsCsvDeath, MixedMetricSchemasCannotMerge)
         mergeResults(files);
     };
     EXPECT_VPR_ERROR(mergeMixed(), "header mismatch");
+}
+
+TEST(ResultsCsvDeath, LabelThatCouldReshapeItsFileIsAnError)
+{
+    // The label rides the metadata line: a space would add a key
+    // ("cells=1" read back as the grid size) and a newline would split
+    // the line. Every writer refuses such a label, naming the field,
+    // before it writes a byte.
+    const std::vector<GridCell> cells = {goldenCell()};
+    const std::vector<SimResults> results = {goldenResult()};
+    for (const std::string label :
+         {"fig7_regfile_size cells=1", "a\nb", "", "a,b", "a=b"}) {
+        std::ostringstream csv, json;
+        EXPECT_VPR_ERROR(writeResultsCsv(csv, label, ShardSpec{}, {0},
+                                         cells, results),
+                         "figure");
+        EXPECT_VPR_ERROR(writeResultsJson(json, label, ShardSpec{}, {0},
+                                          cells, results),
+                         "figure");
+        EXPECT_TRUE(csv.str().empty() && json.str().empty()) << label;
+    }
+    for (const char *label : {"vpr_sim", "vpr_sim-all", "vpr_sim-sweep",
+                              "vpr_simd-sweep", "golden.v2"})
+        EXPECT_NO_THROW(checkResultsLabel(label)) << label;
+}
+
+TEST(ResultsCsvDeath, ShardedJsonExportIsAnError)
+{
+    // merge_results reads CSV and VPRZ only, so a shard written as JSON
+    // could never be merged: every driver is refused, before it runs
+    // (checkResultsOutput) and at the latest before it writes.
+    const std::vector<GridCell> cells = {goldenCell(), goldenCell()};
+    const std::vector<SimResults> results = {goldenResult()};
+    const std::string dir = ::testing::TempDir();
+    const std::string path = dir + "/vpr_results_shard.json";
+    std::remove(path.c_str());
+    EXPECT_VPR_ERROR(writeResultsFile(path, "golden", ShardSpec{0, 2}, {0},
+                                      cells, results),
+                     "--shard output must be CSV");
+    EXPECT_FALSE(std::ifstream(path).good());
+    EXPECT_VPR_ERROR(checkResultsOutput(path, "golden", ShardSpec{1, 2}),
+                     "must be CSV");
+    EXPECT_NO_THROW(checkResultsOutput(path, "golden", ShardSpec{}));
+    EXPECT_NO_THROW(
+        checkResultsOutput(dir + "/s.csv", "golden", ShardSpec{0, 2}));
+    EXPECT_NO_THROW(
+        checkResultsOutput(dir + "/s.vprz", "golden", ShardSpec{0, 2}));
+    EXPECT_VPR_ERROR(checkResultsOutput("", "a b", ShardSpec{}), "figure");
 }
 
 // --- distribution metrics round-trip --------------------------------------

@@ -116,8 +116,10 @@ TEST(ShardEquivalence, MergedShardsReproduceUnshardedRunExactly)
     EXPECT_NE(directTable.str().find("writeback"), std::string::npos);
 }
 
-TEST(FigureRegistry, EveryBenchBinaryIsRegistered)
+TEST(FigureRegistry, EveryPaperFigureIsAVprSimTarget)
 {
+    // vpr_sim resolves a target through findFigure; the name also
+    // labels the figure's records, so it must pass the label rule.
     for (const char *name :
          {"table2_ipc", "fig4_nrr_writeback", "fig5_nrr_issue",
           "fig6_wb_vs_issue", "fig7_regfile_size",
@@ -127,8 +129,20 @@ TEST(FigureRegistry, EveryBenchBinaryIsRegistered)
         ASSERT_NE(def, nullptr) << name;
         EXPECT_EQ(def->name, name);
         EXPECT_FALSE(def->build().empty()) << name;
+        EXPECT_NO_THROW(checkResultsLabel(def->name)) << name;
     }
     EXPECT_EQ(bench::findFigure("nope"), nullptr);
+}
+
+TEST(FigureRegistry, NoFigureNameShadowsABenchmarkOrAll)
+{
+    // vpr_sim takes a benchmark, "all" or a figure as its target: a
+    // figure named like either would silently change what runs.
+    for (const bench::FigureDef &def : bench::allFigures()) {
+        EXPECT_NE(def.name, "all");
+        for (const std::string &benchmark : benchmarkNames())
+            EXPECT_NE(def.name, benchmark);
+    }
 }
 
 } // namespace

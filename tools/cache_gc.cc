@@ -16,7 +16,6 @@
  * eviction plan without deleting anything.
  */
 
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -30,17 +29,10 @@ using namespace vpr;
 namespace
 {
 
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::cerr << "usage: " << argv0
-              << " --budget=<size>[K|M|G|T] [--dry-run] <dir> "
-                 "[<dir>...]\n"
-                 "evicts *.vprr result-cache files, least recently "
-                 "written first,\nuntil the remaining files fit the "
-                 "budget\n";
-    std::exit(1);
-}
+constexpr const char *kUsage =
+    "usage: cache_gc --budget=<size>[K|M|G|T] [--dry-run] <dir> "
+    "[<dir>...] (evicts *.vprr result-cache files, least recently "
+    "written first, until the rest fit the budget)";
 
 int
 gcMain(int argc, char **argv)
@@ -52,23 +44,21 @@ gcMain(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--budget=", 9) == 0) {
-            if (!parseByteSize(argv[i] + 9, budget)) {
-                std::cerr << "bad --budget '" << (argv[i] + 9)
-                          << "' (want bytes with an optional K/M/G/T "
-                             "suffix)\n";
-                return 1;
-            }
+            if (!parseByteSize(argv[i] + 9, budget))
+                VPR_FATAL("bad --budget '", argv[i] + 9,
+                          "' (want bytes with an optional K/M/G/T "
+                          "suffix)");
             haveBudget = true;
         } else if (std::strcmp(argv[i], "--dry-run") == 0) {
             dryRun = true;
         } else if (argv[i][0] == '-') {
-            usage(argv[0]);
+            VPR_FATAL("unrecognized argument '", argv[i], "'; ", kUsage);
         } else {
             dirs.push_back(argv[i]);
         }
     }
     if (!haveBudget || dirs.empty())
-        usage(argv[0]);
+        VPR_FATAL("need --budget and a cache directory; ", kUsage);
 
     const CacheGcPlan plan = planCacheGc(dirs, budget);
     printCacheGcPlan(std::cout, plan, budget, dryRun);

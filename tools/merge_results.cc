@@ -3,35 +3,39 @@
  * merge_results — stitch sharded sweep records back together.
  *
  * Usage:
- *   merge_results [-o merged.csv] [--render] [--set <k>=<v>]
+ *   merge_results [-o merged.csv] [--render] [config flags]
  *                 [--no-verify-config] shard0.csv shard1.csv ...
  *
- * Reads the CSV record files written by the bench binaries' (or
- * vpr_sim --sweep's) --out flag (one record per grid cell, any subset
- * per file), verifies that together they cover the whole grid exactly
+ * Reads the CSV record files written by vpr_sim's --out flag for a
+ * figure target or a --sweep (one record per grid cell, any subset per
+ * file), verifies that together they cover the whole grid exactly
  * once, and writes the full cell-ordered result set — byte-identical
  * to what a single unsharded --out run would have produced.
  *
  * Shards carry full config provenance: the merge refuses inputs whose
  * embedded provenance disagrees. Shards produced from different base
  * configurations fail the whole-grid digest comparison, and when the
- * figure named in the metadata is in the bench registry, every row is
+ * figure named in the metadata is in the figure registry, every row is
  * additionally checked key by key against the rebuilt grid — a record
  * from a stale binary or a differently-configured run is fatal, naming
- * the first differing dotted key. Pass the same --set overrides the
- * shards ran with so the rebuilt grid matches; --no-verify-config
+ * the first differing dotted key. Pass the same config flags the
+ * shards ran with (--set, --config, --sampling, --sampling-preset,
+ * --result-cache) so the rebuilt grid matches; --no-verify-config
  * skips the registry check (the digest check always runs).
  *
  * With --render, the paper-style table is re-rendered from the merged
  * records to stdout. The figure named in the file metadata is looked up
- * in the bench figure registry and its renderer — the same code the
- * bench binary runs — is fed the reconstructed results, so the table is
- * byte-identical to the unsharded run's.
+ * in the figure registry and its renderer — the same code
+ * `vpr_sim <figure>` runs — is fed the reconstructed results, so the
+ * table is byte-identical to the unsharded run's.
  *
  * Options:
  *   -o <path>    write the merged CSV (default: stdout unless --render)
  *   --render     re-render the figure's table from the merged records
- *   --set <k>=<v>      config override the shards were run with
+ *   --set <k>=<v>, --config=<file>, --sampling, --result-cache=<dir>,
+ *   --sampling-preset=<figure>
+ *                the config flags the shards were run with
+ *   --dump-config      print the rebuilt grid's base config and exit
  *   --no-verify-config skip the per-row provenance check
  */
 
@@ -50,6 +54,11 @@ using namespace vpr;
 namespace
 {
 
+constexpr const char *kUsage =
+    "usage: merge_results [-o merged.csv] [--render] [--set <k>=<v>] "
+    "[--config=<file>] [--sampling] [--sampling-preset=<figure>] "
+    "[--no-verify-config] shard.csv...";
+
 int
 mergeMain(int argc, char **argv)
 {
@@ -57,6 +66,7 @@ mergeMain(int argc, char **argv)
     bool render = false;
     bool verifyConfig = true;
     std::vector<std::string> inputs;
+    ConfigCliArgs cli;
 
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "-o") == 0 && i + 1 < argc) {
@@ -65,28 +75,29 @@ mergeMain(int argc, char **argv)
             render = true;
         } else if (std::strcmp(argv[i], "--no-verify-config") == 0) {
             verifyConfig = false;
-        } else if (std::strncmp(argv[i], "--set=", 6) == 0) {
-            bench::addConfigOverride(argv[i] + 6);
-        } else if (std::strcmp(argv[i], "--set") == 0 && i + 1 < argc) {
-            bench::addConfigOverride(argv[++i]);
+        } else if (parseConfigArg(argc, argv, i, cli)) {
+            // --set / --config= / --dump-config / --sampling /
+            // --result-cache= taken.
+        } else if (std::strncmp(argv[i], "--sampling-preset=", 18) == 0) {
+            for (const std::string &a :
+                 bench::samplingPresetAssignments(argv[i] + 18))
+                cli.assignments.push_back(a);
         } else if (std::strcmp(argv[i], "--help") == 0) {
-            std::cout << "usage: " << argv[0]
-                      << " [-o merged.csv] [--render] [--set <k>=<v>]\n"
-                         "       [--no-verify-config] shard.csv...\n"
-                         "see the file header for details\n";
+            std::cout << kUsage << "\n";
             return 0;
         } else if (argv[i][0] == '-') {
-            std::cerr << "unknown option '" << argv[i] << "'\n";
-            return 1;
+            VPR_FATAL("unrecognized argument '", argv[i], "'; ", kUsage);
         } else {
             inputs.push_back(argv[i]);
         }
     }
-    if (inputs.empty()) {
-        std::cerr << "usage: " << argv[0]
-                  << " [-o merged.csv] [--render] shard.csv...\n";
-        return 1;
+    bench::setConfigOverrides(cli);
+    if (cli.dumpConfig) {
+        dumpConfig(std::cout, bench::experimentConfig());
+        return 0;
     }
+    if (inputs.empty())
+        VPR_FATAL("no shard files; ", kUsage);
 
     std::vector<ResultsFile> shards;
     for (const std::string &path : inputs)
@@ -124,7 +135,7 @@ mergeMain(int argc, char **argv)
     if (render) {
         if (!def)
             VPR_FATAL("figure '", merged.figure,
-                      "' is not in the bench registry; cannot render "
+                      "' is not in the figure registry; cannot render "
                       "(merge with -o still works)");
         const std::vector<GridCell> cells = def->build();
         if (cells.size() != merged.totalCells)

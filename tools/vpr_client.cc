@@ -16,11 +16,11 @@
  *   shutdown  POST /shutdown.
  *
  * The response body goes to --out or stdout. Exit status: 0 on HTTP
- * 200, 2 on a non-200 response (body printed to stderr), 1 on a
- * transport error or bad usage.
+ * 200, 2 on a non-200 response (body printed to stderr), 1 with one
+ * "fatal:" line on a transport error or bad usage (--port takes
+ * 0-65535, like the daemon's).
  */
 
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "service/http.hh"
 #include "service/sweep_service.hh"
 
@@ -36,20 +37,11 @@ using namespace vpr;
 namespace
 {
 
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::cerr
-        << "usage: " << argv0
-        << " [--host=<addr>] [--port=<n>] [--out=<path>] <command>\n"
-           "commands:\n"
-           "  sweep [--target=<bench|all>] [--sweep=<k=v1,v2,...>]...\n"
-           "        [--set=<k=v>]... [--figure=<name>] "
-           "[--format=csv|json]\n"
-           "        [--body=<file.json|->]\n"
-           "  status | params | shutdown\n";
-    std::exit(1);
-}
+constexpr const char *kUsage =
+    "usage: vpr_client [--host=<addr>] [--port=<n>] [--out=<path>] "
+    "<sweep | status | params | shutdown>; sweep takes "
+    "[--target=<bench|all>] [--sweep=<k=v1,v2,...>]... [--set=<k=v>]... "
+    "[--figure=<name>] [--format=csv|json] [--body=<file.json|->]";
 
 bool
 matchArg(const char *arg, const char *key, const char **value)
@@ -77,10 +69,8 @@ appendField(std::string &json, const char *key,
     json += "]";
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+clientMain(int argc, char **argv)
 {
     std::string host = "127.0.0.1";
     std::uint16_t port = 8390;
@@ -95,7 +85,7 @@ main(int argc, char **argv)
         if (matchArg(argv[i], "--host", &v)) {
             host = v;
         } else if (matchArg(argv[i], "--port", &v)) {
-            port = static_cast<std::uint16_t>(std::strtoul(v, nullptr, 10));
+            port = service::parsePort(v);
         } else if (matchArg(argv[i], "--out", &v)) {
             outPath = v;
         } else if (matchArg(argv[i], "--target", &v)) {
@@ -110,12 +100,10 @@ main(int argc, char **argv)
             format.assign(1, v);
         } else if (matchArg(argv[i], "--body", &v)) {
             bodyFile = v;
-        } else if (argv[i][0] == '-') {
-            usage(argv[0]);
-        } else if (command.empty()) {
-            command = argv[i];
+        } else if (argv[i][0] == '-' || !command.empty()) {
+            VPR_FATAL("unrecognized argument '", argv[i], "'; ", kUsage);
         } else {
-            usage(argv[0]);
+            command = argv[i];
         }
     }
 
@@ -130,11 +118,8 @@ main(int argc, char **argv)
                 body = ss.str();
             } else {
                 std::ifstream in(bodyFile, std::ios::binary);
-                if (!in) {
-                    std::cerr << "cannot read body file '" << bodyFile
-                              << "'\n";
-                    return 1;
-                }
+                if (!in)
+                    VPR_FATAL("cannot read --body file '", bodyFile, "'");
                 std::ostringstream ss;
                 ss << in.rdbuf();
                 body = ss.str();
@@ -158,16 +143,14 @@ main(int argc, char **argv)
         method = "POST";
         path = "/shutdown";
     } else {
-        usage(argv[0]);
+        VPR_FATAL("unknown command '", command, "'; ", kUsage);
     }
 
     service::HttpResponse response;
     std::string error;
     if (!service::httpRequest(host, port, method, path, body, response,
-                              error)) {
-        std::cerr << "vpr_client: " << error << "\n";
-        return 1;
-    }
+                              error))
+        VPR_FATAL(error);
     if (response.status != 200) {
         std::cerr << "vpr_client: HTTP " << response.status << " "
                   << service::httpReason(response.status) << "\n"
@@ -179,11 +162,17 @@ main(int argc, char **argv)
         std::cout << response.body;
     } else {
         std::ofstream out(outPath, std::ios::binary);
-        if (!out) {
-            std::cerr << "cannot write '" << outPath << "'\n";
-            return 1;
-        }
+        if (!out)
+            VPR_FATAL("cannot write --out file '", outPath, "'");
         out << response.body;
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain([&] { return clientMain(argc, argv); });
 }

@@ -1,12 +1,24 @@
 /**
  * @file
- * vpr_sim — command-line driver for single runs and declarative sweeps.
+ * vpr_sim — the command-line driver: single runs, declarative sweeps
+ * and the paper's figures.
  *
  * Usage:
- *   vpr_sim [options] <benchmark | trace.vprt | all>
+ *   vpr_sim [options] <benchmark | trace.vprt | all | figure>
  *
  * The target "all" runs every built-in benchmark through the parallel
- * experiment engine and prints an IPC summary table (use --jobs).
+ * experiment engine and prints an IPC summary table (use --jobs). A
+ * figure target runs one of the paper's registered tables, figures or
+ * ablations (bench/figures/; `vpr_sim --list` names them) and prints
+ * its table, e.g.
+ *
+ *   vpr_sim table2_ipc --jobs=4
+ *
+ * A figure's grid is built from the figures' base config
+ * (bench::experimentConfig: 20 k warm-up + 120 k measured
+ * instructions); benchmark, trace and "all" targets start from
+ * vpr_sim's own base (20 k + 200 k). The flags below override either
+ * base; the axes a figure sweeps itself win.
  *
  * Every configuration parameter of the simulated machine is settable
  * by stable dotted name (run `vpr_sim --help-params` for the generated
@@ -14,7 +26,8 @@
  *
  *   --set <key>=<value>   override one parameter (repeatable)
  *   --config=<file.json>  load a --dump-config dump first
- *   --dump-config         print the effective config as JSON and exit
+ *   --dump-config         print the effective base config as JSON and
+ *                         exit
  *   --help-params         print the parameter reference and exit
  *
  * Declarative sweeps replace bespoke experiment binaries: each --sweep
@@ -25,21 +38,31 @@
  *   vpr_sim --sweep core.rename.regfile_size=48,64,96 \
  *           --sweep core.scheme=conv,vp-wb all
  *
- * reproduces the fig7_regfile_size grid cell for cell.
- *
  *   --sweep <key>=<v1,v2,...>  add one sweep axis (repeatable)
- *   --figure=<name>   label for exported records (merge_results
- *                     re-renders and provenance-checks registered names)
- *   --shard=i/N       run only slice i of the sweep grid (see README)
+ *   --figure=<name>   label for a sweep's or run's exported records
+ *                     (merge_results re-renders and provenance-checks
+ *                     registered names; a figure target is labelled
+ *                     with its own name)
  *
- * Run control: --skip/--insts/--seed/--jobs, --out=<path> (one record
- * per run; CSV, .json, or compressed .vprz), --dump-trace=F,N, --list.
- * The classic flags --scheme/--regs/--nrr/--rob/--miss/--mshrs/
- * --wrongpath[-mem] and --sampling (= sim.sampling.enable=1,
- * SMARTS-style sampled simulation) are thin aliases onto the dotted
- * parameters above, as is --result-cache=<dir> (= sim.result_cache.dir,
- * the content-addressed per-cell result cache shared with the vpr_simd
- * daemon; see README "Sweep service").
+ * Figure targets and sweeps also run in slices:
+ *
+ *   --shard=i/N       run only slice i of N (cells dealt round-robin);
+ *                     tools/merge_results merges the slices' --out
+ *                     files and re-renders the table byte for byte
+ *
+ * Run control: --skip/--insts/--seed, --jobs=<n> (worker threads; else
+ * VPR_JOBS, else 1; 0 = one per hardware thread; output is
+ * byte-identical for every value), --out=<path> (one record per run
+ * cell; CSV, .json, or compressed .vprz — a shard must not be .json),
+ * --dump-trace=F,N, --list. VPR_INSTS_SCALE=<f> scales every
+ * instruction budget. The classic flags --scheme/--regs/--nrr/--rob/
+ * --miss/--mshrs/--wrongpath[-mem], --sampling (= sim.sampling.enable=1,
+ * SMARTS-style sampled simulation) and --result-cache=<dir>
+ * (= sim.result_cache.dir, the content-addressed per-cell result cache
+ * shared with the vpr_simd daemon; see README "Sweep service") are thin
+ * aliases onto the dotted parameters above, and
+ * --sampling-preset=<figure> applies that figure's tuned
+ * sim.sampling.* protocol.
  *
  * Every target runs through the grid engine — a single benchmark or
  * trace as a one-cell grid — so VPR_INSTS_SCALE applies to all of them
@@ -47,15 +70,18 @@
  * is not part of the cache key, so trace runs are never cached).
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <iomanip>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
+#include "figures.hh"
 #include "sim/experiment.hh"
 #include "sim/params.hh"
 #include "sim/results_io.hh"
@@ -68,16 +94,9 @@ using namespace vpr;
 namespace
 {
 
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::cerr << "usage: " << argv0
-              << " [options] <benchmark | trace.vprt | all>\n"
-                 "run '" << argv0 << " --list' for benchmarks, '"
-              << argv0 << " --help-params' for every settable\n"
-                 "parameter; see the file header for all options\n";
-    std::exit(1);
-}
+constexpr const char *kUsage =
+    "usage: vpr_sim [options] <benchmark | trace.vprt | all | figure> "
+    "(--list names the targets, --help-params the parameters)";
 
 bool
 matchArg(const char *arg, const char *key, const char **value)
@@ -133,11 +152,6 @@ printSweepTable(std::ostream &os, const std::vector<SweepAxis> &axes,
 int
 simMain(int argc, char **argv)
 {
-    SimConfig config = paperConfig();
-    config.skipInsts = 20000;
-    config.measureInsts = 200000;
-    config.core.fetch.wrongPath = WrongPathMode::Stall;
-
     std::string target;
     std::string nrrText;  // remembered so --regs/--rob can reapply it
     std::string dumpSpec;
@@ -145,6 +159,7 @@ simMain(int argc, char **argv)
     std::string figure;
     std::vector<SweepAxis> axes;
     ShardSpec shard;
+    std::optional<unsigned> jobsFlag;
     ConfigCliArgs cli;
 
     // Legacy flags are thin aliases: they append the equivalent --set
@@ -160,12 +175,21 @@ simMain(int argc, char **argv)
             for (const auto &info : benchmarkTable())
                 std::cout << info.name << (info.isFp ? "  [fp] " : " [int] ")
                           << info.sketch << "\n";
+            for (const bench::FigureDef &def : bench::allFigures())
+                std::cout << def.name << " [figure]\n";
+            return 0;
+        } else if (std::strcmp(argv[i], "--help") == 0) {
+            std::cout << kUsage << "\n";
             return 0;
         } else if (std::strcmp(argv[i], "--help-params") == 0) {
             printParamHelp(std::cout);
             return 0;
         } else if (parseConfigArg(argc, argv, i, cli)) {
-            // --set / --set= / --config= / --dump-config taken.
+            // --set / --config= / --dump-config / --sampling /
+            // --result-cache= taken.
+        } else if (matchArg(argv[i], "--sampling-preset", &v)) {
+            for (const std::string &a : bench::samplingPresetAssignments(v))
+                cli.assignments.push_back(a);
         } else if (matchArg(argv[i], "--sweep", &v)) {
             axes.push_back(parseSweepAxis(v));
         } else if (std::strcmp(argv[i], "--sweep") == 0 && i + 1 < argc) {
@@ -174,10 +198,6 @@ simMain(int argc, char **argv)
             figure = v;
         } else if (matchArg(argv[i], "--shard", &v)) {
             shard = parseShard(v);
-        } else if (std::strcmp(argv[i], "--sampling") == 0) {
-            alias("sim.sampling.enable", "1");
-        } else if (matchArg(argv[i], "--result-cache", &v)) {
-            alias("sim.result_cache.dir", v);
         } else if (std::strcmp(argv[i], "--wrongpath") == 0) {
             alias("core.fetch.wrong_path", "synthesize");
         } else if (std::strcmp(argv[i], "--wrongpath-mem") == 0) {
@@ -209,23 +229,55 @@ simMain(int argc, char **argv)
         } else if (matchArg(argv[i], "--seed", &v)) {
             alias("seed", v);
         } else if (matchArg(argv[i], "--jobs", &v)) {
-            config.jobs = parseJobs(v);
+            jobsFlag = parseJobs(v, "--jobs");
         } else if (matchArg(argv[i], "--dump-trace", &v)) {
             dumpSpec = v;
         } else if (argv[i][0] == '-') {
-            usage(argv[0]);
+            VPR_FATAL("unrecognized argument '", argv[i], "'; ", kUsage);
         } else {
             target = argv[i];
         }
     }
 
-    applyConfigCli(config, cli);
+    // A figure target builds its grid from the figures' base config,
+    // with these flags as its overrides; every other target starts
+    // from vpr_sim's own base.
+    const bench::FigureDef *def = bench::findFigure(target);
+    SimConfig config;
+    if (def) {
+        if (!axes.empty())
+            VPR_FATAL("--sweep does not apply to figure target '", target,
+                      "' (the figure builds its own grid)");
+        if (!figure.empty())
+            VPR_FATAL("--figure does not apply to figure target '",
+                      target, "' (its records are labelled '", target,
+                      "')");
+        bench::setConfigOverrides(cli);
+        config = bench::experimentConfig();
+    } else {
+        config = paperConfig();
+        config.skipInsts = 20000;
+        config.measureInsts = 200000;
+        config.core.fetch.wrongPath = WrongPathMode::Stall;
+        applyConfigCli(config, cli);
+    }
     if (cli.dumpConfig) {
         dumpConfig(std::cout, config);
         return 0;
     }
     if (target.empty())
-        usage(argv[0]);
+        VPR_FATAL("no target; ", kUsage);
+    const std::vector<std::string> benchmarks = benchmarkNames();
+    if (!def && target != "all" && !endsWith(target, ".vprt") &&
+        std::find(benchmarks.begin(), benchmarks.end(), target) ==
+            benchmarks.end())
+        VPR_FATAL("unknown target '", target,
+                  "' (want a benchmark, a trace.vprt file, all or a "
+                  "figure; --list names them)");
+
+    // Process-level inputs are checked before anything runs.
+    const unsigned jobs = jobsFlag ? *jobsFlag : defaultJobs();
+    instructionScale();
 
     if (!dumpSpec.empty()) {
         auto comma = dumpSpec.find(',');
@@ -240,73 +292,71 @@ simMain(int argc, char **argv)
         return 0;
     }
 
-    if (!axes.empty()) {
-        // Declarative sweep: cross product of benchmarks x axes through
-        // the grid engine, sharded exactly like the bench binaries.
-        if (endsWith(target, ".vprt")) {
-            std::cerr << "--sweep needs a benchmark name or 'all', not "
-                         "a trace file\n";
-            return 1;
-        }
-        std::vector<std::string> benchmarks;
-        if (target == "all")
-            benchmarks = benchmarkNames();
-        else
-            benchmarks.push_back(target);
+    const bool grid = def || !axes.empty();
+    if (shard.active() && !grid)
+        VPR_FATAL("--shard only applies to figure targets and --sweep "
+                  "runs");
+    std::string label = figure;
+    if (def)
+        label = def->name;
+    else if (label.empty())
+        label = !axes.empty()    ? "vpr_sim-sweep"
+                : target == "all" ? "vpr_sim-all"
+                                  : "vpr_sim";
+    checkResultsOutput(outPath, label, shard);
 
-        const std::vector<GridCell> cells =
-            buildSweepGrid(benchmarks, config, axes);
+    if (grid) {
+        // A figure's grid, or a declarative sweep's cross product of
+        // benchmarks x axes: run the --shard slice, export it, and
+        // render the table when the whole grid ran.
+        std::vector<GridCell> cells;
+        if (def) {
+            cells = def->build();
+        } else {
+            if (endsWith(target, ".vprt"))
+                VPR_FATAL("--sweep needs a benchmark name or 'all', not "
+                          "a trace file");
+            cells = buildSweepGrid(target == "all"
+                                       ? benchmarks
+                                       : std::vector<std::string>{target},
+                                   config, axes);
+        }
         const std::vector<std::size_t> indices =
             shardCellIndices(cells.size(), shard);
         const std::vector<GridCell> selected =
             selectCells(cells, indices);
-        const std::vector<SimResults> results =
-            runGrid(selected, config.jobs);
-
-        if (figure.empty())
-            figure = "vpr_sim-sweep";
+        const std::vector<SimResults> results = runGrid(selected, jobs);
         if (!outPath.empty())
-            writeResultsFile(outPath, figure, shard, indices, cells,
+            writeResultsFile(outPath, label, shard, indices, cells,
                              results);
 
         if (shard.active()) {
+            // A shard holds only part of the grid; the table comes from
+            // merging every shard's records (merge_results --render).
             std::cout << "shard " << shard.index << "/" << shard.count
                       << ": ran " << selected.size() << " of "
-                      << cells.size() << " sweep cells";
+                      << cells.size() << " grid cells";
             if (!outPath.empty())
                 std::cout << "; records written to " << outPath;
             else
                 std::cout << " (no --out; records discarded)";
             std::cout << "\n";
-            return 0;
+        } else if (def) {
+            def->render(cells, results, std::cout);
+        } else {
+            printSweepTable(std::cout, axes, cells, results);
         }
-        printSweepTable(std::cout, axes, cells, results);
         return 0;
     }
-
-    if (shard.active()) {
-        std::cerr << "--shard only applies to --sweep runs\n";
-        return 1;
-    }
-
-    // --out: one record per run. Every index of the run's grid is
-    // exported (non-sweep vpr_sim runs never shard; the bench binaries
-    // and --sweep do).
-    auto exportRecords = [&outPath](const std::string &figureName,
-                                    const std::vector<GridCell> &cells,
-                                    const std::vector<SimResults> &results) {
-        if (!outPath.empty())
-            exportAllCells(outPath, figureName, cells, results);
-    };
 
     if (target == "all") {
         // Sweep every benchmark on the parallel engine and summarize.
         std::vector<GridCell> cells;
-        for (const auto &name : benchmarkNames())
+        for (const auto &name : benchmarks)
             cells.push_back({name, config});
-        std::vector<SimResults> results = runGrid(cells, config.jobs);
-        exportRecords(figure.empty() ? "vpr_sim-all" : figure, cells,
-                      results);
+        std::vector<SimResults> results = runGrid(cells, jobs);
+        if (!outPath.empty())
+            exportAllCells(outPath, label, cells, results);
 
         printTableHeader(std::cout,
                          std::string("IPC, scheme=") +
@@ -336,9 +386,10 @@ simMain(int argc, char **argv)
             return std::make_unique<FileTraceStream>(target);
         };
     }
-    const SimResults r = runGrid({cell}, config.jobs).front();
+    const SimResults r = runGrid({cell}, jobs).front();
     printReport(std::cout, cell.config, r);
-    exportRecords(figure.empty() ? "vpr_sim" : figure, {cell}, {r});
+    if (!outPath.empty())
+        exportAllCells(outPath, label, {cell}, {r});
     return 0;
 }
 

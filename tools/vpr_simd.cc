@@ -15,21 +15,25 @@
  *
  * Usage:
  *   vpr_simd [--host=<addr>] [--port=<n>] [--jobs=<n>]
- *            [--result-cache=<dir>]
+ *            [--result-cache=<dir>] [--sampling]
  *            [--cache-budget=<size>[K|M|G|T]] [--gc-dry-run]
  *            [--set <key>=<value>] [--config=<file.json>]
+ *            [--dump-config]
  *
- * --cache-budget runs one LRU garbage-collection pass over the
- * result-cache directory at startup (the same
- * collector as tools/cache_gc; --gc-dry-run only prints the plan).
+ * --port=0 listens on an ephemeral port (the startup line names it).
+ * --jobs defaults to VPR_JOBS, else 1. --cache-budget runs one LRU
+ * garbage-collection pass over the result-cache directory at startup
+ * (the same collector as tools/cache_gc; --gc-dry-run only prints the
+ * plan). Every flag, VPR_JOBS and VPR_INSTS_SCALE are checked before
+ * the daemon listens: a bad one is one "fatal:" line and exit 1.
  * The base configuration matches vpr_sim's, so a request body
  * reproduces a vpr_sim command line field for field.
  */
 
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "common/logging.hh"
@@ -44,20 +48,12 @@ using namespace vpr;
 namespace
 {
 
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::cerr << "usage: " << argv0
-              << " [--host=<addr>] [--port=<n>] [--jobs=<n>]\n"
-                 "  [--result-cache=<dir>]\n"
-                 "  [--cache-budget=<size>[K|M|G|T]] [--gc-dry-run]\n"
-                 "  [--set <key>=<value>] [--config=<file.json>] "
-                 "[--dump-config]\n"
-                 "endpoints: POST /sweep, GET /status, GET /params, "
-                 "POST /shutdown\n"
-                 "(see the file header and README \"Sweep service\")\n";
-    std::exit(1);
-}
+constexpr const char *kUsage =
+    "usage: vpr_simd [--host=<addr>] [--port=<n>] [--jobs=<n>] "
+    "[--result-cache=<dir>] [--sampling] "
+    "[--cache-budget=<size>[K|M|G|T]] "
+    "[--gc-dry-run] [--set <key>=<value>] [--config=<file.json>] "
+    "[--dump-config] (see README \"Sweep service\")";
 
 bool
 matchArg(const char *arg, const char *key, const char **value)
@@ -80,40 +76,33 @@ daemonMain(int argc, char **argv)
 
     std::string host = "127.0.0.1";
     std::uint16_t port = 8390;
-    unsigned jobs = defaultJobs();
+    std::optional<unsigned> jobsFlag;
     std::uint64_t cacheBudget = 0;
     bool haveBudget = false;
     bool gcDryRun = false;
     ConfigCliArgs cli;
 
-    auto alias = [&cli](const std::string &key, const std::string &value) {
-        cli.assignments.push_back(key + "=" + value);
-    };
-
     for (int i = 1; i < argc; ++i) {
         const char *v = nullptr;
         if (parseConfigArg(argc, argv, i, cli)) {
-            // --set / --set= / --config= / --dump-config taken.
+            // --set / --config= / --dump-config / --sampling /
+            // --result-cache= taken.
         } else if (matchArg(argv[i], "--host", &v)) {
             host = v;
         } else if (matchArg(argv[i], "--port", &v)) {
-            port = static_cast<std::uint16_t>(std::strtoul(v, nullptr, 10));
+            port = service::parsePort(v);
         } else if (matchArg(argv[i], "--jobs", &v)) {
-            jobs = parseJobs(v);
-        } else if (matchArg(argv[i], "--result-cache", &v)) {
-            alias("sim.result_cache.dir", v);
+            jobsFlag = parseJobs(v, "--jobs");
         } else if (matchArg(argv[i], "--cache-budget", &v)) {
-            if (!parseByteSize(v, cacheBudget)) {
-                std::cerr << "bad --cache-budget '" << v
-                          << "' (want bytes with an optional K/M/G/T "
-                             "suffix)\n";
-                return 1;
-            }
+            if (!parseByteSize(v, cacheBudget))
+                VPR_FATAL("bad --cache-budget '", v,
+                          "' (want bytes with an optional K/M/G/T "
+                          "suffix)");
             haveBudget = true;
         } else if (std::strcmp(argv[i], "--gc-dry-run") == 0) {
             gcDryRun = true;
         } else {
-            usage(argv[0]);
+            VPR_FATAL("unrecognized argument '", argv[i], "'; ", kUsage);
         }
     }
 
@@ -122,6 +111,9 @@ daemonMain(int argc, char **argv)
         dumpConfig(std::cout, config);
         return 0;
     }
+    // Process-level inputs are checked before the daemon listens.
+    const unsigned jobs = jobsFlag ? *jobsFlag : defaultJobs();
+    instructionScale();
 
     // Startup GC pass: enforce the byte budget over the result cache
     // before accepting work, oldest files first.
@@ -135,10 +127,8 @@ daemonMain(int argc, char **argv)
 
     service::HttpServer server;
     std::string error;
-    if (!server.bindAndListen(host, port, error)) {
-        std::cerr << "vpr_simd: " << error << "\n";
-        return 1;
-    }
+    if (!server.bindAndListen(host, port, error))
+        VPR_FATAL(error);
 
     service::SweepService sweepService(config, jobs);
     const auto start = std::chrono::steady_clock::now();
