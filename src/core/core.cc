@@ -35,15 +35,20 @@ CoreConfig::visitParams(ParamVisitor &v)
                 "register-file write ports per cycle");
     v.uintParam("cache_ports", cachePorts,
                 "data-cache ports per cycle");
+    // Canonical names come from renameSchemeName; the short aliases
+    // follow their scheme.
+    using RS = RenameScheme;
+    auto named = [](RS s) {
+        return std::pair<const char *, RS>(renameSchemeName(s), s);
+    };
     v.enumParam("scheme", scheme,
-                {{"conventional", RenameScheme::Conventional},
-                 {"conv", RenameScheme::Conventional},
-                 {"vp-writeback", RenameScheme::VPAllocAtWriteback},
-                 {"vp-wb", RenameScheme::VPAllocAtWriteback},
-                 {"vp-issue", RenameScheme::VPAllocAtIssue},
-                 {"conv-early-release",
-                  RenameScheme::ConventionalEarlyRelease},
-                 {"conv-er", RenameScheme::ConventionalEarlyRelease}},
+                {named(RS::Conventional),
+                 {"conv", RS::Conventional},
+                 named(RS::VPAllocAtWriteback),
+                 {"vp-wb", RS::VPAllocAtWriteback},
+                 named(RS::VPAllocAtIssue),
+                 named(RS::ConventionalEarlyRelease),
+                 {"conv-er", RS::ConventionalEarlyRelease}},
                 "register-renaming scheme");
     v.boolParam("invariant_checks", invariantChecks,
                 "run the renamer's invariant self-check every 64 cycles");
@@ -70,15 +75,28 @@ Core::Core(TraceStream &stream, const CoreConfig &config)
       completions(state.cfg.cache.hitLatency + state.cfg.cache.missPenalty +
                       64,
                   state.cfg.issueWidth),
-      fetchBuffer(state.fetch),
-      fetchRedirect(state.fetch),
       commit(state),
-      complete(state, completions, fetchRedirect, *this),
+      complete(state, completions),
       issue(state, completions),
-      rename(state, fetchBuffer),
-      fetchStage(state),
-      stageGraph{&commit, &complete, &issue, &rename, &fetchStage}
+      rename(state)
 {
+    // The stages registered their groups as they were constructed; fetch
+    // follows them, back to front.
+    fetchGroup.add(&branchesStat);
+    fetchGroup.add(&mispredictsStat);
+    state.statsTree.add(
+        &fetchGroup,
+        [this] {
+            branchesStat.set(state.fetch.branches() - baseBranches);
+            mispredictsStat.set(state.fetch.mispredicts() -
+                                baseMispredicts);
+        },
+        [this] {
+            fetchGroup.resetAll();
+            baseBranches = state.fetch.branches();
+            baseMispredicts = state.fetch.mispredicts();
+        });
+
     // Registered last so its update hook runs after the groups it
     // derives from ("core" cycles, "commit" counters) are up to date.
     derivedGroup.add(&ipcStat);
@@ -110,8 +128,11 @@ Core::tick()
 
     // Back-to-front: a result produced by an earlier (older) stage this
     // cycle is visible to the later (younger) stages of the same cycle.
-    for (Stage *stage : stageGraph)
-        stage->tick();
+    commit.tick();
+    complete.tick();
+    issue.tick();
+    rename.tick();
+    state.fetch.tick(state.curCycle);
 
     state.sampleStats();
 
@@ -184,14 +205,6 @@ Core::fastForward(std::uint64_t n, bool warm)
     // the next detailed interval doesn't trip it spuriously.
     state.lastCommitCycle = state.curCycle;
     return done;
-}
-
-void
-Core::squashYoungerThan(InstSeqNum youngestKept)
-{
-    state.squashYoungerThan(youngestKept);
-    for (Stage *stage : stageGraph)
-        stage->squash(youngestKept);
 }
 
 void

@@ -3,49 +3,43 @@
  * The out-of-order core: an 8-wide dynamically scheduled processor with
  * precise exceptions, matching section 4.1 of the paper.
  *
- * Core is a thin composition root. The pipeline logic lives in five
- * stage classes under core/stages/ behind the common Stage interface;
- * Core owns the shared PipelineState, the inter-stage latches, and the
- * stage graph, and ticks the stages back to front (one call to tick() =
- * one cycle) so same-cycle producer→consumer wakeups behave like a
- * bypass network:
+ * Core is a thin composition root. The pipeline logic lives in four
+ * stage classes under core/stages/ plus the FetchUnit; Core owns them,
+ * the shared PipelineState and the issue→complete latch, and calls the
+ * stages back to front (one call to tick() = one cycle) so same-cycle
+ * producer→consumer wakeups behave like a bypass network — the same
+ * idiom as gem5's O3 CPU and its TimeBuffer-connected stages:
  *
  *   commit  — up to commitWidth in-order retires; stores write the
  *             cache; the renamer frees the previous mapping.
  *   complete— completion events fire: write-back allocation happens
  *             here (VP write-back policy may squash back to the IQ);
- *             values broadcast to the IQ; mispredicted branches trigger
- *             the recovery walk and fetch redirect.
+ *             values broadcast to the IQ; a mispredicted branch runs
+ *             branch recovery (the recovery walk and fetch redirect).
  *   issue   — oldest-first select over ready IQ entries constrained by
  *             FUs, register-file read ports, cache ports, memory
  *             disambiguation and the renamer's issue gate.
  *   rename  — drains the fetch buffer into ROB/IQ/LSQ through the
  *             RenameManager.
- *   fetch   — fills the fetch buffer from the trace.
+ *   fetch   — FetchUnit fills the fetch buffer from the trace.
  */
 
 #ifndef VPR_CORE_CORE_HH
 #define VPR_CORE_CORE_HH
 
-#include <array>
-#include <memory>
-
 #include "core/core_config.hh"
 #include "core/stages/commit_stage.hh"
 #include "core/stages/complete_stage.hh"
-#include "core/stages/fetch_stage.hh"
 #include "core/stages/issue_stage.hh"
 #include "core/stages/latches.hh"
 #include "core/stages/pipeline_state.hh"
 #include "core/stages/rename_stage.hh"
-#include "core/stages/stage.hh"
-#include "rename/factory.hh"
 
 namespace vpr
 {
 
-/** One simulated out-of-order core: state + latches + stage graph. */
-class Core : public SquashCoordinator
+/** One simulated out-of-order core: state, latch and stages. */
+class Core
 {
   public:
     Core(TraceStream &stream, const CoreConfig &config);
@@ -95,13 +89,6 @@ class Core : public SquashCoordinator
         return completions.pendingFor(seq);
     }
 
-    /** SquashCoordinator: recovery walk over the shared structures,
-     *  then fan the squash out to every stage's private state. */
-    void squashYoungerThan(InstSeqNum youngestKept) override;
-
-    /** The stage graph in tick order, back (commit) to front (fetch). */
-    const std::array<Stage *, 5> &stages() const { return stageGraph; }
-
     /** Component access (tests / detailed reporting). @{ */
     const Rob &rob() const { return state.rob; }
     const InstQueue &iq() const { return state.iq; }
@@ -115,7 +102,7 @@ class Core : public SquashCoordinator
     /** @} */
 
   private:
-    /** No in-flight work anywhere in the stage graph or latches. */
+    /** No in-flight work anywhere in the pipeline or its latch. */
     bool quiescent() const;
 
     /** Tick with fetch paused until the pipeline is empty. */
@@ -124,18 +111,23 @@ class Core : public SquashCoordinator
     PipelineState state;
     std::uint64_t ffRetired = 0;
 
-    // Inter-stage latches/ports (see stages/latches.hh).
+    // The issue→complete latch (see stages/latches.hh).
     CompletionQueue completions;
-    FetchBufferPort fetchBuffer;
-    FetchRedirectPort fetchRedirect;
 
-    // The stages, back to front.
+    // The stages, back to front; fetch is state.fetch.
     CommitStage commit;
     CompleteStage complete;
     IssueStage issue;
     RenameStage rename;
-    FetchStage fetchStage;
-    std::array<Stage *, 5> stageGraph;
+
+    // Fetch's interval counters: the FetchUnit's counts are monotonic,
+    // so the exported stats are deltas against bases captured at each
+    // stats-tree reset.
+    stats::StatGroup fetchGroup{"fetch"};
+    stats::Scalar branchesStat{"branches", "branches fetched"};
+    stats::Scalar mispredictsStat{"mispredicts", "mispredicted branches"};
+    std::uint64_t baseBranches = 0;
+    std::uint64_t baseMispredicts = 0;
 
     // Cross-stage derived metrics (IPC needs commit + the clock); the
     // composition root is the one place that sees both.

@@ -27,8 +27,10 @@ FetchConfig::visitParams(ParamVisitor &v)
     v.uintParam("redirect_delay", redirectDelay,
                 "cycles from branch resolve to redirected fetch");
     v.enumParam("wrong_path", wrongPath,
-                {{"stall", WrongPathMode::Stall},
-                 {"synthesize", WrongPathMode::Synthesize}},
+                {{wrongPathModeName(WrongPathMode::Stall),
+                  WrongPathMode::Stall},
+                 {wrongPathModeName(WrongPathMode::Synthesize),
+                  WrongPathMode::Synthesize}},
                 "fetch behaviour past a detected misprediction");
     v.uintParam("wrong_path_seed", wrongPathSeed,
                 "base seed of the wrong-path synthesis RNG");

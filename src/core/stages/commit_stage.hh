@@ -10,13 +10,12 @@
 
 #include "common/stats.hh"
 #include "core/stages/pipeline_state.hh"
-#include "core/stages/stage.hh"
 
 namespace vpr
 {
 
 /** The commit/retire stage. */
-class CommitStage : public Stage
+class CommitStage
 {
   public:
     explicit CommitStage(PipelineState &state) : s(state)
@@ -27,16 +26,7 @@ class CommitStage : public Stage
         s.statsTree.add(&group);
     }
 
-    const char *name() const override { return "commit"; }
-
-    void tick() override;
-
-    void
-    squash(InstSeqNum) override
-    {
-        // Commit only ever touches the ROB head, which is never younger
-        // than a resolving branch; nothing to recover.
-    }
+    void tick();
 
     /** Committed instructions since construction (monotonic; drives the
      *  run-until protocol across stat resets). */

@@ -7,11 +7,8 @@ namespace vpr
 {
 
 CompleteStage::CompleteStage(PipelineState &state,
-                             CompletionQueue &completionQueue,
-                             FetchRedirectPort &redirectPort,
-                             SquashCoordinator &squashCoordinator)
-    : s(state), completions(completionQueue), redirect(redirectPort),
-      squasher(squashCoordinator)
+                             CompletionQueue &completionQueue)
+    : s(state), completions(completionQueue)
 {
     group.add(&wbRejections);
     issueToComplete.reserve(kNumOpClasses);
@@ -77,9 +74,14 @@ CompleteStage::tick()
         }
 
         if (inst->mispredictedBranch) {
-            // Branch resolution: recovery walk + fetch redirect.
-            squasher.squashYoungerThan(inst->seq());
-            redirect.redirect(now);
+            // Branch recovery: the recovery walk over the shared
+            // structures, then the parked stores of squashed
+            // instructions, then the fetch redirect, which flushes the
+            // fetch buffer before rename and fetch tick this cycle.
+            // No other stage holds state that a squash must undo.
+            s.squashYoungerThan(inst->seq());
+            completions.squashYoungerThan(inst->seq());
+            s.fetch.resolveBranch(now);
         }
     }
 

@@ -3,9 +3,9 @@
  * Complete (write-back) stage: drains due completion events from the
  * CompletionQueue. Write-back register allocation happens here — the VP
  * write-back policy may refuse and squash the instruction back to the
- * IQ; values broadcast to the IQ; mispredicted branches trigger the
- * recovery walk (via the SquashCoordinator) and the fetch redirect
- * (via the FetchRedirectPort).
+ * IQ; values broadcast to the IQ; a mispredicted branch runs branch
+ * recovery: the recovery walk over the shared structures, the parked
+ * stores in its own latch, and the fetch redirect.
  */
 
 #ifndef VPR_CORE_STAGES_COMPLETE_STAGE_HH
@@ -16,34 +16,21 @@
 #include "common/stats.hh"
 #include "core/stages/latches.hh"
 #include "core/stages/pipeline_state.hh"
-#include "core/stages/stage.hh"
 
 namespace vpr
 {
 
 /** The completion/write-back stage. */
-class CompleteStage : public Stage
+class CompleteStage
 {
   public:
-    CompleteStage(PipelineState &state, CompletionQueue &completionQueue,
-                  FetchRedirectPort &redirectPort,
-                  SquashCoordinator &squashCoordinator);
+    CompleteStage(PipelineState &state, CompletionQueue &completionQueue);
 
-    const char *name() const override { return "complete"; }
-
-    void tick() override;
-
-    void
-    squash(InstSeqNum youngestKept) override
-    {
-        completions.squashYoungerThan(youngestKept);
-    }
+    void tick();
 
   private:
     PipelineState &s;
     CompletionQueue &completions;
-    FetchRedirectPort &redirect;
-    SquashCoordinator &squasher;
 
     stats::StatGroup group{"complete"};
     stats::Scalar wbRejections{"wb_rejections",

@@ -25,28 +25,19 @@
 #include "common/stats.hh"
 #include "core/stages/latches.hh"
 #include "core/stages/pipeline_state.hh"
-#include "core/stages/stage.hh"
 
 namespace vpr
 {
 
 /** The issue/execute stage. */
-class IssueStage : public Stage
+class IssueStage
 {
   public:
     IssueStage(PipelineState &state, CompletionQueue &completionQueue);
 
-    const char *name() const override { return "issue"; }
-
-    void tick() override;
-
-    void
-    squash(InstSeqNum) override
-    {
-        // Parked entries of squashed instructions go stale through the
-        // seq + inIq check and are dropped at the next merge; nothing
-        // to walk here.
-    }
+    /** Parked entries of squashed instructions go stale through the
+     *  seq + inIq check and are dropped at the next merge. */
+    void tick();
 
   private:
     /** Why an issue attempt did not issue. */

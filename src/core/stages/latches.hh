@@ -1,15 +1,10 @@
 /**
  * @file
- * Explicit inter-stage latches and ports.
- *
- * Instead of stages mutating each other's members, every inter-stage
- * signal travels through one of these objects, owned by the composition
- * root and injected into the stages that drive or sample them:
- *
- *   CompletionQueue   issue -> complete: scheduled completion events and
- *                     stores parked on an in-flight data operand.
- *   FetchBufferPort   fetch -> rename: the fetch buffer's consumer side.
- *   FetchRedirectPort complete -> fetch: the branch-resolution wire.
+ * The issue -> complete latch: CompletionQueue, which holds scheduled
+ * completion events and the stores parked on an in-flight data operand.
+ * Core owns it and hands it to the two stages that drive and drain it.
+ * Rename and complete reach the FetchUnit's buffer and redirect wire
+ * through PipelineState directly.
  */
 
 #ifndef VPR_CORE_STAGES_LATCHES_HH
@@ -21,7 +16,6 @@
 #include "common/intmath.hh"
 #include "common/logging.hh"
 #include "core/dyn_inst.hh"
-#include "core/fetch.hh"
 
 namespace vpr
 {
@@ -247,34 +241,6 @@ class CompletionQueue
     /** Issued stores whose data operand has not been produced yet; they
      *  complete once the data broadcast arrives. */
     std::vector<ReadyRef> storesAwaitingData;
-};
-
-/** The consumer side of the fetch buffer (fetch→rename latch). */
-class FetchBufferPort
-{
-  public:
-    explicit FetchBufferPort(FetchUnit &unit) : fetch(unit) {}
-
-    bool hasInst() const { return fetch.hasInst(); }
-    const FetchedInst &peek() const { return fetch.peek(); }
-    FetchedInst pop() { return fetch.pop(); }
-
-  private:
-    FetchUnit &fetch;
-};
-
-/** The branch-resolution wire (complete→fetch). Driving it redirects
- *  fetch immediately, within the same cycle — the consumer stages that
- *  tick later this cycle (rename, fetch) observe the flushed buffer. */
-class FetchRedirectPort
-{
-  public:
-    explicit FetchRedirectPort(FetchUnit &unit) : fetch(unit) {}
-
-    void redirect(Cycle now) { fetch.resolveBranch(now); }
-
-  private:
-    FetchUnit &fetch;
 };
 
 } // namespace vpr

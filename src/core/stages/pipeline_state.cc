@@ -24,8 +24,8 @@ PipelineState::PipelineState(TraceStream &stream, const CoreConfig &config)
                "(write-back squashes re-insert issued instructions)");
 
     // Root of the stats tree: the shared structures register here, in a
-    // fixed order; the stages append their groups when the composition
-    // root constructs them. Registration order is export-schema order.
+    // fixed order; the stages append their groups when Core constructs
+    // them. Registration order is export-schema order.
     coreGroup.add(&cyclesStat);
     coreGroup.add(&squashedStat);
     statsTree.add(

@@ -5,9 +5,10 @@
  * PipelineState owns the structures that are genuinely shared between
  * stages in a real machine — ROB, IQ, LSQ, cache, functional units,
  * register/cache ports, the renamer — plus the global cycle counter and
- * sequence-number allocator. Stages receive a reference to it; purely
- * stage-to-stage signals travel through the latches in latches.hh
- * instead.
+ * sequence-number allocator, and the FetchUnit whose buffer rename
+ * drains. Stages receive a reference to it; the one stage-to-stage
+ * signal, issue to complete, travels through the CompletionQueue latch
+ * (latches.hh) instead.
  */
 
 #ifndef VPR_CORE_STAGES_PIPELINE_STATE_HH

@@ -6,8 +6,8 @@ namespace vpr
 void
 RenameStage::tick()
 {
-    for (unsigned k = 0; k < s.cfg.renameWidth && fetched.hasInst(); ++k) {
-        const FetchedInst &fi = fetched.peek();
+    for (unsigned k = 0; k < s.cfg.renameWidth && s.fetch.hasInst(); ++k) {
+        const FetchedInst &fi = s.fetch.peek();
 
         if (s.rob.full()) {
             ++stallRob;
@@ -34,7 +34,7 @@ RenameStage::tick()
             break;
         }
 
-        FetchedInst f = fetched.pop();
+        FetchedInst f = s.fetch.pop();
         // Allocate the ROB entry first (binding it to its freshly reset
         // hot-state row), then fill it in place — no DynInst copy.
         DynInst *inst = s.rob.allocate();

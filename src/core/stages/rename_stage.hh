@@ -1,26 +1,23 @@
 /**
  * @file
- * Rename stage: drains the fetch buffer into ROB/IQ/LSQ through the
- * RenameManager, stalling on full structures or an empty free list.
+ * Rename stage: drains the FetchUnit's buffer into ROB/IQ/LSQ through
+ * the RenameManager, stalling on full structures or an empty free list.
  */
 
 #ifndef VPR_CORE_STAGES_RENAME_STAGE_HH
 #define VPR_CORE_STAGES_RENAME_STAGE_HH
 
 #include "common/stats.hh"
-#include "core/stages/latches.hh"
 #include "core/stages/pipeline_state.hh"
-#include "core/stages/stage.hh"
 
 namespace vpr
 {
 
 /** The rename/dispatch stage. */
-class RenameStage : public Stage
+class RenameStage
 {
   public:
-    RenameStage(PipelineState &state, FetchBufferPort &fetchBuffer)
-        : s(state), fetched(fetchBuffer)
+    explicit RenameStage(PipelineState &state) : s(state)
     {
         group.add(&stallReg);
         group.add(&stallRob);
@@ -29,20 +26,10 @@ class RenameStage : public Stage
         s.statsTree.add(&group);
     }
 
-    const char *name() const override { return "rename"; }
-
-    void tick() override;
-
-    void
-    squash(InstSeqNum) override
-    {
-        // Rename holds no instruction state between cycles; the fetch
-        // buffer (its input latch) is flushed by the redirect port.
-    }
+    void tick();
 
   private:
     PipelineState &s;
-    FetchBufferPort &fetched;
 
     stats::StatGroup group{"rename"};
     stats::Scalar stallReg{"stall_reg", "rename stalls: no free register"};

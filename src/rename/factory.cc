@@ -1,7 +1,5 @@
 #include "rename/factory.hh"
 
-#include <map>
-
 #include "common/logging.hh"
 #include "rename/conventional.hh"
 #include "rename/early_release.hh"
@@ -10,90 +8,33 @@
 namespace vpr
 {
 
-namespace
-{
-
-struct SchemeEntry
-{
-    const char *name;
-    RenamerFactory factory;
-};
-
-using Registry = std::map<RenameScheme, SchemeEntry>;
-
-Registry
-builtinSchemes()
-{
-    Registry r;
-    auto reg = [&r](RenameScheme s, const char *name, RenamerFactory f) {
-        r.emplace(s, SchemeEntry{name, std::move(f)});
-    };
-    // One line per scheme — new schemes plug in here.
-    reg(RenameScheme::Conventional, "conventional",
-        [](const RenameConfig &c) {
-            return std::make_unique<ConventionalRename>(c);
-        });
-    reg(RenameScheme::VPAllocAtWriteback, "vp-writeback",
-        [](const RenameConfig &c) {
-            return std::make_unique<VirtualPhysicalRename>(c, false);
-        });
-    reg(RenameScheme::VPAllocAtIssue, "vp-issue",
-        [](const RenameConfig &c) {
-            return std::make_unique<VirtualPhysicalRename>(c, true);
-        });
-    reg(RenameScheme::ConventionalEarlyRelease, "conv-early-release",
-        [](const RenameConfig &c) {
-            return std::make_unique<EarlyReleaseRename>(c);
-        });
-    return r;
-}
-
-Registry &
-registry()
-{
-    // Magic static: built once, thread-safe to *read* afterwards (the
-    // parallel experiment engine constructs renamers from many threads).
-    static Registry r = builtinSchemes();
-    return r;
-}
-
-} // namespace
-
-void
-registerRenameScheme(RenameScheme scheme, const char *name,
-                     RenamerFactory factory)
-{
-    registry()[scheme] = SchemeEntry{name, std::move(factory)};
-}
-
 std::unique_ptr<RenameManager>
 makeRenamer(RenameScheme scheme, const RenameConfig &config)
 {
-    const Registry &r = registry();
-    auto it = r.find(scheme);
-    if (it == r.end())
-        VPR_PANIC("unregistered rename scheme ",
-                  static_cast<int>(scheme));
-    return it->second.factory(config);
-}
-
-std::vector<RenameScheme>
-registeredRenameSchemes()
-{
-    std::vector<RenameScheme> out;
-    for (const auto &[scheme, entry] : registry())
-        out.push_back(scheme);
-    return out;
+    switch (scheme) {
+      case RenameScheme::Conventional:
+        return std::make_unique<ConventionalRename>(config);
+      case RenameScheme::VPAllocAtWriteback:
+        return std::make_unique<VirtualPhysicalRename>(config, false);
+      case RenameScheme::VPAllocAtIssue:
+        return std::make_unique<VirtualPhysicalRename>(config, true);
+      case RenameScheme::ConventionalEarlyRelease:
+        return std::make_unique<EarlyReleaseRename>(config);
+    }
+    VPR_PANIC("bad rename scheme ", static_cast<int>(scheme));
 }
 
 const char *
 renameSchemeName(RenameScheme s)
 {
-    const Registry &r = registry();
-    auto it = r.find(s);
-    if (it == r.end())
-        VPR_PANIC("bad rename scheme ", static_cast<int>(s));
-    return it->second.name;
+    switch (s) {
+      case RenameScheme::Conventional: return "conventional";
+      case RenameScheme::VPAllocAtWriteback: return "vp-writeback";
+      case RenameScheme::VPAllocAtIssue: return "vp-issue";
+      case RenameScheme::ConventionalEarlyRelease:
+        return "conv-early-release";
+    }
+    VPR_PANIC("bad rename scheme ", static_cast<int>(s));
 }
 
 } // namespace vpr

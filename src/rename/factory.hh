@@ -1,46 +1,27 @@
 /**
  * @file
- * Registry-based factory for register-renaming schemes.
+ * Construction of the register-renaming schemes.
  *
- * The pipeline never names a concrete RenameManager type: it asks the
- * factory for the scheme selected in its configuration. Adding a scheme
- * is one enumerator in RenameScheme plus one registration line in
- * builtinSchemes() (or a registerRenameScheme call from anywhere before
- * the first simulation starts).
+ * The pipeline never names a concrete RenameManager type: it asks
+ * makeRenamer for the scheme selected in its configuration. Adding a
+ * scheme is one RenameScheme enumerator plus one case in each of the
+ * two switches in factory.cc (makeRenamer and renameSchemeName); the
+ * compiler's switch warning names any switch that misses it.
  */
 
 #ifndef VPR_RENAME_FACTORY_HH
 #define VPR_RENAME_FACTORY_HH
 
-#include <functional>
 #include <memory>
-#include <vector>
 
 #include "rename/rename_iface.hh"
 
 namespace vpr
 {
 
-/** Constructs a RenameManager for a given register-file configuration. */
-using RenamerFactory =
-    std::function<std::unique_ptr<RenameManager>(const RenameConfig &)>;
-
-/**
- * Register @p factory as the implementation of @p scheme. @p name is the
- * stable human-readable identifier returned by renameSchemeName().
- * Re-registering a scheme replaces it (useful for tests). Not
- * thread-safe: register schemes before simulations start.
- */
-void registerRenameScheme(RenameScheme scheme, const char *name,
-                          RenamerFactory factory);
-
-/** Build the rename manager implementing @p scheme; panics on an
- *  unregistered scheme. Thread-safe once registration is done. */
+/** Build the rename manager implementing @p scheme. */
 std::unique_ptr<RenameManager> makeRenamer(RenameScheme scheme,
                                            const RenameConfig &config);
-
-/** Every registered scheme, in enumerator order (tests/sweeps). */
-std::vector<RenameScheme> registeredRenameSchemes();
 
 } // namespace vpr
 

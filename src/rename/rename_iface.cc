@@ -6,8 +6,8 @@
 namespace vpr
 {
 
-// renameSchemeName lives in factory.cc next to the scheme registry, so
-// a scheme's name and constructor are registered in one place.
+// renameSchemeName lives in factory.cc next to makeRenamer, so a
+// scheme's name and constructor sit in one file.
 
 void
 RenameConfig::visitParams(ParamVisitor &v)

@@ -38,7 +38,8 @@ enum class RenameScheme : std::uint8_t
     ConventionalEarlyRelease
 };
 
-/** Human-readable scheme name. */
+/** The canonical scheme name: the text of core.scheme, whose aliases
+ *  (conv, vp-wb, conv-er) CoreConfig::visitParams adds. */
 const char *renameSchemeName(RenameScheme s);
 
 /** True for the two virtual-physical variants. */

@@ -19,7 +19,8 @@ namespace
 {
 
 /** Largest accepted header block / request body. The daemon's only
- *  POST body is a small JSON sweep spec; anything bigger is abuse. */
+ *  POST body is a small JSON sweep spec; anything bigger is abuse. A
+ *  response body has no cap: a sweep's CSV grows with its grid. */
 constexpr std::size_t kMaxHeaderBytes = 64 * 1024;
 constexpr std::size_t kMaxBodyBytes = 4 * 1024 * 1024;
 
@@ -142,15 +143,16 @@ parseContentLength(const std::string &headers, std::size_t &length)
 }
 
 /**
- * Read one full request/response message from @p fd: header block up
- * to the blank line, then Content-Length body bytes (or, when
- * @p bodyUntilEof, everything until the peer closes), all of it by
- * @p deadline. @p firstLine and @p headerBlock/@p body come back
- * separated.
+ * Read one full message from @p fd: header block up to the blank line,
+ * then Content-Length body bytes, all of it by @p deadline. A request
+ * (@p isRequest, read by the server) may not carry a body over
+ * kMaxBodyBytes; a response (read by the client) has no cap, and one
+ * without a Content-Length runs until the peer closes. @p firstLine
+ * and @p headerBlock/@p body come back separated.
  */
 bool
 readMessage(int fd, std::string &firstLine, std::string &headerBlock,
-            std::string &body, bool bodyUntilEof,
+            std::string &body, bool isRequest,
             Clock::time_point deadline, std::string &error)
 {
     std::string buffer;
@@ -180,11 +182,11 @@ readMessage(int fd, std::string &firstLine, std::string &headerBlock,
         error = "malformed Content-Length";
         return false;
     }
-    if (contentLength > kMaxBodyBytes) {
+    if (isRequest && contentLength > kMaxBodyBytes) {
         error = "request body too large";
         return false;
     }
-    if (bodyUntilEof && contentLength == 0) {
+    if (!isRequest && contentLength == 0) {
         while (recvSome(fd, body, deadline)) {
         }
         return true;
@@ -299,7 +301,7 @@ HttpServer::serve(const Handler &handler)
         std::string requestLine, headerBlock, body, error;
         HttpResponse response;
         if (!readMessage(fd, requestLine, headerBlock, body,
-                         /*bodyUntilEof=*/false, deadline, error)) {
+                         /*isRequest=*/true, deadline, error)) {
             const bool late = Clock::now() >= deadline;
             response.status = late ? 408 : 400;
             response.body = late ? "request not complete within the " +
@@ -375,7 +377,7 @@ httpRequest(const std::string &host, std::uint16_t port,
 
     std::string statusLine, headerBlock;
     if (!readMessage(fd, statusLine, headerBlock, response.body,
-                     /*bodyUntilEof=*/true, kNoDeadline, error)) {
+                     /*isRequest=*/false, kNoDeadline, error)) {
         closeFd(fd);
         return false;
     }

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <iomanip>
 #include <sstream>
 #include <utility>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "sim/experiment.hh"
 #include "sim/params.hh"
@@ -20,141 +20,6 @@ namespace vpr::service
 
 namespace
 {
-
-/**
- * Minimal parser for the /sweep request body: one flat JSON object
- * whose values are strings or arrays of strings. That is the whole
- * grammar the endpoint accepts, so nested objects, numbers, booleans
- * and null are rejected up front with a precise message — a daemon must
- * answer 400, not guess.
- */
-class FlatJsonParser
-{
-  public:
-    explicit FlatJsonParser(const std::string &text) : text(text) {}
-
-    /** Parsed fields in document order (a repeated key appends). */
-    using Fields =
-        std::vector<std::pair<std::string, std::vector<std::string>>>;
-
-    /** Parse the whole body; throws Error on anything else. */
-    Fields
-    parse()
-    {
-        Fields fields;
-        skipSpace();
-        if (!consume('{'))
-            fail("expected '{'");
-        skipSpace();
-        if (!consume('}')) {
-            for (;;) {
-                std::string key = parseString();
-                skipSpace();
-                if (!consume(':'))
-                    fail("expected ':' after \"" + key + "\"");
-                std::vector<std::string> values = parseValue(key);
-                fields.emplace_back(std::move(key), std::move(values));
-                skipSpace();
-                if (consume('}'))
-                    break;
-                if (!consume(','))
-                    fail("expected ',' or '}'");
-            }
-        }
-        skipSpace();
-        if (pos != text.size())
-            fail("trailing content after object");
-        return fields;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string &what) const
-    {
-        VPR_FATAL("bad JSON body: ", what, " at offset ", pos);
-    }
-
-    void
-    skipSpace()
-    {
-        while (pos < text.size() &&
-               (text[pos] == ' ' || text[pos] == '\t' ||
-                text[pos] == '\n' || text[pos] == '\r'))
-            ++pos;
-    }
-
-    bool
-    consume(char c)
-    {
-        if (pos < text.size() && text[pos] == c) {
-            ++pos;
-            return true;
-        }
-        return false;
-    }
-
-    std::string
-    parseString()
-    {
-        skipSpace();
-        if (!consume('"'))
-            fail("expected '\"'");
-        std::string out;
-        while (pos < text.size()) {
-            const char c = text[pos++];
-            if (c == '"')
-                return out;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos >= text.size())
-                break;
-            const char esc = text[pos++];
-            switch (esc) {
-              case '"': out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/': out += '/'; break;
-              case 'n': out += '\n'; break;
-              case 't': out += '\t'; break;
-              case 'r': out += '\r'; break;
-              default:
-                fail(std::string("unsupported escape '\\") + esc + "'");
-            }
-        }
-        fail("unterminated string");
-    }
-
-    /** A value: one string, or an array of strings. */
-    std::vector<std::string>
-    parseValue(const std::string &key)
-    {
-        std::vector<std::string> values;
-        skipSpace();
-        if (consume('[')) {
-            skipSpace();
-            if (consume(']'))
-                return values;
-            for (;;) {
-                values.push_back(parseString());
-                skipSpace();
-                if (consume(','))
-                    continue;
-                if (consume(']'))
-                    return values;
-                fail("expected ',' or ']' in \"" + key + "\"");
-            }
-        }
-        if (pos >= text.size() || text[pos] != '"')
-            fail("field \"" + key +
-                 "\" must be a string or an array of strings");
-        values.push_back(parseString());
-        return values;
-    }
-
-    const std::string &text;
-    std::size_t pos = 0;
-};
 
 HttpResponse
 errorResponse(int status, const std::string &message)
@@ -187,31 +52,6 @@ serializeCounter(std::ostream &os, const char *name, std::uint64_t value,
 }
 
 } // namespace
-
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 SweepService::SweepService(SimConfig base, unsigned jobs)
     : base(std::move(base)), jobs(jobs)
@@ -309,7 +149,8 @@ SweepService::handleSweep(const std::string &body)
         std::vector<std::string> targets;
         std::vector<std::string> sweeps;
         std::vector<std::string> sets;
-        for (const auto &[key, values] : FlatJsonParser(body).parse()) {
+        for (const auto &[key, values] :
+             parseFlatJson(body, "body", /*allowArrays=*/true)) {
             if (key == "target") {
                 targets.insert(targets.end(), values.begin(),
                                values.end());

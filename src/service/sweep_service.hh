@@ -98,9 +98,6 @@ class SweepService
     RequestTimeSeries otherSeries;  ///< unknown paths (all 404s)
 };
 
-/** Escape @p text as the contents of a JSON string literal. */
-std::string jsonEscape(const std::string &text);
-
 } // namespace vpr::service
 
 #endif // VPR_SERVICE_SWEEP_SERVICE_HH

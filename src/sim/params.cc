@@ -6,6 +6,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "sim/config.hh"
 
@@ -252,48 +253,12 @@ dumpConfig(std::ostream &os, const SimConfig &config)
 void
 loadConfig(SimConfig &config, std::istream &is, const std::string &name)
 {
+    std::ostringstream text;
+    text << is.rdbuf();
     ConfigRegistry registry(config);
-    std::string line;
-    std::size_t lineNo = 0;
-    bool sawOpen = false, sawClose = false;
-    while (std::getline(is, line)) {
-        ++lineNo;
-        // Strip surrounding whitespace and the trailing comma.
-        std::size_t b = line.find_first_not_of(" \t\r");
-        if (b == std::string::npos)
-            continue;
-        std::size_t e = line.find_last_not_of(" \t\r");
-        std::string body = line.substr(b, e - b + 1);
-        if (!body.empty() && body.back() == ',')
-            body.pop_back();
-        if (body == "{") {
-            sawOpen = true;
-            continue;
-        }
-        if (body == "}") {
-            sawClose = true;
-            continue;
-        }
-        // Expect "key": "value".
-        if (body.size() < 7 || body.front() != '"')
-            VPR_FATAL(name, ":", lineNo, ": expected '\"key\": \"value\"'");
-        std::size_t keyEnd = body.find('"', 1);
-        if (keyEnd == std::string::npos)
-            VPR_FATAL(name, ":", lineNo, ": unterminated key");
-        std::string key = body.substr(1, keyEnd - 1);
-        std::size_t colon = body.find(':', keyEnd);
-        std::size_t vOpen =
-            colon == std::string::npos ? std::string::npos
-                                       : body.find('"', colon);
-        std::size_t vClose = vOpen == std::string::npos
-                                 ? std::string::npos
-                                 : body.find('"', vOpen + 1);
-        if (vClose == std::string::npos || vClose + 1 != body.size())
-            VPR_FATAL(name, ":", lineNo, ": expected '\"key\": \"value\"'");
-        registry.set(key, body.substr(vOpen + 1, vClose - vOpen - 1));
-    }
-    if (!sawOpen || !sawClose)
-        VPR_FATAL(name, ": not a config dump (missing braces)");
+    for (const auto &[key, values] :
+         parseFlatJson(text.str(), "in " + name, /*allowArrays=*/false))
+        registry.set(key, values[0]);
 }
 
 void

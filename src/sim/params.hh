@@ -273,8 +273,10 @@ void applyConfigCli(SimConfig &config, const ConfigCliArgs &args);
  */
 void dumpConfig(std::ostream &os, const SimConfig &config);
 
-/** Parse a dumpConfig document and apply every assignment; @p name is
- *  used in error messages. fatal()s on malformed input. */
+/** Parse a config document — any flat JSON object of string values,
+ *  e.g. a dumpConfig dump — and apply every assignment in document
+ *  order; @p name is used in error messages. fatal()s on malformed
+ *  JSON, a value that is not a single string, or a bad key or value. */
 void loadConfig(SimConfig &config, std::istream &is,
                 const std::string &name);
 

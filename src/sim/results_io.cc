@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "common/io/zio.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "sim/params.hh"
 
@@ -41,19 +42,6 @@ splitCsvLine(const std::string &line)
         out.push_back(line.substr(start, comma - start));
         start = comma + 1;
     }
-}
-
-/** Minimal JSON string escaping (our names never need more). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
 }
 
 std::string

@@ -1,5 +1,7 @@
 #include "sim/sweep.hh"
 
+#include <unordered_set>
+
 #include "common/logging.hh"
 #include "sim/params.hh"
 
@@ -44,6 +46,30 @@ buildSweepGrid(const std::vector<std::string> &benchmarks,
     // does the same).
     SimConfig scratch = base;
     ConfigRegistry registry(scratch);
+
+    // Every cell must be distinct. A benchmark named twice or a value
+    // repeated on an axis would run a cell twice, and a key on two axes
+    // would let the later axis silently overwrite the earlier one.
+    // Values compare as the registry spells them back, so an alias
+    // ("conv") repeats its canonical name ("conventional").
+    std::unordered_set<std::string> seen;
+    for (const std::string &bench : benchmarks)
+        if (!seen.insert(bench).second)
+            VPR_FATAL("benchmark '", bench, "' named twice in the sweep");
+    seen.clear();
+    for (const SweepAxis &axis : axes)
+        if (!seen.insert(axis.key).second)
+            VPR_FATAL("sweep key '", axis.key, "' on two axes");
+    for (const SweepAxis &axis : axes) {
+        seen.clear();
+        for (const std::string &value : axis.values) {
+            registry.set(axis.key, value);
+            if (!seen.insert(registry.get(axis.key)).second)
+                VPR_FATAL("sweep axis '", axis.key, "' repeats value '",
+                          value, "'");
+        }
+    }
+
     std::vector<GridCell> cells;
     std::vector<std::size_t> pick(axes.size(), 0);
     for (const std::string &bench : benchmarks) {

@@ -41,7 +41,10 @@ SweepAxis parseSweepAxis(const std::string &spec);
  * Build the cross-product grid: for every benchmark (outermost), every
  * combination of axis values (rightmost axis fastest), copy @p base and
  * apply the axis assignments left to right through the config registry.
- * fatal()s on an unknown key or a bad value.
+ * fatal()s on an unknown key, a bad value, or a grid that would not be
+ * distinct cells: a benchmark named twice, a key on two axes, or a
+ * value repeated within one axis (aliases count as their canonical
+ * name).
  */
 std::vector<GridCell>
 buildSweepGrid(const std::vector<std::string> &benchmarks,

@@ -1,14 +1,13 @@
 /**
  * @file
- * Stage-graph tests: the composition root ticks the stages back to
- * front, and instructions hand off between stages through the latches
- * one cycle at a time.
+ * Pipeline-order tests: Core calls the stages back to front (commit,
+ * complete, issue, rename, then fetch), so instructions hand off
+ * between stages, through the fetch buffer and the completion latch,
+ * one cycle at a time; and branch recovery leaves every structure
+ * consistent.
  */
 
 #include <gtest/gtest.h>
-
-#include <string>
-#include <vector>
 
 #include "core/core.hh"
 #include "trace/builder.hh"
@@ -33,24 +32,9 @@ quietConfig()
     return cfg;
 }
 
-TEST(StageOrder, GraphIsBackToFront)
-{
-    TraceBuilder b;
-    b.nop();
-    VectorTraceStream s(b.records());
-    Core core(s, quietConfig());
-
-    std::vector<std::string> names;
-    for (const Stage *stage : core.stages())
-        names.push_back(stage->name());
-    EXPECT_EQ(names,
-              (std::vector<std::string>{"commit", "complete", "issue",
-                                        "rename", "fetch"}));
-}
-
 TEST(StageOrder, ThreeInstructionWindowAdvancesOneStagePerCycle)
 {
-    // Three independent single-cycle ALU ops. Because the graph ticks
+    // Three independent single-cycle ALU ops. Because the stages tick
     // back to front, an instruction can never skip a stage within one
     // cycle: fetched in cycle 1, renamed in 2, issued in 3, completed
     // in 4, committed in 5.
@@ -131,8 +115,8 @@ TEST(StageOrder, StoreDataHandsOffThroughCompletionLatch)
 TEST(StageOrder, SquashFansOutToStages)
 {
     // Alternating-taken branches with wrong-path synthesis: recovery
-    // must leave every structure consistent (this exercises the
-    // SquashCoordinator fan-out through the stage graph).
+    // must leave every structure consistent (this exercises the complete
+    // stage's recovery walk, parked-store squash and fetch redirect).
     TraceBuilder b;
     for (int i = 0; i < 100; ++i) {
         b.alu(RegId::intReg(1), RegId::intReg(1), RegId::intReg(2));

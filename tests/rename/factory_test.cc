@@ -1,9 +1,10 @@
-/** @file Tests for the rename-scheme factory/registry. */
+/** @file Tests for the rename-scheme factory and its one name table. */
 
 #include <gtest/gtest.h>
 
-#include "rename/conventional.hh"
 #include "rename/factory.hh"
+#include "sim/config.hh"
+#include "sim/params.hh"
 
 namespace vpr
 {
@@ -21,52 +22,21 @@ cfg()
     return rc;
 }
 
+const RenameScheme kAllSchemes[] = {
+    RenameScheme::Conventional,
+    RenameScheme::VPAllocAtWriteback,
+    RenameScheme::VPAllocAtIssue,
+    RenameScheme::ConventionalEarlyRelease,
+};
+
 TEST(RenameFactory, EveryEnumeratorConstructs)
 {
-    const RenameScheme all[] = {
-        RenameScheme::Conventional,
-        RenameScheme::VPAllocAtWriteback,
-        RenameScheme::VPAllocAtIssue,
-        RenameScheme::ConventionalEarlyRelease,
-    };
-    for (RenameScheme s : all) {
+    for (RenameScheme s : kAllSchemes) {
         auto rn = makeRenamer(s, cfg());
         ASSERT_NE(rn, nullptr) << renameSchemeName(s);
         EXPECT_EQ(rn->scheme(), s);
         EXPECT_STRNE(renameSchemeName(s), "");
     }
-}
-
-TEST(RenameFactory, RegistryListsEveryBuiltinScheme)
-{
-    auto schemes = registeredRenameSchemes();
-    EXPECT_EQ(schemes.size(), 4u);
-    for (RenameScheme s : schemes) {
-        auto rn = makeRenamer(s, cfg());
-        EXPECT_EQ(rn->scheme(), s);
-    }
-}
-
-TEST(RenameFactory, ReRegistrationReplacesTheFactory)
-{
-    static int constructions = 0;
-    constructions = 0;
-    registerRenameScheme(RenameScheme::Conventional, "conventional",
-                         [](const RenameConfig &c) {
-                             ++constructions;
-                             return std::make_unique<ConventionalRename>(
-                                 c);
-                         });
-    auto rn = makeRenamer(RenameScheme::Conventional, cfg());
-    EXPECT_EQ(constructions, 1);
-    EXPECT_EQ(rn->scheme(), RenameScheme::Conventional);
-
-    // Restore the stock factory for the rest of the suite.
-    registerRenameScheme(RenameScheme::Conventional, "conventional",
-                         [](const RenameConfig &c) {
-                             return std::make_unique<ConventionalRename>(
-                                 c);
-                         });
 }
 
 TEST(RenameFactory, SchemeNamesAreStable)
@@ -79,6 +49,22 @@ TEST(RenameFactory, SchemeNamesAreStable)
                  "vp-issue");
     EXPECT_STREQ(renameSchemeName(RenameScheme::ConventionalEarlyRelease),
                  "conv-early-release");
+}
+
+TEST(RenameFactory, ConfigSchemeNamesComeFromRenameSchemeName)
+{
+    // core.scheme takes each canonical name and reads it back verbatim:
+    // the config registry and the reports share one name table.
+    for (RenameScheme s : kAllSchemes) {
+        SimConfig config;
+        config.core.scheme = s == RenameScheme::Conventional
+                                 ? RenameScheme::VPAllocAtIssue
+                                 : RenameScheme::Conventional;
+        ConfigRegistry registry(config);
+        registry.set("core.scheme", renameSchemeName(s));
+        EXPECT_EQ(config.core.scheme, s) << renameSchemeName(s);
+        EXPECT_EQ(registry.get("core.scheme"), renameSchemeName(s));
+    }
 }
 
 } // namespace

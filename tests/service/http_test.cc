@@ -3,14 +3,16 @@
  * The portable HTTP layer, end to end over a real loopback socket: an
  * ephemeral-port server in a background thread, the blocking client
  * against it. Covers request/response round trips (body, status,
- * content type), protocol-error handling (malformed request line =
- * 400 without reaching the handler), the per-connection read deadline
+ * content type), protocol-error handling (malformed request line or
+ * an oversized request body = 400 without reaching the handler), the
+ * uncapped response body, the per-connection read deadline
  * (a stalled client = 408, and it cannot starve the next one), and
  * clean shutdown.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -166,6 +168,56 @@ TEST(Http, StalledClientCannotStallTheNextOne)
     const std::string dropped = readToEof(stalled);
     EXPECT_EQ(dropped.compare(0, 21, "HTTP/1.1 408 Request "), 0)
         << dropped;
+
+    ASSERT_TRUE(httpRequest("127.0.0.1", server.port(), "POST", "/quit",
+                            "", response, error))
+        << error;
+    serverThread.join();
+}
+
+TEST(Http, BodyCapAppliesToRequestsOnly)
+{
+    // The 4 MiB cap guards the server against huge request bodies; a
+    // response is as large as the sweep it answers (a 2,520-cell grid
+    // is ~6 MB of CSV) and must reach the client whole.
+    constexpr std::size_t kCap = 4 * 1024 * 1024;
+    std::string big(kCap + 12345, '\0');
+    for (std::size_t i = 0; i < big.size(); ++i)
+        big[i] = static_cast<char>('a' + i % 23);
+
+    HttpServer server;
+    std::string error;
+    ASSERT_TRUE(server.bindAndListen("127.0.0.1", 0, error)) << error;
+    std::atomic<bool> handlerRan{false};
+    std::thread serverThread([&] {
+        server.serve([&](const HttpRequest &request) {
+            HttpResponse response;
+            if (request.path == "/quit")
+                server.requestStop();
+            else if (request.path == "/big")
+                response.body = big;
+            else
+                handlerRan = true;
+            return response;
+        });
+    });
+
+    HttpResponse response;
+    ASSERT_TRUE(httpRequest("127.0.0.1", server.port(), "GET", "/big", "",
+                            response, error))
+        << error;
+    EXPECT_EQ(response.status, 200);
+    EXPECT_TRUE(response.body == big) << response.body.size() << " bytes";
+
+    // A request announcing a body over the cap is refused from its
+    // headers, before any of the body is read.
+    const std::string refused = rawExchange(
+        server.port(), "POST /sweep HTTP/1.1\r\nContent-Length: " +
+                           std::to_string(kCap + 1) + "\r\n\r\n");
+    EXPECT_EQ(refused.compare(0, 17, "HTTP/1.1 400 Bad "), 0) << refused;
+    EXPECT_NE(refused.find("request body too large"), std::string::npos)
+        << refused;
+    EXPECT_FALSE(handlerRan);
 
     ASSERT_TRUE(httpRequest("127.0.0.1", server.port(), "POST", "/quit",
                             "", response, error))

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "service/sweep_service.hh"
 #include "sim/experiment.hh"
 #include "sim/result_cache.hh"

@@ -197,6 +197,59 @@ TEST(ConfigParams, AssignDumpLoadDumpIsByteIdenticalUnderFuzz)
     }
 }
 
+TEST(ConfigParams, LoadTakesAnyLayoutOfTheSameJson)
+{
+    // --config takes any flat JSON object of string values, not just
+    // dumpConfig's one-key-per-line layout.
+    SimConfig donor;
+    donor.seed = 3;
+    donor.core.scheme = RenameScheme::VPAllocAtIssue;
+    donor.core.cache.missPenalty = 77;
+    std::ostringstream dump;
+    dumpConfig(dump, donor);
+
+    std::string oneLine, reindented;
+    for (char c : dump.str()) {
+        if (c != '\n')
+            oneLine += c;
+        // Every token on a line of its own, tab-indented.
+        reindented += c == ':' || c == ',' ? std::string("\n\t") + c + "\n"
+                                           : std::string(1, c);
+    }
+    for (const std::string &text : {oneLine, reindented}) {
+        SimConfig loaded;
+        std::istringstream is(text);
+        loadConfig(loaded, is, "layout");
+        std::ostringstream again;
+        dumpConfig(again, loaded);
+        EXPECT_EQ(again.str(), dump.str()) << text;
+    }
+
+    SimConfig seeded;
+    std::istringstream is("{\"seed\": \"3\"}");
+    loadConfig(seeded, is, "one-line");
+    EXPECT_EQ(seeded.seed, 3u);
+}
+
+TEST(ConfigParamsDeath, LoadRejectsWhatIsNotFlatStringJson)
+{
+    // A nested object is no flat config, however its lines are laid
+    // out; nothing of it may load.
+    SimConfig config;
+    std::istringstream nested("{\n{\n\"seed\": \"3\"\n}\n}\n");
+    EXPECT_VPR_ERROR(loadConfig(config, nested, "nested"),
+                     "bad JSON in nested");
+    EXPECT_EQ(config.seed, SimConfig{}.seed);
+    std::istringstream array("{\"seed\": [\"3\"]}");
+    EXPECT_VPR_ERROR(loadConfig(config, array, "array"),
+                     "field \"seed\" must be a string");
+    std::istringstream number("{\"seed\": 3}");
+    EXPECT_VPR_ERROR(loadConfig(config, number, "number"), "bad JSON");
+    std::istringstream trailing("{\"seed\": \"3\"} x");
+    EXPECT_VPR_ERROR(loadConfig(config, trailing, "trailing"),
+                     "trailing content");
+}
+
 TEST(ConfigParams, DumpExcludesExecutionOnlyKnobs)
 {
     // A config file describes the machine, not how a grid is run:
@@ -453,7 +506,8 @@ TEST(ConfigParamsDeath, LoadRejectsMissingBraces)
 {
     SimConfig config;
     std::istringstream is("  \"core.iq_size\": \"64\"\n");
-    EXPECT_VPR_ERROR(loadConfig(config, is, "bad"), "missing braces");
+    EXPECT_VPR_ERROR(loadConfig(config, is, "bad"),
+                     "bad JSON in bad: expected '\\{'");
 }
 
 } // namespace

@@ -84,6 +84,39 @@ TEST(SweepGridDeath, UnknownAxisKeyIsFatal)
     EXPECT_VPR_ERROR(buildSweepGrid({"a"}, base, axes), "unknown parameter");
 }
 
+TEST(SweepGridDeath, RepeatedCellsAreErrors)
+{
+    // Each of these would run one cell twice, or lose an axis to a
+    // later one over the same key.
+    SimConfig base;
+    EXPECT_VPR_ERROR(
+        buildSweepGrid({"compress", "swim", "compress"}, base, {}),
+        "benchmark 'compress' named twice");
+    EXPECT_VPR_ERROR(buildSweepGrid({"compress"}, base,
+                                    {parseSweepAxis("seed=1,2"),
+                                     parseSweepAxis("seed=3")}),
+                     "sweep key 'seed' on two axes");
+    EXPECT_VPR_ERROR(
+        buildSweepGrid({"compress"}, base, {parseSweepAxis("seed=1,1")}),
+        "sweep axis 'seed' repeats value '1'");
+    // Values compare canonically: an alias repeats its scheme's name,
+    // and so does a number spelled with a leading zero.
+    EXPECT_VPR_ERROR(
+        buildSweepGrid({"compress"}, base,
+                       {parseSweepAxis("core.scheme=conv,conventional")}),
+        "sweep axis 'core.scheme' repeats value 'conventional'");
+    EXPECT_VPR_ERROR(
+        buildSweepGrid({"compress"}, base,
+                       {parseSweepAxis("core.rename.regfile_size=64,064")}),
+        "repeats value '064'");
+
+    // Distinct values, including every alias of a distinct scheme, pass.
+    const std::vector<GridCell> cells = buildSweepGrid(
+        {"compress"}, base,
+        {parseSweepAxis("core.scheme=conv,vp-wb,vp-issue,conv-er")});
+    EXPECT_EQ(cells.size(), 4u);
+}
+
 /**
  * The acceptance property: sweeping (regfile size × scheme) from the
  * bench base config enumerates exactly the fig7_regfile_size grid —

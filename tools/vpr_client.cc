@@ -28,9 +28,9 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "service/http.hh"
-#include "service/sweep_service.hh"
 
 using namespace vpr;
 
@@ -64,7 +64,7 @@ appendField(std::string &json, const char *key,
         json += ", ";
     json += std::string("\"") + key + "\": [";
     for (std::size_t i = 0; i < values.size(); ++i)
-        json += (i ? ", \"" : "\"") + service::jsonEscape(values[i]) +
+        json += (i ? ", \"" : "\"") + jsonEscape(values[i]) +
                 "\"";
     json += "]";
 }

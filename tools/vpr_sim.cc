@@ -71,7 +71,6 @@
  */
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <iomanip>
 #include <iostream>
@@ -282,9 +281,12 @@ simMain(int argc, char **argv)
     if (!dumpSpec.empty()) {
         auto comma = dumpSpec.find(',');
         std::string file = dumpSpec.substr(0, comma);
-        std::size_t n = comma == std::string::npos
-            ? 100000
-            : std::strtoull(dumpSpec.c_str() + comma + 1, nullptr, 10);
+        std::uint64_t n = 100000;
+        if (comma != std::string::npos &&
+            (!parseParamU64(dumpSpec.substr(comma + 1), n) || n == 0))
+            VPR_FATAL("bad --dump-trace count '",
+                      dumpSpec.substr(comma + 1),
+                      "' (want --dump-trace=FILE,N with N >= 1)");
         auto stream = makeBenchmarkStream(target, config.seed);
         std::size_t written = writeTraceFile(file, *stream, n);
         std::cout << "wrote " << written << " records to " << file
