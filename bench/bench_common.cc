@@ -82,16 +82,13 @@ setConfigOverrides(const ConfigCliArgs &overrides)
 SimConfig
 experimentConfig()
 {
-    SimConfig config = paperConfig();
-    // The paper skips 100 M instructions and measures 50 M per run; we
-    // default to 20 k + 120 k, which keeps the full figure suite under a
-    // few minutes while preserving every qualitative result. Use
-    // VPR_INSTS_SCALE=10 (or more) for higher-fidelity runs.
-    config.skipInsts = 20000;
+    SimConfig config = driverConfig();
+    // The paper skips 100 M instructions and measures 50 M per run; the
+    // figures keep driverConfig's 20 k warm-up and measure 120 k, which
+    // keeps the full figure suite under a few minutes while preserving
+    // every qualitative result. Use VPR_INSTS_SCALE=10 (or more) for
+    // higher-fidelity runs.
     config.measureInsts = 120000;
-    // Trace-driven methodology: fetch stalls on a detected
-    // misprediction, as in the paper's ATOM-based framework.
-    config.core.fetch.wrongPath = WrongPathMode::Stall;
     // User overrides, by dotted parameter name: --config first, then
     // --set in command-line order.
     applyConfigCli(config, overrideStore());

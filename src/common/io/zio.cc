@@ -1,12 +1,18 @@
 #include "common/io/zio.hh"
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
 #ifdef _WIN32
+#include <io.h>
 #include <process.h>
+#ifndef W_OK
+#define W_OK 2
+#endif
 #else
 #include <unistd.h>
 #endif
@@ -111,6 +117,31 @@ inflateBytes(const std::string &in, std::uint64_t rawSize)
 }
 
 #endif // VPR_HAVE_ZLIB
+
+/** A temp-file name beside @p path for writeFileAtomic. Unique per
+ *  (process, thread-order) so concurrent writers — other grid-cell
+ *  threads or whole other processes sharing a cache directory — never
+ *  collide on it. */
+std::string
+tempPathFor(const std::string &path)
+{
+    static std::atomic<unsigned> tmpCounter{0};
+    return path + ".tmp." + std::to_string(::getpid()) + "." +
+           std::to_string(tmpCounter.fetch_add(1));
+}
+
+/** Whether @p path is an existing node an output is written through in
+ *  place — a device such as /dev/null, a FIFO, /dev/fd/N or any symlink
+ *  — because a rename over it would replace the node itself. */
+bool
+writesThrough(const std::string &path)
+{
+    std::error_code ec;
+    const std::filesystem::file_status st =
+        std::filesystem::symlink_status(path, ec);
+    return std::filesystem::exists(st) &&
+           !std::filesystem::is_regular_file(st);
+}
 
 } // namespace
 
@@ -258,13 +289,9 @@ readFileBytes(const std::string &path, std::string &out)
 bool
 writeFileAtomic(const std::string &path, const std::string &data)
 {
-    // Unique per (process, thread-order) so concurrent writers — other
-    // grid-cell threads or whole other processes sharing a cache
-    // directory — never collide on the temp name; rename() then makes
-    // the publish atomic (last writer wins with identical content).
-    static std::atomic<unsigned> tmpCounter{0};
-    std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
-                      std::to_string(tmpCounter.fetch_add(1));
+    // rename() makes the publish atomic (last writer wins with
+    // identical content).
+    const std::string tmp = tempPathFor(path);
     {
         std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
         if (!os)
@@ -282,6 +309,45 @@ writeFileAtomic(const std::string &path, const std::string &data)
         return false;
     }
     return true;
+}
+
+bool
+canWriteOutputFile(const std::string &path)
+{
+    std::error_code ec;
+    if (std::filesystem::is_directory(path, ec))
+        return false;
+    if (writesThrough(path)) {
+        // Only probe the node's permission: opening a FIFO here would
+        // hand its reader an early end of file.
+        if (::access(path.c_str(), W_OK) == 0)
+            return true;
+        if (errno != ENOENT)
+            return false;
+        // A dangling symlink: writing through it creates its target.
+        std::filesystem::path target =
+            std::filesystem::read_symlink(path, ec);
+        if (ec)
+            return false;
+        if (target.is_relative())
+            target = std::filesystem::path(path).parent_path() / target;
+        return canWriteOutputFile(target.string());
+    }
+    const std::string tmp = tempPathFor(path);
+    if (!std::ofstream(tmp, std::ios::binary | std::ios::trunc))
+        return false;
+    std::remove(tmp.c_str());
+    return true;
+}
+
+bool
+writeOutputFile(const std::string &path, const std::string &data)
+{
+    if (!writesThrough(path))
+        return writeFileAtomic(path, data);
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(data.data(), static_cast<std::streamsize>(data.size()));
+    return static_cast<bool>(os.flush());
 }
 
 } // namespace vpr

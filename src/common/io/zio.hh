@@ -85,6 +85,20 @@ bool readFileBytes(const std::string &path, std::string &out);
  *  same cache entry never expose a partial file. False on I/O failure. */
 bool writeFileAtomic(const std::string &path, const std::string &data);
 
+/** Write @p data to @p path, a file a user named for output. A new or
+ *  regular file is replaced by writeFileAtomic; any other existing node
+ *  — a device such as /dev/null, a FIFO, /dev/fd/N or a symlink — is
+ *  written through in place, since a rename would replace the node
+ *  itself. False on I/O failure. */
+bool writeOutputFile(const std::string &path, const std::string &data);
+
+/** Whether writeOutputFile(@p path, ...) can succeed: @p path is no
+ *  directory, and either the node written in place is writable (for a
+ *  dangling symlink: its target can be created) or one empty temp file
+ *  can be created (then removed) beside @p path. Lets a caller refuse an
+ *  unwritable path before doing the work it would publish. */
+bool canWriteOutputFile(const std::string &path);
+
 } // namespace vpr
 
 #endif // VPR_COMMON_IO_ZIO_HH

@@ -4,7 +4,7 @@
  *
  * panic()  — an internal invariant was violated (simulator bug); aborts.
  * fatal()  — the user supplied an impossible input (flag, config value,
- *            request body, result/trace/cache file); throws
+ *            request body, result/cache file); throws
  *            vpr::Error. No library call ends the process: main()
  *            reports the Error through runMain() and exits 1, and the
  *            sweep daemon answers it with a 400.

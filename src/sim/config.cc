@@ -245,4 +245,16 @@ paperConfig()
     return sc;
 }
 
+SimConfig
+driverConfig()
+{
+    SimConfig sc = paperConfig();
+    sc.skipInsts = 20000;
+    sc.measureInsts = 200000;
+    // Trace-driven methodology: fetch stalls on a detected
+    // misprediction, as in the paper's ATOM-based framework.
+    sc.core.fetch.wrongPath = WrongPathMode::Stall;
+    return sc;
+}
+
 } // namespace vpr

@@ -135,6 +135,17 @@ struct SimConfig
 /** A SimConfig preloaded with the paper's section 4.1 machine. */
 SimConfig paperConfig();
 
+/**
+ * paperConfig() with 20 k warm-up and 200 k measured instructions, and
+ * fetch stalled on a detected misprediction. The base config of
+ * vpr_sim's benchmark, "all" and --sweep targets and of the vpr_simd
+ * daemon, so a daemon request reproduces a vpr_sim command line field
+ * for field; bench::experimentConfig() derives the paper figures' base
+ * from it with measureInsts = 120000, so a change here moves every
+ * figure's records too.
+ */
+SimConfig driverConfig();
+
 } // namespace vpr
 
 #endif // VPR_SIM_CONFIG_HH

@@ -200,22 +200,37 @@ applyAssignments(SimConfig &config,
 }
 
 bool
+matchArg(const char *arg, const char *key, const char **value)
+{
+    std::size_t n = std::strlen(key);
+    if (std::strncmp(arg, key, n) == 0 && arg[n] == '=') {
+        *value = arg + n + 1;
+        return true;
+    }
+    return false;
+}
+
+bool
 parseConfigArg(int argc, char **argv, int &i, ConfigCliArgs &args)
 {
     const char *arg = argv[i];
-    if (std::strncmp(arg, "--set=", 6) == 0) {
-        args.assignments.push_back(arg + 6);
+    const char *v = nullptr;
+    if (matchArg(arg, "--set", &v)) {
+        args.assignments.push_back(v);
     } else if (std::strcmp(arg, "--set") == 0 && i + 1 < argc) {
         args.assignments.push_back(argv[++i]);
-    } else if (std::strncmp(arg, "--config=", 9) == 0) {
-        args.configPath = arg + 9;
+    } else if (matchArg(arg, "--config", &v)) {
+        // applyConfigCli reads an empty path as "no --config".
+        if (*v == '\0')
+            VPR_FATAL("empty --config path (want --config=<file.json>)");
+        args.configPath = v;
     } else if (std::strcmp(arg, "--dump-config") == 0) {
         args.dumpConfig = true;
     } else if (std::strcmp(arg, "--sampling") == 0) {
         args.assignments.push_back("sim.sampling.enable=1");
-    } else if (std::strncmp(arg, "--result-cache=", 15) == 0) {
+    } else if (matchArg(arg, "--result-cache", &v)) {
         args.assignments.push_back(std::string("sim.result_cache.dir=") +
-                                   (arg + 15));
+                                   v);
     } else {
         return false;
     }

@@ -253,10 +253,16 @@ struct ConfigCliArgs
     bool dumpConfig = false;             ///< --dump-config
 };
 
+/** Match a "<key>=<value>" argument: when @p arg is @p key followed
+ *  by '=', point @p value just past the '=' and return true. Every
+ *  argv loop of the tools reads its valued flags through it. */
+bool matchArg(const char *arg, const char *key, const char **value);
+
 /** Recognize one of --set <k>=<v>, --set=<k>=<v>, --config=<file>,
  *  --dump-config, --sampling (= --set sim.sampling.enable=1) or
  *  --result-cache=<dir> (= --set sim.result_cache.dir=<dir>) at
  *  argv[i]; consumes a second argv slot for the two-token --set form.
+ *  An empty --config= path is an Error naming --config.
  *  @return true when the argument was taken. */
 bool parseConfigArg(int argc, char **argv, int &i, ConfigCliArgs &args);
 

@@ -156,6 +156,8 @@ checkResultsOutput(const std::string &path, const std::string &figure,
         VPR_FATAL("--shard output must be CSV (merge_results cannot "
                   "merge JSON); drop the .json extension of '", path,
                   "'");
+    if (!path.empty() && !canWriteOutputFile(path))
+        VPR_FATAL("cannot open '", path, "' for writing");
 }
 
 const std::vector<std::string> &
@@ -300,24 +302,18 @@ writeResultsFile(const std::string &path, const std::string &figure,
                  const std::vector<SimResults> &results)
 {
     checkResultsOutput(path, figure, shard);
-    // ".vprz" wraps the CSV records in the compressed container
-    // (common/io/zio.hh); the reader autodetects by magic bytes, so
-    // merge_results ingests both forms interchangeably.
-    if (hasSuffix(path, ".vprz")) {
-        std::ostringstream csv;
-        writeResultsCsv(csv, figure, shard, indices, cells, results);
-        if (!writeFileAtomic(path, vprzPack(csv.str(), "results")))
-            VPR_FATAL("error writing '", path, "'");
-        return;
-    }
-    std::ofstream os(path);
-    if (!os)
-        VPR_FATAL("cannot open '", path, "' for writing");
+    std::ostringstream os;
     if (hasSuffix(path, ".json"))
         writeResultsJson(os, figure, shard, indices, cells, results);
     else
         writeResultsCsv(os, figure, shard, indices, cells, results);
-    if (!os)
+    // ".vprz" wraps the CSV records in the compressed container
+    // (common/io/zio.hh); the reader autodetects by magic bytes, so
+    // merge_results ingests both forms interchangeably.
+    const std::string data = hasSuffix(path, ".vprz")
+                                 ? vprzPack(os.str(), "results")
+                                 : os.str();
+    if (!writeOutputFile(path, data))
         VPR_FATAL("error writing '", path, "'");
 }
 

@@ -64,9 +64,10 @@ std::string gridConfigDigest(const std::vector<GridCell> &cells);
 void checkResultsLabel(const std::string &figure);
 
 /** Everything writeResultsFile checks before writing, for drivers to
- *  call before running any cell: the label rule, and that a sharded
- *  export is not JSON (merge_results reads CSV and VPRZ only). An empty
- *  @p path checks the label alone. Throws Error. */
+ *  call before running any cell: the label rule, that a sharded export
+ *  is not JSON (merge_results reads CSV and VPRZ only), and that
+ *  @p path can be written (canWriteOutputFile). An empty @p path checks
+ *  the label alone. Throws Error. */
 void checkResultsOutput(const std::string &path, const std::string &figure,
                         const ShardSpec &shard);
 
@@ -92,6 +93,7 @@ void writeResultsJson(std::ostream &os, const std::string &figure,
 
 /** Write to @p path, picking the format from the extension
  *  (".json" = JSON, ".vprz" = compressed CSV, anything else = CSV).
+ *  Every format is rendered whole, then written by writeOutputFile.
  *  fatal()s if unwritable or if checkResultsOutput refuses. */
 void writeResultsFile(const std::string &path, const std::string &figure,
                       const ShardSpec &shard,
@@ -99,7 +101,7 @@ void writeResultsFile(const std::string &path, const std::string &figure,
                       const std::vector<GridCell> &cells,
                       const std::vector<SimResults> &results);
 
-/** Convenience for unsharded exporters (vpr_sim, examples): write every
+/** Convenience for unsharded exporters (vpr_sim): write every
  *  cell of @p cells/@p results to @p path as one complete grid. */
 void exportAllCells(const std::string &path, const std::string &figure,
                     const std::vector<GridCell> &cells,

@@ -92,29 +92,9 @@ struct SimResults
     }
 
     double
-    avgBusyIntRegs() const
-    {
-        return metrics.real("regfile.occupancy.int.mean");
-    }
-
-    double
-    avgBusyFpRegs() const
-    {
-        return metrics.real("regfile.occupancy.fp.mean");
-    }
-
-    double
     robOccupancyMean() const
     {
         return metrics.real("rob.occupancy.mean");
-    }
-
-    double
-    regLifetimeMean(RegClass cls) const
-    {
-        return metrics.real(cls == RegClass::Int
-                                ? "rename.vp.lifetime.int.mean"
-                                : "rename.vp.lifetime.fp.mean");
     }
     /** @} */
 };

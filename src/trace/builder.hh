@@ -2,8 +2,8 @@
  * @file
  * TraceBuilder: a tiny DSL for writing instruction traces by hand.
  *
- * Used by unit tests, examples and the motivating-example bench to
- * construct exact instruction sequences. PCs are assigned sequentially
+ * Used by unit tests and the motivating_example figure to construct
+ * exact instruction sequences. PCs are assigned sequentially
  * (4 bytes per instruction) from a configurable base.
  */
 

@@ -102,16 +102,6 @@ LoopTraceStream::LoopTraceStream(KernelDesc d) : desc(std::move(d)),
     }
 }
 
-void
-LoopTraceStream::reset()
-{
-    rng.reseed(desc.seed);
-    curBlock = 0;
-    curInst = 0;
-    streamPos.assign(desc.streams.size(), 0);
-    loopCount.assign(desc.blocks.size(), 0);
-}
-
 Addr
 LoopTraceStream::pcOf(std::size_t blk, std::size_t idx) const
 {

@@ -99,7 +99,7 @@ struct KernelDesc
 
 /**
  * The generator: walks the kernel CFG and materializes TraceRecords.
- * Deterministic per (desc, seed); reset() restores the initial state.
+ * Deterministic per (desc, seed).
  */
 class LoopTraceStream : public TraceStream
 {
@@ -108,7 +108,6 @@ class LoopTraceStream : public TraceStream
 
     std::optional<TraceRecord> next() override;
     std::size_t nextBatch(TraceRecord *out, std::size_t max) override;
-    void reset() override;
 
     const KernelDesc &kernel() const { return desc; }
 

@@ -15,8 +15,8 @@ namespace vpr
 {
 
 /**
- * A source of dynamic instructions. Streams must be deterministic:
- * reset() followed by repeated next() always yields the same sequence.
+ * A source of dynamic instructions. Streams must be deterministic: two
+ * streams built from the same inputs yield the same sequence.
  */
 class TraceStream
 {
@@ -25,9 +25,6 @@ class TraceStream
 
     /** @return the next record, or nullopt at end of trace. */
     virtual std::optional<TraceRecord> next() = 0;
-
-    /** Rewind to the beginning of the trace. */
-    virtual void reset() = 0;
 
     /**
      * Advance the stream position past @p n records without returning
@@ -89,10 +86,6 @@ class VectorTraceStream : public TraceStream
         }
         return recs[pos++];
     }
-
-    void reset() override { pos = 0; }
-
-    std::size_t size() const { return recs.size(); }
 
   private:
     std::vector<TraceRecord> recs;

@@ -1,14 +1,12 @@
 /**
  * @file
  * Determinism and reproducibility: identical configurations must give
- * bit-identical results; seeds must matter; stream reset must restart
- * the workload exactly.
+ * bit-identical results, and seeds must matter.
  */
 
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hh"
-#include "trace/kernels/kernels.hh"
 
 namespace vpr
 {
@@ -153,17 +151,6 @@ TEST(Determinism, SimulatorOwnsIndependentStreams)
     auto r1 = s1.run();
     auto r2 = s2.run();
     EXPECT_EQ(r1.cycles(), r2.cycles());
-}
-
-TEST(Determinism, StreamResetRestartsExactly)
-{
-    auto s = makeBenchmarkStream("wave5");
-    std::vector<Addr> first;
-    for (int i = 0; i < 300; ++i)
-        first.push_back(s->next()->effAddr);
-    s->reset();
-    for (int i = 0; i < 300; ++i)
-        EXPECT_EQ(s->next()->effAddr, first[i]);
 }
 
 TEST(Determinism, ParallelGridCellsReproduceSerialRuns)

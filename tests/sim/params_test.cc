@@ -488,6 +488,18 @@ TEST(ConfigParamsDeath, BadBoolIsFatal)
         "bad value");
 }
 
+TEST(ConfigParamsDeath, EmptyConfigPathIsAnError)
+{
+    // applyConfigCli reads an empty path as "no --config", so taking
+    // "--config=" would silently run the base config.
+    const char *argv[] = {"prog", "--config="};
+    ConfigCliArgs cli;
+    int i = 1;
+    EXPECT_VPR_ERROR(
+        parseConfigArg(2, const_cast<char **>(argv), i, cli),
+        "empty --config path");
+}
+
 TEST(ConfigParamsDeath, LoadRejectsUnknownKey)
 {
     SimConfig config;

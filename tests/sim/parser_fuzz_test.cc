@@ -2,9 +2,9 @@
  * @file
  * Seeded mutation fuzz of every parser that reads input from outside
  * the program: the /sweep request body, --config JSON, CSV and VPRZ
- * result files, VPRTRACE files and result-cache entries (.vprr): the
- * raw file, and the entry payload and schema text re-packed into valid
- * containers so the mutants get past the checksums to the decoder.
+ * result files and result-cache entries (.vprr): the raw file, and the
+ * entry payload and schema text re-packed into valid containers so the
+ * mutants get past the checksums to the decoder.
  * Each case starts from a valid input, applies a few random byte
  * edits, and feeds the result to the reader.
  * Every outcome must be a parsed result or a vpr::Error: an abort, a
@@ -26,8 +26,6 @@
 #include "sim/params.hh"
 #include "sim/result_cache.hh"
 #include "sim/results_io.hh"
-#include "trace/kernels/kernels.hh"
-#include "trace/trace_file.hh"
 
 namespace vpr
 {
@@ -209,23 +207,6 @@ TEST(ParserFuzz, ResultsVprz)
         std::istringstream is(vprzUnpack(raw, "results"));
         readResultsCsv(is, "fuzz.vprz");
     });
-    EXPECT_LT(ok, kMutations);
-}
-
-TEST(ParserFuzz, TraceFileReadAndRun)
-{
-    const std::string path = scratchDir("vpr_fuzz_trace") + "/t.vprt";
-    auto source = makeBenchmarkStream("swim");
-    writeTraceFile(path, *source, 200);
-    std::string seed;
-    ASSERT_TRUE(readFileBytes(path, seed));
-    const int ok = fuzz(seed, 5, [&](const std::string &bytes) {
-        ASSERT_TRUE(writeFileAtomic(path, bytes));
-        FileTraceStream stream(path);
-        Simulator sim(stream, tiny());
-        sim.run();
-    });
-    EXPECT_GT(ok, 0);
     EXPECT_LT(ok, kMutations);
 }
 

@@ -4,8 +4,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "common/io/zio.hh"
 #include "sim/results_io.hh"
@@ -484,6 +489,100 @@ TEST(ResultsCsvDeath, ShardedJsonExportIsAnError)
     EXPECT_NO_THROW(
         checkResultsOutput(dir + "/s.vprz", "golden", ShardSpec{0, 2}));
     EXPECT_VPR_ERROR(checkResultsOutput("", "a b", ShardSpec{}), "figure");
+}
+
+TEST(ResultsCsvDeath, UnwritableOutputIsRefusedBeforeAnyCellRuns)
+{
+    // Drivers call checkResultsOutput before running any cell, so an
+    // --out path no file can be created at fails before the grid runs,
+    // in every format, instead of after it.
+    const std::vector<GridCell> cells = {goldenCell()};
+    const std::vector<SimResults> results = {goldenResult()};
+    for (const char *path : {"/nonexistent/f.csv", "/nonexistent/f.json",
+                             "/nonexistent/f.vprz"}) {
+        EXPECT_VPR_ERROR(checkResultsOutput(path, "golden", ShardSpec{}),
+                         "cannot open '/nonexistent/f");
+        EXPECT_VPR_ERROR(writeResultsFile(path, "golden", ShardSpec{}, {0},
+                                          cells, results),
+                         "cannot open '/nonexistent/f");
+    }
+
+    // A directory cannot be replaced by the published file.
+    namespace fs = std::filesystem;
+    const std::string dir = ::testing::TempDir() + "/vpr_results_probe";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    EXPECT_VPR_ERROR(checkResultsOutput(dir, "golden", ShardSpec{}),
+                     "cannot open");
+
+    // The probe leaves nothing behind, the output file included.
+    EXPECT_NO_THROW(
+        checkResultsOutput(dir + "/f.csv", "golden", ShardSpec{}));
+    EXPECT_TRUE(fs::is_empty(dir));
+    fs::remove_all(dir);
+}
+
+TEST(ResultsCsv, NonRegularOutputIsWrittenThroughInPlace)
+{
+    // A rename would replace a device, a FIFO or a symlink with a
+    // regular file, so those are written through in place; only a new
+    // or regular file is published by rename.
+    namespace fs = std::filesystem;
+    const std::vector<GridCell> cells = {goldenCell()};
+    const std::vector<SimResults> results = {goldenResult()};
+    std::ostringstream expected;
+    writeResultsCsv(expected, "golden", ShardSpec{}, {0}, cells, results);
+    const std::string dir = ::testing::TempDir() + "/vpr_results_through";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+
+    // A FIFO (as /dev/fd/N of a process substitution is a pipe): its
+    // reader gets the CSV. The file fits the pipe buffer, so the read
+    // end opened non-blocking here lets the write finish first.
+    const std::string fifo = dir + "/fifo";
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+    const int rd = ::open(fifo.c_str(), O_RDONLY | O_NONBLOCK);
+    ASSERT_GE(rd, 0);
+    EXPECT_NO_THROW(checkResultsOutput(fifo, "golden", ShardSpec{}));
+    writeResultsFile(fifo, "golden", ShardSpec{}, {0}, cells, results);
+    std::string got;
+    char buf[4096];
+    for (ssize_t n; (n = ::read(rd, buf, sizeof buf)) > 0;)
+        got.append(buf, static_cast<std::size_t>(n));
+    ::close(rd);
+    ASSERT_TRUE(fs::is_fifo(fs::symlink_status(fifo)));
+    ASSERT_EQ(got, expected.str());
+
+    // A symlink stays in place, and its target holds the CSV; a
+    // dangling one gets its target created.
+    const std::string target = dir + "/target.csv";
+    const std::string link = dir + "/link.csv";
+    std::ofstream(target) << "old";
+    fs::create_symlink(target, link);
+    for (int dangling = 0; dangling < 2; ++dangling) {
+        EXPECT_NO_THROW(checkResultsOutput(link, "golden", ShardSpec{}));
+        writeResultsFile(link, "golden", ShardSpec{}, {0}, cells, results);
+        EXPECT_TRUE(fs::is_symlink(fs::symlink_status(link)));
+        std::string written;
+        ASSERT_TRUE(readFileBytes(target, written));
+        EXPECT_EQ(written, expected.str());
+        fs::remove(target);
+    }
+
+    // A device: /dev/null takes the CSV and stays a character device.
+    EXPECT_NO_THROW(checkResultsOutput("/dev/null", "golden", ShardSpec{}));
+    writeResultsFile("/dev/null", "golden", ShardSpec{}, {0}, cells,
+                     results);
+    EXPECT_TRUE(fs::is_character_file(fs::symlink_status("/dev/null")));
+
+    // Nothing but the nodes made above is left in the directory.
+    std::size_t entries = 0;
+    for (const auto &entry : fs::directory_iterator(dir)) {
+        (void)entry;
+        ++entries;
+    }
+    EXPECT_EQ(entries, 2u);
+    fs::remove_all(dir);
 }
 
 // --- distribution metrics round-trip --------------------------------------

@@ -61,20 +61,6 @@ TEST(TraceBuilder, LoopingStreamWrapsForever)
         ASSERT_TRUE(s->next().has_value());
 }
 
-TEST(TraceBuilder, StreamResetRewinds)
-{
-    TraceBuilder b(0x2000);
-    b.alu(RegId::intReg(1), RegId::intReg(2));
-    b.nop();
-    auto s = b.stream(false);
-    auto first = s->next();
-    s->next();
-    s->reset();
-    auto again = s->next();
-    ASSERT_TRUE(first && again);
-    EXPECT_EQ(first->pc, again->pc);
-}
-
 TEST(TraceBuilder, AllEmittersProduceExpectedOps)
 {
     TraceBuilder b;

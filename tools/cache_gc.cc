@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "sim/params.hh"
 #include "sim/result_cache.hh"
 
 using namespace vpr;
@@ -43,9 +44,10 @@ gcMain(int argc, char **argv)
     std::vector<std::string> dirs;
 
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--budget=", 9) == 0) {
-            if (!parseByteSize(argv[i] + 9, budget))
-                VPR_FATAL("bad --budget '", argv[i] + 9,
+        const char *v = nullptr;
+        if (matchArg(argv[i], "--budget", &v)) {
+            if (!parseByteSize(v, budget))
+                VPR_FATAL("bad --budget '", v,
                           "' (want bytes with an optional K/M/G/T "
                           "suffix)");
             haveBudget = true;

@@ -69,6 +69,7 @@ mergeMain(int argc, char **argv)
     ConfigCliArgs cli;
 
     for (int i = 1; i < argc; ++i) {
+        const char *v = nullptr;
         if (std::strcmp(argv[i], "-o") == 0 && i + 1 < argc) {
             outPath = argv[++i];
         } else if (std::strcmp(argv[i], "--render") == 0) {
@@ -78,9 +79,8 @@ mergeMain(int argc, char **argv)
         } else if (parseConfigArg(argc, argv, i, cli)) {
             // --set / --config= / --dump-config / --sampling /
             // --result-cache= taken.
-        } else if (std::strncmp(argv[i], "--sampling-preset=", 18) == 0) {
-            for (const std::string &a :
-                 bench::samplingPresetAssignments(argv[i] + 18))
+        } else if (matchArg(argv[i], "--sampling-preset", &v)) {
+            for (const std::string &a : bench::samplingPresetAssignments(v))
                 cli.assignments.push_back(a);
         } else if (std::strcmp(argv[i], "--help") == 0) {
             std::cout << kUsage << "\n";

@@ -21,7 +21,6 @@
  * 0-65535, like the daemon's).
  */
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -31,6 +30,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "service/http.hh"
+#include "sim/params.hh"
 
 using namespace vpr;
 
@@ -42,17 +42,6 @@ constexpr const char *kUsage =
     "<sweep | status | params | shutdown>; sweep takes "
     "[--target=<bench|all>] [--sweep=<k=v1,v2,...>]... [--set=<k=v>]... "
     "[--figure=<name>] [--format=csv|json] [--body=<file.json|->]";
-
-bool
-matchArg(const char *arg, const char *key, const char **value)
-{
-    std::size_t n = std::strlen(key);
-    if (std::strncmp(arg, key, n) == 0 && arg[n] == '=') {
-        *value = arg + n + 1;
-        return true;
-    }
-    return false;
-}
 
 void
 appendField(std::string &json, const char *key,

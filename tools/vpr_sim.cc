@@ -4,7 +4,7 @@
  * and the paper's figures.
  *
  * Usage:
- *   vpr_sim [options] <benchmark | trace.vprt | all | figure>
+ *   vpr_sim [options] <benchmark | all | figure>
  *
  * The target "all" runs every built-in benchmark through the parallel
  * experiment engine and prints an IPC summary table (use --jobs). A
@@ -16,13 +16,14 @@
  *
  * A figure's grid is built from the figures' base config
  * (bench::experimentConfig: 20 k warm-up + 120 k measured
- * instructions); benchmark, trace and "all" targets start from
- * vpr_sim's own base (20 k + 200 k). The flags below override either
- * base; the axes a figure sweeps itself win.
+ * instructions); benchmark, "all" and --sweep targets start from
+ * driverConfig() (20 k + 200 k), which the vpr_simd daemon shares. The
+ * flags below override either base; the axes a figure sweeps itself
+ * win.
  *
- * Every configuration parameter of the simulated machine is settable
- * by stable dotted name (run `vpr_sim --help-params` for the generated
- * reference, also checked in as docs/params.txt):
+ * Every configuration parameter of the simulated machine is set by
+ * stable dotted name, and only so (run `vpr_sim --help-params` for the
+ * generated reference, also checked in as docs/params.txt):
  *
  *   --set <key>=<value>   override one parameter (repeatable)
  *   --config=<file.json>  load a --dump-config dump first
@@ -50,31 +51,27 @@
  *                     tools/merge_results merges the slices' --out
  *                     files and re-renders the table byte for byte
  *
- * Run control: --skip/--insts/--seed, --jobs=<n> (worker threads; else
- * VPR_JOBS, else 1; 0 = one per hardware thread; output is
- * byte-identical for every value), --out=<path> (one record per run
- * cell; CSV, .json, or compressed .vprz — a shard must not be .json),
- * --dump-trace=F,N, --list. VPR_INSTS_SCALE=<f> scales every
- * instruction budget. The classic flags --scheme/--regs/--nrr/--rob/
- * --miss/--mshrs/--wrongpath[-mem], --sampling (= sim.sampling.enable=1,
+ * Run control: --jobs=<n> (worker threads; else VPR_JOBS, else 1;
+ * 0 = one per hardware thread; output is byte-identical for every
+ * value), --out=<path> (one record per run cell; CSV, .json, or
+ * compressed .vprz — a shard must not be .json; an unwritable path is
+ * refused before any cell runs), --list. VPR_INSTS_SCALE=<f> scales
+ * every instruction budget. --sampling (= sim.sampling.enable=1,
  * SMARTS-style sampled simulation) and --result-cache=<dir>
  * (= sim.result_cache.dir, the content-addressed per-cell result cache
- * shared with the vpr_simd daemon; see README "Sweep service") are thin
- * aliases onto the dotted parameters above, and
- * --sampling-preset=<figure> applies that figure's tuned
- * sim.sampling.* protocol.
+ * shared with the vpr_simd daemon; see README "Sweep service") are
+ * shorthands for one --set each, and --sampling-preset=<figure> applies
+ * that figure's tuned sim.sampling.* protocol.
  *
- * Every target runs through the grid engine — a single benchmark or
- * trace as a one-cell grid — so VPR_INSTS_SCALE applies to all of them
- * and --result-cache to every benchmark target (a trace file's content
- * is not part of the cache key, so trace runs are never cached).
+ * Every target runs through the grid engine — a single benchmark as a
+ * one-cell grid — so VPR_INSTS_SCALE and --result-cache apply to all
+ * of them.
  */
 
 #include <algorithm>
 #include <cstring>
 #include <iomanip>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -86,7 +83,6 @@
 #include "sim/results_io.hh"
 #include "sim/sweep.hh"
 #include "trace/kernels/kernels.hh"
-#include "trace/trace_file.hh"
 
 using namespace vpr;
 
@@ -94,27 +90,8 @@ namespace
 {
 
 constexpr const char *kUsage =
-    "usage: vpr_sim [options] <benchmark | trace.vprt | all | figure> "
+    "usage: vpr_sim [options] <benchmark | all | figure> "
     "(--list names the targets, --help-params the parameters)";
-
-bool
-matchArg(const char *arg, const char *key, const char **value)
-{
-    std::size_t n = std::strlen(key);
-    if (std::strncmp(arg, key, n) == 0 && arg[n] == '=') {
-        *value = arg + n + 1;
-        return true;
-    }
-    return false;
-}
-
-bool
-endsWith(const std::string &s, const std::string &suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) ==
-               0;
-}
 
 /** Print the per-cell summary of an unsharded sweep: benchmark, the
  *  swept values, and IPC, in cell order. */
@@ -152,21 +129,12 @@ int
 simMain(int argc, char **argv)
 {
     std::string target;
-    std::string nrrText;  // remembered so --regs/--rob can reapply it
-    std::string dumpSpec;
     std::string outPath;
     std::string figure;
     std::vector<SweepAxis> axes;
     ShardSpec shard;
     std::optional<unsigned> jobsFlag;
     ConfigCliArgs cli;
-
-    // Legacy flags are thin aliases: they append the equivalent --set
-    // assignment, so interleavings with --set keep command-line order
-    // and the shared contract (--config loads first, --set wins) holds.
-    auto alias = [&cli](const std::string &key, const std::string &value) {
-        cli.assignments.push_back(key + "=" + value);
-    };
 
     for (int i = 1; i < argc; ++i) {
         const char *v = nullptr;
@@ -197,40 +165,10 @@ simMain(int argc, char **argv)
             figure = v;
         } else if (matchArg(argv[i], "--shard", &v)) {
             shard = parseShard(v);
-        } else if (std::strcmp(argv[i], "--wrongpath") == 0) {
-            alias("core.fetch.wrong_path", "synthesize");
-        } else if (std::strcmp(argv[i], "--wrongpath-mem") == 0) {
-            alias("core.fetch.wrong_path", "synthesize");
-            alias("core.fetch.wrong_path_mem", "1");
         } else if (matchArg(argv[i], "--out", &v)) {
             outPath = v;
-        } else if (matchArg(argv[i], "--scheme", &v)) {
-            alias("core.scheme", v);
-        } else if (matchArg(argv[i], "--regs", &v)) {
-            alias("core.rename.regfile_size", v);
-            if (!nrrText.empty())
-                alias("core.rename.nrr", nrrText);
-        } else if (matchArg(argv[i], "--nrr", &v)) {
-            nrrText = v;
-            alias("core.rename.nrr", v);
-        } else if (matchArg(argv[i], "--rob", &v)) {
-            alias("core.window", v);
-            if (!nrrText.empty())
-                alias("core.rename.nrr", nrrText);
-        } else if (matchArg(argv[i], "--skip", &v)) {
-            alias("skip_insts", v);
-        } else if (matchArg(argv[i], "--insts", &v)) {
-            alias("measure_insts", v);
-        } else if (matchArg(argv[i], "--miss", &v)) {
-            alias("core.cache.miss_penalty", v);
-        } else if (matchArg(argv[i], "--mshrs", &v)) {
-            alias("core.cache.num_mshrs", v);
-        } else if (matchArg(argv[i], "--seed", &v)) {
-            alias("seed", v);
         } else if (matchArg(argv[i], "--jobs", &v)) {
             jobsFlag = parseJobs(v, "--jobs");
-        } else if (matchArg(argv[i], "--dump-trace", &v)) {
-            dumpSpec = v;
         } else if (argv[i][0] == '-') {
             VPR_FATAL("unrecognized argument '", argv[i], "'; ", kUsage);
         } else {
@@ -240,7 +178,7 @@ simMain(int argc, char **argv)
 
     // A figure target builds its grid from the figures' base config,
     // with these flags as its overrides; every other target starts
-    // from vpr_sim's own base.
+    // from driverConfig().
     const bench::FigureDef *def = bench::findFigure(target);
     SimConfig config;
     if (def) {
@@ -254,10 +192,7 @@ simMain(int argc, char **argv)
         bench::setConfigOverrides(cli);
         config = bench::experimentConfig();
     } else {
-        config = paperConfig();
-        config.skipInsts = 20000;
-        config.measureInsts = 200000;
-        config.core.fetch.wrongPath = WrongPathMode::Stall;
+        config = driverConfig();
         applyConfigCli(config, cli);
     }
     if (cli.dumpConfig) {
@@ -267,32 +202,16 @@ simMain(int argc, char **argv)
     if (target.empty())
         VPR_FATAL("no target; ", kUsage);
     const std::vector<std::string> benchmarks = benchmarkNames();
-    if (!def && target != "all" && !endsWith(target, ".vprt") &&
+    if (!def && target != "all" &&
         std::find(benchmarks.begin(), benchmarks.end(), target) ==
             benchmarks.end())
         VPR_FATAL("unknown target '", target,
-                  "' (want a benchmark, a trace.vprt file, all or a "
-                  "figure; --list names them)");
+                  "' (want a benchmark, all or a figure; --list names "
+                  "them)");
 
     // Process-level inputs are checked before anything runs.
     const unsigned jobs = jobsFlag ? *jobsFlag : defaultJobs();
     instructionScale();
-
-    if (!dumpSpec.empty()) {
-        auto comma = dumpSpec.find(',');
-        std::string file = dumpSpec.substr(0, comma);
-        std::uint64_t n = 100000;
-        if (comma != std::string::npos &&
-            (!parseParamU64(dumpSpec.substr(comma + 1), n) || n == 0))
-            VPR_FATAL("bad --dump-trace count '",
-                      dumpSpec.substr(comma + 1),
-                      "' (want --dump-trace=FILE,N with N >= 1)");
-        auto stream = makeBenchmarkStream(target, config.seed);
-        std::size_t written = writeTraceFile(file, *stream, n);
-        std::cout << "wrote " << written << " records to " << file
-                  << "\n";
-        return 0;
-    }
 
     const bool grid = def || !axes.empty();
     if (shard.active() && !grid)
@@ -315,9 +234,6 @@ simMain(int argc, char **argv)
         if (def) {
             cells = def->build();
         } else {
-            if (endsWith(target, ".vprt"))
-                VPR_FATAL("--sweep needs a benchmark name or 'all', not "
-                          "a trace file");
             cells = buildSweepGrid(target == "all"
                                        ? benchmarks
                                        : std::vector<std::string>{target},
@@ -378,16 +294,7 @@ simMain(int argc, char **argv)
         return 0;
     }
 
-    GridCell cell{target, config};
-    if (endsWith(target, ".vprt")) {
-        // Finite trace: keep the warm-up from swallowing it whole.
-        const std::size_t records = FileTraceStream(target).size();
-        if (cell.config.skipInsts >= records / 2)
-            cell.config.skipInsts = records / 10;
-        cell.makeStream = [target] {
-            return std::make_unique<FileTraceStream>(target);
-        };
-    }
+    const GridCell cell{target, config};
     const SimResults r = runGrid({cell}, jobs).front();
     printReport(std::cout, cell.config, r);
     if (!outPath.empty())

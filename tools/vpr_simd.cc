@@ -26,8 +26,8 @@
  * (the same collector as tools/cache_gc; --gc-dry-run only prints the
  * plan). Every flag, VPR_JOBS and VPR_INSTS_SCALE are checked before
  * the daemon listens: a bad one is one "fatal:" line and exit 1.
- * The base configuration matches vpr_sim's, so a request body
- * reproduces a vpr_sim command line field for field.
+ * The base configuration is vpr_sim's (driverConfig()), so a request
+ * body reproduces a vpr_sim command line field for field.
  */
 
 #include <chrono>
@@ -55,24 +55,10 @@ constexpr const char *kUsage =
     "[--gc-dry-run] [--set <key>=<value>] [--config=<file.json>] "
     "[--dump-config] (see README \"Sweep service\")";
 
-bool
-matchArg(const char *arg, const char *key, const char **value)
-{
-    std::size_t n = std::strlen(key);
-    if (std::strncmp(arg, key, n) == 0 && arg[n] == '=') {
-        *value = arg + n + 1;
-        return true;
-    }
-    return false;
-}
-
 int
 daemonMain(int argc, char **argv)
 {
-    SimConfig config = paperConfig();
-    config.skipInsts = 20000;
-    config.measureInsts = 200000;
-    config.core.fetch.wrongPath = WrongPathMode::Stall;
+    SimConfig config = driverConfig();
 
     std::string host = "127.0.0.1";
     std::uint16_t port = 8390;
