@@ -27,8 +27,9 @@ ablationEarlyReleaseFigure()
 {
     FigureDef def;
     def.name = "ablation_early_release";
-    def.build = [] {
-        SimConfig config = experimentConfig();
+    def.preset = {30000, 150, 250};
+    def.grid = [](const SimConfig &base) {
+        SimConfig config = base;
         std::vector<GridCell> cells;
         for (const auto &name : benchmarkNames()) {
             config.setScheme(RenameScheme::Conventional);
@@ -96,11 +97,12 @@ ablationMshrFigure()
                                                    "apsi", "compress"};
     FigureDef def;
     def.name = "ablation_mshr";
-    def.build = [] {
+    def.preset = {30000, 150, 250};
+    def.grid = [](const SimConfig &base) {
         std::vector<GridCell> cells;
         for (const auto &name : names) {
             for (unsigned m : mshrs) {
-                SimConfig config = experimentConfig();
+                SimConfig config = base;
                 config.core.cache.numMshrs = m;
                 config.setScheme(RenameScheme::Conventional);
                 cells.push_back({name, config});
@@ -155,11 +157,12 @@ ablationWindowFigure()
     static const std::vector<std::size_t> windows = {32, 64, 128, 256};
     FigureDef def;
     def.name = "ablation_window";
-    def.build = [] {
+    def.preset = {30000, 150, 250};
+    def.grid = [](const SimConfig &base) {
         std::vector<GridCell> cells;
         for (const auto &name : benchmarkNames()) {
             for (std::size_t w : windows) {
-                SimConfig config = experimentConfig();
+                SimConfig config = base;
                 config.core.robSize = w;
                 config.core.iqSize = w;
                 config.core.lsqSize = w;
@@ -231,14 +234,15 @@ ablationWrongPathFigure()
 {
     FigureDef def;
     def.name = "ablation_wrongpath";
-    def.build = [] {
+    def.preset = {30000, 150, 250};
+    def.grid = [](const SimConfig &base) {
         // (conv, vp) per misprediction model per benchmark: fetch
         // stall, synthetic ALU/FP wrong path, and wrong path with
         // memory ops probing the cache (speculative pollution).
-        auto appendCells = [](std::vector<GridCell> &cells,
-                              const std::string &bench,
-                              WrongPathMode mode, bool mem) {
-            SimConfig config = experimentConfig();
+        auto appendCells = [&base](std::vector<GridCell> &cells,
+                                   const std::string &bench,
+                                   WrongPathMode mode, bool mem) {
+            SimConfig config = base;
             config.core.fetch.wrongPath = mode;
             config.core.fetch.wrongPathMem = mem;
             config.setScheme(RenameScheme::Conventional);

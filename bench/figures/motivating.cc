@@ -49,9 +49,9 @@ exampleTrace(unsigned repeats)
 }
 
 GridCell
-chainCell(RenameScheme scheme)
+chainCell(const SimConfig &base, RenameScheme scheme)
 {
-    SimConfig config = experimentConfig();
+    SimConfig config = base;
     config.setScheme(scheme);
     config.skipInsts = 0;
     config.measureInsts = 4000;
@@ -71,11 +71,13 @@ motivatingExampleFigure()
 {
     FigureDef def;
     def.name = "motivating_example";
-    def.build = [] {
+    // The chain measures only 4,000 instructions per cell.
+    def.preset = {1000, 150, 250};
+    def.grid = [](const SimConfig &base) {
         return std::vector<GridCell>{
-            chainCell(RenameScheme::Conventional),
-            chainCell(RenameScheme::VPAllocAtIssue),
-            chainCell(RenameScheme::VPAllocAtWriteback),
+            chainCell(base, RenameScheme::Conventional),
+            chainCell(base, RenameScheme::VPAllocAtIssue),
+            chainCell(base, RenameScheme::VPAllocAtWriteback),
         };
     };
     def.render = [](const std::vector<GridCell> &,

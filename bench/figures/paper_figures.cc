@@ -22,8 +22,11 @@ speedupFigure(std::string figName, std::string title, RenameScheme scheme,
 {
     FigureDef def;
     def.name = std::move(figName);
-    def.build = [scheme, nrrValues] {
-        SimConfig config = experimentConfig();
+    // Seven cells per benchmark (a baseline and six NRR points): a
+    // coarse period keeps the wide grid cheap.
+    def.preset = {24000, 150, 250};
+    def.grid = [scheme, nrrValues](const SimConfig &base) {
+        SimConfig config = base;
         const auto &names = benchmarkNames();
         std::vector<GridCell> cells;
         config.setScheme(RenameScheme::Conventional);
@@ -119,8 +122,9 @@ fig6Figure()
 {
     FigureDef def;
     def.name = "fig6_wb_vs_issue";
-    def.build = [] {
-        SimConfig config = experimentConfig();
+    def.preset = {20000, 150, 250};
+    def.grid = [](const SimConfig &base) {
+        SimConfig config = base;
         std::vector<GridCell> cells;
         for (const auto &name : benchmarkNames()) {
             config.setScheme(RenameScheme::Conventional);
@@ -175,8 +179,9 @@ fig7Figure()
     static const std::vector<std::uint16_t> sizes = {48, 64, 96};
     FigureDef def;
     def.name = "fig7_regfile_size";
-    def.build = [] {
-        SimConfig config = experimentConfig();
+    def.preset = {20000, 150, 250};
+    def.grid = [](const SimConfig &base) {
+        SimConfig config = base;
         std::vector<GridCell> cells;
         for (const auto &name : benchmarkNames()) {
             for (std::size_t i = 0; i < sizes.size(); ++i) {
@@ -257,10 +262,12 @@ table2Figure()
     static const std::vector<unsigned> penalties = {50, 20};
     FigureDef def;
     def.name = "table2_ipc";
-    def.build = [] {
+    // A finer period: this table's accuracy is the whole point.
+    def.preset = {10000, 150, 500};
+    def.grid = [](const SimConfig &base) {
         std::vector<GridCell> cells;
         for (unsigned missPenalty : penalties) {
-            SimConfig config = experimentConfig();
+            SimConfig config = base;
             config.core.cache.missPenalty = missPenalty;
             for (const auto &name : benchmarkNames()) {
                 config.setScheme(RenameScheme::Conventional);

@@ -5,6 +5,8 @@
 
 #include "figures.hh"
 
+#include "common/logging.hh"
+
 namespace vpr::bench
 {
 
@@ -36,6 +38,33 @@ findFigure(const std::string &name)
         if (def.name == name)
             return &def;
     return nullptr;
+}
+
+const SamplingPreset *
+findSamplingPreset(const std::string &figure)
+{
+    const FigureDef *def = findFigure(figure);
+    return def ? &def->preset : nullptr;
+}
+
+std::vector<std::string>
+samplingPresetAssignments(const std::string &figure)
+{
+    const SamplingPreset *preset = findSamplingPreset(figure);
+    if (!preset) {
+        std::string known;
+        for (const FigureDef &def : allFigures())
+            known += (known.empty() ? "" : ", ") + def.name;
+        VPR_FATAL("unknown sampling preset '", figure, "' (one of: ",
+                  known, ")");
+    }
+    return {"sim.sampling.enable=1",
+            "sim.sampling.period_insts=" +
+                std::to_string(preset->periodInsts),
+            "sim.sampling.warmup_insts=" +
+                std::to_string(preset->warmupInsts),
+            "sim.sampling.detailed_insts=" +
+                std::to_string(preset->detailedInsts)};
 }
 
 } // namespace vpr::bench

@@ -48,12 +48,13 @@ regPressureFigure()
 {
     FigureDef def;
     def.name = "regpressure";
-    def.build = [] {
+    def.preset = {15000, 150, 400};
+    def.grid = [](const SimConfig &base) {
         std::vector<GridCell> cells;
         for (const std::string &bench : kBenchmarks) {
             for (std::uint16_t size : kSizes) {
                 for (RenameScheme scheme : kSchemes) {
-                    SimConfig config = experimentConfig();
+                    SimConfig config = base;
                     config.setPhysRegs(size);  // NRR = max = NPR - 32
                     config.setScheme(scheme);
                     cells.push_back({bench, config});

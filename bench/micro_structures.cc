@@ -526,10 +526,8 @@ BM_ResultCacheHit(benchmark::State &state)
     const std::string dir =
         (fs::temp_directory_path() / "vpr_bm_result_cache").string();
     fs::remove_all(dir);
-    SimConfig config = tinySampledCell();
-    config.resultCache.dir = dir;
-    const GridCell cell{"swim", config};
-    runGrid({cell}, 1);  // simulate and store
+    const GridCell cell{"swim", tinySampledCell()};
+    runGrid({cell}, 1, dir);  // simulate and store
     SimResults out;
     if (!loadCachedResult(dir, cell, out))
         state.SkipWithError("the stored entry did not load");

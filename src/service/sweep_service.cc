@@ -53,8 +53,9 @@ serializeCounter(std::ostream &os, const char *name, std::uint64_t value,
 
 } // namespace
 
-SweepService::SweepService(SimConfig base, unsigned jobs)
-    : base(std::move(base)), jobs(jobs)
+SweepService::SweepService(SimConfig base, unsigned jobs,
+                           std::string cacheDir)
+    : base(std::move(base)), jobs(jobs), cacheDir(std::move(cacheDir))
 {
 }
 
@@ -182,7 +183,8 @@ SweepService::handleSweep(const std::string &body)
             axes.push_back(parseSweepAxis(spec));
         const std::vector<GridCell> cells =
             buildSweepGrid(benchmarks, config, axes);
-        const std::vector<SimResults> results = runGrid(cells, jobs);
+        const std::vector<SimResults> results =
+            runGrid(cells, jobs, cacheDir);
 
         std::vector<std::size_t> indices(cells.size());
         for (std::size_t i = 0; i < indices.size(); ++i)
@@ -215,8 +217,8 @@ SweepService::statusJson(std::uint64_t minute) const
     os << ", \"jobs\": " << jobs;
     os << ", \"scale\": " << std::setprecision(17)
        << instructionScale();
-    os << ", \"result_cache\": {\"dir\": \""
-       << jsonEscape(base.resultCache.dir) << "\"";
+    os << ", \"result_cache\": {\"dir\": \"" << jsonEscape(cacheDir)
+       << "\"";
     serializeCounter(os, "hits", cache.hits.load());
     serializeCounter(os, "misses", cache.misses.load());
     serializeCounter(os, "corrupt", cache.corrupt.load());

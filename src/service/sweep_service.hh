@@ -56,11 +56,13 @@ class SweepService
   public:
     /**
      * @param base configuration every request starts from (the daemon's
-     *        command line: paper defaults + --set/--config overrides,
-     *        including any sim.result_cache.dir)
+     *        command line: paper defaults + --set/--config overrides)
      * @param jobs worker threads per sweep (0 = one per hardware thread)
+     * @param cacheDir result-cache directory every sweep runs through
+     *        (--result-cache; empty = none). A request cannot name one.
      */
-    SweepService(SimConfig base, unsigned jobs);
+    SweepService(SimConfig base, unsigned jobs,
+                 std::string cacheDir = {});
 
     /**
      * Handle one request. @p minute is the request's minute index
@@ -89,6 +91,7 @@ class SweepService
 
     SimConfig base;
     unsigned jobs;
+    std::string cacheDir;
     bool shutdown = false;
 
     RequestTimeSeries sweepSeries;

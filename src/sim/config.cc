@@ -163,18 +163,6 @@ SamplingConfig::visitParams(ParamVisitor &v)
 }
 
 void
-ResultCacheConfig::visitParams(ParamVisitor &v)
-{
-    // Execution-only: where whole-cell results are cached must never
-    // change a result, so it enters neither provenance nor config
-    // dumps.
-    v.strParam("dir", dir,
-               "content-addressed per-cell result cache directory "
-               "(empty = cache disabled); never changes results",
-               /*execOnly=*/true);
-}
-
-void
 SimConfig::visitParams(ParamVisitor &v)
 {
     v.uintParam("skip_insts", skipInsts,
@@ -187,9 +175,6 @@ SimConfig::visitParams(ParamVisitor &v)
     v.pushGroup("sim");
     v.pushGroup("sampling");
     sampling.visitParams(v);
-    v.popGroup();
-    v.pushGroup("result_cache");
-    resultCache.visitParams(v);
     v.popGroup();
     v.popGroup();
     v.pushGroup("core");

@@ -8,7 +8,6 @@
 #define VPR_SIM_CONFIG_HH
 
 #include <cstdint>
-#include <string>
 
 #include "core/core.hh"
 
@@ -53,25 +52,6 @@ struct SamplingConfig
     void visitParams(ParamVisitor &v);
 };
 
-/**
- * Content-addressed per-cell result cache (sim.result_cache.*). With a
- * cache directory set, the parallel experiment engine serves any grid
- * cell whose (benchmark, provenance, seed, scale) content digest has
- * been simulated before — by any binary or the vpr_simd daemon — from
- * disk, byte-identical to a cold run. The directory is execution-only:
- * where results are cached must never change a result, so it enters
- * neither provenance nor config dumps. A missed cell is stored after it
- * is simulated.
- */
-struct ResultCacheConfig
-{
-    /** Result cache directory; empty disables the cache. */
-    std::string dir;
-
-    /** Reflect the result-cache parameters (sim/params.hh). */
-    void visitParams(ParamVisitor &v);
-};
-
 /** Everything a single simulation run needs. */
 struct SimConfig
 {
@@ -79,9 +59,6 @@ struct SimConfig
 
     /** Statistical-sampling protocol (sim.sampling.*). */
     SamplingConfig sampling;
-
-    /** Per-cell result cache (sim.result_cache.*; execution-only). */
-    ResultCacheConfig resultCache;
 
     /** Committed instructions to skip before measuring (cache/BHT
      *  warm-up; the paper skips 100 M then measures 50 M — we scale both

@@ -32,22 +32,24 @@ runOne(const std::string &benchmark, SimConfig config)
 }
 
 std::vector<SimResults>
-runGrid(const std::vector<GridCell> &cells, unsigned jobs)
+runGrid(const std::vector<GridCell> &cells, unsigned jobs,
+        const std::string &cacheDir)
 {
-    ParallelExperimentEngine engine(jobs);
+    ParallelExperimentEngine engine(jobs, cacheDir);
     return engine.run(cells);
 }
 
 ShardSpec
 parseShard(const char *text)
 {
-    char *end = nullptr;
-    unsigned long i = std::strtoul(text, &end, 10);
-    if (end == text || *end != '/')
+    const std::string spec = text;
+    const std::size_t slash = spec.find('/');
+    std::uint64_t i = 0, n = 0;
+    if (slash == std::string::npos ||
+        !parseParamU64(spec.substr(0, slash), i) ||
+        !parseParamU64(spec.substr(slash + 1), n))
         VPR_FATAL("bad shard '", text, "' (want i/N, e.g. 0/4)");
-    const char *countText = end + 1;
-    unsigned long n = std::strtoul(countText, &end, 10);
-    if (end == countText || *end != '\0' || n == 0 || n > 4096 || i >= n)
+    if (n == 0 || n > 4096 || i >= n)
         VPR_FATAL("bad shard '", text, "' (want i/N with 0 <= i < N)");
     return ShardSpec{static_cast<unsigned>(i), static_cast<unsigned>(n)};
 }
@@ -106,6 +108,15 @@ parseJobs(const char *text, const char *what)
                   "' (want 0 = one per hardware thread, or 1-4096 "
                   "workers)");
     return static_cast<unsigned>(v);  // 0 = one per hardware thread
+}
+
+std::string
+parseCacheDir(const char *text)
+{
+    if (*text == '\0')
+        VPR_FATAL("empty --result-cache directory (want "
+                  "--result-cache=<dir>)");
+    return text;
 }
 
 unsigned

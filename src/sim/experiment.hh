@@ -30,11 +30,13 @@ SimResults runOne(const std::string &benchmark, SimConfig config);
 /**
  * Run a whole grid of cells on the parallel engine with @p jobs worker
  * threads (1 = serial, 0 = one per hardware thread) and return results
- * in cell order. This is the workhorse every driver sweeps through;
- * results are independent of jobs.
+ * in cell order, serving and storing cells through the result cache in
+ * @p cacheDir when it is not empty. This is the workhorse every driver
+ * sweeps through; results are independent of jobs and of the cache.
  */
 std::vector<SimResults> runGrid(const std::vector<GridCell> &cells,
-                                unsigned jobs);
+                                unsigned jobs,
+                                const std::string &cacheDir = {});
 
 /**
  * A deterministic slice of a grid: shard @p index of @p count. Cells
@@ -78,6 +80,11 @@ unsigned defaultJobs();
  *  VPR_JOBS): "0" = one per hardware thread, else 1-4096 workers.
  *  Anything else is an Error naming @p what. */
 unsigned parseJobs(const char *text, const char *what);
+
+/** The --result-cache=<dir> value: a non-empty directory. An empty one
+ *  (say, from an unset shell variable) is an Error naming
+ *  --result-cache, never a silently uncached run. */
+std::string parseCacheDir(const char *text);
 
 /** Apply the global instruction scale to a config. */
 void applyInstructionScale(SimConfig &config);

@@ -4,6 +4,7 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "sim/experiment.hh"
 #include "sim/result_cache.hh"
@@ -36,31 +37,26 @@ simulateCell(const GridCell &cell)
     return sim.run();
 }
 
-/** Cells with a custom stream factory are never cached: their workload
- *  is not covered by the provenance digest. */
-bool
-cacheable(const GridCell &cell)
-{
-    return !cell.config.resultCache.dir.empty() && !cell.makeStream;
-}
-
-/** @p cell's record. Content-addressed result cache: a cell whose
- *  (benchmark, provenance, seed, scale) digest has been simulated
- *  before — by this run, an earlier batch run, or the vpr_simd daemon —
- *  is served from disk (@p hit set), byte-identical to a cold run. */
+/** @p cell's record. Content-addressed result cache in @p cacheDir
+ *  (empty = none): a cell whose (benchmark, provenance, seed, scale)
+ *  digest has been simulated before — by this run, an earlier batch
+ *  run, or the vpr_simd daemon — is served from disk (@p hit set),
+ *  byte-identical to a cold run. Cells with a custom stream factory are
+ *  never cached: their workload is not covered by the digest. */
 SimResults
-runCell(const GridCell &cell, bool &hit)
+runCell(const std::string &cacheDir, const GridCell &cell, bool &hit)
 {
-    if (cacheable(cell)) {
+    const bool cacheable = !cacheDir.empty() && !cell.makeStream;
+    if (cacheable) {
         SimResults cached;
-        if (loadCachedResult(cell.config.resultCache.dir, cell, cached)) {
+        if (loadCachedResult(cacheDir, cell, cached)) {
             hit = true;
             return cached;
         }
     }
     SimResults results = simulateCell(cell);
-    if (cacheable(cell))
-        storeCachedResult(cell.config.resultCache.dir, cell, results);
+    if (cacheable)
+        storeCachedResult(cacheDir, cell, results);
     return results;
 }
 
@@ -113,8 +109,9 @@ forEach(std::size_t count, unsigned workers, Work &&work)
 
 } // namespace
 
-ParallelExperimentEngine::ParallelExperimentEngine(unsigned jobs)
-    : nJobs(jobs)
+ParallelExperimentEngine::ParallelExperimentEngine(unsigned jobs,
+                                                   std::string cacheDir)
+    : nJobs(jobs), cacheDir(std::move(cacheDir))
 {
     if (nJobs == 0) {
         nJobs = std::thread::hardware_concurrency();
@@ -142,7 +139,7 @@ ParallelExperimentEngine::run(const std::vector<GridCell> &cells) const
     std::vector<char> hit(cells.size(), 0);  // not vector<bool>: racy
     forEach(cells.size(), workersFor(cells.size()), [&](std::size_t i) {
         bool fromCache = false;
-        results[i] = runCell(cells[i], fromCache);
+        results[i] = runCell(cacheDir, cells[i], fromCache);
         hit[i] = fromCache;
     });
 
@@ -166,7 +163,7 @@ ParallelExperimentEngine::run(const std::vector<GridCell> &cells) const
         SimResults fresh = simulateCell(cell);
         if (!fresh.metrics.sameSchema(results[cached[k]].metrics)) {
             resultCacheCounters().corrupt.fetch_add(1);
-            storeCachedResult(cell.config.resultCache.dir, cell, fresh);
+            storeCachedResult(cacheDir, cell, fresh);
         }
         results[cached[k]] = std::move(fresh);
     });

@@ -52,19 +52,22 @@ class ParallelExperimentEngine
     /**
      * @param jobs worker threads; 1 = serial in the calling thread,
      *        0 = one per hardware thread.
+     * @param cacheDir result-cache directory (sim/result_cache.hh);
+     *        empty runs every cell.
      */
-    explicit ParallelExperimentEngine(unsigned jobs = 1);
+    explicit ParallelExperimentEngine(unsigned jobs = 1,
+                                      std::string cacheDir = {});
 
     /**
      * Run every cell and return results in cell order. The instruction
      * scale (VPR_INSTS_SCALE) is applied to each cell exactly as the
      * serial runOne does, and every scaled cell is validated before any
      * runs (the first invalid one throws Error). Deterministic: results
-     * depend only on the cells, never on jobs or scheduling. Cells with
-     * sim.result_cache.dir set are served from the result cache; if
-     * the records then disagree on their metric columns, every cached
-     * cell is re-simulated (and its entry repaired when its columns
-     * change), so the results equal a cold run's.
+     * depend only on the cells, never on jobs, scheduling or the
+     * cache. With a cache directory, cells are served from the result
+     * cache; if the records then disagree on their metric columns,
+     * every cached cell is re-simulated (and its entry repaired when
+     * its columns change), so the results equal a cold run's.
      */
     std::vector<SimResults> run(const std::vector<GridCell> &cells) const;
 
@@ -75,6 +78,7 @@ class ParallelExperimentEngine
 
   private:
     unsigned nJobs;
+    std::string cacheDir;
 };
 
 } // namespace vpr

@@ -33,7 +33,7 @@ parseParamU64(const std::string &text, std::uint64_t &out)
 
 void
 ParamVisitor::boolParam(const std::string &name, bool &field,
-                        const std::string &doc, bool execOnly)
+                        const std::string &doc)
 {
     ParamDef def;
     def.name = prefixed(name);
@@ -41,7 +41,6 @@ ParamVisitor::boolParam(const std::string &name, bool &field,
     def.maxValue = 1;
     def.type = "bool";
     def.doc = doc;
-    def.execOnly = execOnly;
     bool *field_p = &field;
     def.get = [field_p] { return std::string(*field_p ? "1" : "0"); };
     def.set = [field_p](const std::string &text) {
@@ -51,25 +50,6 @@ ParamVisitor::boolParam(const std::string &name, bool &field,
             *field_p = false;
         else
             return false;
-        return true;
-    };
-    onParam(std::move(def));
-}
-
-void
-ParamVisitor::strParam(const std::string &name, std::string &field,
-                       const std::string &doc, bool execOnly)
-{
-    ParamDef def;
-    def.name = prefixed(name);
-    def.kind = ParamDef::Kind::Str;
-    def.type = "str";
-    def.doc = doc;
-    def.execOnly = execOnly;
-    std::string *field_p = &field;
-    def.get = [field_p] { return *field_p; };
-    def.set = [field_p](const std::string &text) {
-        *field_p = text;
         return true;
     };
     onParam(std::move(def));
@@ -228,9 +208,6 @@ parseConfigArg(int argc, char **argv, int &i, ConfigCliArgs &args)
         args.dumpConfig = true;
     } else if (std::strcmp(arg, "--sampling") == 0) {
         args.assignments.push_back("sim.sampling.enable=1");
-    } else if (matchArg(arg, "--result-cache", &v)) {
-        args.assignments.push_back(std::string("sim.result_cache.dir=") +
-                                   v);
     } else {
         return false;
     }
@@ -253,10 +230,8 @@ dumpConfig(std::ostream &os, const SimConfig &config)
     os << "{\n";
     bool first = true;
     for (const ParamDef &def : registry.params()) {
-        // Derived params serialize through their underlying values;
-        // execution-only knobs describe how a grid is run, not the
-        // machine, and must not be resurrected by --config.
-        if (def.derived || def.execOnly)
+        // Derived params serialize through their underlying values.
+        if (def.derived)
             continue;
         os << (first ? "" : ",\n") << "  \"" << def.name << "\": \""
            << def.get() << "\"";
@@ -300,7 +275,7 @@ configProvenance(const SimConfig &config)
     scratch = config;
     std::vector<std::pair<std::string, std::string>> out;
     for (const ParamDef &def : registry.params())
-        if (!def.execOnly && !def.derived)
+        if (!def.derived)
             out.emplace_back(def.name, def.get());
     return out;
 }
@@ -316,12 +291,7 @@ paramReference()
         info.name = def.name;
         info.type = def.type;
         info.doc = def.doc;
-        // Quote string defaults so an empty default is visible as ""
-        // in the reference table rather than a blank column.
-        info.defaultText = def.type == "str"
-                               ? "\"" + def.get() + "\""
-                               : def.get();
-        info.execOnly = def.execOnly;
+        info.defaultText = def.get();
         info.derived = def.derived;
         out.push_back(std::move(info));
     }
@@ -346,17 +316,15 @@ printParamHelp(std::ostream &os)
             os << "  " << std::left << std::setw(static_cast<int>(nameWidth))
                << p.name << "  " << std::setw(static_cast<int>(typeWidth))
                << p.type << "  " << std::setw(static_cast<int>(defWidth))
-               << p.defaultText << "  " << p.doc
-               << (p.execOnly ? " [execution-only; not exported]" : "")
-               << "\n";
+               << p.defaultText << "  " << p.doc << "\n";
         }
     };
 
     os << "Configuration parameters (set with --set <name>=<value>, "
           "sweep with --sweep <name>=<v1,v2,...>;\n"
           "see README \"Configuration & sweeps\"). Every parameter below "
-          "except execution-only knobs\nis embedded as cfg.<name> "
-          "provenance in exported result records.\n\n";
+          "is embedded as\ncfg.<name> provenance in exported result "
+          "records.\n\n";
     printTable(false);
     os << "\nConvenience parameters (write through to the parameters "
           "above; settable and sweepable\nbut never exported — records "

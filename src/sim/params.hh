@@ -15,10 +15,11 @@
  *  - dumpConfig/loadConfig serialize a full configuration as one
  *    dotted-key JSON document that round-trips byte-exactly
  *    ("--dump-config" / "--config=file.json");
- *  - configProvenance enumerates the provenance-relevant (name, value)
- *    pairs of a config — what results_io embeds in every exported
- *    record (execution-only knobs like "sim.result_cache.dir" are
- *    excluded; "seed" is included for reproducibility);
+ *  - configProvenance enumerates the (name, value) pairs of a config —
+ *    what results_io embeds in every exported record ("seed" included
+ *    for reproducibility). Every parameter describes the simulated
+ *    run; how a grid is run (worker count, result-cache directory) is
+ *    a driver flag, never a parameter;
  *  - paramReference/printParamHelp generate the parameter reference
  *    ("--help-params", checked in as docs/params.txt).
  *
@@ -55,7 +56,7 @@ bool parseParamU64(const std::string &text, std::uint64_t &out);
  *  concrete config instance's field. */
 struct ParamDef
 {
-    enum class Kind : std::uint8_t { UInt, Bool, Enum, Str };
+    enum class Kind : std::uint8_t { UInt, Bool, Enum };
 
     std::string name;  ///< stable dotted name
     std::string type;  ///< "u16", "u32", "u64", "bool", "enum{a|b}"
@@ -66,10 +67,6 @@ struct ParamDef
     /** Enum params: the canonical value names (set() also accepts the
      *  registered aliases; get() always returns a canonical name). */
     std::vector<std::string> enumNames;
-    /** Execution-only knob (the result-cache directory): settable but
-     *  excluded from provenance — records must not depend on how a grid
-     *  was run. */
-    bool execOnly = false;
     /** Writes through to other parameters; excluded from dumps and
      *  provenance (only underlying values are serialized). */
     bool derived = false;
@@ -92,8 +89,7 @@ class ParamVisitor
     /** Register an unsigned integral field. */
     template <typename T>
     void
-    uintParam(const std::string &name, T &field, const std::string &doc,
-              bool execOnly = false)
+    uintParam(const std::string &name, T &field, const std::string &doc)
     {
         static_assert(std::is_unsigned_v<T> && !std::is_same_v<T, bool>,
                       "uintParam takes unsigned integral fields");
@@ -103,7 +99,6 @@ class ParamVisitor
         def.maxValue = std::numeric_limits<T>::max();
         def.type = "u" + std::to_string(sizeof(T) * 8);
         def.doc = doc;
-        def.execOnly = execOnly;
         T *field_p = &field;
         def.get = [field_p] { return std::to_string(*field_p); };
         def.set = [field_p](const std::string &text) {
@@ -119,13 +114,7 @@ class ParamVisitor
 
     /** Register a boolean field ("0"/"1"; set also takes true/false). */
     void boolParam(const std::string &name, bool &field,
-                   const std::string &doc, bool execOnly = false);
-
-    /** Register a free-text field (paths and the like). Any value is
-     *  accepted verbatim, so string parameters are execution-only by
-     *  nature unless stated otherwise. */
-    void strParam(const std::string &name, std::string &field,
-                  const std::string &doc, bool execOnly = false);
+                   const std::string &doc);
 
     /**
      * Register an enum field. @p names maps text to values; the first
@@ -259,8 +248,7 @@ struct ConfigCliArgs
 bool matchArg(const char *arg, const char *key, const char **value);
 
 /** Recognize one of --set <k>=<v>, --set=<k>=<v>, --config=<file>,
- *  --dump-config, --sampling (= --set sim.sampling.enable=1) or
- *  --result-cache=<dir> (= --set sim.result_cache.dir=<dir>) at
+ *  --dump-config or --sampling (= --set sim.sampling.enable=1) at
  *  argv[i]; consumes a second argv slot for the two-token --set form.
  *  An empty --config= path is an Error naming --config.
  *  @return true when the argument was taken. */
@@ -272,9 +260,7 @@ void applyConfigCli(SimConfig &config, const ConfigCliArgs &args);
 /**
  * Write @p config as a JSON document of dotted keys to string values,
  * one parameter per line in registry order. Derived parameters are
- * skipped (their underlying values carry the information) and so are
- * execution-only knobs like the result-cache directory (a config file
- * describes the machine, not how a grid is run).
+ * skipped (their underlying values carry the information).
  * loadConfig inverts it: dump -> load -> dump is byte-identical.
  */
 void dumpConfig(std::ostream &os, const SimConfig &config);
@@ -290,10 +276,9 @@ void loadConfig(SimConfig &config, std::istream &is,
 void loadConfigFile(SimConfig &config, const std::string &path);
 
 /**
- * The provenance-relevant (dotted name, exact value text) pairs of
- * @p config, in registry order: every value parameter except
- * execution-only knobs. This is what results_io embeds in every
- * exported record.
+ * The provenance (dotted name, exact value text) pairs of @p config,
+ * in registry order: every parameter but the derived ones. This is
+ * what results_io embeds in every exported record.
  */
 std::vector<std::pair<std::string, std::string>>
 configProvenance(const SimConfig &config);
@@ -305,7 +290,6 @@ struct ParamInfo
     std::string type;
     std::string doc;
     std::string defaultText;  ///< value in a default-constructed SimConfig
-    bool execOnly = false;
     bool derived = false;
 };
 

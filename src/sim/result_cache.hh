@@ -5,10 +5,10 @@
  * Every grid cell is a pure function of (benchmark, config provenance,
  * seed, instruction scale), so its merged MetricsRecord can be cached
  * on disk and replayed byte-identically instead of re-simulated. The
- * cache key is a digest over exactly the provenance subset results_io
- * embeds in every exported record (seed included, execution-only knobs
- * excluded) plus the global instruction scale and the cache format
- * version.
+ * cache key is a digest over exactly the provenance results_io embeds
+ * in every exported record (seed included) plus the global instruction
+ * scale and the cache format version. The cache directory itself is a
+ * driver argument, never config, so it cannot enter the key.
  *
  * Entries are VPRZ containers (common/io/zio.hh, kind "result", store
  * codec). Format v3 payload:
@@ -32,8 +32,9 @@
  * repaired, never a wrong row.
  *
  * The cache is wired into the parallel experiment engine: any grid run
- * — a vpr_sim figure, sweep or benchmark, and the vpr_simd daemon — with
- * sim.result_cache.dir set serves previously computed cells from disk.
+ * — a vpr_sim figure, sweep or benchmark, and the vpr_simd daemon — given
+ * a cache directory (--result-cache=<dir>) serves previously computed
+ * cells from disk.
  * Cells with a custom stream factory are never cached (their workload
  * is not covered by the provenance digest).
  */
@@ -101,9 +102,8 @@ void storeCachedResult(const std::string &dir, const GridCell &cell,
                        const SimResults &results);
 
 /** @name Cache directory garbage collection (LRU on file mtime)
- *  Shared by tools/cache_gc and the vpr_simd startup pass: enforce a
- *  byte budget over result-cache (*.vprr) files, evicting
- *  least-recently-touched files first. @{ */
+ *  What tools/cache_gc runs: enforce a byte budget over result-cache
+ *  (*.vprr) files, evicting least-recently-touched files first. @{ */
 
 /** One cache file considered by the collector. */
 struct CacheFileInfo

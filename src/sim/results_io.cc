@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
 #include <iomanip>
 #include <ostream>
@@ -132,6 +132,32 @@ hasSuffix(const std::string &path, const std::string &suffix)
                         suffix) == 0;
 }
 
+/** Parse one metric field as Metric::appendText writes it: digits
+ *  alone are a counter (@p integral set), anything else must parse
+ *  whole as a real. False when the text is neither. */
+bool
+parseMetricText(const std::string &text, bool &integral,
+                std::uint64_t &count, double &real)
+{
+    integral = !text.empty() &&
+               text.find_first_not_of("0123456789") == std::string::npos;
+    if (integral)
+        return parseParamU64(text, count);
+    const char *end = text.data() + text.size();
+    const std::from_chars_result r = std::from_chars(text.data(), end, real);
+    return r.ec == std::errc() && r.ptr == end;
+}
+
+/** The Error for a result-file field that does not parse whole. */
+[[noreturn]] void
+badField(const std::string &name, std::size_t line,
+         const std::string &column, const std::string &text,
+         const char *want)
+{
+    VPR_FATAL(name, ": line ", line, ", column ", column, ": bad value '",
+              text, "' (want ", want, ")");
+}
+
 } // namespace
 
 void
@@ -166,7 +192,7 @@ resultFixedColumns()
     static const std::vector<std::string> columns = [] {
         std::vector<std::string> c = {"cell", "benchmark"};
         for (const ParamInfo &p : paramReference())
-            if (!p.execOnly && !p.derived)
+            if (!p.derived)
                 c.push_back("cfg." + p.name);
         return c;
     }();
@@ -353,14 +379,18 @@ readResultsCsv(std::istream &is, const std::string &name)
             continue;
         std::string key = tok.substr(0, eq);
         std::string value = tok.substr(eq + 1);
-        if (key == "figure")
+        if (key == "figure") {
             file.figure = value;
-        else if (key == "cells")
-            file.totalCells = std::strtoull(value.c_str(), nullptr, 10);
-        else if (key == "scale")
+        } else if (key == "cells") {
+            std::uint64_t cells = 0;
+            if (!parseParamU64(value, cells))
+                badField(name, 1, "cells=", value, "a cell count");
+            file.totalCells = cells;
+        } else if (key == "scale") {
             file.scale = value;
-        else if (key == "cfg")
+        } else if (key == "cfg") {
             file.configDigest = value;
+        }
     }
 
     std::string headerLine;
@@ -375,7 +405,13 @@ readResultsCsv(std::istream &is, const std::string &name)
                   "registry)");
 
     std::string line;
-    while (std::getline(is, line)) {
+    // Every field a reader interprets must parse whole: the cell index
+    // and every metric value (provenance is text, checked against a
+    // rebuilt grid by verifyCellProvenance).
+    bool integral = false;
+    std::uint64_t count = 0;
+    double real = 0.0;
+    for (std::size_t lineNo = 3; std::getline(is, line); ++lineNo) {
         if (line.empty())
             continue;
         ResultsFile::Row row;
@@ -383,7 +419,13 @@ readResultsCsv(std::istream &is, const std::string &name)
         if (row.values.size() != file.header.size())
             VPR_FATAL(name, ": row has ", row.values.size(),
                       " columns, header has ", file.header.size());
-        row.cell = std::strtoull(row.values[0].c_str(), nullptr, 10);
+        if (!parseParamU64(row.values[0], count))
+            badField(name, lineNo, "cell", row.values[0], "a cell index");
+        row.cell = count;
+        for (std::size_t c = fixed.size(); c < row.values.size(); ++c)
+            if (!parseMetricText(row.values[c], integral, count, real))
+                badField(name, lineNo, file.header[c], row.values[c],
+                         "a number");
         if (row.cell >= file.totalCells)
             VPR_FATAL(name, ": cell index ", row.cell,
                       " out of range (grid has ", file.totalCells,
@@ -529,22 +571,22 @@ resultsFromFile(const ResultsFile &file)
                "result file is incomplete; merge the shards first");
     const std::size_t fixedColumns = resultFixedColumns().size();
     std::vector<SimResults> results(file.rows.size());
+    bool integral = false;
+    std::uint64_t count = 0;
+    double real = 0.0;
     for (std::size_t i = 0; i < file.rows.size(); ++i) {
         const ResultsFile::Row &row = file.rows[i];
         VPR_ASSERT(row.cell == i, "rows not in cell order");
         for (std::size_t c = fixedColumns; c < row.values.size(); ++c) {
             const std::string &text = row.values[c];
-            const bool integral =
-                !text.empty() &&
-                text.find_first_not_of("0123456789") == std::string::npos;
+            if (!parseMetricText(text, integral, count, real))
+                VPR_FATAL("records of figure '", file.figure, "', cell ",
+                          row.cell, ", column ", file.header[c],
+                          ": bad value '", text, "' (want a number)");
             if (integral)
-                results[i].metrics.setUInt(
-                    file.header[c], "",
-                    std::strtoull(text.c_str(), nullptr, 10));
+                results[i].metrics.setUInt(file.header[c], "", count);
             else
-                results[i].metrics.setReal(
-                    file.header[c], "",
-                    std::strtod(text.c_str(), nullptr));
+                results[i].metrics.setReal(file.header[c], "", real);
         }
     }
     return results;

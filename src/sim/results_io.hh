@@ -6,11 +6,10 @@
  * cell's full configuration provenance, and every metric of its
  * MetricsRecord, in schema order. The provenance columns are generated
  * from the reflective parameter registry (sim/params.hh): one
- * "cfg.<dotted name>" column per parameter, covering every parameter
- * that can affect results (seed included; execution-only knobs like
- * the result-cache directory, the worker count and the shard spec
- * excluded — records are byte-identical for any --jobs value and any
- * sharding). Two formats:
+ * "cfg.<dotted name>" column per parameter (seed included). How a grid
+ * is run — the worker count, the result-cache directory, the shard
+ * spec — is no parameter, so records are byte-identical for any --jobs
+ * value, cache and sharding. Two formats:
  *
  *  - CSV: one header row, one line per cell, preceded by a single
  *    "# vpr-results v1 figure=<name> cells=<N> shard=<i>/<n>
@@ -129,7 +128,9 @@ struct ResultsFile
     std::vector<Row> rows;
 };
 
-/** Parse a CSV result stream; @p name is used in error messages. */
+/** Parse a CSV result stream; @p name is used in error messages. The
+ *  cells= count, every cell index and every metric value must parse
+ *  whole (Error naming @p name, the line and the column). */
 ResultsFile readResultsCsv(std::istream &is, const std::string &name);
 
 /** Parse a CSV result file; fatal()s if unreadable or malformed. */

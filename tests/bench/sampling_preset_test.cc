@@ -1,20 +1,19 @@
 /**
  * @file
- * The --sampling-preset table must stay a bijection with the figure
- * registry: every registered figure has exactly one tuned preset (a new
- * figure without one fails here, not at a user's command line), every
- * preset names a real figure, the tuned values are well-formed
- * sampling protocols for the figure's own cells, and the flag expands
- * to exactly the preset's sim.sampling.* assignments.
+ * Every registered figure carries its --sampling-preset protocol, so
+ * the presets and the figure registry cannot drift apart. The tuned
+ * values must be well-formed sampling protocols for the figure's own
+ * cells (a figure left with a zero preset fails here, not at a user's
+ * command line), and the flag expands to exactly the preset's
+ * sim.sampling.* assignments.
  */
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
 
-#include "bench_common.hh"
 #include "figures.hh"
+#include "sim/params.hh"
 
 #include "../support/expect_error.hh"
 
@@ -22,26 +21,6 @@ namespace vpr::bench
 {
 namespace
 {
-
-TEST(SamplingPresets, CoverEveryRegisteredFigureExactlyOnce)
-{
-    std::set<std::string> presetNames;
-    for (const SamplingPreset &preset : samplingPresets())
-        EXPECT_TRUE(presetNames.insert(preset.figure).second)
-            << "duplicate preset for '" << preset.figure << "'";
-
-    for (const FigureDef &figure : allFigures())
-        EXPECT_EQ(presetNames.count(figure.name), 1u)
-            << "registered figure '" << figure.name
-            << "' has no --sampling-preset entry";
-
-    for (const SamplingPreset &preset : samplingPresets())
-        EXPECT_NE(findFigure(preset.figure), nullptr)
-            << "preset '" << preset.figure
-            << "' names an unregistered figure";
-
-    EXPECT_EQ(presetNames.size(), allFigures().size());
-}
 
 TEST(SamplingPresets, ValuesFormValidProtocols)
 {
@@ -55,7 +34,7 @@ TEST(SamplingPresets, ValuesFormValidProtocols)
             samplingPresetAssignments(figure.name);
         for (GridCell cell : figure.build()) {
             applyAssignments(cell.config, preset);
-            EXPECT_NO_THROW(cell.config.validate()) << figure.name;
+            ASSERT_NO_THROW(cell.config.validate()) << figure.name;
             EXPECT_GE(cell.config.measureInsts /
                           cell.config.sampling.periodInsts,
                       3u)

@@ -153,9 +153,7 @@ TEST(HotLoopAlloc, CachedHitAllocationCountIsPinned)
     const std::string dir =
         (fs::path(::testing::TempDir()) / "vpr_alloc_hit").string();
     fs::remove_all(dir);
-    SimConfig config = tinySampledCell();
-    config.resultCache.dir = dir;
-    const GridCell cell{"swim", config};
+    const GridCell cell{"swim", tinySampledCell()};
 
     // However many schemas the process met before (damaged entries that
     // still parse, a cache shared by several builds), the one in use is
@@ -169,7 +167,7 @@ TEST(HotLoopAlloc, CachedHitAllocationCountIsPinned)
         storeCachedResult(dir, other, record);
         ASSERT_TRUE(loadCachedResult(dir, other, record));
     }
-    runGrid({cell}, 1);
+    runGrid({cell}, 1, dir);
     SimResults first;
     ASSERT_TRUE(loadCachedResult(dir, cell, first));
 

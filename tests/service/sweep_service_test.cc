@@ -122,9 +122,7 @@ TEST(SweepService, RepeatedSweepIsServedFromResultCache)
     const std::string dir =
         (fs::path(::testing::TempDir()) / "vpr_svc_cache").string();
     fs::remove_all(dir);
-    SimConfig base = quick();
-    base.resultCache.dir = dir;
-    SweepService service(base, 1);
+    SweepService service(quick(), 1, dir);
 
     const std::uint64_t hits0 = resultCacheCounters().hits.load();
     const HttpResponse first =
@@ -148,9 +146,7 @@ TEST(SweepService, SamplingSweepIs400NotAnAbort)
     const std::string dir =
         (fs::path(::testing::TempDir()) / "vpr_svc_sampling").string();
     fs::remove_all(dir);
-    SimConfig base = quick();
-    base.resultCache.dir = dir;
-    SweepService service(base, 2);
+    SweepService service(quick(), 2, dir);
     const char *body =
         "{\"target\":[\"compress\"],\"sweep\":[\"sim.sampling.enable=0,1\"],"
         "\"set\":[\"measure_insts=40000\",\"sim.sampling.period_insts=4000\"]}";
@@ -176,14 +172,12 @@ TEST(SweepService, CachedRecordWithOtherColumnsIsRepaired)
     const std::string dir =
         (fs::path(::testing::TempDir()) / "vpr_svc_columns").string();
     fs::remove_all(dir);
-    SimConfig base = quick();
-    base.resultCache.dir = dir;
-    const GridCell cell{"go", base};
+    const GridCell cell{"go", quick()};
     SimResults poisoned = runOne(cell.benchmark, cell.config);
     poisoned.metrics.setUInt("test.extra_stat", "one stat more", 7);
     storeCachedResult(dir, cell, poisoned);
 
-    SweepService service(base, 1);
+    SweepService service(quick(), 1, dir);
     const char *body = "{\"target\": \"go\", "
                        "\"sweep\": [\"core.scheme=vp-wb,conv\"], "
                        "\"figure\": \"svc-test\"}";
@@ -200,6 +194,32 @@ TEST(SweepService, CachedRecordWithOtherColumnsIsRepaired)
     EXPECT_EQ(response.body, cold.str());
     EXPECT_EQ(service.handle(post("/sweep", body), 0).body, cold.str());
     EXPECT_EQ(service.handle(get("/status"), 0).status, 200);
+}
+
+TEST(SweepService, CacheDirectoryInABodyIs400AndNeverCreated)
+{
+    // The result-cache directory is the daemon's --result-cache flag
+    // alone: a body that sets or sweeps it is a 400 naming the key, and
+    // nothing appears where it points.
+    const std::string dir =
+        (fs::path(::testing::TempDir()) / "vpr_svc_body_cache").string();
+    fs::remove_all(dir);
+    fs::remove_all(dir + "-b");
+    SweepService service(quick(), 1);
+    for (const std::string &body :
+         {"{\"target\": \"go\", \"set\": [\"sim.result_cache.dir=" + dir +
+              "\"]}",
+          "{\"target\": \"go\", \"sweep\": [\"sim.result_cache.dir=" +
+              dir + "," + dir + "-b\"]}"}) {
+        const HttpResponse response =
+            service.handle(post("/sweep", body), 0);
+        EXPECT_EQ(response.status, 400) << body;
+        EXPECT_NE(response.body.find("sim.result_cache.dir"),
+                  std::string::npos)
+            << response.body;
+    }
+    EXPECT_FALSE(fs::exists(dir));
+    EXPECT_FALSE(fs::exists(dir + "-b"));
 }
 
 TEST(SweepService, BadRequestsAre400NeverFatal)

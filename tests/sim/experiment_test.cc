@@ -53,9 +53,9 @@ TEST(Experiment, RunAllCoversEveryBenchmark)
 
 TEST(ExperimentDeath, ProcessInputsAreStrict)
 {
-    // A worker count or instruction scale that does not parse is an
-    // Error naming its flag or variable, never a warning and a
-    // fallback that runs at the wrong width or scale.
+    // A worker count, instruction scale or cache directory that does
+    // not parse is an Error naming its flag or variable, never a
+    // warning and a fallback that runs at the wrong width or scale.
     EXPECT_EQ(parseJobs("0", "--jobs"), 0u);
     EXPECT_EQ(parseJobs("4", "--jobs"), 4u);
     EXPECT_EQ(parseJobs("4096", "VPR_JOBS"), 4096u);
@@ -70,6 +70,11 @@ TEST(ExperimentDeath, ProcessInputsAreStrict)
     for (const char *bad : {"abc", "", "0", "-1", "0.5x", "inf", "nan"})
         EXPECT_VPR_ERROR(parseInstsScale(bad), "bad VPR_INSTS_SCALE")
             << bad;
+
+    // An empty cache directory (an unset shell variable) would run
+    // uncached without a word.
+    EXPECT_EQ(parseCacheDir("rc"), "rc");
+    EXPECT_VPR_ERROR(parseCacheDir(""), "empty --result-cache");
 }
 
 TEST(Experiment, TableFormatting)

@@ -2,8 +2,8 @@
  * @file
  * Tests for the reflective config-parameter API (sim/params.hh):
  * registry lookups, every-parameter reachability, round-trip fuzz of
- * --set / dump / load, provenance contents, execution-only invariance,
- * and the error paths.
+ * --set / dump / load, provenance contents, the invariance of records
+ * to how a grid runs (workers, result cache), and the error paths.
  */
 
 #include <gtest/gtest.h>
@@ -115,7 +115,7 @@ TEST(ConfigRegistry, EveryParameterIsReachable)
         ASSERT_TRUE(def.set(target)) << def.name << " <- " << target;
         EXPECT_EQ(def.get(), target) << def.name;
 
-        if (def.derived || def.execOnly)
+        if (def.derived)
             continue;  // not serialized; reachability checked above
         // The mutation must surface in the dumped document too.
         std::ostringstream dumped;
@@ -250,24 +250,6 @@ TEST(ConfigParamsDeath, LoadRejectsWhatIsNotFlatStringJson)
                      "trailing content");
 }
 
-TEST(ConfigParams, DumpExcludesExecutionOnlyKnobs)
-{
-    // A config file describes the machine, not how a grid is run:
-    // loading one must never clobber a --result-cache given on the
-    // command line, so the cache directory is not serialized at all.
-    SimConfig config;
-    config.resultCache.dir = "cache-a";
-    std::ostringstream os;
-    dumpConfig(os, config);
-    EXPECT_EQ(os.str().find("sim.result_cache.dir"), std::string::npos);
-
-    SimConfig reloaded;
-    reloaded.resultCache.dir = "cache-b";
-    std::istringstream is(os.str());
-    loadConfig(reloaded, is, "dump");
-    EXPECT_EQ(reloaded.resultCache.dir, "cache-b");
-}
-
 TEST(ConfigParams, CliContractLoadsConfigFileFirstSoSetWins)
 {
     // The shared --set/--config contract: the file loads first and
@@ -313,28 +295,27 @@ TEST(ConfigParams, ParseConfigArgRecognizesBothSetSpellings)
 
 TEST(ConfigParams, ParseConfigArgExpandsTheAliasFlags)
 {
-    // --sampling and --result-cache=<dir> are pure aliases: each
-    // becomes exactly the assignment every driver used to append on
-    // its own, in command-line order with the --set flags around it.
+    // --sampling is a pure alias: it becomes exactly the assignment
+    // every driver used to append on its own, in command-line order
+    // with the --set flags around it. --result-cache=<dir> is no config
+    // flag: the drivers read it themselves, as they read --jobs.
     const char *argv[] = {"prog", "--set=seed=3", "--sampling",
-                          "--result-cache=rc", "--samplingx",
-                          "--result-cache"};
-    const int argc = 6;
+                          "--result-cache=rc", "--samplingx"};
+    const int argc = 5;
     ConfigCliArgs cli;
     std::vector<std::string> rest;
     for (int i = 1; i < argc; ++i)
         if (!parseConfigArg(argc, const_cast<char **>(argv), i, cli))
             rest.push_back(argv[i]);
     EXPECT_EQ(cli.assignments,
-              (std::vector<std::string>{"seed=3", "sim.sampling.enable=1",
-                                        "sim.result_cache.dir=rc"}));
-    EXPECT_EQ(rest,
-              (std::vector<std::string>{"--samplingx", "--result-cache"}));
+              (std::vector<std::string>{"seed=3", "sim.sampling.enable=1"}));
+    EXPECT_EQ(rest, (std::vector<std::string>{"--result-cache=rc",
+                                              "--samplingx"}));
 
     SimConfig config;
     applyConfigCli(config, cli);
     EXPECT_TRUE(config.sampling.enable);
-    EXPECT_EQ(config.resultCache.dir, "rc");
+    EXPECT_EQ(config.seed, 3u);
 }
 
 TEST(ConfigParams, ApplyAssignmentParsesKeyEqualsValue)
@@ -365,17 +346,20 @@ TEST(ConfigParams, ParamReferenceDocumentsEveryParam)
               std::string::npos);
 }
 
-// --- execution-only invariance ---------------------------------------------
+// --- how a grid runs never changes a record --------------------------------
 
 /** The CSV export of a small grid under @p base: two benchmarks x
- *  conv/vp-wb, run on @p jobs workers. */
+ *  conv/vp-wb, run on @p jobs workers through the result cache in
+ *  @p cacheDir (empty = none). */
 std::string
-exportSmallGrid(const SimConfig &base, unsigned jobs)
+exportSmallGrid(const SimConfig &base, unsigned jobs,
+                const std::string &cacheDir = {})
 {
     const std::vector<GridCell> cells =
         buildSweepGrid({"compress", "swim"}, base,
                        {parseSweepAxis("core.scheme=conv,vp-wb")});
-    const std::vector<SimResults> results = runGrid(cells, jobs);
+    const std::vector<SimResults> results =
+        runGrid(cells, jobs, cacheDir);
     std::vector<std::size_t> indices(cells.size());
     std::iota(indices.begin(), indices.end(), 0);
     std::ostringstream os;
@@ -385,23 +369,14 @@ exportSmallGrid(const SimConfig &base, unsigned jobs)
 
 TEST(ConfigParams, ExecutionOnlyParamsNeverChangeARecord)
 {
-    // Execution-only knobs decide how a grid runs, never what it
-    // computes, and neither does the worker count. Every knob gets an
-    // alternate setting here (a new knob without one fails the test),
-    // and each alternate runs the grid twice on 1 and on 4 workers: a
-    // configured cache is cold the first time and warm the second. All
-    // exports must equal the serial all-defaults export byte for byte.
+    // How a grid runs — the worker count and the result cache, both
+    // driver arguments rather than parameters — never changes what it
+    // computes. The cached grid runs twice on 1 and on 4 workers: the
+    // cache is cold the first time and warm the second. All exports
+    // must equal the serial uncached export byte for byte.
     namespace fs = std::filesystem;
-    const fs::path cache = fs::path(::testing::TempDir()) / "vpr_exec_only";
-    const std::map<std::string, std::vector<std::string>> alternates = {
-        {"sim.result_cache.dir", {"sim.result_cache.dir=" + cache.string()}},
-    };
-    for (const ParamInfo &p : paramReference()) {
-        if (!p.execOnly)
-            continue;
-        EXPECT_EQ(alternates.count(p.name), 1u)
-            << p.name << " is execution-only but has no alternate";
-    }
+    const std::string cache =
+        (fs::path(::testing::TempDir()) / "vpr_exec_only").string();
 
     // Both run protocols: a detailed warm-up, and sampling.
     const std::map<std::string, std::vector<std::string>> protocols = {
@@ -419,15 +394,11 @@ TEST(ConfigParams, ExecutionOnlyParamsNeverChangeARecord)
             EXPECT_TRUE(exportSmallGrid(base, jobs) == reference)
                 << protocol << " grid, jobs=" << jobs
                 << ": the export differs from the serial run's";
-            for (const auto &[name, assignments] : alternates) {
-                SimConfig alt = base;
-                applyAssignments(alt, assignments);
-                for (const char *pass : {"first", "second"})
-                    EXPECT_TRUE(exportSmallGrid(alt, jobs) == reference)
-                        << protocol << " grid, " << name << ", jobs="
-                        << jobs << ", " << pass
-                        << " run: the export differs from the defaults'";
-            }
+            for (const char *pass : {"first", "second"})
+                EXPECT_TRUE(exportSmallGrid(base, jobs, cache) == reference)
+                    << protocol << " grid, result cache, jobs=" << jobs
+                    << ", " << pass
+                    << " run: the export differs from the uncached one";
         }
     }
     fs::remove_all(cache);
@@ -449,6 +420,26 @@ TEST(ConfigParamsDeath, WorkerCountIsNoParameter)
     SimConfig config;
     EXPECT_VPR_ERROR(applyAssignment(config, "jobs=4"),
                      "unknown parameter 'jobs'");
+}
+
+TEST(ConfigParamsDeath, CacheDirectoryIsNoParameter)
+{
+    // The result-cache directory is a driver flag (--result-cache), not
+    // a config key: neither --set nor a --config file may name it.
+    const char *argv[] = {"prog", "--set", "sim.result_cache.dir=rc"};
+    ConfigCliArgs cli;
+    int i = 1;
+    ASSERT_TRUE(parseConfigArg(3, const_cast<char **>(argv), i, cli));
+    SimConfig config;
+    EXPECT_VPR_ERROR(applyConfigCli(config, cli),
+                     "unknown parameter 'sim.result_cache.dir'");
+
+    ConfigCliArgs file;
+    file.configPath = testing::TempDir() + "params_test_cache_dir.json";
+    std::ofstream(file.configPath)
+        << "{\"sim.result_cache.dir\": \"rc\"}\n";
+    EXPECT_VPR_ERROR(applyConfigCli(config, file),
+                     "unknown parameter 'sim.result_cache.dir'");
 }
 
 TEST(ConfigParamsDeath, MalformedAssignmentIsFatal)

@@ -118,20 +118,12 @@ TEST(ResultCacheDigest, StableAndDiscriminating)
     GridCell otherRegs = cell;
     otherRegs.config.setPhysRegs(96, -1);
     EXPECT_NE(resultCacheDigest(cell), resultCacheDigest(otherRegs));
-
-    // ...while execution-only knobs must not: where a grid's caches
-    // live is not part of what was computed.
-    GridCell otherCacheCfg = cell;
-    otherCacheCfg.config.resultCache.dir = "/somewhere/else";
-    EXPECT_EQ(resultCacheDigest(cell), resultCacheDigest(otherCacheCfg));
 }
 
 TEST(ResultCache, MissThenHitRoundTrip)
 {
     const std::string dir = freshDir("roundtrip");
-    SimConfig config = quick();
-    config.resultCache.dir = dir;
-    const GridCell cell{"go", config};
+    const GridCell cell{"go", quick()};
 
     const CounterSnap before = CounterSnap::now();
     SimResults out;
@@ -163,15 +155,12 @@ TEST(ResultCache, CachedSweepIsByteIdenticalForAnyJobs)
     const std::string dir = freshDir("sweep");
 
     // Cold, uncached reference run.
-    const std::vector<GridCell> plain = testGrid(quick());
-    const std::string reference = renderCsv(plain, runGrid(plain, 1));
+    const std::vector<GridCell> cells = testGrid(quick());
+    const std::string reference = renderCsv(cells, runGrid(cells, 1));
 
     // Cold run that populates the cache: identical bytes already.
-    SimConfig cached = quick();
-    cached.resultCache.dir = dir;
-    const std::vector<GridCell> cells = testGrid(cached);
     const CounterSnap before = CounterSnap::now();
-    EXPECT_EQ(renderCsv(cells, runGrid(cells, 1)), reference);
+    EXPECT_EQ(renderCsv(cells, runGrid(cells, 1, dir)), reference);
     EXPECT_EQ(CounterSnap::now().misses, before.misses + cells.size());
     EXPECT_EQ(CounterSnap::now().stores, before.stores + cells.size());
     EXPECT_EQ(countEntries(dir), cells.size());
@@ -179,7 +168,7 @@ TEST(ResultCache, CachedSweepIsByteIdenticalForAnyJobs)
     // Warm runs: every cell served from disk, for any worker count.
     for (unsigned jobs : {1u, 2u, 3u}) {
         const CounterSnap warm = CounterSnap::now();
-        EXPECT_EQ(renderCsv(cells, runGrid(cells, jobs)), reference)
+        EXPECT_EQ(renderCsv(cells, runGrid(cells, jobs, dir)), reference)
             << "jobs=" << jobs;
         EXPECT_EQ(CounterSnap::now().hits, warm.hits + cells.size());
         EXPECT_EQ(CounterSnap::now().misses, warm.misses);
@@ -189,10 +178,8 @@ TEST(ResultCache, CachedSweepIsByteIdenticalForAnyJobs)
 TEST(ResultCache, CorruptEntriesFallBackAndRepair)
 {
     const std::string dir = freshDir("corrupt");
-    SimConfig config = quick();
-    config.resultCache.dir = dir;
-    const std::vector<GridCell> cells = testGrid(config);
-    const std::string reference = renderCsv(cells, runGrid(cells, 1));
+    const std::vector<GridCell> cells = testGrid(quick());
+    const std::string reference = renderCsv(cells, runGrid(cells, 1, dir));
     ASSERT_EQ(countEntries(dir), cells.size());
 
     // Damage every entry a different way: truncation, garbage, and a
@@ -213,12 +200,12 @@ TEST(ResultCache, CorruptEntriesFallBackAndRepair)
     // The damaged entries cost a re-simulation, never a wrong row, and
     // the re-save repairs them in place.
     const CounterSnap before = CounterSnap::now();
-    EXPECT_EQ(renderCsv(cells, runGrid(cells, 1)), reference);
+    EXPECT_EQ(renderCsv(cells, runGrid(cells, 1, dir)), reference);
     EXPECT_EQ(CounterSnap::now().corrupt, before.corrupt + cells.size());
     EXPECT_EQ(CounterSnap::now().stores, before.stores + cells.size());
 
     const CounterSnap after = CounterSnap::now();
-    EXPECT_EQ(renderCsv(cells, runGrid(cells, 1)), reference);
+    EXPECT_EQ(renderCsv(cells, runGrid(cells, 1, dir)), reference);
     EXPECT_EQ(CounterSnap::now().hits, after.hits + cells.size());
     EXPECT_EQ(CounterSnap::now().corrupt, after.corrupt);
 }
@@ -228,9 +215,7 @@ TEST(ResultCache, WrongDigestEntryIsRejected)
     // An entry renamed onto another cell's path (digest mismatch inside
     // the payload) must be treated as corrupt, not replayed.
     const std::string dir = freshDir("wrongdigest");
-    SimConfig config = quick();
-    config.resultCache.dir = dir;
-    const GridCell cell{"go", config};
+    const GridCell cell{"go", quick()};
     storeCachedResult(dir, cell, runOne(cell.benchmark, cell.config));
 
     GridCell other = cell;
@@ -432,7 +417,6 @@ TEST(ResultCache, SchemaMemoIsSound)
     // A schema no process has seen yet, decoded by four workers at
     // once (TSan runs ResultCache.*).
     SimConfig config = quick();
-    config.resultCache.dir = dir;
     config.seed = 21;
     const std::vector<GridCell> cells = testGrid(config);
     SimResults fresh;
@@ -441,7 +425,7 @@ TEST(ResultCache, SchemaMemoIsSound)
     for (const GridCell &cell : cells)
         storeCachedResult(dir, cell, fresh);
     const CounterSnap before = CounterSnap::now();
-    for (const SimResults &r : runGrid(cells, 4)) {
+    for (const SimResults &r : runGrid(cells, 4, dir)) {
         ASSERT_TRUE(r.metrics.sameSchema(fresh.metrics));
         EXPECT_EQ(r.metrics.counter("memo.jobs4.count"), 4u);
     }
@@ -455,20 +439,17 @@ TEST(ResultCache, EntryWithOtherColumnsIsResimulated)
     // The grid's records then disagree on their columns; the engine
     // re-simulates the cached cells and repairs the odd entry, so the
     // export equals a cold run.
-    const std::vector<GridCell> plain = testGrid(quick());
-    const std::string reference = renderCsv(plain, runGrid(plain, 1));
+    const std::vector<GridCell> cells = testGrid(quick());
+    const std::string reference = renderCsv(cells, runGrid(cells, 1));
 
     const std::string dir = freshDir("othercolumns");
-    SimConfig config = quick();
-    config.resultCache.dir = dir;
-    const std::vector<GridCell> cells = testGrid(config);
     SimResults poisoned = runOne(cells[1].benchmark, cells[1].config);
     poisoned.metrics.setUInt("test.extra_stat", "one stat more", 7);
     storeCachedResult(dir, cells[1], poisoned);
 
     for (unsigned jobs : {1u, 3u}) {
         const CounterSnap before = CounterSnap::now();
-        EXPECT_EQ(renderCsv(cells, runGrid(cells, jobs)), reference)
+        EXPECT_EQ(renderCsv(cells, runGrid(cells, jobs, dir)), reference)
             << "jobs=" << jobs;
         // First pass: one repaired entry. Second: every cell a hit.
         EXPECT_EQ(CounterSnap::now().corrupt,
@@ -486,12 +467,11 @@ TEST(ResultCache, SampledAndDetailedCellsAreAnErrorNotAPanic)
     // cold or warm.
     const std::string dir = freshDir("samplingmix");
     SimConfig config = quick();
-    config.resultCache.dir = dir;
     config.sampling.periodInsts = 4000;
     const std::vector<GridCell> cells = buildSweepGrid(
         {"compress"}, config, {SweepAxis{"sim.sampling.enable", {"0", "1"}}});
     for (int pass = 0; pass < 2; ++pass) {
-        const std::vector<SimResults> results = runGrid(cells, 1);
+        const std::vector<SimResults> results = runGrid(cells, 1, dir);
         try {
             renderCsv(cells, results);
             ADD_FAILURE() << "a mixed grid exported";

@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
 
 #include <fcntl.h>
@@ -419,6 +422,79 @@ TEST(ResultsCsvDeath, CellIndexOutOfRangeIsFatal)
     ASSERT_NE(rowStart, std::string::npos);
     csv.replace(rowStart, 3, "\n7,");
     EXPECT_VPR_ERROR(readCsvText(csv), "out of range");
+}
+
+TEST(ResultsCsvDeath, FieldsThatDoNotParseWholeAreFatal)
+{
+    // The cells= count, the cell index and every metric value must
+    // parse whole: a damaged one names the file, line and column
+    // instead of merging as a number read off its prefix.
+    const std::string csv = halfShardCsv();
+    auto damaged = [&csv](const std::string &from, const std::string &to) {
+        std::string text = csv;
+        const std::size_t at = text.rfind(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        return text.replace(at, from.size(), to);
+    };
+    // @p text as a pattern that matches itself.
+    auto literal = [](const std::string &text) {
+        std::string out;
+        for (char c : text) {
+            if (std::strchr("\\^$.|?*+()[]{}", c))
+                out += '\\';
+            out += c;
+        }
+        return out;
+    };
+    EXPECT_VPR_ERROR(readCsvText(damaged(" cells=2 ", " cells=2junk ")),
+                     "bad: line 1, column cells=: bad value '2junk'");
+    EXPECT_VPR_ERROR(readCsvText(damaged(" cells=2 ", " cells= ")),
+                     "column cells=: bad value ''");
+    for (const std::string cell : {"1x", "abc", "+1", " 1", ""})
+        EXPECT_VPR_ERROR(readCsvText(damaged("\n0,", "\n" + cell + ",")),
+                         "bad: line 3, column cell: bad value '" +
+                             literal(cell) + "'")
+            << cell;
+    for (const std::string value :
+         {"12.5junk", "", " 1.25", "+1.25", "1.25 ", "0x1p3", "1e400"})
+        EXPECT_VPR_ERROR(
+            readCsvText(damaged(",1.25\n", "," + value + "\n")),
+            "bad: line 3, column core.ipc: bad value '" + literal(value) +
+                "'")
+            << value;
+}
+
+TEST(ResultsCsv, ReaderTakesEveryRealTheWriterWrites)
+{
+    // Every spelling Metric::appendText gives a real parses back to the
+    // same bits, and the merged file re-emits it byte for byte.
+    const double reals[] = {-0.0,
+                            3.0,
+                            1e-5,
+                            4.9406564584124654e-324,
+                            1.7976931348623157e308,
+                            std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()};
+    SimResults r;
+    for (std::size_t i = 0; i < std::size(reals); ++i)
+        r.metrics.setReal("test.real" + std::to_string(i), "", reals[i]);
+    const std::vector<GridCell> cells = {goldenCell()};
+    std::ostringstream os;
+    writeResultsCsv(os, "golden", ShardSpec{}, {0}, cells, {r});
+
+    std::istringstream is(os.str());
+    const ResultsFile merged = mergeResults({readResultsCsv(is, "reals")});
+    std::ostringstream out;
+    writeMergedCsv(out, merged);
+    EXPECT_EQ(out.str(), os.str());
+    const SimResults back = resultsFromFile(merged).front();
+    ASSERT_EQ(back.metrics.size(), std::size(reals));
+    for (std::size_t i = 0; i < std::size(reals); ++i) {
+        EXPECT_EQ(back.metrics.all()[i].name(), r.metrics.all()[i].name());
+        EXPECT_EQ(back.metrics.all()[i].text(), r.metrics.all()[i].text())
+            << i;
+    }
 }
 
 TEST(ResultsCsvDeath, MixedMetricSchemasCannotMerge)

@@ -35,6 +35,10 @@ TEST(ShardSpecDeath, ParseRejectsGarbage)
     EXPECT_VPR_ERROR(parseShard("3"), "bad shard");
     EXPECT_VPR_ERROR(parseShard("x/2"), "bad shard");
     EXPECT_VPR_ERROR(parseShard("1/0"), "bad shard");
+    // Both numbers parse whole: no sign, space or trailing text.
+    for (const char *bad : {"+0/2", " 1/2", "1/ 2", "1/2x", "0x1/2", "/2",
+                            "1/", "-1/2", "99999999999999999999/2"})
+        EXPECT_VPR_ERROR(parseShard(bad), "bad shard") << bad;
 }
 
 TEST(ShardSpec, IndicesPartitionTheGrid)
@@ -132,6 +136,19 @@ TEST(FigureRegistry, EveryPaperFigureIsAVprSimTarget)
         EXPECT_NO_THROW(checkResultsLabel(def->name)) << name;
     }
     EXPECT_EQ(bench::findFigure("nope"), nullptr);
+}
+
+TEST(FigureRegistry, GridsAreBuiltOverTheGivenBase)
+{
+    // vpr_sim and merge_results hand each figure its base config (the
+    // figures' base with the command line's config flags applied): a
+    // key the figure does not sweep keeps the base's value in every
+    // cell.
+    SimConfig base = bench::experimentConfig();
+    base.seed = 5;
+    for (const bench::FigureDef &def : bench::allFigures())
+        for (const GridCell &cell : def.build(base))
+            EXPECT_EQ(cell.config.seed, 5u) << def.name;
 }
 
 TEST(FigureRegistry, NoFigureNameShadowsABenchmarkOrAll)

@@ -11,9 +11,10 @@
  * Usage:
  *   cache_gc --budget=<size>[K|M|G|T] [--dry-run] <dir> [<dir>...]
  *
- * The budget spans all listed directories together (the same pass
- * vpr_simd runs at startup with --cache-budget). --dry-run prints the
- * eviction plan without deleting anything.
+ * The budget spans all listed directories together. --dry-run prints
+ * the eviction plan without deleting anything. Run it on a daemon's
+ * --result-cache directory before starting vpr_simd, e.g.
+ * `cache_gc --budget=500M rc`.
  */
 
 #include <cstring>

@@ -19,9 +19,10 @@
  * additionally checked key by key against the rebuilt grid — a record
  * from a stale binary or a differently-configured run is fatal, naming
  * the first differing dotted key. Pass the same config flags the
- * shards ran with (--set, --config, --sampling, --sampling-preset,
- * --result-cache) so the rebuilt grid matches; --no-verify-config
- * skips the registry check (the digest check always runs).
+ * shards ran with (--set, --config, --sampling, --sampling-preset) so
+ * the rebuilt grid matches: they apply to the figures' base config
+ * exactly as in vpr_sim; --no-verify-config skips the registry check
+ * (the digest check always runs).
  *
  * With --render, the paper-style table is re-rendered from the merged
  * records to stdout. The figure named in the file metadata is looked up
@@ -30,9 +31,10 @@
  * table is byte-identical to the unsharded run's.
  *
  * Options:
- *   -o <path>    write the merged CSV (default: stdout unless --render)
+ *   -o <path>    write the merged CSV (default: stdout unless --render);
+ *                a failed write is one "fatal:" line and exit 1
  *   --render     re-render the figure's table from the merged records
- *   --set <k>=<v>, --config=<file>, --sampling, --result-cache=<dir>,
+ *   --set <k>=<v>, --config=<file>, --sampling,
  *   --sampling-preset=<figure>
  *                the config flags the shards were run with
  *   --dump-config      print the rebuilt grid's base config and exit
@@ -40,13 +42,15 @@
  */
 
 #include <cstring>
-#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/io/zio.hh"
 #include "common/logging.hh"
 #include "figures.hh"
+#include "sim/params.hh"
 #include "sim/results_io.hh"
 
 using namespace vpr;
@@ -77,8 +81,7 @@ mergeMain(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--no-verify-config") == 0) {
             verifyConfig = false;
         } else if (parseConfigArg(argc, argv, i, cli)) {
-            // --set / --config= / --dump-config / --sampling /
-            // --result-cache= taken.
+            // --set / --config= / --dump-config / --sampling taken.
         } else if (matchArg(argv[i], "--sampling-preset", &v)) {
             for (const std::string &a : bench::samplingPresetAssignments(v))
                 cli.assignments.push_back(a);
@@ -91,9 +94,11 @@ mergeMain(int argc, char **argv)
             inputs.push_back(argv[i]);
         }
     }
-    bench::setConfigOverrides(cli);
+    // The base vpr_sim builds a figure's grid over.
+    SimConfig base = bench::experimentConfig();
+    applyConfigCli(base, cli);
     if (cli.dumpConfig) {
-        dumpConfig(std::cout, bench::experimentConfig());
+        dumpConfig(std::cout, base);
         return 0;
     }
     if (inputs.empty())
@@ -109,7 +114,7 @@ mergeMain(int argc, char **argv)
     // covers the rest.
     const bench::FigureDef *def = bench::findFigure(shards.front().figure);
     if (verifyConfig && def) {
-        const std::vector<GridCell> cells = def->build();
+        const std::vector<GridCell> cells = def->build(base);
         if (cells.size() != shards.front().totalCells)
             VPR_FATAL("figure '", shards.front().figure, "' now has ",
                       cells.size(), " cells but the records carry ",
@@ -122,11 +127,9 @@ mergeMain(int argc, char **argv)
     ResultsFile merged = mergeResults(shards);
 
     if (!outPath.empty()) {
-        std::ofstream os(outPath);
-        if (!os)
-            VPR_FATAL("cannot open '", outPath, "' for writing");
+        std::ostringstream os;
         writeMergedCsv(os, merged);
-        if (!os)
+        if (!writeOutputFile(outPath, os.str()))
             VPR_FATAL("error writing '", outPath, "'");
     } else if (!render) {
         writeMergedCsv(std::cout, merged);
@@ -137,7 +140,7 @@ mergeMain(int argc, char **argv)
             VPR_FATAL("figure '", merged.figure,
                       "' is not in the figure registry; cannot render "
                       "(merge with -o still works)");
-        const std::vector<GridCell> cells = def->build();
+        const std::vector<GridCell> cells = def->build(base);
         if (cells.size() != merged.totalCells)
             VPR_FATAL("figure '", merged.figure, "' now has ",
                       cells.size(), " cells but the records carry ",

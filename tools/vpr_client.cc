@@ -15,18 +15,19 @@
  *   params    GET /params (the parameter reference + benchmark list).
  *   shutdown  POST /shutdown.
  *
- * The response body goes to --out or stdout. Exit status: 0 on HTTP
- * 200, 2 on a non-200 response (body printed to stderr), 1 with one
- * "fatal:" line on a transport error or bad usage (--port takes
- * 0-65535, like the daemon's).
+ * The response body goes to --out (written like vpr_sim's --out) or
+ * stdout. Exit status: 0 on HTTP 200, 2 on a non-200 response (body
+ * printed to stderr), 1 with one "fatal:" line on a transport error, a
+ * failed --out write or bad usage (--port takes 0-65535, like the
+ * daemon's).
  */
 
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/io/zio.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "service/http.hh"
@@ -105,13 +106,8 @@ clientMain(int argc, char **argv)
                 std::ostringstream ss;
                 ss << std::cin.rdbuf();
                 body = ss.str();
-            } else {
-                std::ifstream in(bodyFile, std::ios::binary);
-                if (!in)
-                    VPR_FATAL("cannot read --body file '", bodyFile, "'");
-                std::ostringstream ss;
-                ss << in.rdbuf();
-                body = ss.str();
+            } else if (!readFileBytes(bodyFile, body)) {
+                VPR_FATAL("cannot read --body file '", bodyFile, "'");
             }
         } else {
             body = "{";
@@ -147,14 +143,10 @@ clientMain(int argc, char **argv)
         return 2;
     }
 
-    if (outPath.empty()) {
+    if (outPath.empty())
         std::cout << response.body;
-    } else {
-        std::ofstream out(outPath, std::ios::binary);
-        if (!out)
-            VPR_FATAL("cannot write --out file '", outPath, "'");
-        out << response.body;
-    }
+    else if (!writeOutputFile(outPath, response.body))
+        VPR_FATAL("error writing '", outPath, "'");
     return 0;
 }
 

@@ -18,8 +18,8 @@
  * (bench::experimentConfig: 20 k warm-up + 120 k measured
  * instructions); benchmark, "all" and --sweep targets start from
  * driverConfig() (20 k + 200 k), which the vpr_simd daemon shares. The
- * flags below override either base; the axes a figure sweeps itself
- * win.
+ * flags below override either base, and the result is the base the
+ * figure's grid is built from; the axes a figure sweeps itself win.
  *
  * Every configuration parameter of the simulated machine is set by
  * stable dotted name, and only so (run `vpr_sim --help-params` for the
@@ -53,15 +53,15 @@
  *
  * Run control: --jobs=<n> (worker threads; else VPR_JOBS, else 1;
  * 0 = one per hardware thread; output is byte-identical for every
- * value), --out=<path> (one record per run cell; CSV, .json, or
- * compressed .vprz — a shard must not be .json; an unwritable path is
- * refused before any cell runs), --list. VPR_INSTS_SCALE=<f> scales
- * every instruction budget. --sampling (= sim.sampling.enable=1,
- * SMARTS-style sampled simulation) and --result-cache=<dir>
- * (= sim.result_cache.dir, the content-addressed per-cell result cache
- * shared with the vpr_simd daemon; see README "Sweep service") are
- * shorthands for one --set each, and --sampling-preset=<figure> applies
- * that figure's tuned sim.sampling.* protocol.
+ * value), --result-cache=<dir> (the content-addressed per-cell result
+ * cache shared with the vpr_simd daemon, see README "Sweep service";
+ * records are byte-identical with or without it), --out=<path> (one
+ * record per run cell; CSV, .json, or compressed .vprz — a shard must
+ * not be .json; an unwritable path is refused before any cell runs),
+ * --list. VPR_INSTS_SCALE=<f> scales every instruction budget.
+ * --sampling is a shorthand for --set sim.sampling.enable=1
+ * (SMARTS-style sampled simulation), and --sampling-preset=<figure>
+ * applies that figure's tuned sim.sampling.* protocol.
  *
  * Every target runs through the grid engine — a single benchmark as a
  * one-cell grid — so VPR_INSTS_SCALE and --result-cache apply to all
@@ -130,6 +130,7 @@ simMain(int argc, char **argv)
 {
     std::string target;
     std::string outPath;
+    std::string cacheDir;
     std::string figure;
     std::vector<SweepAxis> axes;
     ShardSpec shard;
@@ -152,8 +153,7 @@ simMain(int argc, char **argv)
             printParamHelp(std::cout);
             return 0;
         } else if (parseConfigArg(argc, argv, i, cli)) {
-            // --set / --config= / --dump-config / --sampling /
-            // --result-cache= taken.
+            // --set / --config= / --dump-config / --sampling taken.
         } else if (matchArg(argv[i], "--sampling-preset", &v)) {
             for (const std::string &a : bench::samplingPresetAssignments(v))
                 cli.assignments.push_back(a);
@@ -169,6 +169,8 @@ simMain(int argc, char **argv)
             outPath = v;
         } else if (matchArg(argv[i], "--jobs", &v)) {
             jobsFlag = parseJobs(v, "--jobs");
+        } else if (matchArg(argv[i], "--result-cache", &v)) {
+            cacheDir = parseCacheDir(v);
         } else if (argv[i][0] == '-') {
             VPR_FATAL("unrecognized argument '", argv[i], "'; ", kUsage);
         } else {
@@ -176,25 +178,18 @@ simMain(int argc, char **argv)
         }
     }
 
-    // A figure target builds its grid from the figures' base config,
-    // with these flags as its overrides; every other target starts
-    // from driverConfig().
+    // A figure target builds its grid over the figures' base config,
+    // every other target over driverConfig(); the config flags apply
+    // to either.
     const bench::FigureDef *def = bench::findFigure(target);
-    SimConfig config;
-    if (def) {
-        if (!axes.empty())
-            VPR_FATAL("--sweep does not apply to figure target '", target,
-                      "' (the figure builds its own grid)");
-        if (!figure.empty())
-            VPR_FATAL("--figure does not apply to figure target '",
-                      target, "' (its records are labelled '", target,
-                      "')");
-        bench::setConfigOverrides(cli);
-        config = bench::experimentConfig();
-    } else {
-        config = driverConfig();
-        applyConfigCli(config, cli);
-    }
+    if (def && !axes.empty())
+        VPR_FATAL("--sweep does not apply to figure target '", target,
+                  "' (the figure builds its own grid)");
+    if (def && !figure.empty())
+        VPR_FATAL("--figure does not apply to figure target '", target,
+                  "' (its records are labelled '", target, "')");
+    SimConfig config = def ? bench::experimentConfig() : driverConfig();
+    applyConfigCli(config, cli);
     if (cli.dumpConfig) {
         dumpConfig(std::cout, config);
         return 0;
@@ -232,7 +227,7 @@ simMain(int argc, char **argv)
         // render the table when the whole grid ran.
         std::vector<GridCell> cells;
         if (def) {
-            cells = def->build();
+            cells = def->build(config);
         } else {
             cells = buildSweepGrid(target == "all"
                                        ? benchmarks
@@ -243,7 +238,8 @@ simMain(int argc, char **argv)
             shardCellIndices(cells.size(), shard);
         const std::vector<GridCell> selected =
             selectCells(cells, indices);
-        const std::vector<SimResults> results = runGrid(selected, jobs);
+        const std::vector<SimResults> results =
+            runGrid(selected, jobs, cacheDir);
         if (!outPath.empty())
             writeResultsFile(outPath, label, shard, indices, cells,
                              results);
@@ -272,7 +268,7 @@ simMain(int argc, char **argv)
         std::vector<GridCell> cells;
         for (const auto &name : benchmarks)
             cells.push_back({name, config});
-        std::vector<SimResults> results = runGrid(cells, jobs);
+        std::vector<SimResults> results = runGrid(cells, jobs, cacheDir);
         if (!outPath.empty())
             exportAllCells(outPath, label, cells, results);
 
@@ -295,7 +291,7 @@ simMain(int argc, char **argv)
     }
 
     const GridCell cell{target, config};
-    const SimResults r = runGrid({cell}, jobs).front();
+    const SimResults r = runGrid({cell}, jobs, cacheDir).front();
     printReport(std::cout, cell.config, r);
     if (!outPath.empty())
         exportAllCells(outPath, label, {cell}, {r});

@@ -8,30 +8,27 @@
  * cells on the parallel engine, and streams back the merged records,
  * byte-identical to a batch `vpr_sim --sweep ... --out` run.
  *
- * With sim.result_cache.dir set (--result-cache=<dir>), every cell's
- * result is content-addressed on disk, so overlapping sweeps — across
- * requests, daemon restarts, and the batch binaries — are served from
- * cache instead of re-simulated.
+ * With --result-cache=<dir>, every cell's result is content-addressed
+ * on disk, so overlapping sweeps — across requests, daemon restarts,
+ * and the batch binaries — are served from cache instead of
+ * re-simulated. The directory is this flag's alone: no request body
+ * can name one. tools/cache_gc keeps it within a size budget.
  *
  * Usage:
  *   vpr_simd [--host=<addr>] [--port=<n>] [--jobs=<n>]
  *            [--result-cache=<dir>] [--sampling]
- *            [--cache-budget=<size>[K|M|G|T]] [--gc-dry-run]
  *            [--set <key>=<value>] [--config=<file.json>]
  *            [--dump-config]
  *
  * --port=0 listens on an ephemeral port (the startup line names it).
- * --jobs defaults to VPR_JOBS, else 1. --cache-budget runs one LRU
- * garbage-collection pass over the result-cache directory at startup
- * (the same collector as tools/cache_gc; --gc-dry-run only prints the
- * plan). Every flag, VPR_JOBS and VPR_INSTS_SCALE are checked before
- * the daemon listens: a bad one is one "fatal:" line and exit 1.
- * The base configuration is vpr_sim's (driverConfig()), so a request
- * body reproduces a vpr_sim command line field for field.
+ * --jobs defaults to VPR_JOBS, else 1. Every flag, VPR_JOBS and
+ * VPR_INSTS_SCALE are checked before the daemon listens: a bad one is
+ * one "fatal:" line and exit 1. The base configuration is vpr_sim's
+ * (driverConfig()), so a request body reproduces a vpr_sim command
+ * line field for field.
  */
 
 #include <chrono>
-#include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -41,7 +38,6 @@
 #include "service/sweep_service.hh"
 #include "sim/experiment.hh"
 #include "sim/params.hh"
-#include "sim/result_cache.hh"
 
 using namespace vpr;
 
@@ -50,10 +46,9 @@ namespace
 
 constexpr const char *kUsage =
     "usage: vpr_simd [--host=<addr>] [--port=<n>] [--jobs=<n>] "
-    "[--result-cache=<dir>] [--sampling] "
-    "[--cache-budget=<size>[K|M|G|T]] "
-    "[--gc-dry-run] [--set <key>=<value>] [--config=<file.json>] "
-    "[--dump-config] (see README \"Sweep service\")";
+    "[--result-cache=<dir>] [--sampling] [--set <key>=<value>] "
+    "[--config=<file.json>] [--dump-config] (see README \"Sweep "
+    "service\")";
 
 int
 daemonMain(int argc, char **argv)
@@ -63,30 +58,21 @@ daemonMain(int argc, char **argv)
     std::string host = "127.0.0.1";
     std::uint16_t port = 8390;
     std::optional<unsigned> jobsFlag;
-    std::uint64_t cacheBudget = 0;
-    bool haveBudget = false;
-    bool gcDryRun = false;
+    std::string cacheDir;
     ConfigCliArgs cli;
 
     for (int i = 1; i < argc; ++i) {
         const char *v = nullptr;
         if (parseConfigArg(argc, argv, i, cli)) {
-            // --set / --config= / --dump-config / --sampling /
-            // --result-cache= taken.
+            // --set / --config= / --dump-config / --sampling taken.
         } else if (matchArg(argv[i], "--host", &v)) {
             host = v;
         } else if (matchArg(argv[i], "--port", &v)) {
             port = service::parsePort(v);
         } else if (matchArg(argv[i], "--jobs", &v)) {
             jobsFlag = parseJobs(v, "--jobs");
-        } else if (matchArg(argv[i], "--cache-budget", &v)) {
-            if (!parseByteSize(v, cacheBudget))
-                VPR_FATAL("bad --cache-budget '", v,
-                          "' (want bytes with an optional K/M/G/T "
-                          "suffix)");
-            haveBudget = true;
-        } else if (std::strcmp(argv[i], "--gc-dry-run") == 0) {
-            gcDryRun = true;
+        } else if (matchArg(argv[i], "--result-cache", &v)) {
+            cacheDir = parseCacheDir(v);
         } else {
             VPR_FATAL("unrecognized argument '", argv[i], "'; ", kUsage);
         }
@@ -101,29 +87,17 @@ daemonMain(int argc, char **argv)
     const unsigned jobs = jobsFlag ? *jobsFlag : defaultJobs();
     instructionScale();
 
-    // Startup GC pass: enforce the byte budget over the result cache
-    // before accepting work, oldest files first.
-    if (haveBudget) {
-        const CacheGcPlan plan =
-            planCacheGc({config.resultCache.dir}, cacheBudget);
-        printCacheGcPlan(std::cout, plan, cacheBudget, gcDryRun);
-        if (!gcDryRun)
-            applyCacheGc(plan);
-    }
-
     service::HttpServer server;
     std::string error;
     if (!server.bindAndListen(host, port, error))
         VPR_FATAL(error);
 
-    service::SweepService sweepService(config, jobs);
+    service::SweepService sweepService(config, jobs, cacheDir);
     const auto start = std::chrono::steady_clock::now();
 
     std::cout << "vpr_simd listening on " << host << ":" << server.port()
               << " (jobs=" << jobs << ", result cache: "
-              << (config.resultCache.dir.empty() ? "off"
-                                                 : config.resultCache.dir)
-              << ")\n"
+              << (cacheDir.empty() ? "off" : cacheDir) << ")\n"
               << std::flush;
 
     server.serve([&](const service::HttpRequest &request) {
