@@ -48,7 +48,8 @@ class CircularBuffer
     popFront()
     {
         VPR_ASSERT(!empty(), "popFront on empty buffer");
-        head = (head + 1) % slots.size();
+        if (++head == slots.size())
+            head = 0;
         --count;
     }
 
@@ -118,10 +119,13 @@ class CircularBuffer
     }
 
   private:
+    /** head + logical, wrapped by one compare-and-subtract (both are
+     *  below the capacity): no division on the per-cycle path. */
     std::size_t
     physIndex(std::size_t logical) const
     {
-        return (head + logical) % slots.size();
+        const std::size_t i = head + logical;
+        return i >= slots.size() ? i - slots.size() : i;
     }
 
     std::vector<T> slots;

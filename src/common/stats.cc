@@ -271,7 +271,7 @@ Distribution::Distribution(std::string name, std::string desc,
                            std::uint64_t min, std::uint64_t max,
                            std::uint64_t bucketSize)
     : StatBase(std::move(name), std::move(desc)), lo(min), hi(max),
-      bsize(bucketSize)
+      bsize(bucketSize), bucketOf(bucketSize)
 {
     VPR_ASSERT(max >= min, "distribution range inverted");
     VPR_ASSERT(bucketSize > 0, "bucket size must be positive");

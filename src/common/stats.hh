@@ -308,6 +308,42 @@ class SampleEstimator : public StatBase
 double tCritical95(std::uint64_t df);
 
 /**
+ * Division by a fixed divisor without a divide instruction: the
+ * quotient is the high word of x times the round-up reciprocal
+ * c = ceil(2^64 / d). That is exact for every x below 2^32 and every
+ * 2 <= d < 2^32, because x * (c * d - 2^64) < 2^64 (Lemire, Kaser &
+ * Kurz, "Faster remainder by direct computation", 2019). Larger x, and
+ * d = 1 or d >= 2^32, take the division.
+ */
+class ReciprocalDivider
+{
+  public:
+    explicit ReciprocalDivider(std::uint64_t divisor)
+        : d(divisor),
+          c(divisor >= 2 && divisor < kExactBelow
+                ? ~std::uint64_t{0} / divisor + 1
+                : 0),
+          limit(c ? kExactBelow : 0)
+    {}
+
+    std::uint64_t
+    divide(std::uint64_t x) const
+    {
+        if (x < limit)
+            return static_cast<std::uint64_t>(
+                (static_cast<unsigned __int128>(x) * c) >> 64);
+        return x / d;
+    }
+
+  private:
+    static constexpr std::uint64_t kExactBelow = std::uint64_t{1} << 32;
+
+    std::uint64_t d;
+    std::uint64_t c;      ///< ceil(2^64 / d), or 0 when unused
+    std::uint64_t limit;  ///< dividends below this use c
+};
+
+/**
  * Bucketed distribution over [min, max] with uniform buckets, tracking
  * mean, population standard deviation, and the observed min/max. The
  * usual producer samples once per cycle (occupancies) or once per event
@@ -350,7 +386,7 @@ class Distribution : public StatBase
         } else if (v > hi) {
             ++over;
         } else {
-            ++buckets[(v - lo) / bsize];
+            ++buckets[bucketOf.divide(v - lo)];
         }
     }
 
@@ -375,6 +411,7 @@ class Distribution : public StatBase
     std::uint64_t lo;
     std::uint64_t hi;
     std::uint64_t bsize;
+    ReciprocalDivider bucketOf;  ///< divides by bsize
     std::vector<std::uint64_t> buckets;
     std::uint64_t under = 0;
     std::uint64_t over = 0;

@@ -122,20 +122,24 @@ FetchUnit::tick(Cycle now)
 
         if (exhausted)
             break;
-        auto rec = trace.next();
-        if (!rec) {
-            exhausted = true;
-            break;
+        if (aheadPos == aheadLen) {
+            aheadLen = trace.nextBatch(ahead, kReadAhead);
+            aheadPos = 0;
+            if (aheadLen == 0) {
+                exhausted = true;
+                break;
+            }
         }
+        const TraceRecord &rec = ahead[aheadPos++];
 
         FetchedInst fi;
-        fi.si = *rec;
+        fi.si = rec;
         fi.fetchCycle = now;
         ++nReal;
 
-        if (rec->isBranch()) {
+        if (rec.isBranch()) {
             ++nBranches;
-            bool correct = bht.predictAndUpdate(rec->pc, rec->taken);
+            bool correct = bht.predictAndUpdate(rec.pc, rec.taken);
             if (!correct) {
                 ++nMispredicts;
                 fi.mispredictedBranch = true;
@@ -145,7 +149,7 @@ FetchUnit::tick(Cycle now)
                 break;
             }
             buffer.pushBack(fi);
-            if (rec->taken) {
+            if (rec.taken) {
                 // Predicted-taken branch ends the fetch group.
                 break;
             }
@@ -164,6 +168,20 @@ FetchUnit::pop()
     return fi;
 }
 
+void
+FetchUnit::warmOne(const TraceRecord &rec, NonBlockingCache &cache,
+                   Cycle now)
+{
+    if (rec.isBranch()) {
+        // Train the predictor; ignore the prediction. Functional
+        // warming has no pipeline to redirect, and the whole-run
+        // branch counters stay detailed-only.
+        bht.predictAndUpdate(rec.pc, rec.taken);
+    } else if (rec.isMem()) {
+        cache.access(rec.effAddr, rec.isStore(), now);
+    }
+}
+
 std::size_t
 FetchUnit::warmFunctional(std::size_t n, NonBlockingCache &cache,
                           Cycle &now)
@@ -173,23 +191,16 @@ FetchUnit::warmFunctional(std::size_t n, NonBlockingCache &cache,
     if (exhausted)
         return 0;
     std::size_t done = 0;
+    // The records detailed fetch read ahead come first.
+    for (; done < n && aheadPos < aheadLen; ++done)
+        warmOne(ahead[aheadPos++], cache, ++now);
     TraceRecord batch[256];
     while (done < n) {
         const std::size_t want =
             std::min(n - done, sizeof(batch) / sizeof(batch[0]));
         const std::size_t got = trace.nextBatch(batch, want);
-        for (std::size_t i = 0; i < got; ++i) {
-            const TraceRecord &rec = batch[i];
-            ++now;
-            if (rec.isBranch()) {
-                // Train the predictor; ignore the prediction.
-                // Functional warming has no pipeline to redirect, and
-                // the whole-run branch counters stay detailed-only.
-                bht.predictAndUpdate(rec.pc, rec.taken);
-            } else if (rec.isMem()) {
-                cache.access(rec.effAddr, rec.isStore(), now);
-            }
-        }
+        for (std::size_t i = 0; i < got; ++i)
+            warmOne(batch[i], cache, ++now);
         done += got;
         if (got < want) {
             exhausted = true;
@@ -206,7 +217,10 @@ FetchUnit::skipFunctional(std::size_t n)
                "functional skip with detailed fetch state in flight");
     if (exhausted)
         return 0;
-    const std::size_t done = trace.skip(n);
+    // The records detailed fetch read ahead come first.
+    const std::size_t buffered = std::min(n, aheadLen - aheadPos);
+    aheadPos += buffered;
+    const std::size_t done = buffered + trace.skip(n - buffered);
     if (done < n)
         exhausted = true;
     return done;

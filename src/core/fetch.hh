@@ -149,10 +149,26 @@ class FetchUnit
     }
 
   private:
+    /** Trace records read per refill of the read-ahead array. */
+    static constexpr std::size_t kReadAhead = 32;
+
     /** Generate one synthetic wrong-path instruction. */
     StaticInst synthesizeWrongPath();
 
+    /** Warm the predictor or @p cache with one record at @p now. */
+    void warmOne(const TraceRecord &rec, NonBlockingCache &cache,
+                 Cycle now);
+
     TraceStream &trace;
+    /** Records read from the trace ahead of detailed fetch: one
+     *  nextBatch() call per kReadAhead records instead of one virtual
+     *  next() per record. The functional paths consume what is left
+     *  here before they read the trace, so the record sequence is the
+     *  trace's own. @{ */
+    TraceRecord ahead[kReadAhead];
+    std::size_t aheadPos = 0;
+    std::size_t aheadLen = 0;
+    /** @} */
     FetchConfig cfg;
     BhtPredictor bht;
     /** Bounded FIFO between fetch and rename — a fixed ring, not a

@@ -50,8 +50,11 @@ void
 FuPool::beginCycle(Cycle now)
 {
     usedThisCycle.fill(0);
-    // Drop expired unpipelined reservations.
+    // Drop expired unpipelined reservations (most lists are empty:
+    // only the dividers hold a unit past its issue cycle).
     for (auto &v : busyUntil) {
+        if (v.empty())
+            continue;
         v.erase(std::remove_if(v.begin(), v.end(),
                                [now](Cycle c) { return c <= now; }),
                 v.end());

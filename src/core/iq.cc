@@ -1,7 +1,5 @@
 #include "core/iq.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace vpr
@@ -32,43 +30,11 @@ void
 InstQueue::insert(DynInst *inst)
 {
     VPR_ASSERT(!full(), "insert into full IQ");
+    VPR_ASSERT(!inst->inIq(), "duplicate IQ entry sn:", inst->seq());
     inst->setInIq(true);
+    ++resident;
     addWaiters(inst);
     maybePublishReady(inst);
-    if (list.empty() || list.back()->seq() < inst->seq()) {
-        list.push_back(inst);
-        return;
-    }
-    // Re-insertion after a write-back allocation squash: keep age order.
-    auto it = std::lower_bound(
-        list.begin(), list.end(), inst,
-        [](const DynInst *a, const DynInst *b) { return a->seq() < b->seq(); });
-    VPR_ASSERT(it == list.end() || (*it)->seq() != inst->seq(),
-               "duplicate IQ entry sn:", inst->seq());
-    list.insert(it, inst);
-}
-
-void
-InstQueue::remove(DynInst *inst)
-{
-    auto it = std::lower_bound(
-        list.begin(), list.end(), inst,
-        [](const DynInst *a, const DynInst *b) { return a->seq() < b->seq(); });
-    VPR_ASSERT(it != list.end() && *it == inst,
-               "IQ remove: entry not present");
-    inst->setInIq(false);
-    inst->setInReadyQ(false);
-    list.erase(it);
-}
-
-void
-InstQueue::squashYoungerThan(InstSeqNum seq)
-{
-    while (!list.empty() && list.back()->seq() > seq) {
-        list.back()->setInIq(false);
-        list.back()->setInReadyQ(false);
-        list.pop_back();
-    }
 }
 
 unsigned
@@ -85,29 +51,39 @@ InstQueue::wakeup(RegClass cls, std::uint16_t tag, std::uint16_t physReg)
     // exactly when a scan of the queue would have found its waiters. The
     // staleness check reads only the packed hot arrays via the recorded
     // slot; a stale waiter never touches its DynInst.
-    // Copy the tag's list into a persistent scratch buffer and clear
-    // it (a waiter appended mid-processing must not be consumed by
-    // this broadcast). Copy, never swap: with a swap the buffer
-    // capacities circulate through the scratch across all tags, so a
-    // hot tag keeps inheriting whichever small buffer the scratch last
-    // held and re-grows it — rare reallocations that never converge.
-    // With per-tag stable buffers every list reaches its own
-    // high-water capacity once and the steady state allocates nothing
-    // (pinned per cycle by the hot-loop allocation tests).
-    wakeScratch.assign(lists[tag].begin(), lists[tag].end());
-    lists[tag].clear();
+    //
+    // The one waiter that outlives its queue residency is the data
+    // operand of an issued store: the store left the queue on its
+    // address operand and is parked until this broadcast.
+    //
+    // The list is walked in place and cleared after: nothing appends
+    // to a tag while it broadcasts (waking publishes onto other lists),
+    // and each tag keeps its own buffer at its high-water capacity, so
+    // the steady state allocates nothing (pinned per cycle by the
+    // hot-loop allocation tests).
+    std::vector<Waiter> &waiters = lists[tag];
     unsigned nWoken = 0;
-    for (const Waiter &w : wakeScratch) {
-        if (!hot.live(w.slot, w.seq) || !hot.isInIq(w.slot))
+    for (const Waiter &w : waiters) {
+        if (!hot.live(w.slot, w.seq))
+            continue;
+        const bool inQueue = hot.isInIq(w.slot);
+        if (!inQueue &&
+            (w.srcIdx != 0 || hot.phaseOf(w.slot) != InstPhase::Issued ||
+             !w.inst->isStore()))
             continue;
         SrcOperand &s = w.inst->src[w.srcIdx];
         if (!s.valid || s.ready || s.cls != cls || s.tag != tag)
             continue;
         s.tag = physReg;
         s.ready = true;
-        ++nWoken;
-        maybePublishReady(w.inst);
+        if (inQueue) {
+            ++nWoken;
+            maybePublishReady(w.inst);
+        } else {
+            storesWoken.emplace_back(w.inst, w.seq, w.slot);
+        }
     }
+    waiters.clear();
     woken += nWoken;
     return nWoken;
 }

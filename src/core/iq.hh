@@ -25,6 +25,16 @@
  * entries (issued/squashed/slot-reused) are dropped lazily via the
  * seq + inIq check; the DynInst::inReadyQ flag guarantees each
  * resident instruction is published at most once.
+ *
+ * The queue keeps no list of its entries: residency is the hot pool's
+ * inIq flag plus a resident count. Age order lives in the sequence
+ * numbers the issue stage sorts its candidates by, and branch recovery
+ * removes each squashed instruction from the ROB walk.
+ *
+ * An issued store parked on its data operand (CompletionQueue) still
+ * has that operand recorded in its tag's wait list, from its insert, so
+ * the broadcast that produces the data wakes it too and hands it to the
+ * complete stage on the woken-stores list.
  */
 
 #ifndef VPR_CORE_IQ_HH
@@ -33,6 +43,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "core/dyn_inst.hh"
 #include "isa/reg.hh"
@@ -54,40 +65,39 @@ class InstQueue
         group.add(&woken);
     }
 
-    bool full() const { return list.size() >= cap; }
-    bool empty() const { return list.empty(); }
-    std::size_t size() const { return list.size(); }
+    bool full() const { return resident >= cap; }
+    bool empty() const { return resident == 0; }
+    std::size_t size() const { return resident; }
     std::size_t capacity() const { return cap; }
 
     /**
-     * Insert @p inst keeping age order. Newly renamed instructions go to
-     * the back; re-inserted (squashed-at-writeback) instructions find
-     * their place by sequence number. Unready sources are recorded in
-     * the wakeup wait lists; an instruction whose issue operands are
-     * already ready is published on the ready list.
+     * Insert @p inst: a newly renamed instruction, or one squashed back
+     * at write-back. Unready sources are recorded in the wakeup wait
+     * lists; an instruction whose issue operands are already ready is
+     * published on the ready list.
      */
     void insert(DynInst *inst);
 
-    /**
-     * Remove a specific entry. The list is seq-ordered, so the entry is
-     * located by binary search — O(log n) compare plus the erase shift,
-     * not a linear scan.
-     */
-    void remove(DynInst *inst);
-
-    /** Remove every entry younger than @p seq (branch recovery). */
-    void squashYoungerThan(InstSeqNum seq);
+    /** Remove a resident entry: it issued, or branch recovery squashed
+     *  it. O(1): clears its residency flags. */
+    void
+    remove(DynInst *inst)
+    {
+        VPR_ASSERT(inst->inIq(), "IQ remove: entry not present");
+        inst->setInIq(false);
+        inst->setInReadyQ(false);
+        --resident;
+    }
 
     /**
      * Broadcast a completed value: sources of class @p cls waiting on
      * @p tag become ready and capture @p physReg. An instruction whose
-     * last issue-relevant source wakes is published on the ready list.
-     * @return number of source operands woken.
+     * last issue-relevant source wakes is published on the ready list;
+     * an issued store whose data operand wakes goes on the woken-stores
+     * list.
+     * @return number of source operands of resident entries woken.
      */
     unsigned wakeup(RegClass cls, std::uint16_t tag, std::uint16_t physReg);
-
-    /** Age-ordered entries, oldest first. */
-    const std::vector<DynInst *> &entries() const { return list; }
 
     /**
      * Move this cycle's newly published ready instructions into
@@ -102,8 +112,16 @@ class InstQueue
         readyEvents.clear();
     }
 
+    /**
+     * Issued stores parked on their data operand whose data a broadcast
+     * woke since the complete stage last cleared the list: they may now
+     * complete. Publication order; entries of stores squashed since
+     * are stale (seq + phase check).
+     */
+    std::vector<ReadyRef> &wokenStores() { return storesWoken; }
+
     /** Record this cycle's occupancy (called once per cycle). */
-    void sampleOccupancy() { occupancy.sample(list.size()); }
+    void sampleOccupancy() { occupancy.sample(resident); }
 
     /** Register the "iq" stat group into the core's stats tree. */
     void regStats(stats::StatRegistry &r) { r.add(&group); }
@@ -141,16 +159,14 @@ class InstQueue
 
     std::size_t cap;
     InstHotPool &hot;
-    std::vector<DynInst *> list;  ///< sorted by seq, oldest first
+    std::size_t resident = 0;  ///< entries with the inIq flag set
     /** Wait lists per register class, indexed by tag (grown on use). */
     std::vector<std::vector<Waiter>> waitLists[kNumRegClasses];
     /** Instructions published since the last drain (event-driven
      *  selection). */
     std::vector<ReadyRef> readyEvents;
-    /** Reused storage for wakeup(): holds a copy of the tag's waiters
-     *  while they are processed (the tag's own buffer is cleared, not
-     *  swapped away, so its capacity stays with the tag). */
-    std::vector<Waiter> wakeScratch;
+    /** Parked stores woken since the complete stage last cleared it. */
+    std::vector<ReadyRef> storesWoken;
 
     stats::StatGroup group{"iq"};
     stats::Distribution occupancy;

@@ -14,7 +14,7 @@ PortSchedule::slotFor(Cycle cycle)
     // window, so enforce the contract here.
     VPR_ASSERT(cycle >= base, "port claim at ", cycle,
                " behind prune watermark ", base);
-    std::size_t s = cycle % counts.size();
+    std::size_t s = slotIndex(cycle);
     if (tags[s] == cycle)
         return counts[s];
     if (tags[s] != kNoCycle && tags[s] >= base) {
@@ -22,7 +22,7 @@ PortSchedule::slotFor(Cycle cycle)
         // lapped by the claim span. Grow until the whole live window
         // fits, giving every live cycle a distinct slot.
         grow(cycle);
-        s = cycle % counts.size();
+        s = slotIndex(cycle);
     }
     // Free, lapped-stale, or pruned slot: take it over for this cycle.
     tags[s] = cycle;
@@ -36,7 +36,8 @@ PortSchedule::grow(Cycle needed)
     // Live tags all sit in [base, maxLive]; size the new ring past
     // that whole span (plus the incoming cycle) so distinct live
     // cycles can never share a slot — values within a window shorter
-    // than the capacity have distinct residues.
+    // than the capacity have distinct residues. Doubling keeps the
+    // size a power of two, which slotIndex's mask relies on.
     Cycle maxLive = needed;
     for (Cycle t : tags)
         if (t != kNoCycle && t >= base && t > maxLive)
@@ -49,18 +50,20 @@ PortSchedule::grow(Cycle needed)
     for (std::size_t i = 0; i < tags.size(); ++i) {
         if (tags[i] == kNoCycle || tags[i] < base)
             continue;
-        const std::size_t s = tags[i] % size;
+        const std::size_t s = static_cast<std::size_t>(tags[i]) & (size - 1);
         newTags[s] = tags[i];
         newCounts[s] = counts[i];
     }
     counts.swap(newCounts);
     tags.swap(newTags);
+    VPR_ASSERT((counts.size() & (counts.size() - 1)) == 0,
+               "port ring size ", counts.size(), " is not a power of two");
 }
 
 unsigned
 PortSchedule::used(Cycle cycle) const
 {
-    const std::size_t s = cycle % counts.size();
+    const std::size_t s = slotIndex(cycle);
     return tags[s] == cycle && cycle >= base ? counts[s] : 0;
 }
 

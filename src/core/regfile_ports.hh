@@ -25,8 +25,8 @@ namespace vpr
 /**
  * Per-cycle counting arbiter used for write and cache ports.
  *
- * Claims live in a cycle-tagged ring: slot cycle % capacity holds the
- * count for that cycle, with the owning cycle stored alongside so a
+ * Claims live in a cycle-tagged ring: slot cycle % capacity (a mask:
+ * the capacity is a power of two) holds the count for that cycle, with the owning cycle stored alongside so a
  * slot left over from a lapped (long-past) cycle reads as free. The
  * arbiter allocates only when the claim horizon outgrows the ring —
  * the steady-state claim/prune cycle of the pipeline loop touches no
@@ -40,7 +40,10 @@ class PortSchedule
     explicit PortSchedule(unsigned portsPerCycle)
         : ports(portsPerCycle), counts(kInitialSlots, 0),
           tags(kInitialSlots, kNoCycle)
-    {}
+    {
+        static_assert((kInitialSlots & (kInitialSlots - 1)) == 0,
+                      "the ring is indexed by mask");
+    }
 
     /** Claim a port at exactly @p cycle; false if none left. */
     bool
@@ -76,11 +79,18 @@ class PortSchedule
      *  cover any realistic claim horizon without ever growing. */
     static constexpr std::size_t kInitialSlots = 1024;
 
+    /** Ring slot of @p cycle. */
+    std::size_t
+    slotIndex(Cycle cycle) const
+    {
+        return static_cast<std::size_t>(cycle) & (counts.size() - 1);
+    }
+
     unsigned &slotFor(Cycle cycle);
     void grow(Cycle needed);
 
     unsigned ports;
-    /** Claims at cycle c live in slot c % capacity... @{ */
+    /** Claims at cycle c live in slot slotIndex(c)... @{ */
     std::vector<unsigned> counts;
     /** ...owned by cycle tags[slot]; kNoCycle or a pruned tag = free. */
     std::vector<Cycle> tags;

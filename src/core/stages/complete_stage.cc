@@ -57,20 +57,9 @@ CompleteStage::tick()
         if (inst->hasDest()) {
             VPR_ASSERT(inst->physReg != kNoReg,
                        "completed without a physical register");
+            // Also wakes issued stores parked on this value.
             s.iq.wakeup(inst->destClass(), inst->wakeupTag,
                         inst->physReg);
-            // Issued stores parked on their data operand listen too.
-            for (auto &ref : completions.parkedStores()) {
-                if (!s.hot.live(ref.slot, ref.seq))
-                    continue;
-                auto &src = ref.inst->src[0];
-                if (src.valid && !src.ready &&
-                    src.cls == inst->destClass() &&
-                    src.tag == inst->wakeupTag) {
-                    src.tag = inst->physReg;
-                    src.ready = true;
-                }
-            }
         }
 
         if (inst->mispredictedBranch) {
@@ -85,24 +74,18 @@ CompleteStage::tick()
         }
     }
 
-    // Stores whose data arrived (possibly via this cycle's broadcasts)
+    // Parked stores whose data arrived with this cycle's broadcasts
     // complete now that both address and data are known.
-    auto &parked = completions.parkedStores();
-    std::size_t keep = 0;
-    for (auto &ref : parked) {
+    auto &woken = s.iq.wokenStores();
+    for (const ReadyRef &ref : woken) {
         if (!s.hot.liveInPhase(ref.slot, ref.seq, InstPhase::Issued))
-            continue;  // squashed
-        DynInst *inst = ref.inst;
-        if (inst->operandsReady()) {
-            Cycle when = now + 1 > inst->addrReadyCycle
-                ? now + 1
-                : inst->addrReadyCycle;
-            completions.schedule(when, ref.seq, inst);
-        } else {
-            parked[keep++] = ref;
-        }
+            continue;  // squashed by a later recovery this cycle
+        const Cycle ready = ref.inst->addrReadyCycle;
+        completions.schedule(now + 1 > ready ? now + 1 : ready, ref.seq,
+                             ref.inst);
+        completions.unparkStore(ref.seq);
     }
-    parked.resize(keep);
+    woken.clear();
 }
 
 } // namespace vpr

@@ -1,7 +1,5 @@
 #include "core/stages/issue_stage.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 #include "isa/op_class.hh"
 
@@ -145,7 +143,7 @@ IssueStage::tryIssueOne(DynInst *inst)
         // Address generation only; data is written to the cache at
         // commit. The store completes once address *and* data are
         // known; with the data still in flight it parks in the
-        // CompletionQueue (drained at the end of the complete stage).
+        // CompletionQueue until the data's broadcast wakes it.
         raw = now + 1;
         inst->addrReady = true;
         inst->addrReadyCycle = now + 1;
@@ -216,10 +214,15 @@ IssueStage::tick()
         q.clear();
     }
     s.lsq.takeReadyHolds(now, cand);
-    std::sort(cand.begin(), cand.end(),
-              [](const ReadyRef &a, const ReadyRef &b) {
-                  return a.seq < b.seq;
-              });
+    // Age order by insertion sort: a handful of candidates per cycle,
+    // and each source list arrives nearly in age order already.
+    for (std::size_t i = 1; i < cand.size(); ++i) {
+        const ReadyRef e = cand[i];
+        std::size_t j = i;
+        for (; j > 0 && cand[j - 1].seq > e.seq; --j)
+            cand[j] = cand[j - 1];
+        cand[j] = e;
+    }
 
     // Oldest-first over the candidates in two passes: first executions
     // have priority; re-executions fill the remaining slots ("resources

@@ -9,8 +9,8 @@
  * Selection is event-driven: the stage merges the IQ's newly published
  * ready instructions with its own parked entries (per-FU stall lists
  * gated on unit availability, a retry list for the per-cycle resources,
- * and the LSQ's released hold subscriptions), sorts the merged
- * candidates by age and attempts them oldest first — the whole
+ * and the LSQ's released hold subscriptions), insertion-sorts the
+ * merged candidates by age and attempts them oldest first — the whole
  * instruction queue is never walked. Entries that fail a structural
  * check are re-parked on the matching list; holds park inside the LSQ
  * until the blocking store resolves.

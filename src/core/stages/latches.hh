@@ -126,10 +126,19 @@ class CompletionQueue
         storesAwaitingData.emplace_back(inst, seq, inst->slot);
     }
 
-    std::vector<ReadyRef> &
-    parkedStores()
+    /** The parked store @p seq got its data and is scheduled: drop it
+     *  (the list is unordered). */
+    void
+    unparkStore(InstSeqNum seq)
     {
-        return storesAwaitingData;
+        for (ReadyRef &ref : storesAwaitingData) {
+            if (ref.seq == seq) {
+                ref = storesAwaitingData.back();
+                storesAwaitingData.pop_back();
+                return;
+            }
+        }
+        VPR_PANIC("unparkStore: store sn:", seq, " is not parked");
     }
 
     std::size_t parkedStoreCount() const { return storesAwaitingData.size(); }
@@ -238,8 +247,9 @@ class CompletionQueue
     bool curSorted = true;        ///< bucket[base] tail is seq-sorted
     std::size_t nEvents = 0;
 
-    /** Issued stores whose data operand has not been produced yet; they
-     *  complete once the data broadcast arrives. */
+    /** Issued stores whose data operand has not been produced yet; the
+     *  data broadcast wakes them through the IQ's wait lists, and the
+     *  complete stage schedules and unparks them. Unordered. */
     std::vector<ReadyRef> storesAwaitingData;
 };
 

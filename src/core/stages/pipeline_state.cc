@@ -76,10 +76,11 @@ PipelineState::resetStats()
 void
 PipelineState::squashYoungerThan(InstSeqNum youngestKept)
 {
-    iq.squashYoungerThan(youngestKept);
     lsq.squashYoungerThan(youngestKept);
     while (!rob.empty() && rob.tail().seq() > youngestKept) {
         DynInst &tail = rob.tail();
+        if (tail.inIq())
+            iq.remove(&tail);
         renameMgr->squashInst(tail, curCycle);
         tail.setPhase(InstPhase::Squashed);
         ++squashedStat;

@@ -41,9 +41,10 @@ struct PipelineState
     void resetStats();
 
     /**
-     * Branch recovery over the shared structures: drop IQ/LSQ entries
-     * and walk the ROB youngest-first down to @p youngestKept, undoing
-     * each rename (the paper's recovery walk).
+     * Branch recovery over the shared structures: drop LSQ entries and
+     * walk the ROB youngest-first down to @p youngestKept, removing each
+     * instruction still in the IQ and undoing each rename (the paper's
+     * recovery walk).
      */
     void squashYoungerThan(InstSeqNum youngestKept);
 

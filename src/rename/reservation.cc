@@ -107,11 +107,11 @@ ReservationTracker::onSquash(InstSeqNum seq)
 bool
 ReservationTracker::isReserved(InstSeqNum seq) const
 {
+    // The window is seq-ordered and holds seq (the precondition), so
+    // seq is among the oldest reservedCount() entries iff it is no
+    // younger than the last of them.
     const std::size_t lim = reservedCount();
-    if (lim == 0 || seq > at(lim - 1).seq)
-        return false;
-    const std::size_t i = lowerBound(seq);
-    return i < lim && at(i).seq == seq;
+    return lim != 0 && seq <= at(lim - 1).seq;
 }
 
 bool

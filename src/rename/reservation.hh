@@ -55,13 +55,16 @@ class ReservationTracker
     /**
      * The paper's allocation predicate.
      *
-     * @param seq the completing/issuing instruction
+     * @param seq the completing/issuing instruction (tracked, as for
+     *            isReserved)
      * @param freeRegs free physical registers right now
      * @return true if the instruction may take a register
      */
     bool mayAllocate(InstSeqNum seq, std::size_t freeRegs) const;
 
-    /** True if @p seq is within the oldest-NRR reserved set. */
+    /** True if @p seq is within the oldest-NRR reserved set. O(1).
+     *  Precondition: @p seq is tracked (renamed, not yet committed or
+     *  squashed); every caller passes an in-flight destination. */
     bool isReserved(InstSeqNum seq) const;
 
     /** Used counter: allocated instructions inside the reserved set.

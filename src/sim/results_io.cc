@@ -158,17 +158,21 @@ badField(const std::string &name, std::size_t line,
               text, "' (want ", want, ")");
 }
 
+bool
+isResultsLabel(const std::string &figure)
+{
+    return !figure.empty() &&
+           std::all_of(figure.begin(), figure.end(), [](unsigned char c) {
+               return std::isalnum(c) || c == '.' || c == '_' || c == '-';
+           });
+}
+
 } // namespace
 
 void
 checkResultsLabel(const std::string &figure)
 {
-    const bool ok =
-        !figure.empty() &&
-        std::all_of(figure.begin(), figure.end(), [](unsigned char c) {
-            return std::isalnum(c) || c == '.' || c == '_' || c == '-';
-        });
-    if (!ok)
+    if (!isResultsLabel(figure))
         VPR_FATAL("bad figure label '", figure,
                   "' (want a non-empty name of [A-Za-z0-9._-])");
 }
@@ -373,13 +377,24 @@ readResultsCsv(std::istream &is, const std::string &name)
     metaStream >> tok;
     if (tok != "v1")
         VPR_FATAL(name, ": unsupported version '", tok, "'");
+    // Every writer emits figure=, cells=, scale= and cfg=, each once: a
+    // line that lacks one or repeats a key is damaged, and merging it
+    // would write metadata no writer emits.
+    std::vector<std::string> keys;
     while (metaStream >> tok) {
         std::size_t eq = tok.find('=');
         if (eq == std::string::npos)
             continue;
         std::string key = tok.substr(0, eq);
         std::string value = tok.substr(eq + 1);
+        if (std::find(keys.begin(), keys.end(), key) != keys.end())
+            VPR_FATAL(name, ": line 1: metadata key '", key,
+                      "=' appears twice");
+        keys.push_back(key);
         if (key == "figure") {
+            if (!isResultsLabel(value))
+                badField(name, 1, "figure=", value,
+                         "a non-empty name of [A-Za-z0-9._-]");
             file.figure = value;
         } else if (key == "cells") {
             std::uint64_t cells = 0;
@@ -392,6 +407,10 @@ readResultsCsv(std::istream &is, const std::string &name)
             file.configDigest = value;
         }
     }
+    for (const char *required : {"figure", "cells", "scale", "cfg"})
+        if (std::find(keys.begin(), keys.end(), required) == keys.end())
+            VPR_FATAL(name, ": line 1: metadata key '", required,
+                      "=' is missing");
 
     std::string headerLine;
     if (!std::getline(is, headerLine))

@@ -134,8 +134,7 @@ LoopTraceStream::nextAddr(int streamIdx)
 
 // Forced inline: produce() is the per-record step behind both next()
 // and nextBatch(); left to its own heuristics GCC outlines it, which
-// costs the detailed fetch path (one next() per fetched instruction)
-// several ns per record.
+// costs every record several ns.
 VPR_ALWAYS_INLINE bool
 LoopTraceStream::produce(TraceRecord &rec)
 {

@@ -46,8 +46,9 @@ class TraceStream
      * Fill @p out with up to @p max records, returning the count
      * (short only at end of trace). Yields exactly the sequence
      * repeated next() calls would — this is the bulk entry point for
-     * fast-forward functional warming, where one virtual call per
-     * instruction (plus the optional<> return) is the dominant cost.
+     * detailed fetch's read-ahead and fast-forward functional warming,
+     * where one virtual call per instruction (plus the optional<>
+     * return) is the dominant cost.
      * The default loops next(); generators override it.
      */
     virtual std::size_t

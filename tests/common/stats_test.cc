@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
 #include "common/stats.hh"
 
@@ -54,6 +55,73 @@ TEST(Distribution, BucketsSamples)
     EXPECT_EQ(d.bucketCount(9), 1u);
     EXPECT_EQ(d.samples(), 4u);
     EXPECT_DOUBLE_EQ(d.mean(), (5 + 15 + 15 + 95) / 4.0);
+}
+
+TEST(ReciprocalDivider, MatchesDivisionForEveryDividend)
+{
+    // The multiply-high quotient is exact below 2^32; larger dividends
+    // and divisors outside [2, 2^32) take the division. Every divisor
+    // up to 5000, a spread of larger ones, and edge plus random
+    // dividends on both sides of the 2^32 limit.
+    std::uint64_t rng = 0x2545f4914f6cdd1dull;
+    auto next = [&rng] {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        return rng;
+    };
+    const std::uint64_t two32 = std::uint64_t{1} << 32;
+    std::vector<std::uint64_t> divisors;
+    for (std::uint64_t d = 1; d <= 5000; ++d)
+        divisors.push_back(d);
+    for (int i = 0; i < 200; ++i)
+        divisors.push_back(1 + next() % (two32 + 5));
+    for (std::uint64_t d : {two32 - 1, two32, two32 + 1, ~std::uint64_t{0}})
+        divisors.push_back(d);
+    for (std::uint64_t d : divisors) {
+        const ReciprocalDivider div(d);
+        std::vector<std::uint64_t> xs = {0, 1, d - 1, d, d + 1,
+                                         two32 - 1, two32, two32 + 1,
+                                         ~std::uint64_t{0}};
+        for (std::uint64_t k : {std::uint64_t{2}, std::uint64_t{1000},
+                                (two32 - 1) / d})
+            for (std::uint64_t x : {k * d - 1, k * d, k * d + 1})
+                xs.push_back(x);
+        for (int i = 0; i < 64; ++i) {
+            xs.push_back(next() % two32);
+            xs.push_back(next());
+        }
+        for (std::uint64_t x : xs)
+            ASSERT_EQ(div.divide(x), x / d) << x << " / " << d;
+    }
+}
+
+TEST(Distribution, BucketIndexMatchesDivisionForShippedWidths)
+{
+    // Every width evenBuckets() gives the shipped distributions: 16
+    // buckets over [0, max] for every max a structure size or a latency
+    // range takes, the sampled-IPC range (8000), plus offset origins.
+    // Each value in range lands in bucket (v - min) / width.
+    std::vector<std::uint64_t> maxima = {4095, 4096, 8000, 8191, 8192};
+    for (std::uint64_t max = 0; max <= 1100; ++max)
+        maxima.push_back(max);
+    for (std::uint64_t lo : {0, 3}) {
+        for (std::uint64_t max : maxima) {
+            if (max < lo)
+                continue;
+            Distribution d =
+                Distribution::evenBuckets("d", "dist", lo, max, 16);
+            const std::uint64_t width = (max - lo + 1 + 15) / 16;
+            std::vector<std::uint64_t> want(16, 0);
+            for (std::uint64_t v = lo; v <= max; ++v) {
+                d.sample(v);
+                ++want[(v - lo) / width];
+            }
+            for (std::size_t i = 0; i < 16; ++i)
+                ASSERT_EQ(d.bucketCount(i), want[i])
+                    << "range [" << lo << ", " << max << "] bucket " << i;
+        }
+    }
 }
 
 TEST(Distribution, UnderOverflow)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/fetch.hh"
+#include "memory/cache.hh"
 #include "trace/builder.hh"
 
 namespace vpr
@@ -172,6 +173,77 @@ TEST(Fetch, BufferCapacityBoundsFetch)
         ++n;
     }
     EXPECT_EQ(n, 10);
+}
+
+/** Records of numberedTrace() sit at kNumberedBase + 4 * index. */
+constexpr Addr kNumberedBase = 0x1000;
+
+/** A trace of @p n nops, each identified by its pc. */
+std::unique_ptr<VectorTraceStream>
+numberedTrace(std::size_t n)
+{
+    TraceBuilder b(kNumberedBase);
+    for (std::size_t i = 0; i < n; ++i)
+        b.nop();
+    return b.stream();
+}
+
+/** Run one detailed fetch cycle and return the index of the first
+ *  record it delivered; empties the fetch buffer. */
+std::uint64_t
+firstFetched(FetchUnit &f, Cycle now)
+{
+    f.tick(now);
+    EXPECT_TRUE(f.hasInst());
+    const std::uint64_t index = (f.peek().si.pc - kNumberedBase) / 4;
+    while (f.hasInst())
+        f.pop();
+    return index;
+}
+
+TEST(Fetch, FastForwardAfterReadAheadRetiresTheNextRecords)
+{
+    // Detailed fetch reads the trace ahead of what it delivers; a
+    // fast-forward, warming or not, must retire exactly the next n
+    // records (the read-ahead first), and detailed fetch resumes at the
+    // record after them.
+    for (bool warm : {true, false}) {
+        for (std::size_t n : {1, 3, 23, 24, 25, 100, 1000}) {
+            auto stream = numberedTrace(2000);
+            FetchUnit f(*stream, cfgStall());
+            NonBlockingCache cache;
+            ASSERT_EQ(firstFetched(f, 1), 0u);  // records 0..7
+            Cycle now = 10;
+            const std::size_t done = warm
+                ? f.warmFunctional(n, cache, now)
+                : f.skipFunctional(n);
+            EXPECT_EQ(done, n) << "warm=" << warm << " n=" << n;
+            if (warm) {
+                EXPECT_EQ(now, 10 + n);
+            }
+            EXPECT_EQ(firstFetched(f, now + 1), 8 + n)
+                << "warm=" << warm << " n=" << n;
+        }
+    }
+}
+
+TEST(Fetch, FastForwardPastTheTraceEndStopsAtItsLastRecord)
+{
+    // 20 records: detailed fetch delivers 8 and holds the other 12 in
+    // its read-ahead; a longer fast-forward retires exactly those 12.
+    for (bool warm : {true, false}) {
+        auto stream = numberedTrace(20);
+        FetchUnit f(*stream, cfgStall());
+        NonBlockingCache cache;
+        ASSERT_EQ(firstFetched(f, 1), 0u);
+        Cycle now = 10;
+        const std::size_t done = warm ? f.warmFunctional(50, cache, now)
+                                      : f.skipFunctional(50);
+        EXPECT_EQ(done, 12u) << "warm=" << warm;
+        f.tick(now + 1);
+        EXPECT_FALSE(f.hasInst());
+        EXPECT_TRUE(f.done());
+    }
 }
 
 TEST(FetchDeath, ResolveWithoutMispredictPanics)

@@ -130,7 +130,7 @@ TEST(HotLoopAlloc, FreshGridCellAllocationCountIsPinned)
     // verified schemas); after it the count is exact and repeats run
     // to run. A deliberate change re-pins it; an accidental one fails
     // here before it is big enough to move wall time.
-    constexpr std::uint64_t kFreshCellAllocs = 680;
+    constexpr std::uint64_t kFreshCellAllocs = 672;
 
     const std::vector<GridCell> cells{{"swim", tinySampledCell()}};
     runGrid(cells, 1);

@@ -60,24 +60,38 @@ struct IqFixture
         return d;
     }
 
+    /** The random-stimulus tests' own record of the resident entries,
+     *  oldest first: the scan reference (the queue keeps no list). @{ */
+    void
+    insertTracked(DynInst *d)
+    {
+        iq.insert(d);
+        resident.push_back(d);
+    }
+
+    void
+    removeAt(std::size_t i)
+    {
+        iq.remove(resident[i]);
+        resident.erase(resident.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+
+    /** Branch recovery: remove every entry younger than @p keep. */
+    void
+    squashYoungerThan(InstSeqNum keep)
+    {
+        while (!resident.empty() && resident.back()->seq() > keep) {
+            iq.remove(resident.back());
+            resident.pop_back();
+        }
+    }
+    /** @} */
+
     InstHotPool hot;
     InstQueue iq;
     HotIdx next = 0;
+    std::vector<DynInst *> resident;
 };
-
-TEST(InstQueue, InsertKeepsAgeOrder)
-{
-    IqFixture f(8);
-    DynInst a = f.alu(1), b = f.alu(2), c = f.alu(3);
-    f.iq.insert(&a);
-    f.iq.insert(&c);
-    // Re-insertion of an older instruction (write-back squash path).
-    f.iq.insert(&b);
-    ASSERT_EQ(f.iq.size(), 3u);
-    EXPECT_EQ(f.iq.entries()[0]->seq(), 1u);
-    EXPECT_EQ(f.iq.entries()[1]->seq(), 2u);
-    EXPECT_EQ(f.iq.entries()[2]->seq(), 3u);
-}
 
 TEST(InstQueue, RemoveSpecificEntry)
 {
@@ -87,7 +101,8 @@ TEST(InstQueue, RemoveSpecificEntry)
     f.iq.insert(&b);
     f.iq.remove(&a);
     ASSERT_EQ(f.iq.size(), 1u);
-    EXPECT_EQ(f.iq.entries()[0]->seq(), 2u);
+    EXPECT_FALSE(a.inIq());
+    EXPECT_TRUE(b.inIq());
 }
 
 TEST(InstQueue, WakeupMatchesClassAndTag)
@@ -135,20 +150,6 @@ TEST(InstQueue, WakeupHitsAllWaiters)
     EXPECT_TRUE(a.src[0].ready && b.src[0].ready);
 }
 
-TEST(InstQueue, SquashYoungerThanDropsTail)
-{
-    IqFixture f(8);
-    DynInst a = f.alu(1), b = f.alu(5), c = f.alu(9);
-    f.iq.insert(&a);
-    f.iq.insert(&b);
-    f.iq.insert(&c);
-    f.iq.squashYoungerThan(5);
-    ASSERT_EQ(f.iq.size(), 2u);
-    EXPECT_EQ(f.iq.entries().back()->seq(), 5u);
-    f.iq.squashYoungerThan(0);
-    EXPECT_TRUE(f.iq.empty());
-}
-
 TEST(InstQueue, CapacityTracking)
 {
     IqFixture f(2);
@@ -173,8 +174,7 @@ TEST(InstQueueDeath, DuplicateInsertPanics)
     DynInst a = f.alu(1), b = f.alu(2);
     f.iq.insert(&a);
     f.iq.insert(&b);
-    DynInst dup = f.alu(1);
-    EXPECT_DEATH(f.iq.insert(&dup), "duplicate IQ entry");
+    EXPECT_DEATH(f.iq.insert(&a), "duplicate IQ entry");
 }
 
 TEST(InstQueueDeath, RemoveAbsentPanics)
@@ -206,7 +206,7 @@ TEST(InstQueueWaitList, SquashedEntryIsNotWoken)
     DynInst b = f.waiter(5, RegClass::Float, 9);
     f.iq.insert(&a);
     f.iq.insert(&b);
-    f.iq.squashYoungerThan(1);
+    f.iq.remove(&b);  // the recovery walk squashes sn:5
     EXPECT_EQ(f.iq.wakeup(RegClass::Float, 9, 3), 1u);
     EXPECT_TRUE(a.src[0].ready);
     EXPECT_FALSE(b.src[0].ready);
@@ -221,7 +221,7 @@ TEST(InstQueueWaitList, SlotReuseAfterSquashIsDetected)
     DynInst slot = f.waiter(3, RegClass::Int, 12);
     HotIdx sl = slot.slot;
     f.iq.insert(&slot);
-    f.iq.squashYoungerThan(0);
+    f.iq.remove(&slot);  // squashed
     ASSERT_TRUE(f.iq.empty());
 
     // Recycle the same storage and hot row with a new sequence number.
@@ -260,6 +260,41 @@ drain(InstQueue &iq)
     std::vector<ReadyRef> out;
     iq.drainReadyEvents(out);
     return out;
+}
+
+TEST(InstQueueWaitList, ParkedStoreDataWakesOntoTheWokenList)
+{
+    // An issued store left the queue on its address operand; its data
+    // operand's wait-list entry, recorded at insert, still wakes it, and
+    // the store is handed to the complete stage rather than published.
+    IqFixture f(8);
+    DynInst st;
+    st.si = StaticInst::store(RegId::intReg(3), RegId::intReg(2), 0x100);
+    f.adopt(st, 1);
+    st.src[0] = {20, RegClass::Int, true, false};  // data, in flight
+    DynInst squashed;
+    squashed.si = st.si;
+    f.adopt(squashed, 2);
+    squashed.src[0] = {20, RegClass::Int, true, false};
+    DynInst alu = f.waiter(3, RegClass::Int, 20);
+    for (DynInst *d : {&st, &squashed, &alu}) {
+        f.iq.insert(d);
+        f.iq.remove(d);
+        d->setPhase(InstPhase::Issued);
+    }
+    squashed.setPhase(InstPhase::Squashed);
+    drain(f.iq);  // the inserts published all three
+
+    EXPECT_EQ(f.iq.wakeup(RegClass::Int, 20, 70), 0u);  // none resident
+    EXPECT_TRUE(st.src[0].ready);
+    EXPECT_EQ(st.src[0].tag, 70);
+    EXPECT_FALSE(squashed.src[0].ready);
+    EXPECT_FALSE(alu.src[0].ready);
+    ASSERT_EQ(f.iq.wokenStores().size(), 1u);
+    EXPECT_EQ(f.iq.wokenStores()[0].inst, &st);
+    EXPECT_EQ(f.iq.wokenStores()[0].seq, 1u);
+    EXPECT_EQ(f.iq.wokenStores()[0].slot, st.slot);
+    EXPECT_TRUE(drain(f.iq).empty());
 }
 
 TEST(InstQueueReady, ReadyAtInsertIsPublishedImmediately)
@@ -372,19 +407,19 @@ TEST(InstQueueReady, MatchesFullScanOnRandomStimulus)
                 d.src[si].ready = (next() & 3) == 0;
             }
             pool[created] = d;
-            f.iq.insert(&pool[created]);
+            f.insertTracked(&pool[created]);
             ++created;
             break;
           }
           case 2: {  // remove a random resident entry (issue)
             if (f.iq.empty())
                 break;
-            f.iq.remove(f.iq.entries()[next() % f.iq.size()]);
+            f.removeAt(next() % f.resident.size());
             break;
           }
           case 3: {  // broadcast or squash
             if ((next() & 7) == 0) {
-                f.iq.squashYoungerThan(seq > 0 ? next() % seq : 0);
+                f.squashYoungerThan(seq > 0 ? next() % seq : 0);
             } else {
                 f.iq.wakeup((next() & 1) ? RegClass::Int : RegClass::Float,
                             static_cast<std::uint16_t>(next() % 48),
@@ -408,22 +443,24 @@ TEST(InstQueueReady, MatchesFullScanOnRandomStimulus)
             << "duplicate publication of sn:" << e.seq;
     }
     // Exactly the entries a full scan would find ready.
-    for (const DynInst *inst : f.iq.entries()) {
+    ASSERT_EQ(f.iq.size(), f.resident.size());
+    for (const DynInst *inst : f.resident) {
         EXPECT_EQ(readySet.count(inst) == 1, inst->issueOperandsReady())
             << "sn:" << inst->seq();
     }
 }
 
-/** Reference model of one broadcast: scan every resident entry of
- *  @p iq and wake the matching sources in @p srcs, the expected operand
- *  state of @p pool indexed like it. @return operands woken. */
+/** Reference model of one broadcast: scan every @p resident entry and
+ *  wake the matching sources in @p srcs, the expected operand state of
+ *  @p pool indexed like it. @return operands woken. */
 unsigned
-scanWakeup(const InstQueue &iq, const std::vector<DynInst> &pool,
+scanWakeup(const std::vector<DynInst *> &resident,
+           const std::vector<DynInst> &pool,
            std::vector<std::array<SrcOperand, kMaxSrcRegs>> &srcs,
            RegClass cls, std::uint16_t tag, std::uint16_t physReg)
 {
     unsigned woken = 0;
-    for (const DynInst *inst : iq.entries()) {
+    for (const DynInst *inst : resident) {
         const auto i = static_cast<std::size_t>(inst - pool.data());
         for (SrcOperand &s : srcs[i]) {
             if (s.valid && !s.ready && s.cls == cls && s.tag == tag) {
@@ -475,19 +512,19 @@ TEST(InstQueueWaitList, MatchesScanReferenceOnRandomStimulus)
             }
             std::copy(std::begin(d.src), std::end(d.src),
                       expected[created].begin());
-            f.iq.insert(&d);
+            f.insertTracked(&d);
             ++created;
             break;
           }
           case 2: {  // remove a random resident entry (issue)
             if (f.iq.empty())
                 break;
-            f.iq.remove(f.iq.entries()[next() % f.iq.size()]);
+            f.removeAt(next() % f.resident.size());
             break;
           }
           case 3: {  // broadcast or squash
             if ((next() & 7) == 0) {
-                f.iq.squashYoungerThan(seq > 0 ? next() % seq : 0);
+                f.squashYoungerThan(seq > 0 ? next() % seq : 0);
             } else {
                 RegClass cls =
                     (next() & 1) ? RegClass::Int : RegClass::Float;
@@ -496,7 +533,7 @@ TEST(InstQueueWaitList, MatchesScanReferenceOnRandomStimulus)
                 std::uint16_t phys =
                     static_cast<std::uint16_t>(64 + next() % 32);
                 const unsigned want =
-                    scanWakeup(f.iq, pool, expected, cls, tag, phys);
+                    scanWakeup(f.resident, pool, expected, cls, tag, phys);
                 EXPECT_EQ(f.iq.wakeup(cls, tag, phys), want);
             }
             break;

@@ -388,9 +388,9 @@ TEST(ResultsCsvDeath, UnsupportedVersionIsFatal)
 
 TEST(ResultsCsvDeath, TruncatedAfterMetadataIsFatal)
 {
-    EXPECT_VPR_ERROR(
-        readCsvText("# vpr-results v1 figure=f cells=1 shard=0/1\n"),
-        "missing header row");
+    EXPECT_VPR_ERROR(readCsvText("# vpr-results v1 figure=f cells=1 "
+                                 "shard=0/1 scale=1 cfg=0\n"),
+                     "missing header row");
 }
 
 TEST(ResultsCsvDeath, UnknownHeaderIsFatal)
@@ -398,9 +398,54 @@ TEST(ResultsCsvDeath, UnknownHeaderIsFatal)
     // A header whose fixed columns do not match the writer's layout
     // (e.g. a hand-edited or foreign file).
     EXPECT_VPR_ERROR(
-        readCsvText("# vpr-results v1 figure=f cells=1 shard=0/1\n"
+        readCsvText("# vpr-results v1 figure=f cells=1 shard=0/1 scale=1 "
+                    "cfg=0\n"
                     "cell,bogus_column,core.ipc\n"),
         "unexpected header row");
+}
+
+TEST(ResultsCsvDeath, IncompleteOrRepeatedMetadataIsFatal)
+{
+    // Every writer emits figure=, cells=, scale= and cfg= once each. A
+    // metadata line that lacks one, repeats one, or carries a label no
+    // writer accepts names the file and the key, where it used to merge
+    // into "figure= cells=54 ..." or a "grid has 0 cells" complaint.
+    const std::string csv = halfShardCsv();
+    const std::string meta = csv.substr(0, csv.find('\n'));
+    ASSERT_EQ(meta.find("# vpr-results v1 figure=golden cells=2 shard=0/2 "
+                        "scale="),
+              0u)
+        << meta;
+    auto damaged = [&csv](const std::string &from, const std::string &to) {
+        std::string text = csv;
+        const std::size_t at = text.find(from);
+        EXPECT_LT(at, text.find('\n')) << from;
+        return text.replace(at, from.size(), to);
+    };
+    for (const char *key : {"figure", "cells", "scale", "cfg"}) {
+        const std::string field = " " + std::string(key) + "=";
+        const std::size_t at = meta.find(field);
+        ASSERT_NE(at, std::string::npos) << key;
+        const std::size_t end = meta.find(' ', at + 1);
+        const std::string whole = meta.substr(
+            at, end == std::string::npos ? std::string::npos : end - at);
+        EXPECT_VPR_ERROR(readCsvText(damaged(whole, "")),
+                         "bad: line 1: metadata key '" + std::string(key) +
+                             "=' is missing")
+            << key;
+        EXPECT_VPR_ERROR(readCsvText(damaged(whole, whole + whole)),
+                         "bad: line 1: metadata key '" + std::string(key) +
+                             "=' appears twice")
+            << key;
+    }
+    EXPECT_VPR_ERROR(
+        readCsvText(damaged(" shard=0/2", " shard=0/2 shard=1/2")),
+        "metadata key 'shard=' appears twice");
+    for (const std::string label : {"", "a/b", "fig,7"})
+        EXPECT_VPR_ERROR(
+            readCsvText(damaged(" figure=golden ", " figure=" + label + " ")),
+            "bad: line 1, column figure=: bad value '" + label + "'")
+            << label;
 }
 
 TEST(ResultsCsvDeath, TruncatedRowIsFatal)
