@@ -7,6 +7,7 @@
 #define VPR_COMMON_CIRCULAR_BUFFER_HH
 
 #include <cstddef>
+#include <new>
 #include <vector>
 
 #include "common/logging.hh"
@@ -41,6 +42,19 @@ class CircularBuffer
         VPR_ASSERT(!full(), "pushBack on full buffer");
         slots[physIndex(count)] = value;
         ++count;
+    }
+
+    /** Append a value-initialised element at the tail, constructed in
+     *  its slot: no temporary is built and copied in. */
+    T &
+    emplaceBack()
+    {
+        VPR_ASSERT(!full(), "emplaceBack on full buffer");
+        T &slot = slots[physIndex(count)];
+        slot.~T();
+        ::new (static_cast<void *>(&slot)) T();
+        ++count;
+        return slot;
     }
 
     /** Remove the oldest element. */

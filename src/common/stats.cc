@@ -296,9 +296,39 @@ Distribution::evenBuckets(std::string name, std::string desc,
     return d;
 }
 
+void
+Distribution::foldTally() const
+{
+    // Ascending values with their counts: the same extremes, bucket
+    // counts and (exact, see the class comment) sums as sampling them
+    // one by one.
+    for (std::uint64_t v = 0; v < tally.size(); ++v) {
+        const std::uint64_t k = tally[v];
+        if (k == 0)
+            continue;
+        tally[v] = 0;
+        if (n == 0 || v < minSeen)
+            minSeen = v;
+        if (n == 0 || v > maxSeen)
+            maxSeen = v;
+        n += k;
+        const double dv = static_cast<double>(v);
+        const double dk = static_cast<double>(k);
+        sum += dk * dv;
+        sumSq += dk * (dv * dv);
+        if (v < lo)
+            under += k;
+        else if (v > hi)
+            over += k;
+        else
+            buckets[bucketOf.divide(v - lo)] += k;
+    }
+}
+
 double
 Distribution::stddev() const
 {
+    fold();
     if (n == 0)
         return 0.0;
     const double m = mean();
@@ -314,11 +344,13 @@ Distribution::reset()
     sumSq = 0.0;
     minSeen = maxSeen = 0;
     buckets.assign(buckets.size(), 0);
+    tally.assign(tally.size(), 0);
 }
 
 void
 Distribution::visit(StatVisitor &v) const
 {
+    fold();
     const SymId *nm = names();
     const SymId d = descSym();
     v.visitReal(nm[0], d, mean());

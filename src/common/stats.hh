@@ -350,6 +350,16 @@ class ReciprocalDivider
  * (lifetimes). Visitation exports the moments and then one "hist[i]"
  * triple per bucket, so records carry the full shape.
  *
+ * A per-cycle sampler of a bounded value (a structure's occupancy) can
+ * count instead: after countValuesUpTo(cap), sampleCounted(v) only
+ * bumps a per-value counter, and every read folds the counters into
+ * the moments, extremes and buckets. The fold equals sampling each
+ * value in turn while every partial sum stays an integer below 2^53,
+ * i.e. while cap^2 times the samples since reset() stays below 2^53
+ * (beyond 2^39 cycles for a 128-entry structure), because each sample
+ * then adds exactly. Per-event distributions (latencies, lifetimes)
+ * have no small bound and keep sample().
+ *
  * For metrics exported across a parameter sweep use evenBuckets(): the
  * bucket *count* is fixed regardless of the range, which keeps the
  * export schema identical across grid cells that differ in structure
@@ -390,15 +400,40 @@ class Distribution : public StatBase
         }
     }
 
-    std::uint64_t bucketCount(std::size_t i) const { return buckets.at(i); }
+    /** Count the values 0..@p cap per value from now on (see the class
+     *  comment). */
+    void countValuesUpTo(std::uint64_t cap) { tally.assign(cap + 1, 0); }
+
+    /** Record one sample of a counted distribution: values above the
+     *  counted range take sample(). */
+    void
+    sampleCounted(std::uint64_t v)
+    {
+        if (v < tally.size())
+            ++tally[v];
+        else
+            sample(v);
+    }
+
+    std::uint64_t
+    bucketCount(std::size_t i) const
+    {
+        fold();
+        return buckets.at(i);
+    }
     std::size_t numBuckets() const { return buckets.size(); }
-    std::uint64_t underflows() const { return under; }
-    std::uint64_t overflows() const { return over; }
-    std::uint64_t samples() const { return n; }
-    double mean() const { return n ? sum / static_cast<double>(n) : 0.0; }
+    std::uint64_t underflows() const { fold(); return under; }
+    std::uint64_t overflows() const { fold(); return over; }
+    std::uint64_t samples() const { fold(); return n; }
+    double
+    mean() const
+    {
+        fold();
+        return n ? sum / static_cast<double>(n) : 0.0;
+    }
     double stddev() const;
-    std::uint64_t minSample() const { return minSeen; }
-    std::uint64_t maxSample() const { return maxSeen; }
+    std::uint64_t minSample() const { fold(); return minSeen; }
+    std::uint64_t maxSample() const { fold(); return maxSeen; }
 
     void reset() override;
     void visit(StatVisitor &v) const override;
@@ -408,18 +443,30 @@ class Distribution : public StatBase
     std::uint64_t shapeKey() const override { return buckets.size(); }
 
   private:
+    /** Fold the per-value counts, if any, into the accumulators. */
+    void
+    fold() const
+    {
+        if (!tally.empty())
+            foldTally();
+    }
+    void foldTally() const;
+
     std::uint64_t lo;
     std::uint64_t hi;
     std::uint64_t bsize;
     ReciprocalDivider bucketOf;  ///< divides by bsize
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t under = 0;
-    std::uint64_t over = 0;
-    std::uint64_t n = 0;
-    double sum = 0.0;
-    double sumSq = 0.0;
-    std::uint64_t minSeen = 0;
-    std::uint64_t maxSeen = 0;
+    // The accumulators are mutable so that a read can fold the counts.
+    mutable std::vector<std::uint64_t> buckets;
+    mutable std::uint64_t under = 0;
+    mutable std::uint64_t over = 0;
+    mutable std::uint64_t n = 0;
+    mutable double sum = 0.0;
+    mutable double sumSq = 0.0;
+    mutable std::uint64_t minSeen = 0;
+    mutable std::uint64_t maxSeen = 0;
+    /** Samples of value v not yet folded (counted distributions). */
+    mutable std::vector<std::uint64_t> tally;
 };
 
 /**

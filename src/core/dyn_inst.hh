@@ -46,6 +46,13 @@ struct ReadyRef;
 /** An in-flight instruction (the cold half; hot state in InstHotPool). */
 struct DynInst
 {
+    /** Every member has a default initializer, so this leaves nothing
+     *  indeterminate. It is user-provided on purpose: value-initialising
+     *  a DynInst (Rob::allocate builds every entry that way) then runs
+     *  only those initializers, where an implicit or defaulted
+     *  constructor would first zero the whole record. */
+    DynInst() {}
+
     StaticInst si;
     bool wrongPath = false;     ///< fetched past a mispredicted branch
 

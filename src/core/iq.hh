@@ -60,6 +60,7 @@ class InstQueue
           occupancy(stats::Distribution::evenBuckets(
               "occupancy", "entries occupied per cycle", 0, capacity, 16))
     {
+        occupancy.countValuesUpTo(capacity);
         group.add(&occupancy);
         group.add(&broadcasts);
         group.add(&woken);
@@ -121,7 +122,7 @@ class InstQueue
     std::vector<ReadyRef> &wokenStores() { return storesWoken; }
 
     /** Record this cycle's occupancy (called once per cycle). */
-    void sampleOccupancy() { occupancy.sample(resident); }
+    void sampleOccupancy() { occupancy.sampleCounted(resident); }
 
     /** Register the "iq" stat group into the core's stats tree. */
     void regStats(stats::StatRegistry &r) { r.add(&group); }

@@ -140,6 +140,7 @@ class Lsq
           occupancy(stats::Distribution::evenBuckets(
               "occupancy", "entries occupied per cycle", 0, capacity, 16))
     {
+        occupancy.countValuesUpTo(capacity);
         group.add(&occupancy);
         group.add(&nForwards);
         group.add(&nUnknownHolds);
@@ -208,7 +209,7 @@ class Lsq
     void recordHold(LoadHold h);
 
     /** Record this cycle's occupancy (called once per cycle). */
-    void sampleOccupancy() { occupancy.sample(list.size()); }
+    void sampleOccupancy() { occupancy.sampleCounted(list.size()); }
 
     /** Register the "lsq" stat group into the core's stats tree. */
     void regStats(stats::StatRegistry &r) { r.add(&group); }

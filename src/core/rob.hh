@@ -36,6 +36,7 @@ class Rob
     {
         VPR_ASSERT(hotPool.capacity() >= entries,
                    "hot-state pool smaller than the ROB");
+        occupancy.countValuesUpTo(entries);
         group.add(&occupancy);
     }
 
@@ -48,16 +49,15 @@ class Rob
     std::size_t capacity() const { return buf.capacity(); }
 
     /**
-     * Allocate the tail entry: a default-initialised DynInst bound to
-     * its (fully reset) hot-state row. The caller fills in the cold
-     * fields and hot stamps in place — no DynInst copy.
+     * Allocate the tail entry: a DynInst value-initialised in its slot
+     * and bound to its (fully reset) hot-state row. The caller fills
+     * in the cold fields and hot stamps in place — no DynInst copy.
      * @return a pointer that stays valid until the entry is removed.
      */
     DynInst *
     allocate()
     {
-        buf.pushBack(DynInst());
-        DynInst &d = buf.back();
+        DynInst &d = buf.emplaceBack();
         auto slot = static_cast<HotIdx>(buf.physIndexOf(buf.size() - 1));
         hot.reset(slot);
         d.bindHot(&hot, slot);
@@ -97,7 +97,7 @@ class Rob
     const InstHotPool &hotPool() const { return hot; }
 
     /** Record the occupancy for this cycle. */
-    void sampleOccupancy() { occupancy.sample(buf.size()); }
+    void sampleOccupancy() { occupancy.sampleCounted(buf.size()); }
 
     const stats::Distribution &occupancyStat() const { return occupancy; }
     stats::Distribution &occupancyStat() { return occupancy; }

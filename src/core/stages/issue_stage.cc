@@ -35,6 +35,8 @@ IssueStage::IssueStage(PipelineState &state,
     retryQ.reserve(s.cfg.iqSize);
     for (auto &q : fuStallQ)
         q.reserve(s.cfg.iqSize);
+    for (auto &q : gateQ)
+        q.reserve(s.cfg.iqSize);
     group.add(&issued);
     group.add(&byClass);
     fetchToIssue.reserve(kNumOpClasses);
@@ -115,7 +117,7 @@ IssueStage::tryIssueOne(DynInst *inst)
 
     // The renamer's issue gate (VP issue-allocation policy).
     if (!s.renameMgr->tryIssue(*inst, now))
-        return {Outcome::Resource};
+        return {Outcome::Gate};
 
     // All checks passed: commit the side effects.
     s.regPorts.tryClaimReads(nIntReads, nFpReads);
@@ -200,7 +202,9 @@ IssueStage::tick()
     // instructions, last cycle's per-cycle-resource failures, FU-stall
     // lists whose unit class has capacity again (availability only
     // shrinks within a tick, so a class gated here would fail every
-    // attempt this cycle too), and released LSQ holds.
+    // attempt this cycle too), gate refusals the renamer's gate now
+    // admits (it only tightens within a tick; see gateQ), and released
+    // LSQ holds.
     cand.clear();
     s.iq.drainReadyEvents(cand);
     cand.insert(cand.end(), retryQ.begin(), retryQ.end());
@@ -212,6 +216,23 @@ IssueStage::tick()
             continue;
         cand.insert(cand.end(), q.begin(), q.end());
         q.clear();
+    }
+    for (std::size_t c = 0; c < kNumRegClasses; ++c) {
+        auto &q = gateQ[c];
+        if (q.empty())
+            continue;
+        const InstSeqNum bound =
+            s.renameMgr->issueGateBound(static_cast<RegClass>(c));
+        if (bound == 0)
+            continue;
+        std::size_t kept = 0;
+        for (const ReadyRef &e : q) {
+            if (e.seq < bound)
+                cand.push_back(e);
+            else
+                q[kept++] = e;
+        }
+        q.resize(kept);
     }
     s.lsq.takeReadyHolds(now, cand);
     // Age order by insertion sort: a handful of candidates per cycle,
@@ -261,6 +282,9 @@ IssueStage::tick()
                 fuStallQ[static_cast<std::size_t>(
                              fuTypeFor(inst->si.op))]
                     .push_back(inst->ref());
+                break;
+              case Outcome::Gate:
+                gateQ[classIdx(inst->destClass())].push_back(inst->ref());
                 break;
               case Outcome::Resource:
                 retryQ.push_back(inst->ref());

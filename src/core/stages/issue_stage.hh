@@ -8,12 +8,13 @@
  *
  * Selection is event-driven: the stage merges the IQ's newly published
  * ready instructions with its own parked entries (per-FU stall lists
- * gated on unit availability, a retry list for the per-cycle resources,
- * and the LSQ's released hold subscriptions), insertion-sorts the
- * merged candidates by age and attempts them oldest first — the whole
- * instruction queue is never walked. Entries that fail a structural
- * check are re-parked on the matching list; holds park inside the LSQ
- * until the blocking store resolves.
+ * gated on unit availability, per-class lists of the renamer's issue
+ * gate refusals gated on the gate's bound, a retry list for the
+ * per-cycle resources, and the LSQ's released hold subscriptions),
+ * insertion-sorts the merged candidates by age and attempts them
+ * oldest first — the whole instruction queue is never walked. Entries
+ * that fail a structural check are re-parked on the matching list;
+ * holds park inside the LSQ until the blocking store resolves.
  */
 
 #ifndef VPR_CORE_STAGES_ISSUE_STAGE_HH
@@ -46,7 +47,8 @@ class IssueStage
         Issued,    ///< side effects committed, instruction left the IQ
         Hold,      ///< LSQ disambiguation hold (blocker identifies why)
         NoFu,      ///< all functional units of the class busy
-        Resource,  ///< per-cycle resource (ports, renamer gate, cache)
+        Gate,      ///< the renamer's issue gate refused a register
+        Resource,  ///< per-cycle resource (read ports, cache)
     };
 
     /** One attempt's verdict, with the LSQ blocker for holds. */
@@ -74,6 +76,35 @@ class IssueStage
      *  cycle a unit is available again (until then every attempt
      *  would fail the same availability check). */
     std::array<std::vector<ReadyRef>, kNumFUTypes> fuStallQ;
+    /**
+     * Destination writers the renamer's issue gate refused, by
+     * destination class; merged back only once their sequence number
+     * is below RenameManager::issueGateBound. Skipping the attempts in
+     * between moves no record, because the gate only tightens within a
+     * cycle and a refused attempt has no side effect:
+     *
+     * - The VP issue gate (ReservationTracker::mayAllocate) admits X of
+     *   class c iff F > 0 && (X reserved || F > NRR - Used), with F the
+     *   free physical registers of c.
+     * - Inside one issue stage only allocations change F and Used. A
+     *   reserved allocation lowers F and raises Used by one, leaving
+     *   F - (NRR - Used) unchanged; a non-reserved one lowers F only.
+     *   The reserved set (the oldest min(NRR, n) destination writers)
+     *   moves only at rename, commit and squash, never inside issue.
+     *   So the bound read at the merge only falls until the stage
+     *   ends, and an instruction at or above it would be refused at
+     *   every attempt this cycle.
+     * - A refused attempt changes nothing: a load that reaches the gate
+     *   has already disambiguated Ready or Forward and can never be
+     *   held later (older stores' addresses only become known, and
+     *   stores leave only in order); the lazy MSHR fill retirement and
+     *   LSQ address-visibility flush its checks trigger happen anyway,
+     *   in the same order, at the next cache or LSQ access (fills
+     *   retire in allocation order, which is fill-cycle order because
+     *   bus start times never decrease); and the renamer's refusal
+     *   count is not exported.
+     */
+    std::array<std::vector<ReadyRef>, kNumRegClasses> gateQ;
 
     stats::StatGroup group{"issue"};
     stats::Scalar issued{"issued", "instructions issued"};

@@ -68,8 +68,10 @@ RenameManager::RenameManager(const RenameConfig &config)
         renameGroup.add(&meanHold[c]);
     for (std::size_t c = 0; c < kNumRegClasses; ++c)
         vpGroup.add(&lifetimeDist[c]);
-    for (std::size_t c = 0; c < kNumRegClasses; ++c)
+    for (std::size_t c = 0; c < kNumRegClasses; ++c) {
+        occupancyDist[c].countValuesUpTo(cfg.numPhysRegs);
         regfileGroup.add(&occupancyDist[c]);
+    }
     for (std::size_t c = 0; c < kNumRegClasses; ++c)
         regfileGroup.add(&peakBusy[c]);
 }

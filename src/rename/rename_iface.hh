@@ -118,6 +118,22 @@ class RenameManager
     virtual bool tryIssue(DynInst &inst, Cycle now) = 0;
 
     /**
+     * The issue gate for every waiting instruction of class @p cls at
+     * once: tryIssue would refuse exactly the destination writers of
+     * @p cls whose sequence number is not below this bound (kNoSeqNum:
+     * none refused). Within one issue stage only tryIssue's own
+     * allocations change the gate, and they only lower the bound (see
+     * IssueStage), so an instruction at or above it at the start of
+     * issue is refused all cycle.
+     */
+    virtual InstSeqNum
+    issueGateBound(RegClass cls) const
+    {
+        (void)cls;
+        return kNoSeqNum;
+    }
+
+    /**
      * Called when @p inst finishes execution. Updates map state and, for
      * VP write-back allocation, tries to allocate the physical register;
      * on failure returns ok=false and the core must re-queue the
@@ -162,7 +178,8 @@ class RenameManager
     sampleOccupancy()
     {
         for (std::size_t c = 0; c < kNumRegClasses; ++c)
-            occupancyDist[c].sample(busyPhysRegs(static_cast<RegClass>(c)));
+            occupancyDist[c].sampleCounted(
+                busyPhysRegs(static_cast<RegClass>(c)));
     }
 
     /** Regfile occupancy distribution for one class (tests/figures). */

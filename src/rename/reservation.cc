@@ -114,19 +114,19 @@ ReservationTracker::isReserved(InstSeqNum seq) const
     return lim != 0 && seq <= at(lim - 1).seq;
 }
 
-bool
-ReservationTracker::mayAllocate(InstSeqNum seq, std::size_t freeRegs) const
+InstSeqNum
+ReservationTracker::admitBound(std::size_t freeRegs) const
 {
     if (freeRegs == 0)
-        return false;
-    // Reserved instructions may always take a register (one is kept for
-    // each of them by construction).
-    if (isReserved(seq))
-        return true;
+        return 0;
     // Younger instructions must leave enough registers for the
     // not-yet-allocated part of the reserved set.
-    unsigned needed = nrr - usedInReserved();
-    return freeRegs > needed;
+    if (freeRegs > nrr - usedInReserved())
+        return kNoSeqNum;
+    // Reserved instructions may always take a register (one is kept for
+    // each of them by construction).
+    const std::size_t lim = reservedCount();
+    return lim != 0 ? at(lim - 1).seq + 1 : 0;
 }
 
 } // namespace vpr

@@ -60,7 +60,21 @@ class ReservationTracker
      * @param freeRegs free physical registers right now
      * @return true if the instruction may take a register
      */
-    bool mayAllocate(InstSeqNum seq, std::size_t freeRegs) const;
+    bool
+    mayAllocate(InstSeqNum seq, std::size_t freeRegs) const
+    {
+        return seq < admitBound(freeRegs);
+    }
+
+    /**
+     * The predicate for every tracked instruction at once: mayAllocate
+     * admits exactly the tracked instructions older than the returned
+     * sequence number. That is kNoSeqNum (all) when
+     * freeRegs > NRR - Used, one past the last reserved instruction
+     * when 0 < freeRegs <= NRR - Used, and 0 (none) when no register
+     * is free.
+     */
+    InstSeqNum admitBound(std::size_t freeRegs) const;
 
     /** True if @p seq is within the oldest-NRR reserved set. O(1).
      *  Precondition: @p seq is tracked (renamed, not yet committed or

@@ -155,6 +155,15 @@ VirtualPhysicalRename::tryIssue(DynInst &inst, Cycle now)
     return true;
 }
 
+InstSeqNum
+VirtualPhysicalRename::issueGateBound(RegClass cls) const
+{
+    if (!allocAtIssue)
+        return kNoSeqNum;
+    const std::size_t c = classIdx(cls);
+    return tracker[c].admitBound(physFreeList[c].size());
+}
+
 CompleteResult
 VirtualPhysicalRename::complete(DynInst &inst, Cycle now)
 {

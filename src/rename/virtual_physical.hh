@@ -57,6 +57,7 @@ class VirtualPhysicalRename : public RenameManager
     bool canRename(unsigned nIntDests, unsigned nFpDests) const override;
     void renameInst(DynInst &inst, Cycle now) override;
     bool tryIssue(DynInst &inst, Cycle now) override;
+    InstSeqNum issueGateBound(RegClass cls) const override;
     CompleteResult complete(DynInst &inst, Cycle now) override;
     void commitInst(DynInst &inst, Cycle now) override;
     void squashInst(DynInst &inst, Cycle now) override;

@@ -5,6 +5,7 @@
 #include <charconv>
 #include <fstream>
 #include <iomanip>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 
@@ -377,16 +378,23 @@ readResultsCsv(std::istream &is, const std::string &name)
     metaStream >> tok;
     if (tok != "v1")
         VPR_FATAL(name, ": unsupported version '", tok, "'");
-    // Every writer emits figure=, cells=, scale= and cfg=, each once: a
-    // line that lacks one or repeats a key is damaged, and merging it
-    // would write metadata no writer emits.
+    // Every writer emits figure=, cells=, shard=, scale= and cfg=, each
+    // once and nothing else: a line that lacks one, repeats a key or
+    // carries any other token is damaged, and merging it would write
+    // metadata no writer emits.
+    static constexpr const char *kKeys[] = {"figure", "cells", "shard",
+                                            "scale", "cfg"};
     std::vector<std::string> keys;
     while (metaStream >> tok) {
         std::size_t eq = tok.find('=');
         if (eq == std::string::npos)
-            continue;
+            VPR_FATAL(name, ": line 1: metadata token '", tok,
+                      "' is not key=value");
         std::string key = tok.substr(0, eq);
         std::string value = tok.substr(eq + 1);
+        if (std::find(std::begin(kKeys), std::end(kKeys), key) ==
+            std::end(kKeys))
+            VPR_FATAL(name, ": line 1: unknown metadata key '", key, "='");
         if (std::find(keys.begin(), keys.end(), key) != keys.end())
             VPR_FATAL(name, ": line 1: metadata key '", key,
                       "=' appears twice");
@@ -401,13 +409,21 @@ readResultsCsv(std::istream &is, const std::string &name)
             if (!parseParamU64(value, cells))
                 badField(name, 1, "cells=", value, "a cell count");
             file.totalCells = cells;
+        } else if (key == "shard") {
+            // Checked only: the merge takes each row's cell index as
+            // it stands.
+            try {
+                parseShard(value.c_str());
+            } catch (const Error &) {
+                badField(name, 1, "shard=", value, "i/N with 0 <= i < N");
+            }
         } else if (key == "scale") {
             file.scale = value;
         } else if (key == "cfg") {
             file.configDigest = value;
         }
     }
-    for (const char *required : {"figure", "cells", "scale", "cfg"})
+    for (const char *required : kKeys)
         if (std::find(keys.begin(), keys.end(), required) == keys.end())
             VPR_FATAL(name, ": line 1: metadata key '", required,
                       "=' is missing");

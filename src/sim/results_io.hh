@@ -129,8 +129,10 @@ struct ResultsFile
 };
 
 /** Parse a CSV result stream; @p name is used in error messages. The
- *  cells= count, every cell index and every metric value must parse
- *  whole (Error naming @p name, the line and the column). */
+ *  metadata line must carry figure=, cells=, shard=, scale= and cfg=,
+ *  once each and nothing else; the cells= count, the shard= spec,
+ *  every cell index and every metric value must parse whole (Error
+ *  naming @p name, the line and the column or key). */
 ResultsFile readResultsCsv(std::istream &is, const std::string &name);
 
 /** Parse a CSV result file; fatal()s if unreadable or malformed. */

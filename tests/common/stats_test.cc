@@ -296,6 +296,54 @@ TEST(Visitation, DistributionVisitsSubValuesAndBuckets)
     EXPECT_EQ(v.entries[13], "occ.hist[4]=1");
 }
 
+/** Every exported sub-value of @p a equals @p b's, bit for bit. */
+void
+expectSameDistribution(const Distribution &a, const Distribution &b)
+{
+    EXPECT_EQ(a.samples(), b.samples());
+    EXPECT_EQ(a.mean(), b.mean());
+    EXPECT_EQ(a.stddev(), b.stddev());
+    EXPECT_EQ(a.minSample(), b.minSample());
+    EXPECT_EQ(a.maxSample(), b.maxSample());
+    EXPECT_EQ(a.underflows(), b.underflows());
+    EXPECT_EQ(a.overflows(), b.overflows());
+    ASSERT_EQ(a.numBuckets(), b.numBuckets());
+    for (std::size_t i = 0; i < a.numBuckets(); ++i)
+        EXPECT_EQ(a.bucketCount(i), b.bucketCount(i)) << "bucket " << i;
+}
+
+TEST(Distribution, CountedFoldEqualsSamplingEachValue)
+{
+    // Values 0..47 over a [3, 40] range counted up to 20: the counts
+    // cover underflows and low buckets, while values above 20 take
+    // sample() (buckets, then overflows). Reads between samples fold
+    // part of the counts at a time; reset() clears both paths.
+    const auto make = [] {
+        return Distribution::evenBuckets("occ", "occupancy", 3, 40, 16);
+    };
+    Distribution direct = make();
+    Distribution counted = make();
+    counted.countValuesUpTo(20);
+    std::uint64_t x = 12345;
+    for (int round = 0; round < 3; ++round) {
+        for (int i = 0; i < 5000; ++i) {
+            x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+            const std::uint64_t v = (x >> 33) % 48;
+            direct.sample(v);
+            counted.sampleCounted(v);
+            if (i % 997 == 0)
+                expectSameDistribution(counted, direct);
+        }
+        expectSameDistribution(counted, direct);
+        EXPECT_GT(counted.underflows(), 0u);
+        EXPECT_GT(counted.overflows(), 0u);
+        direct.reset();
+        counted.reset();
+        expectSameDistribution(counted, direct);
+        EXPECT_EQ(counted.samples(), 0u);
+    }
+}
+
 TEST(Distribution, StddevOfConstantIsZero)
 {
     Distribution d("d", "dist", 0, 9, 1);

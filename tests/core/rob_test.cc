@@ -106,6 +106,42 @@ TEST(Rob, OccupancySampling)
     EXPECT_DOUBLE_EQ(f.rob.occupancyStat().mean(), 1.5);
 }
 
+TEST(Rob, SlotReusedAfterSquashedStoreComesBackValueInitialised)
+{
+    // allocate() builds the entry in its slot; the slot's previous
+    // occupant, a squashed store that had executed, must leave nothing
+    // behind.
+    RobFixture f(2);
+    f.alu(1);
+    DynInst *st = f.rob.allocate();
+    st->si = StaticInst::store(RegId::intReg(4), RegId::intReg(5), 0x40);
+    st->setSeq(2);
+    st->executions = 2;
+    st->addrReady = true;
+    st->addrReadyCycle = 9;
+    st->storeForwarded = true;
+    st->physReg = 40;
+    for (SrcOperand &src : st->src)
+        src = SrcOperand{7, RegClass::Float, true, true};
+    const HotIdx slot = st->slot;
+    f.rob.squashTail();
+
+    DynInst *d = f.rob.allocate();
+    ASSERT_EQ(d, st);
+    EXPECT_EQ(d->slot, slot);
+    EXPECT_EQ(d->executions, 0u);
+    EXPECT_FALSE(d->addrReady);
+    EXPECT_EQ(d->addrReadyCycle, kNoCycle);
+    EXPECT_FALSE(d->storeForwarded);
+    EXPECT_EQ(d->physReg, kNoReg);
+    EXPECT_FALSE(d->si.isStore());
+    for (const SrcOperand &src : d->src) {
+        EXPECT_FALSE(src.valid);
+        EXPECT_FALSE(src.ready);
+        EXPECT_EQ(src.tag, kNoReg);
+    }
+}
+
 TEST(Rob, AtIndexesFromOldest)
 {
     RobFixture f(4);

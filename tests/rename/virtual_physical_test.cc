@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
+#include "rename/factory.hh"
 #include "rename/virtual_physical.hh"
 
 namespace vpr
@@ -242,6 +246,86 @@ TEST(VirtualPhysical, IssuePolicyDeniesYoungWhenScarce)
     // Used = 2, free = 0: nothing more may allocate.
     EXPECT_FALSE(rn.tryIssue(insts[2], 4));
     EXPECT_EQ(rn.issueRejections(), 3u);
+}
+
+TEST(VirtualPhysical, IssueGateBoundIsAllReservedPrefixOrNone)
+{
+    // NRR 2 with four spare registers: the bound walks from "all"
+    // through "the reserved prefix" to "none" as issue allocates.
+    VirtualPhysicalRename rn(cfg(36, 2), true);
+    std::vector<DynInst> insts;
+    for (InstSeqNum i = 1; i <= 5; ++i) {
+        insts.push_back(inst(i, StaticInst::alu(RegId::intReg(10 + i),
+                                                RegId::intReg(1),
+                                                RegId::intReg(2))));
+        rn.renameInst(insts.back(), 1);
+    }
+    const auto bound = [&rn] { return rn.issueGateBound(RegClass::Int); };
+    EXPECT_EQ(bound(), kNoSeqNum);           // free 4 > NRR - Used = 2
+    EXPECT_TRUE(rn.tryIssue(insts[4], 2));   // young, free 4 -> 3
+    EXPECT_EQ(bound(), kNoSeqNum);           // 3 > 2
+    EXPECT_TRUE(rn.tryIssue(insts[3], 2));   // young, free 3 -> 2
+    EXPECT_EQ(bound(), 3u);                  // 2 > 2 fails: seq 1, 2 only
+    EXPECT_FALSE(rn.tryIssue(insts[2], 2));
+    EXPECT_TRUE(rn.tryIssue(insts[0], 2));   // reserved, free 1, Used 1
+    EXPECT_EQ(bound(), 3u);
+    EXPECT_TRUE(rn.tryIssue(insts[1], 2));   // reserved, free 0
+    EXPECT_EQ(bound(), 0u);                  // none
+    // The FP file is untouched, and the other schemes never refuse.
+    EXPECT_EQ(rn.issueGateBound(RegClass::Float), kNoSeqNum);
+    for (RenameScheme scheme :
+         {RenameScheme::Conventional, RenameScheme::VPAllocAtWriteback,
+          RenameScheme::ConventionalEarlyRelease})
+        EXPECT_EQ(makeRenamer(scheme, cfg(36, 2))
+                      ->issueGateBound(RegClass::Int),
+                  kNoSeqNum)
+            << renameSchemeName(scheme);
+}
+
+TEST(VirtualPhysical, IssueGateBoundOnlyFallsWhileIssueAllocates)
+{
+    // Within one issue stage only tryIssue's own allocations change the
+    // gate. In any order of attempts, tryIssue admits exactly the
+    // instructions below the current bound, and no allocation raises
+    // the bound, so one at or above the bound read before the first
+    // attempt is refused all cycle.
+    std::mt19937 rng(11);
+    for (std::uint16_t spare = 1; spare <= 6; ++spare) {
+        for (std::uint16_t nrr = 1; nrr <= spare; ++nrr) {
+            for (int trial = 0; trial < 10; ++trial) {
+                VirtualPhysicalRename rn(
+                    cfg(static_cast<std::uint16_t>(kNumLogicalRegs + spare),
+                        nrr),
+                    true);
+                std::vector<DynInst> insts;
+                for (InstSeqNum i = 1; i <= 10; ++i) {
+                    insts.push_back(inst(
+                        i, StaticInst::alu(
+                               RegId::intReg(static_cast<std::uint16_t>(i)),
+                               RegId::intReg(20), RegId::intReg(21))));
+                    rn.renameInst(insts.back(), 1);
+                }
+                std::vector<std::size_t> order(insts.size());
+                for (std::size_t i = 0; i < order.size(); ++i)
+                    order[i] = i;
+                std::shuffle(order.begin(), order.end(), rng);
+                const InstSeqNum start = rn.issueGateBound(RegClass::Int);
+                InstSeqNum bound = start;
+                for (std::size_t i : order) {
+                    DynInst &d = insts[i];
+                    EXPECT_EQ(rn.tryIssue(d, 2), d.seq() < bound)
+                        << "spare " << spare << " nrr " << nrr;
+                    if (d.seq() >= start) {
+                        EXPECT_EQ(d.physReg, kNoReg);
+                    }
+                    const InstSeqNum after =
+                        rn.issueGateBound(RegClass::Int);
+                    EXPECT_LE(after, bound);
+                    bound = after;
+                }
+            }
+        }
+    }
 }
 
 TEST(VirtualPhysical, WritebackPolicyIssueNeverBlocks)

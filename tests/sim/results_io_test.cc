@@ -448,6 +448,32 @@ TEST(ResultsCsvDeath, IncompleteOrRepeatedMetadataIsFatal)
             << label;
 }
 
+TEST(ResultsCsvDeath, StrayOrMalformedMetadataIsFatal)
+{
+    // The metadata line carries exactly the writer's five keys. A stray
+    // token, a key no writer emits, or a shard= that is missing or not
+    // i/N names the file and the token, where each used to merge.
+    const std::string csv = halfShardCsv();
+    auto damaged = [&csv](const std::string &from, const std::string &to) {
+        std::string text = csv;
+        const std::size_t at = text.find(from);
+        EXPECT_LT(at, text.find('\n')) << from;
+        return text.replace(at, from.size(), to);
+    };
+    EXPECT_VPR_ERROR(readCsvText(damaged(" cells=", " junk cells=")),
+                     "bad: line 1: metadata token 'junk' is not "
+                     "key=value");
+    EXPECT_VPR_ERROR(readCsvText(damaged(" cells=", " seed=3 cells=")),
+                     "bad: line 1: unknown metadata key 'seed='");
+    EXPECT_VPR_ERROR(readCsvText(damaged(" shard=0/2", "")),
+                     "bad: line 1: metadata key 'shard=' is missing");
+    for (const std::string shard : {"zz", "", "2/2", "0/0", "1", "0/2x"})
+        EXPECT_VPR_ERROR(
+            readCsvText(damaged(" shard=0/2", " shard=" + shard)),
+            "bad: line 1, column shard=: bad value '" + shard + "'")
+            << shard;
+}
+
 TEST(ResultsCsvDeath, TruncatedRowIsFatal)
 {
     // Chop the final field off the last data row: the column count no

@@ -18,6 +18,13 @@
  *   all run (the coverage test checks that they do).
  * - scheduler_golden_er.csv: every kernel under conv-er, which needs
  *   core.fetch.wrong_path=stall.
+ * - scheduler_golden_gate.csv: compress and swim under vp-issue at
+ *   NRR 1, 4, 8 and 16 with 48 and 64 registers. The NRR 32 cells of
+ *   scheduler_golden.csv never open the issue gate to an instruction
+ *   outside the reserved set; these cells do (paper §3.3's
+ *   free > NRR - Used branch), so the issue stage's parked gate
+ *   refusals must re-admit exactly when the gate opens. It was
+ *   recorded by the build before the gate list existed.
  *
  * The two scheduler goldens are the oracle for the event-driven
  * scheduler (wait-list wakeup, ready-list issue, store-table
@@ -127,6 +134,19 @@ runSchedulerErCsv()
 }
 
 std::string
+runSchedulerGateCsv()
+{
+    return runSweepCsv("scheduler-golden-gate", {"compress", "swim"},
+                       schedulerConfig(WrongPathMode::Synthesize),
+                       {{"core.scheme", {"vp-issue"}},
+                        // regfile_size resets NRR to its maximum, so
+                        // it is applied first.
+                        {"core.rename.regfile_size", {"48", "64"}},
+                        {"core.rename.nrr", {"1", "4", "8", "16"}}},
+                       2);
+}
+
+std::string
 goldenPath(const std::string &file)
 {
     return std::string(VPR_TEST_DATA_DIR) + "/" + file;
@@ -174,6 +194,11 @@ TEST(SchedulerGolden, CsvIsByteIdenticalToRecord)
 TEST(SchedulerGolden, EarlyReleaseCsvIsByteIdenticalToRecord)
 {
     expectMatchesGolden(runSchedulerErCsv(), "scheduler_golden_er.csv");
+}
+
+TEST(SchedulerGolden, IssueGateCsvIsByteIdenticalToRecord)
+{
+    expectMatchesGolden(runSchedulerGateCsv(), "scheduler_golden_gate.csv");
 }
 
 TEST(SchedulerGolden, RecordsExerciseRecoveryReexecutionAndHolds)
