@@ -216,44 +216,6 @@ class Real : public StatBase
     double val = 0.0;
 };
 
-/** Mean of a stream of samples. */
-class Average : public StatBase
-{
-  public:
-    using StatBase::StatBase;
-
-    void
-    sample(double v)
-    {
-        sum += v;
-        ++n;
-    }
-
-    double mean() const { return n ? sum / static_cast<double>(n) : 0.0; }
-    std::uint64_t samples() const { return n; }
-    double total() const { return sum; }
-
-    void reset() override { sum = 0.0; n = 0; }
-
-    void
-    visit(StatVisitor &v) const override
-    {
-        v.visitReal(names()[0], descSym(), mean());
-        v.visitUInt(names()[1], descSym(), n);
-    }
-
-  protected:
-    void
-    nameSuffixes(std::vector<std::string> &out) const override
-    {
-        out.insert(out.end(), {"", ".samples"});
-    }
-
-  private:
-    double sum = 0.0;
-    std::uint64_t n = 0;
-};
-
 /**
  * Mean-with-confidence-interval estimator over a small number of
  * real-valued observations (one per sampled measurement interval). The

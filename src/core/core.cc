@@ -149,7 +149,6 @@ Core::tick()
                   " iq=", state.iq.size(), " lsq=", state.lsq.size(),
                   " mshrs=", state.cache.mshrs().size(),
                   " portUsedNow=", state.cachePortSched.used(state.curCycle),
-                  " storesWaiting=", completions.parkedStoreCount(),
                   " events=", completions.pendingEvents());
     }
 
@@ -169,8 +168,7 @@ Core::quiescent() const
     return state.rob.empty() && state.iq.size() == 0 &&
            state.lsq.size() == 0 && !state.fetch.hasInst() &&
            !state.fetch.awaitingResolve() &&
-           completions.pendingEvents() == 0 &&
-           completions.parkedStoreCount() == 0;
+           completions.pendingEvents() == 0;
 }
 
 void

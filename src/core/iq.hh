@@ -31,10 +31,11 @@
  * numbers the issue stage sorts its candidates by, and branch recovery
  * removes each squashed instruction from the ROB walk.
  *
- * An issued store parked on its data operand (CompletionQueue) still
- * has that operand recorded in its tag's wait list, from its insert, so
- * the broadcast that produces the data wakes it too and hands it to the
- * complete stage on the woken-stores list.
+ * An issued store parked on its data operand (Issued, with no
+ * completion event yet) still has that operand recorded in its tag's
+ * wait list, from its insert, so the broadcast that produces the data
+ * wakes it too and hands it to the complete stage on the woken-stores
+ * list.
  */
 
 #ifndef VPR_CORE_IQ_HH

@@ -71,9 +71,9 @@ Lsq::insert(DynInst *inst)
 {
     VPR_ASSERT(!full(), "insert into full LSQ");
     VPR_ASSERT(inst->isMem(), "non-memory instruction in LSQ");
-    VPR_ASSERT(list.empty() || list.back()->seq() < inst->seq(),
-               "LSQ insert out of program order");
-    list.push_back(inst);
+    VPR_ASSERT(youngest < inst->seq(), "LSQ insert out of program order");
+    youngest = inst->seq();
+    ++resident;
     // A store enters with its address unknown; program order keeps the
     // unknown list seq-sorted by construction.
     if (inst->isStore())
@@ -91,14 +91,14 @@ Lsq::eraseUnknown(InstSeqNum seq)
 }
 
 void
-Lsq::flushKnown(Cycle now)
+Lsq::flushKnown(Cycle until)
 {
     // Address visibility cycles are handed in nondecreasing order
     // (issue assigns now + 1 with a monotonic clock), so the pending
     // list is a FIFO.
-    while (!pendingKnown.empty() && pendingKnown.front().second <= now) {
+    while (!pendingKnown.empty() && pendingKnown.front().second < until) {
         eraseUnknown(pendingKnown.front().first);
-        pendingKnown.pop_front();
+        pendingKnown.popFront();
     }
 }
 
@@ -170,11 +170,15 @@ Lsq::onStoreAddrComputed(DynInst *inst)
     // store still counts as unknown (checked lazily against the cycle),
     // and the unknown-list entry is flushed once the cycle passes. The
     // flush relies on visibility cycles arriving in nondecreasing order
-    // (issue assigns now + 1 with a monotonic clock).
+    // (issue assigns now + 1 with a monotonic clock). Issue computes
+    // an address the cycle before it becomes visible, so every entry
+    // due before this one is visible already: flushing those first
+    // bounds the list by the stores that issue in one cycle.
     VPR_ASSERT(pendingKnown.empty() ||
                    pendingKnown.back().second <= inst->addrReadyCycle,
                "store address visibility cycles must be monotone");
-    pendingKnown.push_back({inst->seq(), inst->addrReadyCycle});
+    flushKnown(inst->addrReadyCycle);
+    pendingKnown.pushBack({inst->seq(), inst->addrReadyCycle});
     releaseSubs(inst, inst->addrReadyCycle);
 }
 
@@ -215,13 +219,8 @@ Lsq::takeReadyHolds(Cycle now, std::vector<ReadyRef> &out)
 void
 Lsq::remove(DynInst *inst)
 {
-    // Commit removes in program order, so the entry is almost always
-    // the front; the scan is a fallback for the rare mid-queue case.
-    std::size_t i = 0;
-    while (i < list.size() && list[i] != inst)
-        ++i;
-    VPR_ASSERT(i < list.size(), "LSQ remove: entry not present");
-    list.erase(i);
+    VPR_ASSERT(resident != 0, "LSQ remove from an empty queue");
+    --resident;
     if (inst->isStore()) {
         eraseLineEntries(inst);
         eraseUnknown(inst->seq());
@@ -232,18 +231,14 @@ Lsq::remove(DynInst *inst)
 }
 
 void
-Lsq::squashYoungerThan(InstSeqNum seq)
+Lsq::squash(DynInst *inst)
 {
-    while (!list.empty() && list.back()->seq() > seq) {
-        DynInst *inst = list.back();
-        if (inst->isStore()) {
-            eraseLineEntries(inst);
-            eraseUnknown(inst->seq());
-            // Subscribers are younger than their blocker: all squashed
-            // with it, so the subscriptions die outright.
-            dropSubs(inst);
-        }
-        list.pop_back();
+    VPR_ASSERT(resident != 0, "LSQ squash from an empty queue");
+    --resident;
+    if (inst->isStore()) {
+        eraseLineEntries(inst);
+        eraseUnknown(inst->seq());
+        dropSubs(inst);
     }
 }
 
@@ -251,7 +246,7 @@ LoadCheck
 Lsq::disambiguate(const DynInst *load, Cycle now)
 {
     VPR_ASSERT(load->isLoad(), "checkLoad on non-load");
-    flushKnown(now);
+    flushKnown(now + 1);
 
     // Youngest older store whose address is still unknown at `now` (the
     // unknown-address watermark). Entries whose visibility cycle has

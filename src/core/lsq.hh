@@ -22,6 +22,11 @@
  * computation or commit releases the subscription, and takeReadyHolds()
  * hands the re-attemptable loads back to the issue stage at exactly the
  * cycle an every-cycle re-check would have unblocked them.
+ *
+ * The queue keeps no list of its entries: the ROB already holds them in
+ * program order, so the queue counts its residents, commit removes the
+ * oldest, and branch recovery's ROB walk squashes each memory
+ * instruction it pops.
  */
 
 #ifndef VPR_CORE_LSQ_HH
@@ -30,7 +35,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/ring_deque.hh"
+#include "common/circular_buffer.hh"
 #include "common/stats.hh"
 #include "core/dyn_inst.hh"
 
@@ -136,7 +141,7 @@ class Lsq
 {
   public:
     explicit Lsq(std::size_t capacity)
-        : cap(capacity),
+        : cap(capacity), pendingKnown(capacity),
           occupancy(stats::Distribution::evenBuckets(
               "occupancy", "entries occupied per cycle", 0, capacity, 16))
     {
@@ -147,9 +152,9 @@ class Lsq
         group.add(&nPartialHolds);
     }
 
-    bool full() const { return list.size() >= cap; }
-    bool empty() const { return list.empty(); }
-    std::size_t size() const { return list.size(); }
+    bool full() const { return resident >= cap; }
+    bool empty() const { return resident == 0; }
+    std::size_t size() const { return resident; }
     std::size_t capacity() const { return cap; }
 
     /** Insert a memory instruction at rename (program order). */
@@ -160,8 +165,10 @@ class Lsq
      *  (commit ticks before issue). */
     void remove(DynInst *inst);
 
-    /** Remove every entry younger than @p seq (branch recovery). */
-    void squashYoungerThan(InstSeqNum seq);
+    /** Remove the entry for @p inst, the youngest resident (branch
+     *  recovery's ROB walk). A squashed store drops its subscribers,
+     *  which are younger and squashed with it. */
+    void squash(DynInst *inst);
 
     /**
      * Disambiguation check for @p load at cycle @p now: find the
@@ -209,12 +216,10 @@ class Lsq
     void recordHold(LoadHold h);
 
     /** Record this cycle's occupancy (called once per cycle). */
-    void sampleOccupancy() { occupancy.sampleCounted(list.size()); }
+    void sampleOccupancy() { occupancy.sampleCounted(resident); }
 
     /** Register the "lsq" stat group into the core's stats tree. */
     void regStats(stats::StatRegistry &r) { r.add(&group); }
-
-    const RingDeque<DynInst *> &entries() const { return list; }
 
   private:
     /** Disambiguation granularity: 16-byte lines, >= the largest
@@ -246,9 +251,9 @@ class Lsq
     /** Erase @p seq from the unknown-address list if present. */
     void eraseUnknown(InstSeqNum seq);
 
-    /** Drop the due entries of pendingKnown (stores whose addresses
-     *  became visible by @p now) from the unknown list. */
-    void flushKnown(Cycle now);
+    /** Drop the entries of pendingKnown whose addresses are visible
+     *  before cycle @p until from the unknown list. */
+    void flushKnown(Cycle until);
 
     /** Remove a store's line-table entries (commit or squash). */
     void eraseLineEntries(DynInst *store);
@@ -281,7 +286,11 @@ class Lsq
     SubList &subsFor(const DynInst *store);
 
     std::size_t cap;
-    RingDeque<DynInst *> list;  ///< program order, front = oldest
+    std::size_t resident = 0;
+    /** Sequence number of the youngest instruction ever inserted: a
+     *  squash never rolls the sequence back, so program order only
+     *  needs this watermark. */
+    InstSeqNum youngest = 0;
 
     /** Line address -> in-flight stores with computed addresses. */
     LineRefMap lineTable;
@@ -290,8 +299,12 @@ class Lsq
     std::vector<ReadyRef> unknownStores;
     /** FIFO of (store seq, visibility cycle): a computed address stays
      *  "unknown" until its cycle passes, then the unknown-list entry is
-     *  flushed eagerly so queries never wade through stale entries. */
-    RingDeque<std::pair<InstSeqNum, Cycle>> pendingKnown;
+     *  flushed eagerly so queries never wade through stale entries.
+     *  Each push first flushes every entry visible before its own
+     *  cycle, so what remains are stores that computed their addresses
+     *  in the same cycle, all resident: the queue's capacity bounds
+     *  it. */
+    CircularBuffer<std::pair<InstSeqNum, Cycle>> pendingKnown;
 
     /** Per-hot-slot hold subscriptions (see SubList). */
     std::vector<SubList> holdSubs;

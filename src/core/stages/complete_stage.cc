@@ -63,13 +63,11 @@ CompleteStage::tick()
         }
 
         if (inst->mispredictedBranch) {
-            // Branch recovery: the recovery walk over the shared
-            // structures, then the parked stores of squashed
-            // instructions, then the fetch redirect, which flushes the
-            // fetch buffer before rename and fetch tick this cycle.
-            // No other stage holds state that a squash must undo.
+            // Branch recovery: the ROB walk over the shared structures,
+            // then the fetch redirect, which flushes the fetch buffer
+            // before rename and fetch tick this cycle. No other stage
+            // holds state that a squash must undo.
             s.squashYoungerThan(inst->seq());
-            completions.squashYoungerThan(inst->seq());
             s.fetch.resolveBranch(now);
         }
     }
@@ -83,7 +81,6 @@ CompleteStage::tick()
         const Cycle ready = ref.inst->addrReadyCycle;
         completions.schedule(now + 1 > ready ? now + 1 : ready, ref.seq,
                              ref.inst);
-        completions.unparkStore(ref.seq);
     }
     woken.clear();
 }

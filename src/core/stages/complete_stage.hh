@@ -4,8 +4,9 @@
  * CompletionQueue. Write-back register allocation happens here — the VP
  * write-back policy may refuse and squash the instruction back to the
  * IQ; values broadcast to the IQ; a mispredicted branch runs branch
- * recovery: the recovery walk over the shared structures, the parked
- * stores in its own latch, and the fetch redirect.
+ * recovery: the ROB walk over the shared structures and the fetch
+ * redirect. Parked stores whose data a broadcast woke are scheduled
+ * here too.
  */
 
 #ifndef VPR_CORE_STAGES_COMPLETE_STAGE_HH

@@ -144,8 +144,8 @@ IssueStage::tryIssueOne(DynInst *inst)
     } else if (inst->isStore()) {
         // Address generation only; data is written to the cache at
         // commit. The store completes once address *and* data are
-        // known; with the data still in flight it parks in the
-        // CompletionQueue until the data's broadcast wakes it.
+        // known; with the data still in flight it parks, Issued with no
+        // completion event, until the data's broadcast wakes it.
         raw = now + 1;
         inst->addrReady = true;
         inst->addrReadyCycle = now + 1;
@@ -160,7 +160,6 @@ IssueStage::tryIssueOne(DynInst *inst)
             ++inst->executions;
             ++issued;
             byClass.inc(static_cast<std::size_t>(op), reExecution ? 1 : 0);
-            completions.parkStore(inst, inst->seq());
             bool fuOkStore = s.fus.tryIssue(op, now, raw);
             VPR_ASSERT(fuOkStore, "FU vanished after availability check");
             return {Outcome::Issued};

@@ -1,10 +1,14 @@
 /**
  * @file
  * The issue -> complete latch: CompletionQueue, which holds scheduled
- * completion events and the stores parked on an in-flight data operand.
- * Core owns it and hands it to the two stages that drive and drain it.
- * Rename and complete reach the FetchUnit's buffer and redirect wire
- * through PipelineState directly.
+ * completion events. Core owns it and hands it to the two stages that
+ * drive and drain it. Rename and complete reach the FetchUnit's buffer
+ * and redirect wire through PipelineState directly.
+ *
+ * A store issued with its data operand still in flight is parked: it is
+ * Issued with no event here. Its data operand's entry in the IQ's wait
+ * lists wakes it, and the complete stage then schedules its event. The
+ * latch keeps no list of its own, so branch recovery never touches it.
  */
 
 #ifndef VPR_CORE_STAGES_LATCHES_HH
@@ -32,11 +36,10 @@ struct CompletionEvent
 };
 
 /**
- * The issue→complete latch: a time-ordered queue of completion events
- * plus the issued stores waiting for their data operand. Events for
- * squashed instructions are filtered lazily at pop time (the ROB slot
- * may have been reused, so the (seq, phase) pair is re-checked), which
- * keeps recovery O(squashed instructions).
+ * The issue→complete latch: a time-ordered queue of completion events.
+ * Events for squashed instructions are filtered lazily at pop time (the
+ * ROB slot may have been reused, so the (seq, phase) pair is
+ * re-checked), so recovery does not touch the queue.
  *
  * The events live in a cycle-indexed calendar (timing wheel): a
  * power-of-two ring of per-cycle buckets spanning the maximum FU/cache
@@ -119,44 +122,8 @@ class CompletionQueue
 
     std::size_t pendingEvents() const { return nEvents; }
 
-    /** Park an issued store until its data operand is produced. */
-    void
-    parkStore(DynInst *inst, InstSeqNum seq)
-    {
-        storesAwaitingData.emplace_back(inst, seq, inst->slot);
-    }
-
-    /** The parked store @p seq got its data and is scheduled: drop it
-     *  (the list is unordered). */
-    void
-    unparkStore(InstSeqNum seq)
-    {
-        for (ReadyRef &ref : storesAwaitingData) {
-            if (ref.seq == seq) {
-                ref = storesAwaitingData.back();
-                storesAwaitingData.pop_back();
-                return;
-            }
-        }
-        VPR_PANIC("unparkStore: store sn:", seq, " is not parked");
-    }
-
-    std::size_t parkedStoreCount() const { return storesAwaitingData.size(); }
-
-    /** Drop parked stores younger than @p youngestKept (recovery). */
-    void
-    squashYoungerThan(InstSeqNum youngestKept)
-    {
-        std::size_t keep = 0;
-        for (auto &entry : storesAwaitingData)
-            if (entry.seq <= youngestKept)
-                storesAwaitingData[keep++] = entry;
-        storesAwaitingData.resize(keep);
-    }
-
-    /** True if any event or parked store references @p seq (tests):
-     *  walks the live bucket remainders, the overflow list and the
-     *  parked stores. */
+    /** True if any event references @p seq (tests): walks the live
+     *  bucket remainders and the overflow list. */
     bool
     pendingFor(InstSeqNum seq) const
     {
@@ -169,9 +136,6 @@ class CompletionQueue
         }
         for (const auto &ev : overflow)
             if (ev.seq == seq)
-                return true;
-        for (const auto &ref : storesAwaitingData)
-            if (ref.seq == seq)
                 return true;
         return false;
     }
@@ -246,11 +210,6 @@ class CompletionQueue
     std::size_t drainIdx = 0;     ///< consumed prefix of bucket[base]
     bool curSorted = true;        ///< bucket[base] tail is seq-sorted
     std::size_t nEvents = 0;
-
-    /** Issued stores whose data operand has not been produced yet; the
-     *  data broadcast wakes them through the IQ's wait lists, and the
-     *  complete stage schedules and unparks them. Unordered. */
-    std::vector<ReadyRef> storesAwaitingData;
 };
 
 } // namespace vpr

@@ -76,11 +76,12 @@ PipelineState::resetStats()
 void
 PipelineState::squashYoungerThan(InstSeqNum youngestKept)
 {
-    lsq.squashYoungerThan(youngestKept);
     while (!rob.empty() && rob.tail().seq() > youngestKept) {
         DynInst &tail = rob.tail();
         if (tail.inIq())
             iq.remove(&tail);
+        if (tail.isMem())
+            lsq.squash(&tail);
         renameMgr->squashInst(tail, curCycle);
         tail.setPhase(InstPhase::Squashed);
         ++squashedStat;

@@ -41,10 +41,11 @@ struct PipelineState
     void resetStats();
 
     /**
-     * Branch recovery over the shared structures: drop LSQ entries and
-     * walk the ROB youngest-first down to @p youngestKept, removing each
-     * instruction still in the IQ and undoing each rename (the paper's
-     * recovery walk).
+     * Branch recovery over the shared structures: walk the ROB
+     * youngest-first down to @p youngestKept, removing each instruction
+     * still in the IQ and each memory instruction from the LSQ, and
+     * undoing each rename (the paper's recovery walk). The ROB is the
+     * only program-order list, so this walk is all a squash undoes.
      */
     void squashYoungerThan(InstSeqNum youngestKept);
 

@@ -29,11 +29,9 @@ PressureTracker::onFree(PhysRegId reg, Cycle now)
     VPR_ASSERT(allocCycle[reg] != kNoCycle, "free of unallocated reg ",
                reg);
     VPR_ASSERT(now >= allocCycle[reg], "free before alloc");
-    holdCycles += now - allocCycle[reg];
     if (lifetime)
         lifetime->sample(now - allocCycle[reg]);
     allocCycle[reg] = kNoCycle;
-    ++nFrees;
     VPR_ASSERT(nBusy > 0, "busy underflow");
     --nBusy;
 }
@@ -46,8 +44,6 @@ PressureTracker::reset(Cycle now)
     for (auto &c : allocCycle)
         if (c != kNoCycle)
             c = now;
-    holdCycles = 0;
-    nFrees = 0;
     peak = nBusy;
 }
 

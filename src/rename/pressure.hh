@@ -4,9 +4,10 @@
  *
  * The paper quantifies register pressure as "the sum of the number of
  * cycles that a register is allocated for each produced value" (section
- * 3.1). This tracker integrates exactly that: every physical-register
- * allocation/free pair contributes its holding time. It also tracks the
- * instantaneous number of busy registers and its peak.
+ * 3.1). This tracker measures exactly that: every physical-register
+ * allocation/free pair samples its holding time into the lifetime
+ * distribution, whose mean is the per-value hold time. It also tracks
+ * the instantaneous number of busy registers and its peak.
  */
 
 #ifndef VPR_RENAME_PRESSURE_HH
@@ -46,21 +47,9 @@ class PressureTracker
     /** Largest number simultaneously allocated. */
     std::size_t peakBusy() const { return peak; }
 
-    /** Total register-cycles over all completed allocations. */
-    std::uint64_t totalHoldCycles() const { return holdCycles; }
-
-    /** Number of completed alloc/free pairs. */
-    std::uint64_t completedAllocations() const { return nFrees; }
-
-    /** Mean holding time per value (cycles). */
-    double
-    meanHoldCycles() const
-    {
-        return nFrees ? static_cast<double>(holdCycles) /
-                            static_cast<double>(nFrees)
-                      : 0.0;
-    }
-
+    /** Start a measurement interval at @p now: registers held now count
+     *  from @p now (the lifetime distribution resets with the stats
+     *  tree). */
     void reset(Cycle now);
 
   private:
@@ -68,8 +57,6 @@ class PressureTracker
     stats::Distribution *lifetime;  ///< may be null
     std::size_t nBusy = 0;
     std::size_t peak = 0;
-    std::uint64_t holdCycles = 0;
-    std::uint64_t nFrees = 0;
 };
 
 } // namespace vpr

@@ -81,7 +81,7 @@ RenameManager::regStats(stats::StatRegistry &r)
 {
     r.add(&renameGroup, [this] {
         for (std::size_t c = 0; c < kNumRegClasses; ++c)
-            meanHold[c].set(pressureTrk[c].meanHoldCycles());
+            meanHold[c].set(lifetimeDist[c].mean());
     });
     r.add(&vpGroup);
     r.add(&regfileGroup, [this] {

@@ -5,48 +5,19 @@
 namespace vpr
 {
 
-namespace
-{
-
-/** Smallest power of two >= max(cap, 64). The in-flight window is
- *  bounded by the ROB, so one or two doublings settle the ring for the
- *  life of the tracker. */
-std::size_t
-ringCapacityFor(std::size_t cap)
-{
-    std::size_t size = 64;
-    while (size < cap)
-        size *= 2;
-    return size;
-}
-
-} // namespace
-
-ReservationTracker::ReservationTracker(unsigned nrr_)
-    : nrr(nrr_), ring(ringCapacityFor(0))
+ReservationTracker::ReservationTracker(unsigned nrr_, std::size_t window_)
+    : nrr(nrr_), window(window_)
 {
     VPR_ASSERT(nrr >= 1, "NRR must be at least 1 to avoid deadlock");
-}
-
-void
-ReservationTracker::reserve(std::size_t cap)
-{
-    if (cap <= ring.size())
-        return;
-    std::vector<Entry> bigger(ringCapacityFor(cap));
-    for (std::size_t i = 0; i < num; ++i)
-        bigger[i] = at(i);
-    ring.swap(bigger);
-    head = 0;
 }
 
 std::size_t
 ReservationTracker::lowerBound(InstSeqNum s) const
 {
-    std::size_t lo = 0, hi = num;
+    std::size_t lo = 0, hi = window.size();
     while (lo < hi) {
         const std::size_t mid = lo + (hi - lo) / 2;
-        if (at(mid).seq < s)
+        if (window.at(mid).seq < s)
             lo = mid + 1;
         else
             hi = mid;
@@ -57,12 +28,9 @@ ReservationTracker::lowerBound(InstSeqNum s) const
 void
 ReservationTracker::onRename(InstSeqNum seq)
 {
-    VPR_ASSERT(num == 0 || at(num - 1).seq < seq,
+    VPR_ASSERT(window.empty() || window.back().seq < seq,
                "rename out of program order");
-    if (num == ring.size())
-        reserve(num + 1);
-    ++num;
-    at(num - 1) = {seq, false};
+    window.pushBack({seq, false});
 }
 
 void
@@ -72,10 +40,11 @@ ReservationTracker::onAllocate(InstSeqNum seq)
     // instruction is found by binary search rather than a walk of the
     // whole in-flight window.
     const std::size_t i = lowerBound(seq);
-    if (i == num || at(i).seq != seq)
+    if (i == window.size() || window.at(i).seq != seq)
         VPR_PANIC("onAllocate: unknown instruction sn:", seq);
-    VPR_ASSERT(!at(i).allocated, "double allocation for sn:", seq);
-    at(i).allocated = true;
+    Entry &e = window.at(i);
+    VPR_ASSERT(!e.allocated, "double allocation for sn:", seq);
+    e.allocated = true;
     if (i < reservedCount())
         ++usedRes;
 }
@@ -83,25 +52,24 @@ ReservationTracker::onAllocate(InstSeqNum seq)
 void
 ReservationTracker::onCommit(InstSeqNum seq)
 {
-    VPR_ASSERT(num != 0 && at(0).seq == seq,
+    VPR_ASSERT(!window.empty() && window.front().seq == seq,
                "commit of non-oldest dest instruction sn:", seq);
-    if (at(0).allocated)
+    if (window.front().allocated)
         --usedRes;
     // The old (nrr+1)-th oldest entry (if any) enters the reserved set.
-    if (num > nrr && at(nrr).allocated)
+    if (window.size() > nrr && window.at(nrr).allocated)
         ++usedRes;
-    head = (head + 1) & (ring.size() - 1);
-    --num;
+    window.popFront();
 }
 
 void
 ReservationTracker::onSquash(InstSeqNum seq)
 {
-    VPR_ASSERT(num != 0 && at(num - 1).seq == seq,
+    VPR_ASSERT(!window.empty() && window.back().seq == seq,
                "squash of non-youngest dest instruction sn:", seq);
-    if (num <= nrr && at(num - 1).allocated)
+    if (window.size() <= nrr && window.back().allocated)
         --usedRes;
-    --num;
+    window.popBack();
 }
 
 bool
@@ -111,7 +79,7 @@ ReservationTracker::isReserved(InstSeqNum seq) const
     // seq is among the oldest reservedCount() entries iff it is no
     // younger than the last of them.
     const std::size_t lim = reservedCount();
-    return lim != 0 && seq <= at(lim - 1).seq;
+    return lim != 0 && seq <= window.at(lim - 1).seq;
 }
 
 InstSeqNum
@@ -126,7 +94,7 @@ ReservationTracker::admitBound(std::size_t freeRegs) const
     // Reserved instructions may always take a register (one is kept for
     // each of them by construction).
     const std::size_t lim = reservedCount();
-    return lim != 0 ? at(lim - 1).seq + 1 : 0;
+    return lim != 0 ? window.at(lim - 1).seq + 1 : 0;
 }
 
 } // namespace vpr

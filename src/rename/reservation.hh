@@ -16,19 +16,18 @@
  * We represent the same state directly as an age-ordered window of
  * destination-writing instructions with an "allocated" flag; the oldest
  * min(NRR, size) entries are the reserved set. This is exactly the
- * PRR/Reg/Used bookkeeping, just held in one structure. The window
- * lives in a power-of-two ring buffer: the in-flight set is bounded by
- * the ROB, so once the ring reaches that bound the per-instruction
- * push/pop traffic never touches the allocator (a deque would slide an
- * allocation every chunk's worth of renames).
+ * PRR/Reg/Used bookkeeping, just held in one structure. The window is a
+ * CircularBuffer sized once: every tracked writer holds a VP register,
+ * so at most NVR - NLR of them are in flight per class, and the
+ * per-instruction push/pop traffic never touches the allocator.
  */
 
 #ifndef VPR_RENAME_RESERVATION_HH
 #define VPR_RENAME_RESERVATION_HH
 
 #include <cstdint>
-#include <vector>
 
+#include "common/circular_buffer.hh"
 #include "common/types.hh"
 
 namespace vpr
@@ -38,7 +37,9 @@ namespace vpr
 class ReservationTracker
 {
   public:
-    explicit ReservationTracker(unsigned nrr);
+    /** @param window most destination writers ever in flight at once
+     *         (the VP registers beyond the architected ones). */
+    ReservationTracker(unsigned nrr, std::size_t window);
 
     /** A destination-writing instruction was renamed (program order). */
     void onRename(InstSeqNum seq);
@@ -90,20 +91,12 @@ class ReservationTracker
     unsigned
     reservedCount() const
     {
-        return static_cast<unsigned>(num < nrr ? num : nrr);
+        return static_cast<unsigned>(
+            window.size() < nrr ? window.size() : nrr);
     }
 
-    unsigned nrrValue() const { return nrr; }
-    std::size_t inFlight() const { return num; }
-    bool empty() const { return num == 0; }
-
-    void
-    clear()
-    {
-        head = 0;
-        num = 0;
-        usedRes = 0;
-    }
+    std::size_t inFlight() const { return window.size(); }
+    bool empty() const { return window.empty(); }
 
   private:
     struct Entry
@@ -112,31 +105,13 @@ class ReservationTracker
         bool allocated;
     };
 
-    /** Entry @p i of the age-ordered window, 0 = oldest. */
-    Entry &
-    at(std::size_t i)
-    {
-        return ring[(head + i) & (ring.size() - 1)];
-    }
-
-    const Entry &
-    at(std::size_t i) const
-    {
-        return ring[(head + i) & (ring.size() - 1)];
-    }
-
     /** First window index whose seq is >= @p s (the window is age- and
      *  therefore seq-ordered). */
     std::size_t lowerBound(InstSeqNum s) const;
 
-    /** Grow the ring so at least @p cap entries fit (power of two). */
-    void reserve(std::size_t cap);
-
     unsigned nrr;
-    /** Power-of-two ring holding the window at (head + i) % size. */
-    std::vector<Entry> ring;
-    std::size_t head = 0;
-    std::size_t num = 0;
+    /** In-flight destination writers, oldest first. */
+    CircularBuffer<Entry> window;
     /** Allocated entries within the oldest-min(nrr,size) window. */
     unsigned usedRes = 0;
 };

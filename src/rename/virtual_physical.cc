@@ -5,11 +5,27 @@
 namespace vpr
 {
 
+namespace
+{
+
+/** Destination writers a class can have in flight: each holds a VP
+ *  register beyond the NLR architected ones. At least 1, so that a bad
+ *  pool size reaches the constructor's assertion. */
+std::size_t
+trackedWriters(const RenameConfig &config)
+{
+    return config.numVPRegs > kNumLogicalRegs
+        ? config.numVPRegs - kNumLogicalRegs
+        : 1;
+}
+
+} // namespace
+
 VirtualPhysicalRename::VirtualPhysicalRename(const RenameConfig &config,
                                              bool atIssue)
     : RenameManager(config), allocAtIssue(atIssue),
-      tracker{ReservationTracker(config.nrrInt),
-              ReservationTracker(config.nrrFp)}
+      tracker{ReservationTracker(config.nrrInt, trackedWriters(config)),
+              ReservationTracker(config.nrrFp, trackedWriters(config))}
 {
     VPR_ASSERT(cfg.numVPRegs > kNumLogicalRegs,
                "need more VP than logical registers");

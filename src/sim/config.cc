@@ -45,12 +45,19 @@ SimConfig::validate() const
     constexpr std::uint64_t kMaxQueue = 4096; // ROB/IQ/LSQ, fetch buffer
     constexpr std::uint64_t kMaxLatency = 1024;
     constexpr std::uint64_t kMaxStall = 65535;
+    // Instruction budgets: 10^15 is years of host time, and no
+    // committed-instruction target a run adds up (skip plus measure, a
+    // sampled warm-up or interval on top of the commits so far) can
+    // wrap 64 bits below it.
+    constexpr std::uint64_t kMaxInsts = 1'000'000'000'000'000;
     const CacheConfig &c = core.cache;
     const struct
     {
         const char *key;
         std::uint64_t value, lo, hi;
     } bounds[] = {
+        {"skip_insts", skipInsts, 0, kMaxInsts},
+        {"measure_insts", measureInsts, 0, kMaxInsts},
         {"core.rename_width", core.renameWidth, 1, kMaxWidth},
         {"core.issue_width", core.issueWidth, 1, kMaxWidth},
         {"core.commit_width", core.commitWidth, 1, kMaxWidth},
@@ -131,11 +138,15 @@ SimConfig::validate() const
         if (sampling.detailedInsts == 0)
             VPR_FATAL("sampling: zero-length detailed interval "
                       "(sim.sampling.detailed_insts must be >= 1)");
-        if (sampling.warmupInsts + sampling.detailedInsts >
-            sampling.periodInsts)
-            VPR_FATAL("sampling: warm-up (", sampling.warmupInsts,
-                      ") plus detailed interval (", sampling.detailedInsts,
-                      ") exceeds the period (", sampling.periodInsts, ")");
+        // Compared without the sum, which can wrap 64 bits.
+        if (sampling.warmupInsts > sampling.periodInsts ||
+            sampling.detailedInsts >
+                sampling.periodInsts - sampling.warmupInsts)
+            VPR_FATAL("sim.sampling.warmup_insts (", sampling.warmupInsts,
+                      ") plus sim.sampling.detailed_insts (",
+                      sampling.detailedInsts,
+                      ") exceeds the period (sim.sampling.period_insts = ",
+                      sampling.periodInsts, ")");
         if (sampling.periodInsts > measureInsts)
             VPR_FATAL("sampling: period (", sampling.periodInsts,
                       ") exceeds the measurement budget (", measureInsts,

@@ -132,11 +132,18 @@ defaultJobs()
 void
 applyInstructionScale(SimConfig &config)
 {
-    double s = instructionScale();
-    config.skipInsts =
-        static_cast<std::uint64_t>(config.skipInsts * s);
-    config.measureInsts =
-        static_cast<std::uint64_t>(config.measureInsts * s);
+    const double s = instructionScale();
+    auto scaled = [s](const char *key, std::uint64_t budget) {
+        const double v = static_cast<double>(budget) * s;
+        // 2^64 is the first double past the u64 range; converting it or
+        // anything above is undefined.
+        if (!(v < 18446744073709551616.0))
+            VPR_FATAL(key, " (", budget, ") times VPR_INSTS_SCALE (", s,
+                      ") does not fit 64 bits");
+        return static_cast<std::uint64_t>(v);
+    };
+    config.skipInsts = scaled("skip_insts", config.skipInsts);
+    config.measureInsts = scaled("measure_insts", config.measureInsts);
     if (config.measureInsts < 1000)
         config.measureInsts = 1000;
 }

@@ -86,7 +86,9 @@ unsigned parseJobs(const char *text, const char *what);
  *  --result-cache, never a silently uncached run. */
 std::string parseCacheDir(const char *text);
 
-/** Apply the global instruction scale to a config. */
+/** Apply the global instruction scale to a config. A budget whose
+ *  scaled value does not fit 64 bits is an Error naming its key and
+ *  VPR_INSTS_SCALE. */
 void applyInstructionScale(SimConfig &config);
 
 /** Pretty-printing helpers for paper-style tables. @{ */

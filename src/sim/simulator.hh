@@ -90,12 +90,6 @@ struct SimResults
     {
         return metrics.real("rename.mean_hold_cycles_fp");
     }
-
-    double
-    robOccupancyMean() const
-    {
-        return metrics.real("rob.occupancy.mean");
-    }
     /** @} */
 };
 

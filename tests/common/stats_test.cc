@@ -30,18 +30,6 @@ TEST(Scalar, SetOverwrites)
     EXPECT_EQ(s.value(), 42u);
 }
 
-TEST(Average, MeanOfSamples)
-{
-    Average a("a", "mean");
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    a.sample(1.0);
-    a.sample(2.0);
-    a.sample(3.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-    EXPECT_EQ(a.samples(), 3u);
-    EXPECT_DOUBLE_EQ(a.total(), 6.0);
-}
-
 TEST(Distribution, BucketsSamples)
 {
     Distribution d("d", "dist", 0, 99, 10);
@@ -260,18 +248,6 @@ TEST(Visitation, RealVisitsItsValue)
     EXPECT_EQ(v.entries[0], "rate=0.5");
 }
 
-TEST(Visitation, AverageVisitsMeanAndSamples)
-{
-    Average a("lat", "latency");
-    a.sample(2.0);
-    a.sample(4.0);
-    RecordingVisitor v;
-    a.visit(v);
-    ASSERT_EQ(v.entries.size(), 2u);
-    EXPECT_EQ(v.entries[0], "lat=3");
-    EXPECT_EQ(v.entries[1], "lat.samples=2");
-}
-
 TEST(Visitation, DistributionVisitsSubValuesAndBuckets)
 {
     Distribution d("occ", "occupancy", 0, 9, 1);
@@ -415,28 +391,29 @@ TEST(Visitation, NameMemoSeparatesTypesAndShapes)
     // them binds first.
     Distribution wide = Distribution::evenBuckets("s", "d", 0, 99, 4);
     Distribution narrow = Distribution::evenBuckets("s", "d", 0, 99, 2);
-    Average avg("s", "a");
+    SampleEstimator est("s", "e");
     Counter2D rowsAb("s", "c", {"a", "b"}, {"x"});
     Counter2D rowsBa("s", "c", {"b", "a"}, {"x"});
     std::vector<StatGroup> groups(5, StatGroup("memo"));
     groups[0].add(&wide);
     groups[1].add(&narrow);
-    groups[2].add(&avg);
+    groups[2].add(&est);
     groups[3].add(&rowsAb);
     groups[4].add(&rowsBa);
 
     RecordingVisitor v;
     for (const StatGroup &g : groups)
         g.visit(v);
-    ASSERT_EQ(v.entries.size(), (9u + 4u) + (9u + 2u) + 2u + 2u + 2u);
+    ASSERT_EQ(v.entries.size(), (9u + 4u) + (9u + 2u) + 4u + 2u + 2u);
     EXPECT_EQ(v.entries[12], "memo.s.hist[3]=0");
     EXPECT_EQ(v.entries[13], "memo.s.mean=0");
     EXPECT_EQ(v.entries[23], "memo.s.hist[1]=0");
-    EXPECT_EQ(v.entries[24], "memo.s=0");
-    EXPECT_EQ(v.entries[25], "memo.s.samples=0");
-    EXPECT_EQ(v.entries[26], "memo.s.a.x=0");
-    EXPECT_EQ(v.entries[28], "memo.s.b.x=0");
-    EXPECT_EQ(v.entries[29], "memo.s.a.x=0");
+    EXPECT_EQ(v.entries[24], "memo.s.mean=0");
+    EXPECT_EQ(v.entries[25], "memo.s.stderr=0");
+    EXPECT_EQ(v.entries[27], "memo.s.intervals=0");
+    EXPECT_EQ(v.entries[28], "memo.s.a.x=0");
+    EXPECT_EQ(v.entries[30], "memo.s.b.x=0");
+    EXPECT_EQ(v.entries[31], "memo.s.a.x=0");
 }
 
 TEST(Registry, VisitRunsUpdateHooksInRegistrationOrder)

@@ -233,22 +233,5 @@ TEST(CompletionQueue, PendingForAgreesBetweenCalendarAndHeap)
     }
 }
 
-TEST(CompletionQueue, ParkedStoresSquashYoungerThan)
-{
-    // The parked-store squash filter is the recovery path — pin it
-    // down here.
-    CqFixture f;
-    CompletionQueue cq(16);
-    cq.parkStore(&f.inst, 5);
-    cq.parkStore(&f.inst, 9);
-    cq.parkStore(&f.inst, 12);
-    EXPECT_EQ(cq.parkedStoreCount(), 3u);
-    cq.squashYoungerThan(9);
-    EXPECT_EQ(cq.parkedStoreCount(), 2u);
-    EXPECT_TRUE(cq.pendingFor(5));
-    EXPECT_TRUE(cq.pendingFor(9));
-    EXPECT_FALSE(cq.pendingFor(12));
-}
-
 } // namespace
 } // namespace vpr

@@ -4,7 +4,8 @@
  * address-indexed store table: behavioural cases, line-boundary
  * overlaps, squash/commit cleanup, the hold subscription machinery,
  * and a randomized fuzz against a reverse-scan model that lives only
- * here.
+ * here. The queue keeps no entry list, so the tests squash youngest
+ * first through Lsq::squash, as the ROB walk does.
  */
 
 #include <gtest/gtest.h>
@@ -241,7 +242,8 @@ TEST_P(LsqPaths, ForwardThenStoreSquashed)
     lsq.insert(&l);
     computeAddr(lsq, s, 0);
     EXPECT_EQ(lsq.checkLoad(&l, 10), LoadHold::Forward);
-    lsq.squashYoungerThan(1);
+    lsq.squash(&l);
+    lsq.squash(&s);
     EXPECT_TRUE(lsq.empty());
     DynInst l2 = load(4, 0x100);
     lsq.insert(&l2);
@@ -266,24 +268,73 @@ TEST_P(LsqPaths, CommittedStoreClearsItsHold)
 TEST_P(LsqPaths, SquashDropsYoungest)
 {
     Lsq lsq(8);
-    DynInst a = load(1, 0x100), b = store(5, 0x200), c = load(9, 0x300);
+    DynInst a = load(1, 0x100), b = store(5, 0x200), c = store(9, 0x300);
     lsq.insert(&a);
     lsq.insert(&b);
     lsq.insert(&c);
-    lsq.squashYoungerThan(5);
+    lsq.squash(&c);
     EXPECT_EQ(lsq.size(), 2u);
-    EXPECT_EQ(lsq.entries().back()->seq(), 5u);
+    // The squashed store no longer blocks a younger load; the kept one
+    // still does.
+    DynInst l = load(10, 0x300);
+    lsq.insert(&l);
+    LoadCheck chk = lsq.disambiguate(&l, 10);
+    EXPECT_EQ(chk.hold, LoadHold::UnknownAddress);
+    EXPECT_EQ(chk.blocker, &b);
 }
 
 TEST_P(LsqPaths, RemoveAtCommit)
 {
     Lsq lsq(8);
-    DynInst a = load(1, 0x100), b = load(2, 0x200);
+    DynInst a = store(1, 0x100), b = load(2, 0x200);
     lsq.insert(&a);
     lsq.insert(&b);
+    EXPECT_EQ(lsq.checkLoad(&b, 10), LoadHold::UnknownAddress);
     lsq.remove(&a);
     EXPECT_EQ(lsq.size(), 1u);
-    EXPECT_EQ(lsq.entries().front()->seq(), 2u);
+    EXPECT_EQ(lsq.checkLoad(&b, 10), LoadHold::Ready);
+    lsq.remove(&b);
+    EXPECT_TRUE(lsq.empty());
+}
+
+TEST(Lsq, MoreStoreAddressesThanEntriesWithoutALoad)
+{
+    // Every cycle the oldest stores commit and new ones compute their
+    // addresses (visible the next cycle), with no load to drain the
+    // pending-visibility list: far more addresses than the queue holds
+    // pass through it. Each computation first flushes what is visible
+    // already, so the list stays within the queue's capacity.
+    constexpr std::size_t kCap = 4;
+    Lsq lsq(kCap);
+    std::vector<DynInst> stores;
+    stores.reserve(64);
+    InstSeqNum seq = 0;
+    std::size_t oldest = 0;
+    for (Cycle now = 1; now <= 12; ++now) {
+        while (oldest < stores.size() &&
+               stores[oldest].addrReadyCycle <= now)
+            lsq.remove(&stores[oldest++]);
+        while (!lsq.full()) {
+            ++seq;
+            stores.push_back(store(seq, 0x100 + 8 * seq));
+            lsq.insert(&stores.back());
+            computeAddr(lsq, stores.back(), now + 1);
+        }
+    }
+    EXPECT_GT(stores.size(), 4 * kCap);
+    while (oldest < stores.size())
+        lsq.remove(&stores[oldest++]);
+    EXPECT_TRUE(lsq.empty());
+    // Nothing stale is left: a load behind a fresh unknown store waits
+    // on it alone, and after its address is known, forwards from it.
+    DynInst s = store(++seq, 0x200), l = load(++seq, 0x200);
+    lsq.insert(&s);
+    lsq.insert(&l);
+    LoadCheck chk = lsq.disambiguate(&l, 13);
+    EXPECT_EQ(chk.hold, LoadHold::UnknownAddress);
+    EXPECT_EQ(chk.blocker, &s);
+    computeAddr(lsq, s, 14);
+    EXPECT_EQ(lsq.checkLoad(&l, 14), LoadHold::Forward);
 }
 
 // --- hold subscriptions ---------------------------------------------------
@@ -378,7 +429,9 @@ TEST(LsqHolds, SquashedBlockerDropsItsSubscribers)
 
     LoadCheck chk = lsq.disambiguate(&l, 5);
     lsq.subscribeHold(&l, chk.blocker, chk.hold);
-    lsq.squashYoungerThan(1);  // kills blocker and subscriber
+    // Recovery kills the subscriber, then its blocker.
+    lsq.squash(&l);
+    lsq.squash(&s);
 
     std::vector<ReadyRef> out;
     lsq.takeReadyHolds(100, out);
@@ -508,9 +561,10 @@ TEST(LsqFuzz, TableMatchesScanOnRandomStimulus)
             if ((next() & 3) != 0 || live.empty())
                 break;
             InstSeqNum keep = live[next() % live.size()]->seq();
-            lsq.squashYoungerThan(keep);
-            while (!live.empty() && live.back()->seq() > keep)
+            while (!live.empty() && live.back()->seq() > keep) {
+                lsq.squash(live.back());
                 live.pop_back();
+            }
             break;
           }
           default:

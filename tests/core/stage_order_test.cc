@@ -4,13 +4,15 @@
  * complete, issue, rename, then fetch), so instructions hand off
  * between stages, through the fetch buffer and the completion latch,
  * one cycle at a time; and branch recovery leaves every structure
- * consistent.
+ * consistent, its one ROB walk keeping the LSQ's and the IQ's counts
+ * equal to the ROB's.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/core.hh"
 #include "trace/builder.hh"
+#include "trace/kernels/kernels.hh"
 
 #include "../support/core_stats.hh"
 
@@ -87,8 +89,8 @@ TEST(StageOrder, ThreeInstructionWindowAdvancesOneStagePerCycle)
 TEST(StageOrder, StoreDataHandsOffThroughCompletionLatch)
 {
     // A store whose data operand is produced by a long-latency divide:
-    // the store issues for address generation, parks in the completion
-    // latch, and completes only after the divide's broadcast.
+    // the store issues for address generation and parks, and the
+    // divide's broadcast hands it to the completion latch.
     TraceBuilder b;
     b.fpDiv(RegId::fpReg(1), RegId::fpReg(2), RegId::fpReg(3));
     b.store(RegId::fpReg(1), RegId::intReg(4), 0x8000);
@@ -96,8 +98,8 @@ TEST(StageOrder, StoreDataHandsOffThroughCompletionLatch)
     Core core(s, quietConfig());
 
     // Run until the store has issued (address part) but the divide has
-    // not completed; the store must be parked, i.e. have a pending
-    // event association without being Completed.
+    // not completed. The store is parked: Issued, its data operand
+    // unready, and no completion event yet.
     for (int i = 0; i < 6; ++i)
         core.tick();
     ASSERT_EQ(core.rob().size(), 2u);
@@ -105,6 +107,15 @@ TEST(StageOrder, StoreDataHandsOffThroughCompletionLatch)
     const DynInst &store = core.rob().at(1);
     EXPECT_EQ(divide.phase(), InstPhase::Issued);
     EXPECT_EQ(store.phase(), InstPhase::Issued);
+    EXPECT_FALSE(store.operandsReady());
+    EXPECT_FALSE(core.hasPendingEvent(store.seq()));
+
+    // The cycle the divide completes, its broadcast wakes the store and
+    // the complete stage schedules the store's event.
+    while (divide.phase() != InstPhase::Completed)
+        core.tick();
+    EXPECT_EQ(store.phase(), InstPhase::Issued);
+    EXPECT_TRUE(store.operandsReady());
     EXPECT_TRUE(core.hasPendingEvent(store.seq()));
 
     while (core.tick()) {
@@ -116,7 +127,7 @@ TEST(StageOrder, SquashFansOutToStages)
 {
     // Alternating-taken branches with wrong-path synthesis: recovery
     // must leave every structure consistent (this exercises the complete
-    // stage's recovery walk, parked-store squash and fetch redirect).
+    // stage's ROB walk and fetch redirect).
     TraceBuilder b;
     for (int i = 0; i < 100; ++i) {
         b.alu(RegId::intReg(1), RegId::intReg(1), RegId::intReg(2));
@@ -134,6 +145,38 @@ TEST(StageOrder, SquashFansOutToStages)
     EXPECT_TRUE(core.iq().empty());
     EXPECT_TRUE(core.lsq().empty());
     core.renamer().checkInvariants();
+}
+
+TEST(StageOrder, LsqAndIqFollowTheRobThroughSquashes)
+{
+    // The ROB is the only program-order list: the LSQ and the IQ keep
+    // counts, and branch recovery's ROB walk removes each squashed
+    // instruction from them. Under many mispredictions with wrong-path
+    // memory operations, both counts must equal the ROB's own tally
+    // after every cycle.
+    CoreConfig cfg;
+    cfg.scheme = RenameScheme::VPAllocAtWriteback;
+    cfg.fetch.wrongPath = WrongPathMode::Synthesize;
+    cfg.fetch.wrongPathMem = true;
+    auto stream = makeBenchmarkStream("go");
+    Core core(*stream, cfg);
+
+    std::uint64_t wrongPathMem = 0;  // wrong-path memory entry-cycles
+    while (core.committedInsts() < 20000 && core.tick()) {
+        const Rob &rob = core.rob();
+        std::size_t mem = 0, inIq = 0;
+        for (std::size_t i = 0; i < rob.size(); ++i) {
+            const DynInst &d = rob.at(i);
+            mem += d.isMem();
+            inIq += d.inIq();
+            wrongPathMem += d.wrongPath && d.isMem();
+        }
+        ASSERT_EQ(core.lsq().size(), mem) << "cycle " << core.cycle();
+        ASSERT_EQ(core.iq().size(), inIq) << "cycle " << core.cycle();
+    }
+    EXPECT_GE(core.committedInsts(), 20000u);
+    EXPECT_GT(statsOf(core).counter("core.squashed"), 5000u);
+    EXPECT_GT(wrongPathMem, 10000u);
 }
 
 } // namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/core.hh"
 #include "sim/experiment.hh"
 #include "trace/kernels/kernels.hh"
@@ -164,6 +166,23 @@ TEST(SamplingDeath, WarmupPlusDetailedBeyondPeriodIsFatal)
     c.sampling.periodInsts = 1000;
     c.sampling.warmupInsts = 800;
     c.sampling.detailedInsts = 300;
+    EXPECT_VPR_ERROR(c.validate(), "exceeds the period");
+}
+
+TEST(SamplingDeath, WarmupPlusDetailedThatWrapsIsFatal)
+{
+    // Warm-up plus detailed interval wraps 64 bits to a value inside
+    // the period here; summed, it would pass and the run would warm up
+    // for 2^64 - 1 instructions.
+    SimConfig c = paperConfig();
+    c.sampling.enable = true;
+    c.sampling.periodInsts = 20000;
+    c.sampling.warmupInsts = std::numeric_limits<std::uint64_t>::max();
+    c.sampling.detailedInsts = 2;
+    EXPECT_VPR_ERROR(c.validate(), "sim.sampling.warmup_insts");
+    c.sampling.warmupInsts = 19998;
+    EXPECT_NO_THROW(c.validate());
+    c.sampling.detailedInsts = 3;
     EXPECT_VPR_ERROR(c.validate(), "exceeds the period");
 }
 

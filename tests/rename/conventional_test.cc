@@ -172,7 +172,8 @@ TEST(Conventional, RegisterPressureAccounting)
     rn.complete(d, 15);
     rn.commitInst(d, 20);  // frees prev mapping held since cycle 0
     EXPECT_EQ(rn.pressure(RegClass::Int).busy(), 32u);
-    EXPECT_EQ(rn.pressure(RegClass::Int).totalHoldCycles(), 20u);
+    EXPECT_EQ(rn.lifetimeStat(RegClass::Int).samples(), 1u);
+    EXPECT_DOUBLE_EQ(rn.lifetimeStat(RegClass::Int).mean(), 20.0);
 }
 
 TEST(Conventional, InvariantsHoldThroughRandomishSequence)

@@ -151,7 +151,6 @@ TEST(EarlyRelease, PressureLowerThanPlainConventional)
         InstSeqNum seq = 0;
         std::vector<DynInst> live;
         Cycle now = 0;
-        std::uint64_t holds = 0;
         for (int i = 0; i < 200; ++i) {
             ++now;
             rn.tick(now);
@@ -166,8 +165,9 @@ TEST(EarlyRelease, PressureLowerThanPlainConventional)
                 live.erase(live.begin());
             }
         }
-        holds = rn.pressure(RegClass::Int).totalHoldCycles();
-        return holds;
+        // Register-cycles summed over every completed hold.
+        const stats::Distribution &life = rn.lifetimeStat(RegClass::Int);
+        return life.mean() * static_cast<double>(life.samples());
     };
     ConventionalRename conv(cfg64());
     EarlyReleaseRename er(cfg64());

@@ -9,16 +9,26 @@ namespace vpr
 namespace
 {
 
+/** The lifetime distribution a tracker samples each hold time into. */
+stats::Distribution
+lifetimes()
+{
+    return stats::Distribution::evenBuckets("lifetime", "hold cycles", 0,
+                                            255, 16);
+}
+
 TEST(Pressure, IntegratesHoldingTime)
 {
-    PressureTracker p(8);
+    stats::Distribution life = lifetimes();
+    PressureTracker p(8, &life);
     p.onAlloc(0, 10);
     p.onAlloc(1, 12);
     p.onFree(0, 30);   // held 20
     p.onFree(1, 42);   // held 30
-    EXPECT_EQ(p.totalHoldCycles(), 50u);
-    EXPECT_EQ(p.completedAllocations(), 2u);
-    EXPECT_DOUBLE_EQ(p.meanHoldCycles(), 25.0);
+    EXPECT_EQ(life.samples(), 2u);
+    EXPECT_DOUBLE_EQ(life.mean(), 25.0);
+    EXPECT_EQ(life.minSample(), 20u);
+    EXPECT_EQ(life.maxSample(), 30u);
 }
 
 TEST(Pressure, TracksBusyAndPeak)
@@ -36,33 +46,42 @@ TEST(Pressure, TracksBusyAndPeak)
 
 TEST(Pressure, ReuseAfterFree)
 {
-    PressureTracker p(4);
+    stats::Distribution life = lifetimes();
+    PressureTracker p(4, &life);
     p.onAlloc(2, 0);
     p.onFree(2, 10);
     p.onAlloc(2, 20);
     p.onFree(2, 25);
-    EXPECT_EQ(p.totalHoldCycles(), 15u);
+    EXPECT_EQ(life.samples(), 2u);
+    EXPECT_DOUBLE_EQ(life.mean(), 7.5);
 }
 
 TEST(Pressure, ResetRebasesLiveAllocations)
 {
-    PressureTracker p(4);
+    // An interval reset restarts the tracker and, with the stats tree,
+    // its lifetime distribution.
+    stats::Distribution life = lifetimes();
+    PressureTracker p(4, &life);
     p.onAlloc(0, 0);
     p.onAlloc(1, 0);
     p.onFree(1, 50);
     p.reset(100);
-    EXPECT_EQ(p.totalHoldCycles(), 0u);
-    EXPECT_EQ(p.completedAllocations(), 0u);
+    life.reset();
     EXPECT_EQ(p.busy(), 1u);  // register 0 still held
+    EXPECT_EQ(p.peakBusy(), 1u);
     // Register 0 now counts from the reset point.
     p.onFree(0, 110);
-    EXPECT_EQ(p.totalHoldCycles(), 10u);
+    EXPECT_EQ(life.samples(), 1u);
+    EXPECT_DOUBLE_EQ(life.mean(), 10.0);
 }
 
 TEST(Pressure, ZeroWhenNothingCompleted)
 {
-    PressureTracker p(4);
-    EXPECT_DOUBLE_EQ(p.meanHoldCycles(), 0.0);
+    stats::Distribution life = lifetimes();
+    PressureTracker p(4, &life);
+    p.onAlloc(0, 0);
+    EXPECT_EQ(life.samples(), 0u);
+    EXPECT_DOUBLE_EQ(life.mean(), 0.0);
 }
 
 TEST(PressureDeath, DoubleAllocPanics)

@@ -13,9 +13,12 @@ namespace vpr
 namespace
 {
 
+/** Destination writers the trackers below hold at most. */
+constexpr std::size_t kWindow = 8;
+
 TEST(Reservation, OldestNrrAreReserved)
 {
-    ReservationTracker t(2);
+    ReservationTracker t(2, kWindow);
     t.onRename(10);
     t.onRename(11);
     t.onRename(12);
@@ -27,7 +30,7 @@ TEST(Reservation, OldestNrrAreReserved)
 
 TEST(Reservation, ReservedSetSmallerThanNrrWhenFewInFlight)
 {
-    ReservationTracker t(4);
+    ReservationTracker t(4, kWindow);
     t.onRename(1);
     EXPECT_EQ(t.reservedCount(), 1u);
     EXPECT_TRUE(t.isReserved(1));
@@ -35,7 +38,7 @@ TEST(Reservation, ReservedSetSmallerThanNrrWhenFewInFlight)
 
 TEST(Reservation, ReservedAlwaysMayAllocateWithFreeRegs)
 {
-    ReservationTracker t(2);
+    ReservationTracker t(2, kWindow);
     t.onRename(1);
     t.onRename(2);
     t.onRename(3);
@@ -45,7 +48,7 @@ TEST(Reservation, ReservedAlwaysMayAllocateWithFreeRegs)
 
 TEST(Reservation, NothingAllocatesWithZeroFree)
 {
-    ReservationTracker t(2);
+    ReservationTracker t(2, kWindow);
     t.onRename(1);
     EXPECT_FALSE(t.mayAllocate(1, 0));
 }
@@ -53,7 +56,7 @@ TEST(Reservation, NothingAllocatesWithZeroFree)
 TEST(Reservation, YoungerNeedsSlackBeyondReservation)
 {
     // The paper's condition: free > NRR - Used for non-reserved.
-    ReservationTracker t(2);
+    ReservationTracker t(2, kWindow);
     t.onRename(1);
     t.onRename(2);
     t.onRename(3);
@@ -65,7 +68,7 @@ TEST(Reservation, YoungerNeedsSlackBeyondReservation)
 
 TEST(Reservation, UsedCounterRelaxesYoungerAllocation)
 {
-    ReservationTracker t(2);
+    ReservationTracker t(2, kWindow);
     t.onRename(1);
     t.onRename(2);
     t.onRename(3);
@@ -80,7 +83,7 @@ TEST(Reservation, UsedCounterRelaxesYoungerAllocation)
 
 TEST(Reservation, CommitAdvancesReservedWindow)
 {
-    ReservationTracker t(1);
+    ReservationTracker t(1, kWindow);
     t.onRename(1);
     t.onRename(2);
     t.onAllocate(1);
@@ -92,7 +95,7 @@ TEST(Reservation, CommitAdvancesReservedWindow)
 
 TEST(Reservation, SquashRemovesYoungest)
 {
-    ReservationTracker t(2);
+    ReservationTracker t(2, kWindow);
     t.onRename(1);
     t.onRename(2);
     t.onRename(3);
@@ -108,7 +111,7 @@ TEST(Reservation, PaperScenarioSequentialTail)
     // Section 3.3's NRR=1 example: with one reserved register the
     // machine still makes forward progress — the oldest instruction may
     // always allocate; younger ones need free > 1 - Used.
-    ReservationTracker t(1);
+    ReservationTracker t(1, kWindow);
     for (InstSeqNum i = 1; i <= 5; ++i)
         t.onRename(i);
     EXPECT_TRUE(t.mayAllocate(1, 1));
@@ -120,21 +123,40 @@ TEST(Reservation, PaperScenarioSequentialTail)
     EXPECT_TRUE(t.mayAllocate(4, 1));
 }
 
+TEST(Reservation, WindowWrapsAtItsBound)
+{
+    // The window is sized once, by the most writers that can be in
+    // flight; commits and renames at that bound wrap it many times over
+    // and keep the reserved set and the Used counter exact.
+    ReservationTracker t(2, 4);
+    for (InstSeqNum i = 1; i <= 4; ++i)
+        t.onRename(i);
+    for (InstSeqNum i = 5; i <= 40; ++i) {
+        t.onAllocate(i - 3);
+        EXPECT_EQ(t.usedInReserved(), i == 5 ? 1u : 2u) << "sn:" << i;
+        t.onCommit(i - 4);
+        t.onRename(i);
+        EXPECT_EQ(t.inFlight(), 4u);
+        EXPECT_TRUE(t.isReserved(i - 3));
+        EXPECT_FALSE(t.isReserved(i - 1));
+    }
+}
+
 TEST(ReservationDeath, ZeroNrrPanics)
 {
-    EXPECT_DEATH(ReservationTracker(0), "NRR");
+    EXPECT_DEATH(ReservationTracker(0, kWindow), "NRR");
 }
 
 TEST(ReservationDeath, OutOfOrderRenamePanics)
 {
-    ReservationTracker t(2);
+    ReservationTracker t(2, kWindow);
     t.onRename(5);
     EXPECT_DEATH(t.onRename(3), "program order");
 }
 
 TEST(ReservationDeath, CommitOfNonOldestPanics)
 {
-    ReservationTracker t(2);
+    ReservationTracker t(2, kWindow);
     t.onRename(1);
     t.onRename(2);
     EXPECT_DEATH(t.onCommit(2), "non-oldest");
@@ -142,7 +164,7 @@ TEST(ReservationDeath, CommitOfNonOldestPanics)
 
 TEST(ReservationDeath, DoubleAllocatePanics)
 {
-    ReservationTracker t(2);
+    ReservationTracker t(2, kWindow);
     t.onRename(1);
     t.onAllocate(1);
     EXPECT_DEATH(t.onAllocate(1), "double allocation");

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sim/experiment.hh"
 #include "sim/params.hh"
 
@@ -107,6 +109,21 @@ TEST(SimConfigDeath, ValidateRejectsEarlyReleaseWithWrongPathSynthesis)
         "core.scheme=conv-early-release requires "
         "core.fetch.wrong_path=stall");
     c.core.fetch.wrongPath = WrongPathMode::Stall;
+    EXPECT_NO_THROW(c.validate());
+}
+
+TEST(SimConfigDeath, ValidateBoundsInstructionBudgets)
+{
+    // Budgets are bounded so that skip plus measure, and each sampled
+    // target, cannot wrap 64 bits.
+    SimConfig c = paperConfig();
+    c.measureInsts = std::numeric_limits<std::uint64_t>::max();
+    EXPECT_VPR_ERROR(c.validate(), "measure_insts");
+    c = paperConfig();
+    c.skipInsts = std::numeric_limits<std::uint64_t>::max() - 100;
+    EXPECT_VPR_ERROR(c.validate(), "skip_insts");
+    c.skipInsts = 1'000'000'000'000'000;
+    c.measureInsts = c.skipInsts;
     EXPECT_NO_THROW(c.validate());
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "sim/experiment.hh"
@@ -97,6 +98,25 @@ TEST(Experiment, InstructionScaleAppliesToBudgets)
     applyInstructionScale(c);  // default scale 1.0
     EXPECT_EQ(c.skipInsts, 10000u);
     EXPECT_EQ(c.measureInsts, 50000u);
+}
+
+TEST(ExperimentDeath, BudgetsThatDoNotFit64BitsAreRefused)
+{
+    // A scaled budget past the u64 range cannot be converted (that is
+    // undefined behaviour); one that fits but could wrap the run's
+    // commit target is refused by validate().
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    SimConfig c = paperConfig();
+    c.measureInsts = kMax;
+    EXPECT_VPR_ERROR(applyInstructionScale(c),
+                     "measure_insts .* VPR_INSTS_SCALE");
+    c = paperConfig();
+    c.skipInsts = kMax;
+    EXPECT_VPR_ERROR(applyInstructionScale(c),
+                     "skip_insts .* VPR_INSTS_SCALE");
+    c = paperConfig();
+    c.measureInsts = std::uint64_t{1} << 63;
+    EXPECT_VPR_ERROR(runOne("compress", c), "measure_insts");
 }
 
 TEST(Experiment, MeasureFloorEnforced)

@@ -14,8 +14,12 @@
  *                          repeatable, a row matching any filter is
  *                          kept (default: BM_SimulatorEndToEnd; use
  *                          --filter= for everything)
- *     --threshold=<pct>    regression warning threshold (default 10)
+ *     --threshold=<pct>    regression warning threshold (default 10):
+ *                          a finite, non-negative number
  *     --gate               exit 1 if any row regresses past threshold
+ *
+ * A malformed threshold or an unknown flag exits 2 naming it, before
+ * any file is read.
  *
  * Both files' context blocks are checked for the build flavour. The
  * bench binary records "vpr_build_type" (NDEBUG-derived — the library's
@@ -35,6 +39,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -141,6 +146,19 @@ findRow(const std::vector<BenchRow> &rows, const std::string &name)
     return nullptr;
 }
 
+/** The --threshold value: the whole text is a finite, non-negative
+ *  number. */
+bool
+parseThreshold(const char *text, double &out)
+{
+    char *end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(v) || v < 0.0)
+        return false;
+    out = v;
+    return true;
+}
+
 bool
 endsWith(const std::string &s, const char *suffix)
 {
@@ -168,7 +186,12 @@ main(int argc, char **argv)
             else
                 filters.push_back(f);
         } else if (arg.rfind("--threshold=", 0) == 0) {
-            threshold = std::strtod(arg.c_str() + 12, nullptr);
+            if (!parseThreshold(arg.c_str() + 12, threshold)) {
+                std::cerr << "perf_diff: bad --threshold '"
+                          << arg.substr(12)
+                          << "' (want a non-negative percentage)\n";
+                return 2;
+            }
         } else if (arg == "--gate") {
             gate = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -176,6 +199,9 @@ main(int argc, char **argv)
                          "[--threshold=PCT] [--gate] "
                          "<baseline.json> <current.json>\n";
             return 0;
+        } else if (arg.size() > 1 && arg[0] == '-') {
+            std::cerr << "perf_diff: unknown flag '" << arg << "'\n";
+            return 2;
         } else {
             files.push_back(arg);
         }
