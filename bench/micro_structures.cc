@@ -56,17 +56,8 @@ makeAlu(InstSeqNum seq)
     d.si = StaticInst::alu(RegId::intReg(seq % 30),
                            RegId::intReg((seq + 1) % 32),
                            RegId::intReg((seq + 2) % 32));
-    return d;
-}
-
-/** Bind @p d to slot @p sl of @p pool (freshly reset) and stamp @p seq
- *  — what Rob::allocate() does in the real pipeline. */
-void
-bindAt(InstHotPool &pool, DynInst &d, HotIdx sl, InstSeqNum seq)
-{
-    pool.reset(sl);
-    d.bindHot(&pool, sl);
     d.setSeq(seq);
+    return d;
 }
 
 /** Rename+complete+commit round trip, conventional scheme. */
@@ -76,7 +67,6 @@ BM_ConventionalRenameRoundTrip(benchmark::State &state)
     ConventionalRename rn(renameCfg());
     InstSeqNum seq = 0;
     Cycle now = 0;
-    InstHotPool pool(16);
     std::vector<DynInst> ring(16);
     std::size_t head = 0, tail = 0, live = 0;
     for (auto _ : state) {
@@ -85,7 +75,6 @@ BM_ConventionalRenameRoundTrip(benchmark::State &state)
         if (live < 8) {
             DynInst &d = ring[tail];
             d = makeAlu(++seq);
-            bindAt(pool, d, static_cast<HotIdx>(tail), seq);
             rn.renameInst(d, now);
             rn.complete(d, now);
             tail = (tail + 1) % ring.size();
@@ -108,7 +97,6 @@ BM_VirtualPhysicalRenameRoundTrip(benchmark::State &state)
     VirtualPhysicalRename rn(renameCfg(), false);
     InstSeqNum seq = 0;
     Cycle now = 0;
-    InstHotPool pool(16);
     std::vector<DynInst> ring(16);
     std::size_t head = 0, tail = 0, live = 0;
     for (auto _ : state) {
@@ -117,7 +105,6 @@ BM_VirtualPhysicalRenameRoundTrip(benchmark::State &state)
         if (live < 8) {
             DynInst &d = ring[tail];
             d = makeAlu(++seq);
-            bindAt(pool, d, static_cast<HotIdx>(tail), seq);
             rn.renameInst(d, now);
             rn.complete(d, now);
             tail = (tail + 1) % ring.size();
@@ -139,12 +126,10 @@ BENCHMARK(BM_VirtualPhysicalRenameRoundTrip);
 void
 BM_IqWakeup(benchmark::State &state)
 {
-    InstHotPool pool(128);
-    InstQueue iq(128, pool);
+    InstQueue iq(128);
     std::vector<DynInst> insts(128);
     for (std::size_t i = 0; i < insts.size(); ++i) {
         insts[i] = makeAlu(i + 1);
-        bindAt(pool, insts[i], static_cast<HotIdx>(i), i + 1);
         insts[i].src[0].valid = true;
         insts[i].src[0].cls = RegClass::Int;
         insts[i].src[0].tag = static_cast<std::uint16_t>(i % 64);
@@ -173,18 +158,16 @@ BM_IqWakeup(benchmark::State &state)
 }
 BENCHMARK(BM_IqWakeup);
 
-/** Issue-path IQ maintenance: remove a mid-queue entry (binary-search
- *  remove) and re-insert it (seq-ordered), then drain the ready list
- *  the re-insert published to, as the issue stage does every cycle. */
+/** Issue-path IQ maintenance: remove a mid-queue entry (clearing its
+ *  residency flags) and re-insert it, then drain the ready list the
+ *  re-insert published to, as the issue stage does every cycle. */
 void
 BM_IqRemoveReinsert(benchmark::State &state)
 {
-    InstHotPool pool(128);
-    InstQueue iq(128, pool);
+    InstQueue iq(128);
     std::vector<DynInst> insts(128);
     for (std::size_t i = 0; i < insts.size(); ++i) {
         insts[i] = makeAlu(i + 1);
-        bindAt(pool, insts[i], static_cast<HotIdx>(i), i + 1);
         iq.insert(&insts[i]);
     }
     std::vector<ReadyRef> ready;
@@ -207,7 +190,7 @@ BENCHMARK(BM_IqRemoveReinsert);
 class LsqDisambigFixture
 {
   public:
-    LsqDisambigFixture() : pool(128), lsq(128)
+    LsqDisambigFixture() : lsq(128)
     {
         insts.reserve(97);
         for (InstSeqNum sn = 1; sn <= 96; ++sn) {
@@ -220,8 +203,8 @@ class LsqDisambigFixture
                 d.si = StaticInst::load(RegId::intReg(1),
                                         RegId::intReg(2), addr);
             }
+            d.setSeq(sn);
             insts.push_back(d);
-            bindAt(pool, insts.back(), static_cast<HotIdx>(sn - 1), sn);
             lsq.insert(&insts.back());
             if (d.si.isStore()) {
                 insts.back().addrReady = true;
@@ -232,15 +215,14 @@ class LsqDisambigFixture
         DynInst probe;
         probe.si = StaticInst::load(RegId::intReg(1), RegId::intReg(2),
                                     0x4000);  // no conflict: full walk
+        probe.setSeq(97);
         insts.push_back(probe);
-        bindAt(pool, insts.back(), 96, 97);
         lsq.insert(&insts.back());
     }
 
     LoadCheck check() { return lsq.disambiguate(&insts.back(), 200); }
 
   private:
-    InstHotPool pool;
     Lsq lsq;
     std::vector<DynInst> insts;
 };
@@ -262,12 +244,9 @@ BENCHMARK(BM_LsqDisambigTable);
 void
 BM_CompletionQueueCalendar(benchmark::State &state)
 {
-    InstHotPool pool(64);
     std::vector<DynInst> insts(64);
-    for (std::size_t i = 0; i < insts.size(); ++i) {
+    for (std::size_t i = 0; i < insts.size(); ++i)
         insts[i] = makeAlu(i + 1);
-        bindAt(pool, insts[i], static_cast<HotIdx>(i), i + 1);
-    }
     CompletionQueue cq(128);
     static const Cycle lat[8] = {1, 1, 1, 2, 2, 4, 12, 52};
     Cycle now = 0;
@@ -285,14 +264,12 @@ BM_CompletionQueueCalendar(benchmark::State &state)
 }
 BENCHMARK(BM_CompletionQueueCalendar);
 
-/** The commit stage's head walk: check the head's phase through the
- *  packed hot-state arrays, retire a commit-width burst, refill. Guards
- *  the data-oriented split — the walk must not touch the DynInsts. */
+/** The commit stage's head walk: check the head's phase, retire a
+ *  commit-width burst, refill the freed entries in place. */
 void
 BM_RobCommitWalk(benchmark::State &state)
 {
-    InstHotPool pool(128);
-    Rob rob(128, pool);
+    Rob rob(128);
     InstSeqNum seq = 0;
     auto fill = [&](DynInst *d) {
         d->si = StaticInst::alu(RegId::intReg(1), RegId::intReg(2),
@@ -302,11 +279,10 @@ BM_RobCommitWalk(benchmark::State &state)
     };
     while (!rob.full())
         fill(rob.allocate());
-    const InstHotPool &hot = rob.hotPool();
     for (auto _ : state) {
         unsigned committed = 0;
         while (committed < 8 && !rob.empty() &&
-               hot.phaseOf(rob.headSlot()) == InstPhase::Completed) {
+               rob.head().phase() == InstPhase::Completed) {
             rob.commitHead();
             ++committed;
         }

@@ -123,17 +123,6 @@ class CircularBuffer
         count = 0;
     }
 
-    /** Physical storage slot of logical position @p logical — stable for
-     *  an element's whole residency (the ROB uses it as the hot-state
-     *  handle of the entry). */
-    std::size_t
-    physIndexOf(std::size_t logical) const
-    {
-        VPR_ASSERT(logical < count, "index ", logical, " out of range ",
-                   count);
-        return physIndex(logical);
-    }
-
   private:
     /** head + logical, wrapped by one compare-and-subtract (both are
      *  below the capacity): no division on the per-cycle path. */

@@ -27,11 +27,8 @@ std::string
 DynInst::toString() const
 {
     std::ostringstream os;
-    if (hot)
-        os << "[sn:" << seq() << " " << phaseName(phase())
-           << (wrongPath ? " WP" : "") << "] " << si.disassemble();
-    else
-        os << "[unbound] " << si.disassemble();
+    os << "[sn:" << seq() << " " << phaseName(phase())
+       << (wrongPath ? " WP" : "") << "] " << si.disassemble();
     return os.str();
 }
 

@@ -7,16 +7,13 @@
  * (opcode, destination tag, Src1/R1, Src2/R2) and the reorder-buffer
  * entry (logical destination, completed bit, previous virtual-physical
  * mapping) are all carried here; the IQ and ROB reference DynInsts
- * rather than duplicating the fields.
- *
- * DynInst itself keeps only the *cold* rename/ISA state. The hot
- * scalars the cycle loop hammers — phase, sequence number, scheduler
- * residency flags, the pipeline cycle stamps, the last hold verdict —
- * live in the packed InstHotPool (inst_hot.hh), indexed by ROB slot;
- * the accessors below forward there so call sites stay readable.
- * Rob::allocate() binds an instruction to its slot; a DynInst is never
- * meaningfully copied once bound (the binding identifies a storage
- * slot, not a value).
+ * rather than duplicating the fields. So do the scheduler's records
+ * (ReadyRef, the IQ's wait-list entries, completion events, released
+ * LSQ holds): each is a (DynInst *, seq) pair, stale once the
+ * instruction's seq() no longer matches. The ROB owns every DynInst in
+ * its ring and value-initialises a slot when it reuses it, so a record
+ * of a squashed or retired instruction always points at a live object
+ * and reads as stale as soon as a younger instruction takes its slot.
  */
 
 #ifndef VPR_CORE_DYN_INST_HH
@@ -26,11 +23,31 @@
 #include <string>
 
 #include "common/types.hh"
-#include "core/inst_hot.hh"
 #include "isa/static_inst.hh"
 
 namespace vpr
 {
+
+/** Lifecycle phase of a dynamic instruction. */
+enum class InstPhase : std::uint8_t
+{
+    Renamed,    ///< dispatched to IQ/ROB, waiting for operands
+    Issued,     ///< executing on a functional unit
+    Completed,  ///< result produced (and register allocated, if any)
+    Committed,  ///< retired
+    Squashed    ///< removed by branch recovery (slot may be reused)
+};
+
+/** Why a load cannot begin its memory access yet (LSQ disambiguation).
+ *  Each load carries its most recent hold, so hold statistics count
+ *  episodes rather than attempts. */
+enum class LoadHold : std::uint8_t
+{
+    Ready,          ///< may access the cache
+    Forward,        ///< older matching store will forward its data
+    UnknownAddress, ///< an older store's address is not known yet
+    PartialOverlap  ///< overlaps an older store but cannot forward
+};
 
 /** One renamed source operand (Src/R fields of Figure 2). */
 struct SrcOperand
@@ -43,7 +60,8 @@ struct SrcOperand
 
 struct ReadyRef;
 
-/** An in-flight instruction (the cold half; hot state in InstHotPool). */
+/** An in-flight instruction. Members are ordered so that the record
+ *  packs into 136 bytes. */
 struct DynInst
 {
     /** Every member has a default initializer, so this leaves nothing
@@ -54,43 +72,6 @@ struct DynInst
     DynInst() {}
 
     StaticInst si;
-    bool wrongPath = false;     ///< fetched past a mispredicted branch
-
-    // --- hot-state binding ----------------------------------------------
-    /** The packed hot-state row of this instruction: pool + ROB slot.
-     *  Bound by Rob::allocate() (tests bind explicitly). */
-    InstHotPool *hot = nullptr;
-    HotIdx slot = kNoHotIdx;
-
-    void
-    bindHot(InstHotPool *pool, HotIdx idx)
-    {
-        hot = pool;
-        slot = idx;
-    }
-
-    /** Hot-state accessors: forward to the pool row. @{ */
-    InstSeqNum seq() const { return hot->seqOf(slot); }
-    void setSeq(InstSeqNum s) { hot->setSeq(slot, s); }
-    InstPhase phase() const { return hot->phaseOf(slot); }
-    void setPhase(InstPhase p) { hot->setPhase(slot, p); }
-    bool inIq() const { return hot->isInIq(slot); }
-    void setInIq(bool b) { hot->setInIq(slot, b); }
-    bool inReadyQ() const { return hot->isInReadyQ(slot); }
-    void setInReadyQ(bool b) { hot->setInReadyQ(slot, b); }
-    LoadHold lastHold() const { return hot->lastHoldOf(slot); }
-    void setLastHold(LoadHold h) { hot->setLastHold(slot, h); }
-    Cycle fetchCycle() const { return hot->fetchCycleOf(slot); }
-    void setFetchCycle(Cycle c) { hot->setFetchCycle(slot, c); }
-    Cycle renameCycle() const { return hot->renameCycleOf(slot); }
-    void setRenameCycle(Cycle c) { hot->setRenameCycle(slot, c); }
-    Cycle issueCycle() const { return hot->issueCycleOf(slot); }
-    void setIssueCycle(Cycle c) { hot->setIssueCycle(slot, c); }
-    Cycle completeCycle() const { return hot->completeCycleOf(slot); }
-    void setCompleteCycle(Cycle c) { hot->setCompleteCycle(slot, c); }
-    Cycle commitCycle() const { return hot->commitCycleOf(slot); }
-    void setCommitCycle(Cycle c) { hot->setCommitCycle(slot, c); }
-    /** @} */
 
     // --- rename state -------------------------------------------------
     SrcOperand src[kMaxSrcRegs];
@@ -107,14 +88,39 @@ struct DynInst
      *  instruction commits, restored if it squashes. */
     std::uint16_t prevTag = kNoReg;
 
-    // --- pipeline state (cold remainder) --------------------------------
-    bool mispredictedBranch = false;
+    // --- pipeline and memory state ------------------------------------
     unsigned executions = 0;    ///< times issued (re-execution counter)
-
-    // --- memory state (LSQ) -------------------------------------------
-    bool addrReady = false;     ///< effective address computed
     Cycle addrReadyCycle = kNoCycle;
+    bool addrReady = false;     ///< effective address computed
     bool storeForwarded = false; ///< load got data from an older store
+    bool wrongPath = false;     ///< fetched past a mispredicted branch
+    bool mispredictedBranch = false;
+
+    /** Lifecycle, scheduler residency and cycle stamps. @{ */
+    InstSeqNum seq() const { return seqNum; }
+    void setSeq(InstSeqNum s) { seqNum = s; }
+    InstPhase phase() const { return lifecycle; }
+    void setPhase(InstPhase p) { lifecycle = p; }
+    /** Resident in the instruction queue. */
+    bool inIq() const { return iqResident; }
+    void setInIq(bool b) { iqResident = b; }
+    /** Published on the IQ's ready list and not yet issued or gone. */
+    bool inReadyQ() const { return readyPublished; }
+    void setInReadyQ(bool b) { readyPublished = b; }
+    /** Most recent disambiguation hold (loads). */
+    LoadHold lastHold() const { return hold; }
+    void setLastHold(LoadHold h) { hold = h; }
+    Cycle fetchCycle() const { return fetchedAt; }
+    void setFetchCycle(Cycle c) { fetchedAt = c; }
+    Cycle renameCycle() const { return renamedAt; }
+    void setRenameCycle(Cycle c) { renamedAt = c; }
+    Cycle issueCycle() const { return issuedAt; }
+    void setIssueCycle(Cycle c) { issuedAt = c; }
+    Cycle completeCycle() const { return completedAt; }
+    void setCompleteCycle(Cycle c) { completedAt = c; }
+    Cycle commitCycle() const { return committedAt; }
+    void setCommitCycle(Cycle c) { committedAt = c; }
+    /** @} */
 
     bool hasDest() const { return si.hasDest(); }
     RegClass destClass() const { return si.dest.regClass(); }
@@ -152,34 +158,37 @@ struct DynInst
 
     /** Debug rendering: seq, phase and disassembly. */
     std::string toString() const;
+
+  private:
+    InstPhase lifecycle = InstPhase::Renamed;
+    LoadHold hold = LoadHold::Ready;
+    bool iqResident = false;
+    bool readyPublished = false;
+    /** 0 until rename numbers the instruction (real ones start at 1). */
+    InstSeqNum seqNum = 0;
+    Cycle fetchedAt = kNoCycle;
+    Cycle renamedAt = kNoCycle;
+    Cycle issuedAt = kNoCycle;
+    Cycle completedAt = kNoCycle;
+    Cycle committedAt = kNoCycle;
 };
 
 /**
  * A published/parked scheduler entry (IQ ready list, issue-stage stall
- * lists, LSQ hold subscriptions, parked stores): @p inst is valid while
- * the instruction is still resident with the recorded sequence number.
- * The record carries the hot-pool slot so the lazy-staleness check
- * reads only the packed arrays — a stale entry never touches the
- * DynInst. The explicit constructor forces every construction site to
- * supply the slot (no silent aggregate zero-init).
+ * lists, LSQ holds, woken stores): @p inst is the instruction while it
+ * still carries the recorded sequence number, and the entry is stale
+ * once it does not.
  */
 struct ReadyRef
 {
     DynInst *inst = nullptr;
     InstSeqNum seq = 0;
-    HotIdx slot = kNoHotIdx;
-
-    ReadyRef() = default;
-    ReadyRef(DynInst *i, InstSeqNum s, HotIdx sl)
-        : inst(i), seq(s), slot(sl)
-    {
-    }
 };
 
 inline ReadyRef
 DynInst::ref()
 {
-    return ReadyRef(this, seq(), slot);
+    return {this, seq()};
 }
 
 } // namespace vpr

@@ -22,7 +22,7 @@ InstQueue::addWaiters(DynInst *inst)
         if (lists[s.tag].capacity() == 0)
             lists[s.tag].reserve(kWaitListReserve);
         lists[s.tag].push_back(
-            {inst, inst->seq(), inst->slot, static_cast<std::uint8_t>(i)});
+            {inst, inst->seq(), static_cast<std::uint8_t>(i)});
     }
 }
 
@@ -48,9 +48,7 @@ InstQueue::wakeup(RegClass cls, std::uint16_t tag, std::uint16_t physReg)
     // entries (instruction issued, squashed, or its slot reused — the
     // seq/residency check catches all three) are simply dropped. A tag
     // is broadcast at most once per allocation, so the list drains
-    // exactly when a scan of the queue would have found its waiters. The
-    // staleness check reads only the packed hot arrays via the recorded
-    // slot; a stale waiter never touches its DynInst.
+    // exactly when a scan of the queue would have found its waiters.
     //
     // The one waiter that outlives its queue residency is the data
     // operand of an issued store: the store left the queue on its
@@ -64,23 +62,24 @@ InstQueue::wakeup(RegClass cls, std::uint16_t tag, std::uint16_t physReg)
     std::vector<Waiter> &waiters = lists[tag];
     unsigned nWoken = 0;
     for (const Waiter &w : waiters) {
-        if (!hot.live(w.slot, w.seq))
+        DynInst *inst = w.inst;
+        if (inst->seq() != w.seq)
             continue;
-        const bool inQueue = hot.isInIq(w.slot);
+        const bool inQueue = inst->inIq();
         if (!inQueue &&
-            (w.srcIdx != 0 || hot.phaseOf(w.slot) != InstPhase::Issued ||
-             !w.inst->isStore()))
+            (w.srcIdx != 0 || inst->phase() != InstPhase::Issued ||
+             !inst->isStore()))
             continue;
-        SrcOperand &s = w.inst->src[w.srcIdx];
+        SrcOperand &s = inst->src[w.srcIdx];
         if (!s.valid || s.ready || s.cls != cls || s.tag != tag)
             continue;
         s.tag = physReg;
         s.ready = true;
         if (inQueue) {
             ++nWoken;
-            maybePublishReady(w.inst);
+            maybePublishReady(inst);
         } else {
-            storesWoken.emplace_back(w.inst, w.seq, w.slot);
+            storesWoken.push_back({inst, w.seq});
         }
     }
     waiters.clear();

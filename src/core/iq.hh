@@ -26,7 +26,7 @@
  * seq + inIq check; the DynInst::inReadyQ flag guarantees each
  * resident instruction is published at most once.
  *
- * The queue keeps no list of its entries: residency is the hot pool's
+ * The queue keeps no list of its entries: residency is each DynInst's
  * inIq flag plus a resident count. Age order lives in the sequence
  * numbers the issue stage sorts its candidates by, and branch recovery
  * removes each squashed instruction from the ROB walk.
@@ -56,8 +56,8 @@ namespace vpr
 class InstQueue
 {
   public:
-    InstQueue(std::size_t capacity, InstHotPool &hotPool)
-        : cap(capacity), hot(hotPool),
+    explicit InstQueue(std::size_t capacity)
+        : cap(capacity),
           occupancy(stats::Distribution::evenBuckets(
               "occupancy", "entries occupied per cycle", 0, capacity, 16))
     {
@@ -141,7 +141,6 @@ class InstQueue
     {
         DynInst *inst;
         InstSeqNum seq;
-        HotIdx slot;
         std::uint8_t srcIdx;
     };
 
@@ -160,7 +159,6 @@ class InstQueue
     }
 
     std::size_t cap;
-    InstHotPool &hot;
     std::size_t resident = 0;  ///< entries with the inIq flag set
     /** Wait lists per register class, indexed by tag (grown on use). */
     std::vector<std::vector<Waiter>> waitLists[kNumRegClasses];

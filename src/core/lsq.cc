@@ -121,42 +121,28 @@ Lsq::eraseLineEntries(DynInst *store)
     }
 }
 
-Lsq::SubList &
-Lsq::subsFor(const DynInst *store)
+void
+Lsq::releaseHolds(const DynInst *store, Cycle wake)
 {
-    const std::size_t slot = store->slot;
-    if (slot >= holdSubs.size())
-        holdSubs.resize(slot + 1);
-    SubList &e = holdSubs[slot];
-    if (e.owner != store->seq()) {
-        // A previous tenant of the slot left its (already dead)
-        // subscriptions behind; reclaim the list for the new owner.
-        e.owner = store->seq();
-        e.subs.clear();
+    std::size_t keep = 0;
+    for (const HeldLoad &h : heldLoads) {
+        if (h.blocker == store->seq())
+            pendingRelease.push_back({h.load, wake});
+        else
+            heldLoads[keep++] = h;
     }
-    return e;
+    heldLoads.resize(keep);
 }
 
 void
-Lsq::releaseSubs(const DynInst *store, Cycle wake)
+Lsq::dropHolds(const DynInst *store)
 {
-    const std::size_t slot = store->slot;
-    if (slot >= holdSubs.size())
-        return;
-    SubList &e = holdSubs[slot];
-    if (e.owner != store->seq())
-        return;
-    for (const ReadyRef &r : e.subs)
-        pendingRelease.push_back({r.inst, r.seq, r.slot, wake});
-    e.subs.clear();
-}
-
-void
-Lsq::dropSubs(const DynInst *store)
-{
-    const std::size_t slot = store->slot;
-    if (slot < holdSubs.size() && holdSubs[slot].owner == store->seq())
-        holdSubs[slot].subs.clear();
+    const InstSeqNum blocker = store->seq();
+    heldLoads.erase(std::remove_if(heldLoads.begin(), heldLoads.end(),
+                                   [blocker](const HeldLoad &h) {
+                                       return h.blocker == blocker;
+                                   }),
+                    heldLoads.end());
 }
 
 void
@@ -179,7 +165,7 @@ Lsq::onStoreAddrComputed(DynInst *inst)
                "store address visibility cycles must be monotone");
     flushKnown(inst->addrReadyCycle);
     pendingKnown.pushBack({inst->seq(), inst->addrReadyCycle});
-    releaseSubs(inst, inst->addrReadyCycle);
+    releaseHolds(inst, inst->addrReadyCycle);
 }
 
 void
@@ -194,13 +180,12 @@ Lsq::subscribeHold(DynInst *load, const DynInst *blocker, LoadHold hold)
         // The blocker computed its address earlier this cycle, so its
         // release event already fired; park directly on the pending
         // list, due when the address becomes visible.
-        pendingRelease.push_back(
-            {load, load->seq(), load->slot, blocker->addrReadyCycle});
+        pendingRelease.push_back({load->ref(), blocker->addrReadyCycle});
         return;
     }
     // UnknownAddress releases at address computation, PartialOverlap at
-    // the blocker's commit (remove) — both via the blocker's slot.
-    subsFor(blocker).subs.push_back(load->ref());
+    // the blocker's commit (remove).
+    heldLoads.push_back({load->ref(), blocker->seq()});
 }
 
 void
@@ -209,7 +194,7 @@ Lsq::takeReadyHolds(Cycle now, std::vector<ReadyRef> &out)
     std::size_t keep = 0;
     for (const HoldRelease &r : pendingRelease) {
         if (r.wake <= now)
-            out.emplace_back(r.inst, r.seq, r.slot);
+            out.push_back(r.load);
         else
             pendingRelease[keep++] = r;
     }
@@ -226,7 +211,7 @@ Lsq::remove(DynInst *inst)
         eraseUnknown(inst->seq());
         // Commit ticks before issue, so loads held on this store may
         // re-attempt this very cycle, as an every-cycle re-check would.
-        releaseSubs(inst, 0);
+        releaseHolds(inst, 0);
     }
 }
 
@@ -238,7 +223,7 @@ Lsq::squash(DynInst *inst)
     if (inst->isStore()) {
         eraseLineEntries(inst);
         eraseUnknown(inst->seq());
-        dropSubs(inst);
+        dropHolds(inst);
     }
 }
 

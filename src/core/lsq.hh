@@ -17,11 +17,13 @@
  * store that is unknown or overlaps" — O(1) expected instead of
  * O(queue).
  *
- * Holds are events, not polls: the issue stage subscribes a held load
- * to its blocking store (subscribeHold), the blocker's address
- * computation or commit releases the subscription, and takeReadyHolds()
- * hands the re-attemptable loads back to the issue stage at exactly the
- * cycle an every-cycle re-check would have unblocked them.
+ * Holds are events, not polls: the issue stage parks a held load on its
+ * blocking store (subscribeHold), the blocker's address computation or
+ * commit releases it, and takeReadyHolds() hands the re-attemptable
+ * loads back to the issue stage at exactly the cycle an every-cycle
+ * re-check would have unblocked them. Held loads are rare (most store
+ * events find none), so they sit on one list that each store event
+ * scans.
  *
  * The queue keeps no list of its entries: the ROB already holds them in
  * program order, so the queue counts its residents, commit removes the
@@ -161,13 +163,13 @@ class Lsq
     void insert(DynInst *inst);
 
     /** Remove the entry for @p inst (at commit). A removed store
-     *  releases the hold subscriptions parked on it, due this cycle
-     *  (commit ticks before issue). */
+     *  releases the loads held on it, due this cycle (commit ticks
+     *  before issue). */
     void remove(DynInst *inst);
 
     /** Remove the entry for @p inst, the youngest resident (branch
-     *  recovery's ROB walk). A squashed store drops its subscribers,
-     *  which are younger and squashed with it. */
+     *  recovery's ROB walk). A squashed store drops the loads held on
+     *  it, which are younger and squashed with it. */
     void squash(DynInst *inst);
 
     /**
@@ -185,8 +187,8 @@ class Lsq
 
     /**
      * The store @p inst computed its effective address (issue stage,
-     * first execution): index it in the line table and release its
-     * unknown-address hold subscriptions at the address's visibility
+     * first execution): index it in the line table and release the
+     * loads held on its unknown address at the address's visibility
      * cycle (inst->addrReadyCycle, set by the caller).
      */
     void onStoreAddrComputed(DynInst *inst);
@@ -227,14 +229,17 @@ class Lsq
      *  line with the load and each access touches at most two lines. */
     static constexpr unsigned kLineShift = 4;
 
-    /** A released hold waiting for its wake cycle. Carries the hot-pool
-     *  slot so the issue stage's validity check stays in the packed
-     *  arrays. */
+    /** A load parked on the store that blocks it. */
+    struct HeldLoad
+    {
+        ReadyRef load;
+        InstSeqNum blocker;  ///< sequence number of the blocking store
+    };
+
+    /** A released hold waiting for its wake cycle. */
     struct HoldRelease
     {
-        DynInst *inst;
-        InstSeqNum seq;
-        HotIdx slot;
+        ReadyRef load;
         Cycle wake;
     };
 
@@ -258,32 +263,13 @@ class Lsq
     /** Remove a store's line-table entries (commit or squash). */
     void eraseLineEntries(DynInst *store);
 
-    /** Move the subscribers of blocker @p store to the pending-release
-     *  list with wake cycle @p wake. */
-    void releaseSubs(const DynInst *store, Cycle wake);
+    /** Move the loads held on @p store to the pending-release list,
+     *  in the order they were parked, with wake cycle @p wake. */
+    void releaseHolds(const DynInst *store, Cycle wake);
 
-    /** Drop the subscriptions parked on @p store without releasing
-     *  them (squash: the subscribers die with their blocker). */
-    void dropSubs(const DynInst *store);
-
-    /** The loads parked on one blocking store, owner-validated.
-     *
-     *  Subscriptions are indexed by the blocker's hot-pool slot, not
-     *  its sequence number: slots are bounded by the pipeline and
-     *  reused, so the structure reaches its full size during warm-up
-     *  and steady-state subscribe/release traffic never allocates (a
-     *  seq-keyed map would mint a fresh node for every blocker). The
-     *  owner seq detects slot reuse — a stale list left by a squashed
-     *  store is discarded lazily by the next subscriber. */
-    struct SubList
-    {
-        InstSeqNum owner = 0;
-        std::vector<ReadyRef> subs;
-    };
-
-    /** The subscription list of blocker @p store, clearing a stale
-     *  previous tenant's leftovers. */
-    SubList &subsFor(const DynInst *store);
+    /** Drop the loads held on @p store without releasing them (squash:
+     *  they die with their blocker). */
+    void dropHolds(const DynInst *store);
 
     std::size_t cap;
     std::size_t resident = 0;
@@ -306,8 +292,9 @@ class Lsq
      *  it. */
     CircularBuffer<std::pair<InstSeqNum, Cycle>> pendingKnown;
 
-    /** Per-hot-slot hold subscriptions (see SubList). */
-    std::vector<SubList> holdSubs;
+    /** Loads held on a store that has not resolved them yet, in the
+     *  order they were parked. */
+    std::vector<HeldLoad> heldLoads;
     /** Released holds waiting for their wake cycle. */
     std::vector<HoldRelease> pendingRelease;
 

@@ -5,13 +5,13 @@
  * Owns the DynInst storage for all in-flight instructions. The paper's
  * configuration is a 128-entry ROB; its size *is* the instruction
  * window. Entries carry the Figure-2 fields (logical destination,
- * completed bit, previous VP mapping) inside DynInst; the hot scalars
- * (phase, seq, cycle stamps, scheduler flags) live in the InstHotPool,
- * indexed by the entry's physical slot — allocate() binds the two and
- * fully reinitialises the hot row, which is what makes slot reuse after
- * the recovery walk safe for the lazy-staleness idiom. The buffer
- * supports the paper's recovery walk: popping entries youngest-first
- * down to the offending instruction.
+ * completed bit, previous VP mapping) and every other per-instruction
+ * scalar inside DynInst. The ring's slots outlive their entries: a
+ * retired or squashed instruction stays a live object until allocate()
+ * value-initialises its slot for a younger one, which is what lets a
+ * scheduler record detect staleness by sequence number alone. The
+ * buffer supports the paper's recovery walk: popping entries
+ * youngest-first down to the offending instruction.
  */
 
 #ifndef VPR_CORE_ROB_HH
@@ -20,7 +20,6 @@
 #include "common/circular_buffer.hh"
 #include "common/stats.hh"
 #include "core/dyn_inst.hh"
-#include "core/inst_hot.hh"
 
 namespace vpr
 {
@@ -29,13 +28,11 @@ namespace vpr
 class Rob
 {
   public:
-    Rob(std::size_t entries, InstHotPool &hotPool)
-        : buf(entries), hot(hotPool),
+    explicit Rob(std::size_t entries)
+        : buf(entries),
           occupancy(stats::Distribution::evenBuckets(
               "occupancy", "entries occupied per cycle", 0, entries, 16))
     {
-        VPR_ASSERT(hotPool.capacity() >= entries,
-                   "hot-state pool smaller than the ROB");
         occupancy.countValuesUpTo(entries);
         group.add(&occupancy);
     }
@@ -50,28 +47,16 @@ class Rob
 
     /**
      * Allocate the tail entry: a DynInst value-initialised in its slot
-     * and bound to its (fully reset) hot-state row. The caller fills
-     * in the cold fields and hot stamps in place — no DynInst copy.
+     * (sequence number 0, so every record of the slot's previous
+     * occupant reads as stale). The caller fills it in place — no
+     * DynInst copy.
      * @return a pointer that stays valid until the entry is removed.
      */
-    DynInst *
-    allocate()
-    {
-        DynInst &d = buf.emplaceBack();
-        auto slot = static_cast<HotIdx>(buf.physIndexOf(buf.size() - 1));
-        hot.reset(slot);
-        d.bindHot(&hot, slot);
-        return &d;
-    }
+    DynInst *allocate() { return &buf.emplaceBack(); }
 
     /** Oldest instruction. */
     DynInst &head() { return buf.front(); }
     const DynInst &head() const { return buf.front(); }
-
-    /** Hot-state slot of the oldest instruction: the commit walk checks
-     *  the head's phase through the packed arrays without touching the
-     *  DynInst. */
-    HotIdx headSlot() const { return static_cast<HotIdx>(buf.physIndexOf(0)); }
 
     /** Youngest instruction. */
     DynInst &tail() { return buf.back(); }
@@ -86,16 +71,6 @@ class Rob
     DynInst &at(std::size_t i) { return buf.at(i); }
     const DynInst &at(std::size_t i) const { return buf.at(i); }
 
-    /** Hot-state slot of the entry at logical position @p i. */
-    HotIdx
-    slotAt(std::size_t i) const
-    {
-        return static_cast<HotIdx>(buf.physIndexOf(i));
-    }
-
-    /** The pool holding every entry's hot state. */
-    const InstHotPool &hotPool() const { return hot; }
-
     /** Record the occupancy for this cycle. */
     void sampleOccupancy() { occupancy.sampleCounted(buf.size()); }
 
@@ -104,7 +79,6 @@ class Rob
 
   private:
     CircularBuffer<DynInst> buf;
-    InstHotPool &hot;
     stats::StatGroup group{"rob"};
     stats::Distribution occupancy;
 };

@@ -11,11 +11,9 @@ CommitStage::tick()
     const Cycle now = s.curCycle;
 
     for (unsigned k = 0; k < s.cfg.commitWidth && !s.rob.empty(); ++k) {
-        // Peek the head's phase through the packed hot arrays; the
-        // DynInst itself is only touched once the head can retire.
-        if (s.hot.phaseOf(s.rob.headSlot()) != InstPhase::Completed)
-            break;
         DynInst &head = s.rob.head();
+        if (head.phase() != InstPhase::Completed)
+            break;
         VPR_ASSERT(!head.wrongPath, "committing a wrong-path instruction");
 
         if (head.isStore()) {

@@ -33,11 +33,10 @@ CompleteStage::tick()
                    ev.when, " now=", now);
 
         // Stale events: the instruction was squashed (slot possibly
-        // reused by a younger instruction). The check reads only the
-        // packed hot arrays via the recorded slot.
-        if (!s.hot.liveInPhase(ev.slot, ev.seq, InstPhase::Issued))
-            continue;
+        // reused by a younger instruction).
         DynInst *inst = ev.inst;
+        if (inst->seq() != ev.seq || inst->phase() != InstPhase::Issued)
+            continue;
 
         CompleteResult res = s.renameMgr->complete(*inst, now);
         if (!res.ok) {
@@ -76,7 +75,8 @@ CompleteStage::tick()
     // complete now that both address and data are known.
     auto &woken = s.iq.wokenStores();
     for (const ReadyRef &ref : woken) {
-        if (!s.hot.liveInPhase(ref.slot, ref.seq, InstPhase::Issued))
+        if (ref.inst->seq() != ref.seq ||
+            ref.inst->phase() != InstPhase::Issued)
             continue;  // squashed by a later recovery this cycle
         const Cycle ready = ref.inst->addrReadyCycle;
         completions.schedule(now + 1 > ready ? now + 1 : ready, ref.seq,

@@ -257,11 +257,8 @@ IssueStage::tick()
             DynInst *inst = e.inst;
             if (!inst)
                 continue;
-            // Staleness (issued, squashed, or slot reused): decided
-            // entirely inside the packed hot arrays via the recorded
-            // slot — a stale entry never touches its DynInst.
-            if (!s.hot.liveInPhase(e.slot, e.seq, InstPhase::Renamed) ||
-                !s.hot.isInIq(e.slot)) {
+            if (inst->seq() != e.seq || inst->phase() != InstPhase::Renamed ||
+                !inst->inIq()) {
                 e.inst = nullptr;  // stale: issued, squashed, or reused
                 continue;
             }
@@ -292,7 +289,7 @@ IssueStage::tick()
         }
     }
     for (const ReadyRef &e : cand) {
-        if (e.inst && s.hot.live(e.slot, e.seq) && s.hot.isInIq(e.slot))
+        if (e.inst && e.inst->seq() == e.seq && e.inst->inIq())
             retryQ.push_back(e);
     }
 }

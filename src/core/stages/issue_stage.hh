@@ -10,7 +10,7 @@
  * ready instructions with its own parked entries (per-FU stall lists
  * gated on unit availability, per-class lists of the renamer's issue
  * gate refusals gated on the gate's bound, a retry list for the
- * per-cycle resources, and the LSQ's released hold subscriptions),
+ * per-cycle resources, and the loads the LSQ releases from their holds),
  * insertion-sorts the merged candidates by age and attempts them
  * oldest first — the whole instruction queue is never walked. Entries
  * that fail a structural check are re-parked on the matching list;

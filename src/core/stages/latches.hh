@@ -24,21 +24,19 @@
 namespace vpr
 {
 
-/** A scheduled "instruction finishes execution" event. Carries the
- *  hot-pool slot so the complete stage's staleness check reads only the
- *  packed arrays. */
+/** A scheduled "instruction finishes execution" event: stale once
+ *  @p inst no longer carries @p seq. */
 struct CompletionEvent
 {
     Cycle when;
     InstSeqNum seq;
     DynInst *inst;
-    HotIdx slot;
 };
 
 /**
  * The issue→complete latch: a time-ordered queue of completion events.
  * Events for squashed instructions are filtered lazily at pop time (the
- * ROB slot may have been reused, so the (seq, phase) pair is
+ * ROB slot may have been reused, so the instruction's seq and phase are
  * re-checked), so recovery does not touch the queue.
  *
  * The events live in a cycle-indexed calendar (timing wheel): a
@@ -46,7 +44,7 @@ struct CompletionEvent
  * latency, plus an overflow list for the rare event beyond the horizon
  * (unbounded write-port slip, MSHR queueing). schedule() is an append
  * and popDue() drains one bucket — O(1) each, no heap sifts over
- * 32-byte events. Events pop in (when, seq) order: within a cycle they
+ * 24-byte events. Events pop in (when, seq) order: within a cycle they
  * drain in ascending sequence number.
  */
 class CompletionQueue
@@ -79,12 +77,12 @@ class CompletionQueue
                    when, " base=", base);
         ++nEvents;
         if (when >= base + horizon) {
-            overflow.push_back({when, seq, inst, inst->slot});
+            overflow.push_back({when, seq, inst});
             overflowMin = std::min(overflowMin, when);
             return;
         }
         buckets[static_cast<std::size_t>(when & (horizon - 1))].push_back(
-            {when, seq, inst, inst->slot});
+            {when, seq, inst});
         if (when == base)
             curSorted = false;
     }

@@ -10,9 +10,8 @@ PipelineState::PipelineState(TraceStream &stream, const CoreConfig &config)
     : cfg(config),
       renameMgr(makeRenamer(config.scheme, config.rename)),
       fetch(stream, config.fetch),
-      hot(config.robSize),
-      rob(config.robSize, hot),
-      iq(config.iqSize, hot),
+      rob(config.robSize),
+      iq(config.iqSize),
       lsq(config.lsqSize),
       cache(config.cache),
       fus(config.fu),

@@ -52,10 +52,6 @@ struct PipelineState
     CoreConfig cfg;
     std::unique_ptr<RenameManager> renameMgr;
     FetchUnit fetch;
-    /** Packed hot state of all in-flight instructions, indexed by ROB
-     *  slot (inst_hot.hh). Declared before the structures that index
-     *  into it. */
-    InstHotPool hot;
     Rob rob;
     InstQueue iq;
     Lsq lsq;

@@ -35,8 +35,8 @@ RenameStage::tick()
         }
 
         FetchedInst f = s.fetch.pop();
-        // Allocate the ROB entry first (binding it to its freshly reset
-        // hot-state row), then fill it in place — no DynInst copy.
+        // Allocate the ROB entry first, then fill it in place — no
+        // DynInst copy.
         DynInst *inst = s.rob.allocate();
         inst->si = f.si;
         inst->setSeq(++s.nextSeq);

@@ -16,7 +16,7 @@
  *
  * It is provided as an *ablation* against virtual-physical registers:
  * the paper argues the first waste factor (decode→write-back holding)
- * dominates; `bench/ablation_early_release` quantifies that claim.
+ * dominates; `vpr_sim ablation_early_release` quantifies that claim.
  *
  * Restriction: early release is incompatible with squash-based recovery
  * unless counters are checkpointed (as the original papers do). Use it

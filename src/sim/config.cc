@@ -111,22 +111,38 @@ SimConfig::validate() const
 
     const RenameConfig &r = core.rename;
     if (r.numPhysRegs <= kNumLogicalRegs)
-        VPR_FATAL("numPhysRegs (", r.numPhysRegs, ") must exceed the ",
-                  kNumLogicalRegs, " logical registers");
+        VPR_FATAL("core.rename.phys_regs (", r.numPhysRegs,
+                  ") must exceed the ", kNumLogicalRegs,
+                  " logical registers");
     if (isVirtualPhysical(core.scheme)) {
         if (r.numVPRegs < kNumLogicalRegs + core.robSize)
-            VPR_FATAL("numVPRegs (", r.numVPRegs, ") must be >= NLR + "
-                      "window (", kNumLogicalRegs + core.robSize,
-                      ") so decode never starves for tags");
-        if (r.nrrInt < 1 || r.nrrFp < 1)
-            VPR_FATAL("NRR must be >= 1 (deadlock avoidance)");
-        if (r.nrrInt > r.numPhysRegs - kNumLogicalRegs ||
-            r.nrrFp > r.numPhysRegs - kNumLogicalRegs)
-            VPR_FATAL("NRR must be <= NPR - NLR = ",
-                      r.numPhysRegs - kNumLogicalRegs);
+            VPR_FATAL("core.rename.vp_regs (", r.numVPRegs,
+                      ") must be >= ", kNumLogicalRegs + core.robSize,
+                      ", the ", kNumLogicalRegs,
+                      " logical registers plus core.rob_size (",
+                      core.robSize, "), so decode never starves for tags");
+        const unsigned maxNrr = r.numPhysRegs - kNumLogicalRegs;
+        const struct
+        {
+            const char *key;
+            unsigned nrr;
+        } nrrs[] = {{"core.rename.nrr_int", r.nrrInt},
+                    {"core.rename.nrr_fp", r.nrrFp}};
+        for (const auto &n : nrrs) {
+            if (n.nrr < 1)
+                VPR_FATAL(n.key, " (", n.nrr,
+                          ") must be >= 1 (deadlock avoidance)");
+            if (n.nrr > maxNrr)
+                VPR_FATAL(n.key, " (", n.nrr, ") must be <= ", maxNrr,
+                          ", core.rename.phys_regs (", r.numPhysRegs,
+                          ") minus the ", kNumLogicalRegs,
+                          " logical registers");
+        }
     }
     if (core.iqSize < core.robSize)
-        VPR_FATAL("iqSize must be >= robSize (unified queue)");
+        VPR_FATAL("core.iq_size (", core.iqSize,
+                  ") must be >= core.rob_size (", core.robSize,
+                  "): the queue is unified");
     if (core.scheme == RenameScheme::ConventionalEarlyRelease &&
         core.fetch.wrongPath != WrongPathMode::Stall)
         VPR_FATAL("core.scheme=", renameSchemeName(core.scheme),
@@ -148,9 +164,9 @@ SimConfig::validate() const
                       ") exceeds the period (sim.sampling.period_insts = ",
                       sampling.periodInsts, ")");
         if (sampling.periodInsts > measureInsts)
-            VPR_FATAL("sampling: period (", sampling.periodInsts,
-                      ") exceeds the measurement budget (", measureInsts,
-                      "); not even one interval fits");
+            VPR_FATAL("sim.sampling.period_insts (", sampling.periodInsts,
+                      ") exceeds measure_insts (", measureInsts,
+                      "): not even one interval fits");
     }
 }
 

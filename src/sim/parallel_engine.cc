@@ -6,6 +6,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/logging.hh"
 #include "sim/experiment.hh"
 #include "sim/result_cache.hh"
 
@@ -22,6 +23,27 @@ scaledConfig(const GridCell &cell)
     SimConfig config = cell.config;
     applyInstructionScale(config);
     return config;
+}
+
+/** Validate @p cell as given, so that an error quotes the values the
+ *  user typed, then as it runs. Only the instruction budgets differ
+ *  between the two, so an error that only the run raises is the
+ *  scale's: it also names VPR_INSTS_SCALE and both budgets, given and
+ *  scaled. */
+void
+validateCell(const GridCell &cell)
+{
+    const SimConfig &given = cell.config;
+    given.validate();
+    const SimConfig run = scaledConfig(cell);
+    try {
+        run.validate();
+    } catch (const Error &e) {
+        VPR_FATAL(e.what(), " (VPR_INSTS_SCALE=", instructionScale(),
+                  " scaled skip_insts ", given.skipInsts, " to ",
+                  run.skipInsts, " and measure_insts ", given.measureInsts,
+                  " to ", run.measureInsts, ")");
+    }
 }
 
 SimResults
@@ -129,11 +151,11 @@ ParallelExperimentEngine::workersFor(std::size_t cellCount) const
 std::vector<SimResults>
 ParallelExperimentEngine::run(const std::vector<GridCell> &cells) const
 {
-    // Validate every cell exactly as it will run before running any: a
-    // bad grid fails on its first bad cell without spending compute on
-    // the good ones.
+    // Validate every cell, as given and as it will run, before running
+    // any: a bad grid fails on its first bad cell without spending
+    // compute on the good ones.
     for (const GridCell &cell : cells)
-        scaledConfig(cell).validate();
+        validateCell(cell);
 
     std::vector<SimResults> results(cells.size());
     std::vector<char> hit(cells.size(), 0);  // not vector<bool>: racy

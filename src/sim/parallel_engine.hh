@@ -61,13 +61,15 @@ class ParallelExperimentEngine
     /**
      * Run every cell and return results in cell order. The instruction
      * scale (VPR_INSTS_SCALE) is applied to each cell exactly as the
-     * serial runOne does, and every scaled cell is validated before any
-     * runs (the first invalid one throws Error). Deterministic: results
-     * depend only on the cells, never on jobs, scheduling or the
-     * cache. With a cache directory, cells are served from the result
-     * cache; if the records then disagree on their metric columns,
-     * every cached cell is re-simulated (and its entry repaired when
-     * its columns change), so the results equal a cold run's.
+     * serial runOne does, and every cell is validated as given and as
+     * scaled before any runs (the first invalid one throws Error; one
+     * that only the scale makes invalid names VPR_INSTS_SCALE).
+     * Deterministic: results depend only on the cells, never on jobs,
+     * scheduling or the cache. With a cache directory, cells are
+     * served from the result cache; if the records then disagree on
+     * their metric columns, every cached cell is re-simulated (and its
+     * entry repaired when its columns change), so the results equal a
+     * cold run's.
      */
     std::vector<SimResults> run(const std::vector<GridCell> &cells) const;
 

@@ -138,7 +138,7 @@ CacheGcPlan planCacheGc(const std::vector<std::string> &dirs,
 std::size_t applyCacheGc(const CacheGcPlan &plan);
 
 /** Human-readable plan listing (one line per eviction + a summary),
- *  shared by cache_gc --dry-run and the vpr_simd startup pass. */
+ *  printed by cache_gc for a dry run and for a real one. */
 void printCacheGcPlan(std::ostream &os, const CacheGcPlan &plan,
                       std::uint64_t budgetBytes, bool dryRun);
 

@@ -22,18 +22,11 @@ namespace vpr
 namespace
 {
 
-/** A DynInst bound to a hot-pool row, shared by every scheduled event:
- *  the queue only copies inst->slot at schedule time, and these tests
- *  compare (when, seq) pop order, not instruction identity. */
+/** The one DynInst every scheduled event points at: the queue never
+ *  reads it, and these tests compare (when, seq) pop order, not
+ *  instruction identity. */
 struct CqFixture
 {
-    CqFixture() : hot(8)
-    {
-        hot.reset(0);
-        inst.bindHot(&hot, 0);
-    }
-
-    InstHotPool hot;
     DynInst inst;
 };
 

@@ -15,30 +15,10 @@ namespace vpr
 namespace
 {
 
-/** An IQ with its backing hot-state pool. Tests bind instructions to
- *  fresh pool slots through adopt() (the ROB does this in production). */
+/** An IQ and the instructions the tests build for it. */
 struct IqFixture
 {
-    explicit IqFixture(std::size_t cap, std::size_t slots = 2048)
-        : hot(slots), iq(cap, hot)
-    {
-    }
-
-    /** Bind @p d to a fresh (reset) hot slot and stamp @p seq. */
-    void
-    adopt(DynInst &d, InstSeqNum seq)
-    {
-        adoptAt(d, next++, seq);
-    }
-
-    /** Bind @p d to a specific slot — slot-reuse tests. */
-    void
-    adoptAt(DynInst &d, HotIdx sl, InstSeqNum seq)
-    {
-        hot.reset(sl);
-        d.bindHot(&hot, sl);
-        d.setSeq(seq);
-    }
+    explicit IqFixture(std::size_t cap) : iq(cap) {}
 
     DynInst
     alu(InstSeqNum seq)
@@ -46,7 +26,7 @@ struct IqFixture
         DynInst d;
         d.si = StaticInst::alu(RegId::intReg(1), RegId::intReg(2),
                                RegId::intReg(3));
-        adopt(d, seq);
+        d.setSeq(seq);
         return d;
     }
 
@@ -87,9 +67,7 @@ struct IqFixture
     }
     /** @} */
 
-    InstHotPool hot;
     InstQueue iq;
-    HotIdx next = 0;
     std::vector<DynInst *> resident;
 };
 
@@ -214,21 +192,21 @@ TEST(InstQueueWaitList, SquashedEntryIsNotWoken)
 
 TEST(InstQueueWaitList, SlotReuseAfterSquashIsDetected)
 {
-    // A squashed instruction's ROB slot (and hot row) is recycled for a
-    // younger one; the stale wait-list entry must not wake the new
-    // occupant, while the new occupant's own entry must.
+    // A squashed instruction's ROB slot is recycled for a younger one;
+    // the stale wait-list entry must not wake the new occupant, while
+    // the new occupant's own entry must.
     IqFixture f(8);
     DynInst slot = f.waiter(3, RegClass::Int, 12);
-    HotIdx sl = slot.slot;
     f.iq.insert(&slot);
     f.iq.remove(&slot);  // squashed
     ASSERT_TRUE(f.iq.empty());
 
-    // Recycle the same storage and hot row with a new sequence number.
+    // Recycle the same storage with a new sequence number, as
+    // Rob::allocate() does.
     slot = DynInst();
     slot.si = StaticInst::alu(RegId::intReg(1), RegId::intReg(2),
                               RegId::intReg(3));
-    f.adoptAt(slot, sl, 9);
+    slot.setSeq(9);
     slot.src[0].valid = true;
     slot.src[0].cls = RegClass::Int;
     slot.src[0].tag = 12;
@@ -270,11 +248,11 @@ TEST(InstQueueWaitList, ParkedStoreDataWakesOntoTheWokenList)
     IqFixture f(8);
     DynInst st;
     st.si = StaticInst::store(RegId::intReg(3), RegId::intReg(2), 0x100);
-    f.adopt(st, 1);
+    st.setSeq(1);
     st.src[0] = {20, RegClass::Int, true, false};  // data, in flight
     DynInst squashed;
     squashed.si = st.si;
-    f.adopt(squashed, 2);
+    squashed.setSeq(2);
     squashed.src[0] = {20, RegClass::Int, true, false};
     DynInst alu = f.waiter(3, RegClass::Int, 20);
     for (DynInst *d : {&st, &squashed, &alu}) {
@@ -293,7 +271,6 @@ TEST(InstQueueWaitList, ParkedStoreDataWakesOntoTheWokenList)
     ASSERT_EQ(f.iq.wokenStores().size(), 1u);
     EXPECT_EQ(f.iq.wokenStores()[0].inst, &st);
     EXPECT_EQ(f.iq.wokenStores()[0].seq, 1u);
-    EXPECT_EQ(f.iq.wokenStores()[0].slot, st.slot);
     EXPECT_TRUE(drain(f.iq).empty());
 }
 
@@ -306,7 +283,6 @@ TEST(InstQueueReady, ReadyAtInsertIsPublishedImmediately)
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].inst, &a);
     EXPECT_EQ(out[0].seq, 1u);
-    EXPECT_EQ(out[0].slot, a.slot);
     EXPECT_TRUE(a.inReadyQ());
     // Published exactly once.
     EXPECT_TRUE(drain(f.iq).empty());
@@ -335,7 +311,7 @@ TEST(InstQueueReady, StorePublishesOnAddressOperandOnly)
     IqFixture f(8);
     DynInst st;
     st.si = StaticInst::store(RegId::intReg(3), RegId::intReg(2), 0x100);
-    f.adopt(st, 1);
+    st.setSeq(1);
     st.src[0] = {20, RegClass::Int, true, false};  // data
     st.src[1] = {21, RegClass::Int, true, false};  // address base
     f.iq.insert(&st);
@@ -398,7 +374,7 @@ TEST(InstQueueReady, MatchesFullScanOnRandomStimulus)
                 d.si = StaticInst::alu(RegId::intReg(1), RegId::intReg(2),
                                        RegId::intReg(3));
             }
-            f.adopt(d, ++seq);
+            d.setSeq(++seq);
             for (int si = 0; si < 2; ++si) {
                 d.src[si].valid = (next() & 3) != 0;
                 d.src[si].cls =
@@ -479,7 +455,7 @@ TEST(InstQueueWaitList, MatchesScanReferenceOnRandomStimulus)
     // squash/wakeup stimulus and check every broadcast against a scan
     // of the resident list: the same count, and every operand of every
     // instruction ever created exactly as the scan leaves it.
-    IqFixture f(64, 1024);
+    IqFixture f(64);
     std::vector<DynInst> pool(512);
     std::vector<std::array<SrcOperand, kMaxSrcRegs>> expected(pool.size());
     std::uint64_t rng = 0x9e3779b97f4a7c15ull;
@@ -502,7 +478,7 @@ TEST(InstQueueWaitList, MatchesScanReferenceOnRandomStimulus)
             DynInst &d = pool[created];
             d.si = StaticInst::alu(RegId::intReg(1), RegId::intReg(2),
                                    RegId::intReg(3));
-            f.adopt(d, ++seq);
+            d.setSeq(++seq);
             for (int si = 0; si < 2; ++si) {
                 d.src[si].valid = (next() & 3) != 0;
                 d.src[si].cls =

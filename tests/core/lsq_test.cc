@@ -20,26 +20,13 @@ namespace vpr
 namespace
 {
 
-/** Shared hot-state pool for the file's standalone DynInsts; every
- *  instruction gets a fresh slot, so staleness checks behave as with
- *  the real ROB binding. */
-void
-bind(DynInst &d, InstSeqNum seq)
-{
-    static InstHotPool pool(1 << 16);
-    static HotIdx next = 0;
-    pool.reset(next);
-    d.bindHot(&pool, next++);
-    d.setSeq(seq);
-}
-
 DynInst
 load(InstSeqNum seq, Addr addr, unsigned size = 8)
 {
     DynInst d;
     d.si = StaticInst::load(RegId::intReg(1), RegId::intReg(2), addr);
     d.si.memSize = static_cast<std::uint8_t>(size);
-    bind(d, seq);
+    d.setSeq(seq);
     return d;
 }
 
@@ -49,7 +36,7 @@ store(InstSeqNum seq, Addr addr, unsigned size = 8)
     DynInst d;
     d.si = StaticInst::store(RegId::intReg(3), RegId::intReg(2), addr);
     d.si.memSize = static_cast<std::uint8_t>(size);
-    bind(d, seq);
+    d.setSeq(seq);
     return d;
 }
 
@@ -438,6 +425,57 @@ TEST(LsqHolds, SquashedBlockerDropsItsSubscribers)
     EXPECT_TRUE(out.empty());
 }
 
+TEST(LsqHolds, EachStoreReleasesOnlyItsOwnLoads)
+{
+    // Three loads held on two stores, parked interleaved on the one
+    // held list: s1's unknown address holds l2 and l3, s4's partial
+    // overlap holds l5.
+    Lsq lsq(8);
+    DynInst s1 = store(1, 0x100);
+    DynInst l2 = load(2, 0x100);
+    DynInst l3 = load(3, 0x108);
+    DynInst s4 = store(4, 0x204, 4);
+    DynInst l5 = load(5, 0x200, 8);
+    for (DynInst *d : {&s1, &l2, &l3, &s4, &l5})
+        lsq.insert(d);
+    computeAddr(lsq, s4, 0);
+
+    for (DynInst *l : {&l2, &l5, &l3}) {
+        LoadCheck chk = lsq.disambiguate(l, 4);
+        ASSERT_EQ(chk.blocker, l == &l5 ? &s4 : &s1) << l->seq();
+        ASSERT_EQ(chk.hold, l == &l5 ? LoadHold::PartialOverlap
+                                     : LoadHold::UnknownAddress);
+        lsq.subscribeHold(l, chk.blocker, chk.hold);
+    }
+
+    // s1 computes its address at cycle 5, visible from 6: exactly its
+    // own loads come back, at 6, in the order they were parked.
+    computeAddr(lsq, s1, 6);
+    std::vector<ReadyRef> out;
+    lsq.takeReadyHolds(5, out);
+    EXPECT_TRUE(out.empty());
+    lsq.takeReadyHolds(6, out);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].inst, &l2);
+    EXPECT_EQ(out[0].seq, 2u);
+    EXPECT_EQ(out[1].inst, &l3);
+    EXPECT_EQ(out[1].seq, 3u);
+
+    // l5 waits for s4's commit; s1's commit does not release it.
+    out.clear();
+    lsq.takeReadyHolds(100, out);
+    lsq.remove(&s1);
+    lsq.remove(&l2);
+    lsq.remove(&l3);
+    lsq.takeReadyHolds(100, out);
+    EXPECT_TRUE(out.empty());
+    lsq.remove(&s4);
+    lsq.takeReadyHolds(100, out);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].inst, &l5);
+    EXPECT_EQ(out[0].seq, 5u);
+}
+
 // --- statistics and invariants --------------------------------------------
 
 TEST(Lsq, HoldStatsAccumulate)
@@ -467,7 +505,7 @@ TEST(LsqDeath, NonMemInsertPanics)
     DynInst d;
     d.si = StaticInst::alu(RegId::intReg(1), RegId::intReg(2),
                            RegId::intReg(3));
-    bind(d, 1);
+    d.setSeq(1);
     EXPECT_DEATH(lsq.insert(&d), "non-memory");
 }
 

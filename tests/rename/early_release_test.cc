@@ -17,19 +17,6 @@ cfg64()
     return c;
 }
 
-/** Bind a standalone DynInst to a fresh hot-pool slot (the ROB does
- *  this in production) and stamp its sequence number. */
-void
-bind(DynInst &d, InstSeqNum seq)
-{
-    static InstHotPool pool(1 << 12);
-    static HotIdx next = 0;
-    HotIdx sl = next++ % pool.capacity();
-    pool.reset(sl);
-    d.bindHot(&pool, sl);
-    d.setSeq(seq);
-}
-
 DynInst
 alu(InstSeqNum seq, std::uint16_t destIdx, std::uint16_t s1 = 1,
     std::uint16_t s2 = 2)
@@ -37,7 +24,7 @@ alu(InstSeqNum seq, std::uint16_t destIdx, std::uint16_t s1 = 1,
     DynInst d;
     d.si = StaticInst::alu(RegId::intReg(destIdx), RegId::intReg(s1),
                            RegId::intReg(s2));
-    bind(d, seq);
+    d.setSeq(seq);
     return d;
 }
 

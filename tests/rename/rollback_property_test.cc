@@ -41,19 +41,6 @@ struct Observed
     }
 };
 
-/** Bind a standalone DynInst to a fresh hot-pool slot (the ROB does
- *  this in production) and stamp its sequence number. */
-void
-bind(DynInst &d, InstSeqNum seq)
-{
-    static InstHotPool pool(1 << 14);
-    static HotIdx next = 0;
-    HotIdx sl = next++ % pool.capacity();
-    pool.reset(sl);
-    d.bindHot(&pool, sl);
-    d.setSeq(seq);
-}
-
 /**
  * Probe the renamer by renaming "fake" readers of every logical
  * register and recording how the sources map — a behavioural snapshot
@@ -69,7 +56,6 @@ observe(RenameManager &rn)
             RegId reg = c == 0 ? RegId::intReg(l) : RegId::fpReg(l);
             DynInst probe;
             probe.si = StaticInst::store(reg, RegId(), 0x1000);
-            bind(probe, 0);  // never registered: no dest
             rn.renameInst(probe, 0);
             o.srcTag[c].push_back(probe.src[0].tag);
             o.srcReady[c].push_back(probe.src[0].ready);
@@ -113,7 +99,7 @@ TEST_P(RollbackPropertyTest, SquashIsExactInverse)
                                        RegId::fpReg(2))
                    : StaticInst::alu(RegId::intReg(l), RegId::intReg(1),
                                      RegId::intReg(2));
-        bind(*d, ++seq);
+        d->setSeq(++seq);
         rn->renameInst(*d, now);
         rn->tryIssue(*d, now);
         EXPECT_TRUE(rn->complete(*d, now).ok);
@@ -136,7 +122,7 @@ TEST_P(RollbackPropertyTest, SquashIsExactInverse)
                                        RegId::fpReg(4))
                    : StaticInst::alu(RegId::intReg(l), RegId::intReg(3),
                                      RegId::intReg(4));
-        bind(*d, ++seq);
+        d->setSeq(++seq);
         rn->renameInst(*d, now);
         burst.push_back(std::move(d));
     }

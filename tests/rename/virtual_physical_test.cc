@@ -29,25 +29,12 @@ cfg(std::uint16_t physRegs = 64, std::uint16_t nrr = 32)
     return c;
 }
 
-/** Bind a standalone DynInst to a fresh hot-pool slot (the ROB does
- *  this in production) and stamp its sequence number. */
-void
-bind(DynInst &d, InstSeqNum seq)
-{
-    static InstHotPool pool(1 << 12);
-    static HotIdx next = 0;
-    HotIdx sl = next++ % pool.capacity();
-    pool.reset(sl);
-    d.bindHot(&pool, sl);
-    d.setSeq(seq);
-}
-
 DynInst
 inst(InstSeqNum seq, StaticInst si)
 {
     DynInst d;
     d.si = si;
-    bind(d, seq);
+    d.setSeq(seq);
     return d;
 }
 

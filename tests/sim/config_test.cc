@@ -73,28 +73,51 @@ TEST(SimConfigDeath, ValidateRejectsTooFewPhysRegs)
 {
     SimConfig c = paperConfig();
     c.core.rename.numPhysRegs = 32;
-    EXPECT_VPR_ERROR(c.validate(), "must exceed");
+    EXPECT_VPR_ERROR(c.validate(),
+                     "core\\.rename\\.phys_regs \\(32\\) must exceed");
 }
 
 TEST(SimConfigDeath, ValidateRejectsSmallVpPool)
 {
     SimConfig c = paperConfig();
     c.core.rename.numVPRegs = 100;  // < 32 + 128
-    EXPECT_VPR_ERROR(c.validate(), "NLR \\+ window");
+    EXPECT_VPR_ERROR(c.validate(),
+                     "core\\.rename\\.vp_regs \\(100\\) must be >= 160");
 }
 
 TEST(SimConfigDeath, ValidateRejectsOversizedNrr)
 {
     SimConfig c = paperConfig();
     c.core.rename.nrrInt = 40;  // > 64 - 32
-    EXPECT_VPR_ERROR(c.validate(), "NRR must be <=");
+    EXPECT_VPR_ERROR(c.validate(),
+                     "core\\.rename\\.nrr_int \\(40\\) must be <= 32");
+    c.core.rename.nrrInt = 32;
+    c.core.rename.nrrFp = 33;
+    EXPECT_VPR_ERROR(c.validate(),
+                     "core\\.rename\\.nrr_fp \\(33\\) must be <= 32");
+}
+
+TEST(SimConfigDeath, ValidateRejectsZeroNrr)
+{
+    // The reserved registers are what keeps the VP schemes deadlock
+    // free; the message names the class at fault.
+    SimConfig c = paperConfig();
+    c.core.rename.nrrFp = 0;
+    EXPECT_VPR_ERROR(c.validate(),
+                     "core\\.rename\\.nrr_fp \\(0\\) must be >= 1");
+    c.core.rename.nrrFp = 1;
+    c.core.rename.nrrInt = 0;
+    EXPECT_VPR_ERROR(c.validate(),
+                     "core\\.rename\\.nrr_int \\(0\\) must be >= 1");
 }
 
 TEST(SimConfigDeath, ValidateRejectsSmallIq)
 {
     SimConfig c = paperConfig();
     c.core.iqSize = 64;
-    EXPECT_VPR_ERROR(c.validate(), "iqSize");
+    EXPECT_VPR_ERROR(
+        c.validate(),
+        "core\\.iq_size \\(64\\) must be >= core\\.rob_size \\(128\\)");
 }
 
 TEST(SimConfigDeath, ValidateRejectsEarlyReleaseWithWrongPathSynthesis)
