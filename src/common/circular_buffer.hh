@@ -1,8 +1,8 @@
 /**
  * @file
  * Fixed-capacity circular FIFO: the one ring of the core, used by the
- * ROB, the fetch buffer, the LSQ's pending-visibility list and the NRR
- * reservation trackers' windows, each sized by a real bound.
+ * ROB, the fetch buffer, the LSQ's store list and the NRR reservation
+ * trackers' windows, each sized by a real bound.
  */
 
 #ifndef VPR_COMMON_CIRCULAR_BUFFER_HH

@@ -43,12 +43,16 @@ class FormatError : public Error
     using Error::Error;
 };
 
-/** FNV-1a 64-bit over a byte range (payload checksums, cache keys). */
+/** FNV-1a's 64-bit offset basis: the hash of no bytes. */
+inline constexpr std::uint64_t kFnv1aBasis = 14695981039346656037ull;
+
+/** FNV-1a 64-bit over a byte range (payload checksums, cache keys),
+ *  continuing from @p seed. */
 std::uint64_t fnv1a(const void *data, std::size_t n,
-                    std::uint64_t seed = 14695981039346656037ull);
+                    std::uint64_t seed = kFnv1aBasis);
 
 inline std::uint64_t
-fnv1a(const std::string &s, std::uint64_t seed = 14695981039346656037ull)
+fnv1a(const std::string &s, std::uint64_t seed = kFnv1aBasis)
 {
     return fnv1a(s.data(), s.size(), seed);
 }

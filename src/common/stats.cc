@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/io/zio.hh"
 #include "common/logging.hh"
 
 namespace vpr::stats
@@ -444,16 +445,12 @@ Counter2D::shapeKey() const
 {
     // FNV-1a over the labels, each terminated by a separator byte that
     // no label contains, and the row/column boundary marked apart.
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](const std::string &label, unsigned char end) {
-        for (const char ch : label)
-            h = (h ^ static_cast<unsigned char>(ch)) * 0x100000001b3ull;
-        h = (h ^ end) * 0x100000001b3ull;
-    };
+    static constexpr unsigned char kRowEnd = 0x1f, kColEnd = 0x1e;
+    std::uint64_t h = kFnv1aBasis;
     for (const std::string &row : rows)
-        mix(row, 0x1f);
+        h = fnv1a(&kRowEnd, 1, fnv1a(row, h));
     for (const std::string &col : cols)
-        mix(col, 0x1e);
+        h = fnv1a(&kColEnd, 1, fnv1a(col, h));
     return h;
 }
 
@@ -550,13 +547,12 @@ class SchemaHashVisitor : public StatVisitor
     void
     mix(SymId name)
     {
-        for (int i = 0; i < 4; ++i)
-            h = (h ^ ((name >> (8 * i)) & 0xffu)) * 0x100000001b3ull;
-        h = (h ^ 0x1full) * 0x100000001b3ull; // name separator
+        static constexpr unsigned char kEnd = 0x1f;  // name separator
+        h = fnv1a(&kEnd, 1, fnv1a(&name, sizeof name, h));
     }
 
     StatVisitor &v;
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = kFnv1aBasis;
 };
 
 /** Schema fingerprints whose name sets have passed the duplicate

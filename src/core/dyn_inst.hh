@@ -8,8 +8,8 @@
  * entry (logical destination, completed bit, previous virtual-physical
  * mapping) are all carried here; the IQ and ROB reference DynInsts
  * rather than duplicating the fields. So do the scheduler's records
- * (ReadyRef, the IQ's wait-list entries, completion events, released
- * LSQ holds): each is a (DynInst *, seq) pair, stale once the
+ * (ReadyRef, the IQ's wait-list entries, completion events, the LSQ's
+ * stores): each is a (DynInst *, seq) pair, stale once the
  * instruction's seq() no longer matches. The ROB owns every DynInst in
  * its ring and value-initialises a slot when it reuses it, so a record
  * of a squashed or retired instruction always points at a live object
@@ -174,10 +174,10 @@ struct DynInst
 };
 
 /**
- * A published/parked scheduler entry (IQ ready list, issue-stage stall
- * lists, LSQ holds, woken stores): @p inst is the instruction while it
- * still carries the recorded sequence number, and the entry is stale
- * once it does not.
+ * A published/parked scheduler entry (IQ ready list, issue-stage
+ * stall lists, the LSQ's stores, woken stores): @p inst is the
+ * instruction while it still carries the recorded sequence number, and
+ * the entry is stale once it does not.
  */
 struct ReadyRef
 {

@@ -53,11 +53,11 @@ IssueStage::IssueStage(PipelineState &state,
     s.statsTree.add(&group);
 }
 
-IssueStage::Attempt
+IssueStage::Outcome
 IssueStage::tryIssueOne(DynInst *inst)
 {
     if (!inst->issueOperandsReady())
-        return {Outcome::Resource};
+        return Outcome::Resource;
 
     OpClass op = inst->si.op;
     const Cycle now = s.curCycle;
@@ -67,26 +67,25 @@ IssueStage::tryIssueOne(DynInst *inst)
     // it only needs to traverse the execution pipeline again.
     const bool reExecution = inst->executions > 0;
 
-    // Memory disambiguation (PA-8000 style) for loads. Hold statistics
-    // count episodes (transitions into a blocking state), not attempts:
-    // a held load is re-attempted only when its blocker resolves.
+    // Memory disambiguation (PA-8000 style) for loads. A held load is
+    // retried every cycle (see retryQ), so hold statistics count
+    // episodes (transitions into a blocking state), not attempts.
     LoadHold hold = LoadHold::Ready;
     if (inst->isLoad() && !reExecution) {
-        LoadCheck chk = s.lsq.disambiguate(inst, now);
-        hold = chk.hold;
+        hold = s.lsq.disambiguate(inst, now);
         if (hold == LoadHold::UnknownAddress ||
             hold == LoadHold::PartialOverlap) {
             if (inst->lastHold() != hold) {
                 s.lsq.recordHold(hold);
                 inst->setLastHold(hold);
             }
-            return {Outcome::Hold, hold, chk.blocker};
+            return Outcome::Resource;
         }
     }
 
     // Functional unit available?
     if (s.fus.available(fuTypeFor(op), now) == 0)
-        return {Outcome::NoFu};
+        return Outcome::NoFu;
 
     // Register-file read ports. A store reads only its address operand
     // at issue; the data register is picked up when it completes.
@@ -103,21 +102,21 @@ IssueStage::tryIssueOne(DynInst *inst)
             ++nFpReads;
     }
     if (!s.regPorts.canClaimReads(nIntReads, nFpReads))
-        return {Outcome::Resource};
+        return Outcome::Resource;
 
     // Cache port and MSHR space for loads that really access the cache.
     bool needsCache =
         inst->isLoad() && hold != LoadHold::Forward && !reExecution;
     if (needsCache) {
         if (s.cachePortSched.used(now + 1) >= s.cfg.cachePorts)
-            return {Outcome::Resource};
+            return Outcome::Resource;
         if (s.cache.wouldBlock(inst->si.effAddr, now + 1))
-            return {Outcome::Resource};
+            return Outcome::Resource;
     }
 
     // The renamer's issue gate (VP issue-allocation policy).
     if (!s.renameMgr->tryIssue(*inst, now))
-        return {Outcome::Gate};
+        return Outcome::Gate;
 
     // All checks passed: commit the side effects.
     s.regPorts.tryClaimReads(nIntReads, nFpReads);
@@ -149,8 +148,6 @@ IssueStage::tryIssueOne(DynInst *inst)
         raw = now + 1;
         inst->addrReady = true;
         inst->addrReadyCycle = now + 1;
-        if (!reExecution)
-            s.lsq.onStoreAddrComputed(inst);
         if (!inst->operandsReady()) {
             inst->setPhase(InstPhase::Issued);
             inst->setIssueCycle(now);
@@ -162,7 +159,7 @@ IssueStage::tryIssueOne(DynInst *inst)
             byClass.inc(static_cast<std::size_t>(op), reExecution ? 1 : 0);
             bool fuOkStore = s.fus.tryIssue(op, now, raw);
             VPR_ASSERT(fuOkStore, "FU vanished after availability check");
-            return {Outcome::Issued};
+            return Outcome::Issued;
         }
     } else {
         raw = now + opLatency(op);
@@ -189,7 +186,7 @@ IssueStage::tryIssueOne(DynInst *inst)
     ++issued;
     byClass.inc(static_cast<std::size_t>(op), reExecution ? 1 : 0);
     completions.schedule(completion, inst->seq(), inst);
-    return {Outcome::Issued};
+    return Outcome::Issued;
 }
 
 void
@@ -198,12 +195,11 @@ IssueStage::tick()
     const Cycle now = s.curCycle;
 
     // Merge this cycle's candidates: newly published ready
-    // instructions, last cycle's per-cycle-resource failures, FU-stall
-    // lists whose unit class has capacity again (availability only
-    // shrinks within a tick, so a class gated here would fail every
-    // attempt this cycle too), gate refusals the renamer's gate now
-    // admits (it only tightens within a tick; see gateQ), and released
-    // LSQ holds.
+    // instructions, last cycle's per-cycle refusals (see retryQ),
+    // FU-stall lists whose unit class has capacity again (availability
+    // only shrinks within a tick, so a class gated here would fail
+    // every attempt this cycle too), and gate refusals the renamer's
+    // gate now admits (it only tightens within a tick; see gateQ).
     cand.clear();
     s.iq.drainReadyEvents(cand);
     cand.insert(cand.end(), retryQ.begin(), retryQ.end());
@@ -233,7 +229,6 @@ IssueStage::tick()
         }
         q.resize(kept);
     }
-    s.lsq.takeReadyHolds(now, cand);
     // Age order by insertion sort: a handful of candidates per cycle,
     // and each source list arrives nearly in age order already.
     for (std::size_t i = 1; i < cand.size(); ++i) {
@@ -264,15 +259,12 @@ IssueStage::tick()
             }
             if ((inst->executions > 0) != (pass == 1))
                 continue;
-            Attempt a = tryIssueOne(inst);
+            const Outcome outcome = tryIssueOne(inst);
             e.inst = nullptr;
-            switch (a.outcome) {
+            switch (outcome) {
               case Outcome::Issued:
                 s.iq.remove(inst);
                 ++nIssued;
-                break;
-              case Outcome::Hold:
-                s.lsq.subscribeHold(inst, a.blocker, a.hold);
                 break;
               case Outcome::NoFu:
                 fuStallQ[static_cast<std::size_t>(

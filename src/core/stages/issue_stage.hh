@@ -9,12 +9,11 @@
  * Selection is event-driven: the stage merges the IQ's newly published
  * ready instructions with its own parked entries (per-FU stall lists
  * gated on unit availability, per-class lists of the renamer's issue
- * gate refusals gated on the gate's bound, a retry list for the
- * per-cycle resources, and the loads the LSQ releases from their holds),
+ * gate refusals gated on the gate's bound, and a retry list for the
+ * per-cycle refusals: disambiguation holds, read ports and the cache),
  * insertion-sorts the merged candidates by age and attempts them
  * oldest first — the whole instruction queue is never walked. Entries
- * that fail a structural check are re-parked on the matching list;
- * holds park inside the LSQ until the blocking store resolves.
+ * that are refused are re-parked on the matching list.
  */
 
 #ifndef VPR_CORE_STAGES_ISSUE_STAGE_HH
@@ -45,23 +44,14 @@ class IssueStage
     enum class Outcome : std::uint8_t
     {
         Issued,    ///< side effects committed, instruction left the IQ
-        Hold,      ///< LSQ disambiguation hold (blocker identifies why)
         NoFu,      ///< all functional units of the class busy
         Gate,      ///< the renamer's issue gate refused a register
-        Resource,  ///< per-cycle resource (read ports, cache)
-    };
-
-    /** One attempt's verdict, with the LSQ blocker for holds. */
-    struct Attempt
-    {
-        Outcome outcome;
-        LoadHold hold = LoadHold::Ready;
-        const DynInst *blocker = nullptr;
+        Resource,  ///< per-cycle refusal (hold, read ports, cache)
     };
 
     /** Try to issue one instruction (all structural checks in a fixed
      *  order); commits the side effects only when it issues. */
-    Attempt tryIssueOne(DynInst *inst);
+    Outcome tryIssueOne(DynInst *inst);
 
     PipelineState &s;
     CompletionQueue &completions;
@@ -69,8 +59,25 @@ class IssueStage
     /** This cycle's merged, age-sorted candidates (member to reuse the
      *  allocation across cycles). */
     std::vector<ReadyRef> cand;
-    /** Ready entries that failed a per-cycle resource; retried next
-     *  cycle. */
+    /**
+     * Ready entries refused for this cycle: loads the LSQ holds, and
+     * entries short of a read port, a cache port or MSHR space. Each is
+     * retried next cycle. A held load is retried until it passes, and
+     * it passes in the cycle its blocker (the youngest older store
+     * whose address is unknown or overlaps the load) resolves:
+     *
+     * - The verdict cannot change before then. The stores between the
+     *   blocker and the load have visible, disjoint addresses, and they
+     *   keep them; stores renamed later are younger than the load; and
+     *   stores older than the blocker cannot decide while it does,
+     *   because the LSQ's scan stops at the youngest decisive store.
+     * - So a retry first gets past the blocker in the blocker's
+     *   address-visibility cycle for an unknown address, and in its
+     *   commit cycle for a partial overlap (commit ticks before issue).
+     * - A refused retry changes nothing: a check leaves the LSQ as it
+     *   was, a refusal takes no issue slot, and hold statistics count
+     *   transitions through DynInst::lastHold, not attempts.
+     */
     std::vector<ReadyRef> retryQ;
     /** Ready entries stalled on a busy FU class; merged back the first
      *  cycle a unit is available again (until then every attempt
@@ -97,12 +104,11 @@ class IssueStage
      * - A refused attempt changes nothing: a load that reaches the gate
      *   has already disambiguated Ready or Forward and can never be
      *   held later (older stores' addresses only become known, and
-     *   stores leave only in order); the lazy MSHR fill retirement and
-     *   LSQ address-visibility flush its checks trigger happen anyway,
-     *   in the same order, at the next cache or LSQ access (fills
-     *   retire in allocation order, which is fill-cycle order because
-     *   bus start times never decrease); and the renamer's refusal
-     *   count is not exported.
+     *   stores leave only in order); the lazy MSHR fill retirement its
+     *   cache check triggers happens anyway, in the same order, at the
+     *   next cache access (fills retire in allocation order, which is
+     *   fill-cycle order because bus start times never decrease); and
+     *   the renamer's refusal count is not exported.
      */
     std::array<std::vector<ReadyRef>, kNumRegClasses> gateQ;
 

@@ -1,7 +1,9 @@
 #include "sim/experiment.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <iomanip>
 
 #include "common/logging.hh"
@@ -81,9 +83,11 @@ selectCells(const std::vector<GridCell> &cells,
 double
 parseInstsScale(const char *text)
 {
-    char *end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0.0)
+    const char *end = text + std::strlen(text);
+    double v = 0.0;
+    const std::from_chars_result r = std::from_chars(text, end, v);
+    if (r.ec != std::errc() || r.ptr != end || !std::isfinite(v) ||
+        v <= 0.0)
         VPR_FATAL("bad VPR_INSTS_SCALE '", text,
                   "' (want a positive number, e.g. 0.05)");
     return v;
@@ -92,11 +96,8 @@ parseInstsScale(const char *text)
 double
 instructionScale()
 {
-    static const double scale = [] {
-        const char *env = std::getenv("VPR_INSTS_SCALE");
-        return env ? parseInstsScale(env) : 1.0;
-    }();
-    return scale;
+    const char *env = std::getenv("VPR_INSTS_SCALE");
+    return env ? parseInstsScale(env) : 1.0;
 }
 
 unsigned

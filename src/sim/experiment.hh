@@ -64,12 +64,14 @@ std::vector<GridCell> selectCells(const std::vector<GridCell> &cells,
                                   const std::vector<std::size_t> &indices);
 
 /** Scale factor for instruction budgets: the VPR_INSTS_SCALE
- *  environment variable (parsed by parseInstsScale), or 1. Trades time
- *  for fidelity; throws Error on a bad value. */
+ *  environment variable (parsed by parseInstsScale), or 1, read at
+ *  every call. Trades time for fidelity; throws Error on a bad
+ *  value. */
 double instructionScale();
 
-/** Strictly parse a VPR_INSTS_SCALE value: a finite positive number
- *  (whole string). Anything else is an Error naming VPR_INSTS_SCALE. */
+/** Strictly parse a VPR_INSTS_SCALE value: a finite positive decimal
+ *  number, the whole string (no blanks, no hex). Anything else is an
+ *  Error naming VPR_INSTS_SCALE. */
 double parseInstsScale(const char *text);
 
 /** Worker-thread count for a grid when no --jobs was given: the

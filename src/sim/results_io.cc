@@ -96,18 +96,13 @@ checkMetricSchema(const std::vector<std::size_t> &indices,
 std::string
 configDigestOf(const std::vector<std::vector<std::string>> &values)
 {
-    std::uint64_t h = 14695981039346656037ull;
-    auto mix = [&h](const std::string &s) {
-        for (char c : s) {
-            h ^= static_cast<unsigned char>(c);
-            h *= 1099511628211ull;
-        }
-        h ^= 0xffu;
-        h *= 1099511628211ull;
-    };
+    // FNV-1a over each value's bytes, each followed by a separator
+    // byte that no value contains.
+    static constexpr unsigned char kEnd = 0xff;
+    std::uint64_t h = kFnv1aBasis;
     for (const std::vector<std::string> &cell : values)
         for (const std::string &v : cell)
-            mix(v);
+            h = fnv1a(&kEnd, 1, fnv1a(v, h));
     std::ostringstream os;
     os << std::hex << std::setfill('0') << std::setw(16) << h;
     return os.str();

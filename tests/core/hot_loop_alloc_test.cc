@@ -129,12 +129,12 @@ TEST(HotLoopAlloc, FreshGridCellAllocationCountIsPinned)
     // paid once per process (interned symbols, the stat-name memo,
     // verified schemas); after it the count is exact and repeats run
     // to run. A deliberate change re-pins it; an accidental one fails
-    // here before it is big enough to move wall time. (660: the five
+    // here before it is big enough to move wall time. (561: the five
     // per-value occupancy counters and the issue stage's two gate
-    // lists are seven allocations of a fresh core; the LSQ's pending
-    // visibility ring and the two NRR tracker windows are sized once,
-    // one allocation each.)
-    constexpr std::uint64_t kFreshCellAllocs = 660;
+    // lists are seven allocations of a fresh core; the LSQ's store
+    // ring and the two NRR tracker windows are sized once, one
+    // allocation each.)
+    constexpr std::uint64_t kFreshCellAllocs = 561;
 
     const std::vector<GridCell> cells{{"swim", tinySampledCell()}};
     runGrid(cells, 1);

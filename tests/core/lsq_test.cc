@@ -1,19 +1,23 @@
 /**
  * @file
- * Unit tests for the LSQ and PA-8000-style disambiguation through the
- * address-indexed store table: behavioural cases, line-boundary
- * overlaps, squash/commit cleanup, the hold subscription machinery,
- * and a randomized fuzz against a reverse-scan model that lives only
- * here. The queue keeps no entry list, so the tests squash youngest
- * first through Lsq::squash, as the ROB walk does.
+ * Unit tests for the LSQ and PA-8000-style disambiguation over its
+ * program-order store list: behavioural cases, commit and squash at
+ * the ends of the list, a randomized fuzz against a reverse-scan model
+ * over the whole queue that lives only here, and a core-level test
+ * that pins the cycles in which held loads issue. The queue keeps no
+ * list of its loads, so the tests squash youngest first through
+ * Lsq::squash, as the ROB walk does.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <map>
 #include <vector>
 
+#include "core/core.hh"
 #include "core/lsq.hh"
+#include "trace/builder.hh"
 
 namespace vpr
 {
@@ -40,19 +44,18 @@ store(InstSeqNum seq, Addr addr, unsigned size = 8)
     return d;
 }
 
-/** Mark a store's address computed, visible from @p cycle, through the
- *  real protocol (the issue stage sets the fields then notifies). */
+/** Mark a store's address computed, visible from @p cycle, as the
+ *  issue stage does. */
 void
-computeAddr(Lsq &lsq, DynInst &s, Cycle cycle)
+computeAddr(DynInst &s, Cycle cycle)
 {
     s.addrReady = true;
     s.addrReadyCycle = cycle;
-    lsq.onStoreAddrComputed(&s);
 }
 
-/** The behavioural disambiguation cases. The store table is the only
- *  path; the single instantiation keeps the case names
- *  (Paths/LsqPaths.<case>/table) stable. */
+/** The behavioural disambiguation cases. The single instantiation keeps
+ *  the case names (Paths/LsqPaths.<case>/table) that they had when a
+ *  store table answered them. */
 class LsqPaths : public ::testing::TestWithParam<bool>
 {
 };
@@ -60,12 +63,14 @@ class LsqPaths : public ::testing::TestWithParam<bool>
 INSTANTIATE_TEST_SUITE_P(Paths, LsqPaths, ::testing::Values(false),
                          [](const auto &) { return "table"; });
 
+// --- disambiguation verdicts ----------------------------------------------
+
 TEST_P(LsqPaths, LoadWithNoOlderStoresIsReady)
 {
     Lsq lsq(8);
     DynInst l = load(1, 0x100);
     lsq.insert(&l);
-    EXPECT_EQ(lsq.checkLoad(&l, 10), LoadHold::Ready);
+    EXPECT_EQ(lsq.disambiguate(&l, 10), LoadHold::Ready);
 }
 
 TEST_P(LsqPaths, LoadWaitsForUnknownStoreAddress)
@@ -75,12 +80,13 @@ TEST_P(LsqPaths, LoadWaitsForUnknownStoreAddress)
     DynInst l = load(2, 0x200);
     lsq.insert(&s);
     lsq.insert(&l);
-    EXPECT_EQ(lsq.checkLoad(&l, 10), LoadHold::UnknownAddress);
+    EXPECT_EQ(lsq.disambiguate(&l, 10), LoadHold::UnknownAddress);
     // Address computed but visible only in the future: still unknown at
     // cycle 10.
-    computeAddr(lsq, s, 20);
-    EXPECT_EQ(lsq.checkLoad(&l, 10), LoadHold::UnknownAddress);
-    EXPECT_EQ(lsq.checkLoad(&l, 20), LoadHold::Ready);
+    computeAddr(s, 20);
+    EXPECT_EQ(lsq.disambiguate(&l, 10), LoadHold::UnknownAddress);
+    EXPECT_EQ(lsq.disambiguate(&l, 19), LoadHold::UnknownAddress);
+    EXPECT_EQ(lsq.disambiguate(&l, 20), LoadHold::Ready);
 }
 
 TEST_P(LsqPaths, MatchingStoreForwards)
@@ -90,8 +96,8 @@ TEST_P(LsqPaths, MatchingStoreForwards)
     DynInst l = load(2, 0x100);
     lsq.insert(&s);
     lsq.insert(&l);
-    computeAddr(lsq, s, 5);
-    EXPECT_EQ(lsq.checkLoad(&l, 10), LoadHold::Forward);
+    computeAddr(s, 5);
+    EXPECT_EQ(lsq.disambiguate(&l, 10), LoadHold::Forward);
 }
 
 TEST_P(LsqPaths, ContainedAccessForwards)
@@ -101,8 +107,8 @@ TEST_P(LsqPaths, ContainedAccessForwards)
     DynInst l = load(2, 0x104, 4);  // inside the store's 8 bytes
     lsq.insert(&s);
     lsq.insert(&l);
-    computeAddr(lsq, s, 0);
-    EXPECT_EQ(lsq.checkLoad(&l, 10), LoadHold::Forward);
+    computeAddr(s, 0);
+    EXPECT_EQ(lsq.disambiguate(&l, 10), LoadHold::Forward);
 }
 
 TEST_P(LsqPaths, PartialOverlapHolds)
@@ -112,8 +118,8 @@ TEST_P(LsqPaths, PartialOverlapHolds)
     DynInst l = load(2, 0x100, 8);  // covers more than the store wrote
     lsq.insert(&s);
     lsq.insert(&l);
-    computeAddr(lsq, s, 0);
-    EXPECT_EQ(lsq.checkLoad(&l, 10), LoadHold::PartialOverlap);
+    computeAddr(s, 0);
+    EXPECT_EQ(lsq.disambiguate(&l, 10), LoadHold::PartialOverlap);
 }
 
 TEST_P(LsqPaths, NearestStoreWins)
@@ -125,13 +131,13 @@ TEST_P(LsqPaths, NearestStoreWins)
     lsq.insert(&s1);
     lsq.insert(&s2);
     lsq.insert(&l);
-    computeAddr(lsq, s1, 0);
+    computeAddr(s1, 0);
     // Only the older store's address is known: the younger one blocks
     // even though s1 matches.
-    EXPECT_EQ(lsq.checkLoad(&l, 10), LoadHold::UnknownAddress);
-    computeAddr(lsq, s2, 0);
+    EXPECT_EQ(lsq.disambiguate(&l, 10), LoadHold::UnknownAddress);
+    computeAddr(s2, 0);
     // Forward (from s2, the youngest older store).
-    EXPECT_EQ(lsq.checkLoad(&l, 10), LoadHold::Forward);
+    EXPECT_EQ(lsq.disambiguate(&l, 10), LoadHold::Forward);
 }
 
 TEST_P(LsqPaths, YoungerStoresDoNotAffectLoad)
@@ -141,7 +147,7 @@ TEST_P(LsqPaths, YoungerStoresDoNotAffectLoad)
     DynInst s = store(2, 0x100);
     lsq.insert(&l);
     lsq.insert(&s);
-    EXPECT_EQ(lsq.checkLoad(&l, 10), LoadHold::Ready);
+    EXPECT_EQ(lsq.disambiguate(&l, 10), LoadHold::Ready);
 }
 
 TEST_P(LsqPaths, DisjointStoresIgnored)
@@ -151,8 +157,8 @@ TEST_P(LsqPaths, DisjointStoresIgnored)
     DynInst l = load(2, 0x100);
     lsq.insert(&s);
     lsq.insert(&l);
-    computeAddr(lsq, s, 0);
-    EXPECT_EQ(lsq.checkLoad(&l, 10), LoadHold::Ready);
+    computeAddr(s, 0);
+    EXPECT_EQ(lsq.disambiguate(&l, 10), LoadHold::Ready);
 }
 
 TEST_P(LsqPaths, DecisiveStoreIsReported)
@@ -164,77 +170,74 @@ TEST_P(LsqPaths, DecisiveStoreIsReported)
     lsq.insert(&s1);
     lsq.insert(&s2);
     lsq.insert(&l);
-    computeAddr(lsq, s1, 0);
-    // s2 (younger, unknown) decides, and is reported as the blocker.
-    LoadCheck chk = lsq.disambiguate(&l, 10);
-    EXPECT_EQ(chk.hold, LoadHold::UnknownAddress);
-    EXPECT_EQ(chk.blocker, &s2);
-    computeAddr(lsq, s2, 5);
-    chk = lsq.disambiguate(&l, 10);
-    EXPECT_EQ(chk.hold, LoadHold::Forward);
-    EXPECT_EQ(chk.blocker, &s1);
+    computeAddr(s1, 0);
+    // The youngest decisive store's verdict is reported: s2 (younger,
+    // unknown) decides although s1 matches; once s2 is known to be
+    // disjoint, the scan passes it and s1 forwards.
+    EXPECT_EQ(lsq.disambiguate(&l, 10), LoadHold::UnknownAddress);
+    computeAddr(s2, 5);
+    EXPECT_EQ(lsq.disambiguate(&l, 10), LoadHold::Forward);
 }
 
-// --- disambiguation-line edge cases ---------------------------------------
+// --- byte-range edge cases ------------------------------------------------
 
 TEST_P(LsqPaths, PartialOverlapAcrossLineBoundary)
 {
-    // The store straddles the 16-byte disambiguation-line boundary at
-    // 0x100; the load lives in the second line only and overlaps the
-    // store's tail without being contained.
+    // The store straddles the 16-byte boundary at 0x100; the load lives
+    // above it and overlaps the store's tail without being contained.
     Lsq lsq(8);
     DynInst s = store(1, 0xFC, 8);  // [0xFC, 0x104)
     DynInst l = load(2, 0x100, 8);  // [0x100, 0x108)
     lsq.insert(&s);
     lsq.insert(&l);
-    computeAddr(lsq, s, 0);
-    EXPECT_EQ(lsq.checkLoad(&l, 10), LoadHold::PartialOverlap);
+    computeAddr(s, 0);
+    EXPECT_EQ(lsq.disambiguate(&l, 10), LoadHold::PartialOverlap);
 }
 
 TEST_P(LsqPaths, ForwardAcrossLineBoundary)
 {
-    // Both the store and the contained load straddle the boundary; the
-    // load appears in two line buckets and must still resolve once.
+    // Both the store and the contained load straddle the boundary.
     Lsq lsq(8);
     DynInst s = store(1, 0xFC, 8);  // [0xFC, 0x104)
     DynInst l = load(2, 0xFE, 4);   // [0xFE, 0x102) — contained
     lsq.insert(&s);
     lsq.insert(&l);
-    computeAddr(lsq, s, 0);
-    EXPECT_EQ(lsq.checkLoad(&l, 10), LoadHold::Forward);
+    computeAddr(s, 0);
+    EXPECT_EQ(lsq.disambiguate(&l, 10), LoadHold::Forward);
 }
 
 TEST_P(LsqPaths, AdjacentLinesDoNotFalseAlias)
 {
-    // Same 16-byte line neighbourhood, no byte overlap: the line-granular
-    // table must not report a conflict the scan would not.
+    // Neighbouring bytes in the same 16-byte line, no byte overlap: no
+    // conflict.
     Lsq lsq(8);
     DynInst s = store(1, 0x100, 4);  // [0x100, 0x104)
     DynInst l = load(2, 0x104, 4);   // [0x104, 0x108): same line
     lsq.insert(&s);
     lsq.insert(&l);
-    computeAddr(lsq, s, 0);
-    EXPECT_EQ(lsq.checkLoad(&l, 10), LoadHold::Ready);
+    computeAddr(s, 0);
+    EXPECT_EQ(lsq.disambiguate(&l, 10), LoadHold::Ready);
 }
+
+// --- commit and squash ----------------------------------------------------
 
 TEST_P(LsqPaths, ForwardThenStoreSquashed)
 {
     // A store forwards; branch recovery squashes it (and the load).
-    // A fresh load at the same address must not see the dead store
-    // through a stale table entry.
+    // A fresh load at the same address must not see the dead store.
     Lsq lsq(8);
     DynInst s = store(2, 0x100);
     DynInst l = load(3, 0x100);
     lsq.insert(&s);
     lsq.insert(&l);
-    computeAddr(lsq, s, 0);
-    EXPECT_EQ(lsq.checkLoad(&l, 10), LoadHold::Forward);
+    computeAddr(s, 0);
+    EXPECT_EQ(lsq.disambiguate(&l, 10), LoadHold::Forward);
     lsq.squash(&l);
     lsq.squash(&s);
     EXPECT_TRUE(lsq.empty());
     DynInst l2 = load(4, 0x100);
     lsq.insert(&l2);
-    EXPECT_EQ(lsq.checkLoad(&l2, 12), LoadHold::Ready);
+    EXPECT_EQ(lsq.disambiguate(&l2, 12), LoadHold::Ready);
 }
 
 TEST_P(LsqPaths, CommittedStoreClearsItsHold)
@@ -246,10 +249,10 @@ TEST_P(LsqPaths, CommittedStoreClearsItsHold)
     DynInst l = load(2, 0x100, 8);
     lsq.insert(&s);
     lsq.insert(&l);
-    computeAddr(lsq, s, 0);
-    EXPECT_EQ(lsq.checkLoad(&l, 10), LoadHold::PartialOverlap);
+    computeAddr(s, 0);
+    EXPECT_EQ(lsq.disambiguate(&l, 10), LoadHold::PartialOverlap);
     lsq.remove(&s);
-    EXPECT_EQ(lsq.checkLoad(&l, 10), LoadHold::Ready);
+    EXPECT_EQ(lsq.disambiguate(&l, 10), LoadHold::Ready);
 }
 
 TEST_P(LsqPaths, SquashDropsYoungest)
@@ -261,13 +264,13 @@ TEST_P(LsqPaths, SquashDropsYoungest)
     lsq.insert(&c);
     lsq.squash(&c);
     EXPECT_EQ(lsq.size(), 2u);
-    // The squashed store no longer blocks a younger load; the kept one
-    // still does.
+    // The kept store still blocks a younger load until its address is
+    // known; the squashed one, still unknown, no longer does.
     DynInst l = load(10, 0x300);
     lsq.insert(&l);
-    LoadCheck chk = lsq.disambiguate(&l, 10);
-    EXPECT_EQ(chk.hold, LoadHold::UnknownAddress);
-    EXPECT_EQ(chk.blocker, &b);
+    EXPECT_EQ(lsq.disambiguate(&l, 10), LoadHold::UnknownAddress);
+    computeAddr(b, 10);
+    EXPECT_EQ(lsq.disambiguate(&l, 10), LoadHold::Ready);
 }
 
 TEST_P(LsqPaths, RemoveAtCommit)
@@ -276,10 +279,10 @@ TEST_P(LsqPaths, RemoveAtCommit)
     DynInst a = store(1, 0x100), b = load(2, 0x200);
     lsq.insert(&a);
     lsq.insert(&b);
-    EXPECT_EQ(lsq.checkLoad(&b, 10), LoadHold::UnknownAddress);
+    EXPECT_EQ(lsq.disambiguate(&b, 10), LoadHold::UnknownAddress);
     lsq.remove(&a);
     EXPECT_EQ(lsq.size(), 1u);
-    EXPECT_EQ(lsq.checkLoad(&b, 10), LoadHold::Ready);
+    EXPECT_EQ(lsq.disambiguate(&b, 10), LoadHold::Ready);
     lsq.remove(&b);
     EXPECT_TRUE(lsq.empty());
 }
@@ -287,10 +290,9 @@ TEST_P(LsqPaths, RemoveAtCommit)
 TEST(Lsq, MoreStoreAddressesThanEntriesWithoutALoad)
 {
     // Every cycle the oldest stores commit and new ones compute their
-    // addresses (visible the next cycle), with no load to drain the
-    // pending-visibility list: far more addresses than the queue holds
-    // pass through it. Each computation first flushes what is visible
-    // already, so the list stays within the queue's capacity.
+    // addresses (visible the next cycle), with no load in between: far
+    // more stores than the queue holds pass through its store list,
+    // which wraps around many times.
     constexpr std::size_t kCap = 4;
     Lsq lsq(kCap);
     std::vector<DynInst> stores;
@@ -305,7 +307,7 @@ TEST(Lsq, MoreStoreAddressesThanEntriesWithoutALoad)
             ++seq;
             stores.push_back(store(seq, 0x100 + 8 * seq));
             lsq.insert(&stores.back());
-            computeAddr(lsq, stores.back(), now + 1);
+            computeAddr(stores.back(), now + 1);
         }
     }
     EXPECT_GT(stores.size(), 4 * kCap);
@@ -313,167 +315,13 @@ TEST(Lsq, MoreStoreAddressesThanEntriesWithoutALoad)
         lsq.remove(&stores[oldest++]);
     EXPECT_TRUE(lsq.empty());
     // Nothing stale is left: a load behind a fresh unknown store waits
-    // on it alone, and after its address is known, forwards from it.
+    // on it, and after its address is known, forwards from it.
     DynInst s = store(++seq, 0x200), l = load(++seq, 0x200);
     lsq.insert(&s);
     lsq.insert(&l);
-    LoadCheck chk = lsq.disambiguate(&l, 13);
-    EXPECT_EQ(chk.hold, LoadHold::UnknownAddress);
-    EXPECT_EQ(chk.blocker, &s);
-    computeAddr(lsq, s, 14);
-    EXPECT_EQ(lsq.checkLoad(&l, 14), LoadHold::Forward);
-}
-
-// --- hold subscriptions ---------------------------------------------------
-
-TEST(LsqHolds, UnknownHoldReleasesWhenAddressBecomesVisible)
-{
-    Lsq lsq(8);
-    DynInst s = store(1, 0x100);
-    DynInst l = load(2, 0x100);
-    lsq.insert(&s);
-    lsq.insert(&l);
-    l.setInIq(true);
-
-    LoadCheck chk = lsq.disambiguate(&l, 5);
-    ASSERT_EQ(chk.hold, LoadHold::UnknownAddress);
-    lsq.subscribeHold(&l, chk.blocker, chk.hold);
-
-    std::vector<ReadyRef> out;
-    lsq.takeReadyHolds(5, out);
-    EXPECT_TRUE(out.empty());
-
-    // The store computes its address at cycle 5; visible from cycle 6.
-    computeAddr(lsq, s, 6);
-    lsq.takeReadyHolds(5, out);
-    EXPECT_TRUE(out.empty());
-    lsq.takeReadyHolds(6, out);
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].inst, &l);
-    EXPECT_EQ(out[0].seq, l.seq());
-    // One-shot: nothing left pending.
-    out.clear();
-    lsq.takeReadyHolds(9, out);
-    EXPECT_TRUE(out.empty());
-}
-
-TEST(LsqHolds, SubscriptionAfterSameCycleAddressComputationStillFires)
-{
-    // The store issues earlier in the same cycle as the load's attempt:
-    // its release event has already fired when the load subscribes, so
-    // the subscription must park directly on the pending list.
-    Lsq lsq(8);
-    DynInst s = store(1, 0x100);
-    DynInst l = load(2, 0x100);
-    lsq.insert(&s);
-    lsq.insert(&l);
-    l.setInIq(true);
-
-    computeAddr(lsq, s, 6);  // issued at cycle 5, visible at 6
-    LoadCheck chk = lsq.disambiguate(&l, 5);
-    ASSERT_EQ(chk.hold, LoadHold::UnknownAddress);
-    ASSERT_EQ(chk.blocker, &s);
-    lsq.subscribeHold(&l, chk.blocker, chk.hold);
-
-    std::vector<ReadyRef> out;
-    lsq.takeReadyHolds(6, out);
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].inst, &l);
-}
-
-TEST(LsqHolds, PartialHoldReleasesAtCommit)
-{
-    Lsq lsq(8);
-    DynInst s = store(1, 0x104, 4);
-    DynInst l = load(2, 0x100, 8);
-    lsq.insert(&s);
-    lsq.insert(&l);
-    l.setInIq(true);
-
-    computeAddr(lsq, s, 0);
-    LoadCheck chk = lsq.disambiguate(&l, 5);
-    ASSERT_EQ(chk.hold, LoadHold::PartialOverlap);
-    lsq.subscribeHold(&l, chk.blocker, chk.hold);
-
-    std::vector<ReadyRef> out;
-    lsq.takeReadyHolds(20, out);
-    EXPECT_TRUE(out.empty());  // address visibility does not release it
-
-    lsq.remove(&s);  // commit
-    lsq.takeReadyHolds(20, out);
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].inst, &l);
-}
-
-TEST(LsqHolds, SquashedBlockerDropsItsSubscribers)
-{
-    Lsq lsq(8);
-    DynInst s = store(2, 0x100);
-    DynInst l = load(3, 0x100);
-    lsq.insert(&s);
-    lsq.insert(&l);
-    l.setInIq(true);
-
-    LoadCheck chk = lsq.disambiguate(&l, 5);
-    lsq.subscribeHold(&l, chk.blocker, chk.hold);
-    // Recovery kills the subscriber, then its blocker.
-    lsq.squash(&l);
-    lsq.squash(&s);
-
-    std::vector<ReadyRef> out;
-    lsq.takeReadyHolds(100, out);
-    EXPECT_TRUE(out.empty());
-}
-
-TEST(LsqHolds, EachStoreReleasesOnlyItsOwnLoads)
-{
-    // Three loads held on two stores, parked interleaved on the one
-    // held list: s1's unknown address holds l2 and l3, s4's partial
-    // overlap holds l5.
-    Lsq lsq(8);
-    DynInst s1 = store(1, 0x100);
-    DynInst l2 = load(2, 0x100);
-    DynInst l3 = load(3, 0x108);
-    DynInst s4 = store(4, 0x204, 4);
-    DynInst l5 = load(5, 0x200, 8);
-    for (DynInst *d : {&s1, &l2, &l3, &s4, &l5})
-        lsq.insert(d);
-    computeAddr(lsq, s4, 0);
-
-    for (DynInst *l : {&l2, &l5, &l3}) {
-        LoadCheck chk = lsq.disambiguate(l, 4);
-        ASSERT_EQ(chk.blocker, l == &l5 ? &s4 : &s1) << l->seq();
-        ASSERT_EQ(chk.hold, l == &l5 ? LoadHold::PartialOverlap
-                                     : LoadHold::UnknownAddress);
-        lsq.subscribeHold(l, chk.blocker, chk.hold);
-    }
-
-    // s1 computes its address at cycle 5, visible from 6: exactly its
-    // own loads come back, at 6, in the order they were parked.
-    computeAddr(lsq, s1, 6);
-    std::vector<ReadyRef> out;
-    lsq.takeReadyHolds(5, out);
-    EXPECT_TRUE(out.empty());
-    lsq.takeReadyHolds(6, out);
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_EQ(out[0].inst, &l2);
-    EXPECT_EQ(out[0].seq, 2u);
-    EXPECT_EQ(out[1].inst, &l3);
-    EXPECT_EQ(out[1].seq, 3u);
-
-    // l5 waits for s4's commit; s1's commit does not release it.
-    out.clear();
-    lsq.takeReadyHolds(100, out);
-    lsq.remove(&s1);
-    lsq.remove(&l2);
-    lsq.remove(&l3);
-    lsq.takeReadyHolds(100, out);
-    EXPECT_TRUE(out.empty());
-    lsq.remove(&s4);
-    lsq.takeReadyHolds(100, out);
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].inst, &l5);
-    EXPECT_EQ(out[0].seq, 5u);
+    EXPECT_EQ(lsq.disambiguate(&l, 13), LoadHold::UnknownAddress);
+    computeAddr(s, 14);
+    EXPECT_EQ(lsq.disambiguate(&l, 14), LoadHold::Forward);
 }
 
 // --- statistics and invariants --------------------------------------------
@@ -509,11 +357,32 @@ TEST(LsqDeath, NonMemInsertPanics)
     EXPECT_DEATH(lsq.insert(&d), "non-memory");
 }
 
+TEST(LsqDeath, CommittingAStoreThatIsNotTheOldestPanics)
+{
+    Lsq lsq(8);
+    DynInst s1 = store(1, 0x100), l = load(2, 0x200), s3 = store(3, 0x300);
+    lsq.insert(&s1);
+    lsq.insert(&l);
+    lsq.insert(&s3);
+    EXPECT_DEATH(lsq.remove(&s3), "not the oldest resident store");
+}
+
+TEST(LsqDeath, SquashingAStoreThatIsNotTheYoungestPanics)
+{
+    Lsq lsq(8);
+    DynInst s1 = store(1, 0x100), l = load(2, 0x200), s3 = store(3, 0x300);
+    lsq.insert(&s1);
+    lsq.insert(&l);
+    lsq.insert(&s3);
+    EXPECT_DEATH(lsq.squash(&s1), "not the youngest resident store");
+}
+
 // --- randomized fuzz against a reverse-scan model ------------------------
 
-/** Reference model: walk @p live (program order) youngest first; the
- *  nearest older store that is unknown at @p now or overlaps decides. */
-LoadCheck
+/** Reference model: walk @p live, the whole queue in program order,
+ *  youngest first; the nearest older store that is unknown at @p now
+ *  or overlaps decides. */
+LoadHold
 scanModel(const std::vector<DynInst *> &live, const DynInst *load, Cycle now)
 {
     const Addr lo = load->si.effAddr, hi = lo + load->si.memSize;
@@ -522,25 +391,24 @@ scanModel(const std::vector<DynInst *> &live, const DynInst *load, Cycle now)
         if (st->seq() >= load->seq() || !st->isStore())
             continue;
         if (!st->addrReady || st->addrReadyCycle > now)
-            return {LoadHold::UnknownAddress, st};
+            return LoadHold::UnknownAddress;
         const Addr sLo = st->si.effAddr, sHi = sLo + st->si.memSize;
         if (sHi <= lo || hi <= sLo)
             continue;
-        return {sLo <= lo && hi <= sHi ? LoadHold::Forward
-                                       : LoadHold::PartialOverlap,
-                st};
+        return sLo <= lo && hi <= sHi ? LoadHold::Forward
+                                      : LoadHold::PartialOverlap;
     }
-    return {LoadHold::Ready, nullptr};
+    return LoadHold::Ready;
 }
 
-TEST(LsqFuzz, TableMatchesScanOnRandomStimulus)
+TEST(LsqFuzz, MatchesScanModelOnRandomStimulus)
 {
     // Drive the LSQ with a pseudo-random stream of inserts, address
     // computations, commits and squashes, and require every resident
-    // load to disambiguate exactly as the scan model says, blocker
-    // included, at every step. End-to-end runs almost never reach a
-    // Forward or PartialOverlap verdict, so this fuzz is their oracle:
-    // it must check each verdict often.
+    // load to disambiguate exactly as the scan model says, at every
+    // step. End-to-end runs almost never reach a Forward or
+    // PartialOverlap verdict, so this fuzz is their oracle: it must
+    // check each verdict often.
     Lsq lsq(64);
 
     std::vector<DynInst> pool;
@@ -582,10 +450,7 @@ TEST(LsqFuzz, TableMatchesScanOnRandomStimulus)
                     unknown.push_back(d);
             if (unknown.empty())
                 break;
-            DynInst *s = unknown[next() % unknown.size()];
-            s->addrReady = true;
-            s->addrReadyCycle = now + 1;
-            lsq.onStoreAddrComputed(s);
+            computeAddr(*unknown[next() % unknown.size()], now + 1);
             break;
           }
           case 4: {  // commit: remove the oldest entry
@@ -614,19 +479,78 @@ TEST(LsqFuzz, TableMatchesScanOnRandomStimulus)
         for (DynInst *d : live) {
             if (!d->isLoad())
                 continue;
-            LoadCheck a = lsq.disambiguate(d, now);
-            LoadCheck b = scanModel(live, d, now);
-            ASSERT_EQ(a.hold, b.hold)
+            const LoadHold verdict = lsq.disambiguate(d, now);
+            ASSERT_EQ(verdict, scanModel(live, d, now))
                 << "load sn:" << d->seq() << " at cycle " << now;
-            ASSERT_EQ(a.blocker, b.blocker)
-                << "load sn:" << d->seq() << " at cycle " << now;
-            ++verdicts[static_cast<std::size_t>(a.hold)];
+            ++verdicts[static_cast<std::size_t>(verdict)];
         }
     }
     for (LoadHold h : {LoadHold::Ready, LoadHold::Forward,
                        LoadHold::UnknownAddress, LoadHold::PartialOverlap})
         EXPECT_GE(verdicts[static_cast<std::size_t>(h)], 100u)
             << "verdict " << static_cast<int>(h) << " barely checked";
+}
+
+// --- held loads in the core -----------------------------------------------
+
+/** Per round, a store whose base register comes from a divide, and
+ *  four loads behind it: one misses the store (an unknown-address
+ *  hold), one matches it (a forward), one partly overlaps it (a
+ *  partial-overlap hold until the store commits) and one shares the
+ *  store's base, so it is first checked in the store's issue cycle,
+ *  against the address computed earlier that cycle. */
+std::vector<TraceRecord>
+heldLoadTrace()
+{
+    TraceBuilder b;
+    for (int round = 0; round < 3; ++round) {
+        const Addr a = 0x100000 + 0x10000 * static_cast<Addr>(round);
+        b.div(RegId::intReg(5), RegId::intReg(20), RegId::intReg(21));
+        b.store(RegId::intReg(6), RegId::intReg(5), a);
+        b.load(RegId::intReg(7), RegId::intReg(20), a + 0x1000);
+        b.load(RegId::intReg(8), RegId::intReg(20), a);
+        b.load(RegId::intReg(9), RegId::intReg(20), a + 4);
+        b.load(RegId::intReg(10), RegId::intReg(5), a + 0x2000);
+        b.alu(RegId::intReg(11), RegId::intReg(8), RegId::intReg(9));
+    }
+    return b.records();
+}
+
+TEST(LsqHolds, HeldLoadsIssueInTheirReleaseCycles)
+{
+    VectorTraceStream s(heldLoadTrace());
+    CoreConfig cfg;
+    cfg.fetch.wrongPath = WrongPathMode::Stall;
+    Core core(s, cfg);
+
+    // Issue cycle of every instruction, by sequence number.
+    std::map<InstSeqNum, Cycle> issued;
+    for (int cycle = 0; cycle < 2000 && core.tick(); ++cycle)
+        for (std::size_t i = 0; i < core.rob().size(); ++i) {
+            const DynInst &d = core.rob().at(i);
+            if (d.issueCycle() != kNoCycle)
+                issued.emplace(d.seq(), d.issueCycle());
+        }
+    ASSERT_FALSE(core.tick()) << "trace did not drain";
+
+    std::vector<Cycle> stamps;
+    for (const auto &[seq, cycle] : issued)
+        stamps.push_back(cycle);
+    // Recorded when each held load was parked on its blocking store and
+    // released when that store's address became visible or it
+    // committed, before held loads were retried every cycle.
+    const std::vector<Cycle> expected = {
+        3, 70,  71, 71,  72,  71,  132,  // round 0: div, store, loads, alu
+        3, 70,  72, 72,  134, 73,  186,  // round 1
+        70, 137, 138, 138, 188, 138, 240}; // round 2
+    EXPECT_EQ(stamps, expected);
+
+    // Hold episodes, not attempts: each round's four loads are held
+    // once on the store's unknown address, and the partly overlapping
+    // one once more, until the store commits.
+    EXPECT_EQ(core.lsq().unknownAddrHolds(), 12u);
+    EXPECT_EQ(core.lsq().partialOverlapHolds(), 3u);
+    EXPECT_EQ(core.lsq().forwards(), 3u);
 }
 
 } // namespace

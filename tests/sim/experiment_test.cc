@@ -68,7 +68,8 @@ TEST(ExperimentDeath, ProcessInputsAreStrict)
     EXPECT_DOUBLE_EQ(parseInstsScale("0.05"), 0.05);
     EXPECT_DOUBLE_EQ(parseInstsScale("2"), 2.0);
     EXPECT_DOUBLE_EQ(parseInstsScale("1e1"), 10.0);
-    for (const char *bad : {"abc", "", "0", "-1", "0.5x", "inf", "nan"})
+    for (const char *bad : {"abc", "", "0", "-1", "0.5x", "inf", "nan",
+                            " 0.05", "0.05 ", "0x1p-4"})
         EXPECT_VPR_ERROR(parseInstsScale(bad), "bad VPR_INSTS_SCALE")
             << bad;
 

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <limits>
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "sim/experiment.hh"
 #include "trace/kernels/kernels.hh"
+
+#include "../support/expect_error.hh"
 
 namespace vpr
 {
@@ -21,6 +27,33 @@ tiny()
     c.core.fetch.wrongPath = WrongPathMode::Stall;
     return c;
 }
+
+/** Sets VPR_INSTS_SCALE for its lifetime, then restores the value (or
+ *  the absence) it found. */
+class ScopedInstsScale
+{
+  public:
+    explicit ScopedInstsScale(const char *value)
+    {
+        if (const char *old = std::getenv("VPR_INSTS_SCALE"))
+            saved = old;
+        ::setenv("VPR_INSTS_SCALE", value, 1);
+    }
+
+    ~ScopedInstsScale()
+    {
+        if (saved)
+            ::setenv("VPR_INSTS_SCALE", saved->c_str(), 1);
+        else
+            ::unsetenv("VPR_INSTS_SCALE");
+    }
+
+    ScopedInstsScale(const ScopedInstsScale &) = delete;
+    ScopedInstsScale &operator=(const ScopedInstsScale &) = delete;
+
+  private:
+    std::optional<std::string> saved;
+};
 
 /** A record as text, one line per metric: name, description, kind
  *  and exact value (reals at round-trip precision). */
@@ -117,6 +150,50 @@ TEST(ParallelEngine, InterleavedCoreShapesLeaveNoTrace)
     ASSERT_EQ(results.size(), 3u);
     EXPECT_EQ(recordText(results[0]), recordText(results[2]));
     EXPECT_NE(recordText(results[0]), recordText(results[1]));
+}
+
+TEST(ParallelEngine, CellsAreValidatedAsTypedThenAsScaled)
+{
+    // A cell invalid as typed is quoted as typed; one that only
+    // VPR_INSTS_SCALE makes invalid also names the scale and both
+    // budgets, typed and scaled; a valid cell commits its scaled
+    // budget.
+    SimConfig c = tiny();
+    {
+        ScopedInstsScale scale("0.05");
+        c.measureInsts = std::numeric_limits<std::uint64_t>::max();
+        EXPECT_VPR_ERROR(
+            runGrid({{"compress", c}}, 1),
+            "measure_insts \\(18446744073709551615\\) must be in");
+
+        c = tiny();
+        c.measureInsts = 40000;
+        const std::vector<SimResults> r = runGrid({{"compress", c}}, 1);
+        // The 8-wide commit can overshoot the target within the last
+        // cycle.
+        EXPECT_GE(r[0].committed(), 2000u);
+        EXPECT_LT(r[0].committed(), 2008u);
+    }
+    {
+        ScopedInstsScale scale("2");
+        c = tiny();
+        c.measureInsts = 600000000000000;
+        EXPECT_VPR_ERROR(runGrid({{"compress", c}}, 1),
+                         "measure_insts \\(1200000000000000\\) .*"
+                         "VPR_INSTS_SCALE=2 .*"
+                         "measure_insts 600000000000000 to 1200000000000000");
+    }
+    {
+        ScopedInstsScale scale("0.01");
+        c = tiny();
+        c.measureInsts = 200000;
+        c.sampling.enable = true;
+        c.sampling.periodInsts = 20000;
+        EXPECT_VPR_ERROR(runGrid({{"compress", c}}, 1),
+                         "sim.sampling.period_insts \\(20000\\) exceeds "
+                         "measure_insts \\(2000\\).*VPR_INSTS_SCALE=0.01 .*"
+                         "measure_insts 200000 to 2000");
+    }
 }
 
 } // namespace
